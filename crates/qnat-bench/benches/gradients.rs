@@ -1,12 +1,18 @@
 //! Criterion benches for the gradient engines: adjoint differentiation vs
-//! parameter-shift, and the symbolic-lowering chain rule.
+//! parameter-shift, the adjoint on the noise-injected training block, and
+//! the symbolic-lowering chain rule.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qnat_compiler::symbolic::lower_symbolic;
-use qnat_sim::adjoint::adjoint_all_z;
+use qnat_core::model::{Qnn, QnnConfig};
+use qnat_noise::inject::insert_error_gates;
+use qnat_noise::presets;
+use qnat_sim::adjoint::{adjoint_all_z, adjoint_gradients};
 use qnat_sim::circuit::Circuit;
 use qnat_sim::gate::Gate;
 use qnat_sim::paramshift::paramshift_gradients;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// A U3+CU3 block like the QuantumNAT default ansatz.
 fn qnn_block(n: usize, layers: usize) -> Circuit {
@@ -49,6 +55,42 @@ fn bench_adjoint_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// The circuit noise-injected training differentiates: the first block
+/// of the standard MNIST-4 model (2 blocks × 2 U3+CU3 layers) routed and
+/// basis-compiled for Santiago, bound to one input row, after error-gate
+/// insertion at T = 0.5; plus its observable qubits.
+fn train_block() -> (Circuit, Vec<usize>) {
+    let device = presets::santiago();
+    let qnn = Qnn::for_device(QnnConfig::standard(16, 4, 2, 2), &device, 7)
+        .expect("santiago fits the standard model");
+    let block = &qnn.blocks()[0];
+    let row: Vec<f64> = (0..16).map(|j| (j as f64 * 0.013).sin()).collect();
+    let mut params = block.encoder.angles(&row);
+    params.extend_from_slice(qnn.block_params(0));
+    let bound = block.lowered.bind(&params);
+    let mut rng = StdRng::seed_from_u64(7);
+    let (run, _) = insert_error_gates(&bound, &device, 0.5, &mut rng);
+    (run, block.obs.clone())
+}
+
+fn bench_train_block(c: &mut Criterion) {
+    let (circuit, obs) = train_block();
+    // Absolute cost unit: one amplitude touched by one gate in the plain
+    // gate-by-gate sweep (ψ forward, then ψ and every co-state backward).
+    let amp_ops = circuit.len() * (1 << circuit.n_qubits()) * (2 + obs.len());
+    println!(
+        "gradients_train_block: {} gates ({} params) on {} qubits, {} observables, \
+         {amp_ops} amplitude-ops per call",
+        circuit.len(),
+        circuit.n_params(),
+        circuit.n_qubits(),
+        obs.len()
+    );
+    let mut group = c.benchmark_group("gradients_train_block");
+    group.bench_function("adjoint", |b| b.iter(|| adjoint_gradients(&circuit, &obs)));
+    group.finish();
+}
+
 fn bench_symbolic_lowering(c: &mut Criterion) {
     let circuit = qnn_block(4, 4);
     c.bench_function("symbolic_lowering_4q_4layers", |b| {
@@ -67,6 +109,7 @@ criterion_group!(
     benches,
     bench_adjoint_vs_paramshift,
     bench_adjoint_scaling,
+    bench_train_block,
     bench_symbolic_lowering
 );
 criterion_main!(benches);

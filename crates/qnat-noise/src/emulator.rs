@@ -36,11 +36,14 @@ impl HardwareEmulator {
         &self.model
     }
 
+    /// Rejects circuits wider than the device or than a density matrix
+    /// can hold, whichever is smaller.
     fn check_size(&self, circuit: &Circuit) -> Result<(), BackendError> {
-        if circuit.n_qubits() > self.model.n_qubits() {
+        let available = self.model.n_qubits().min(DensityMatrix::MAX_QUBITS);
+        if circuit.n_qubits() > available {
             return Err(BackendError::QubitCount {
                 needed: circuit.n_qubits(),
-                available: self.model.n_qubits(),
+                available,
                 backend: self.model.name().to_string(),
             });
         }
@@ -54,7 +57,8 @@ impl HardwareEmulator {
     /// # Errors
     ///
     /// Returns [`BackendError::QubitCount`] if the circuit uses more qubits
-    /// than the device has, or [`BackendError::InvalidChannel`] if the
+    /// than the device has or than [`DensityMatrix::MAX_QUBITS`], or
+    /// [`BackendError::InvalidChannel`] if the
     /// device model yields an invalid noise channel.
     pub fn run(&self, circuit: &Circuit) -> Result<DensityMatrix, BackendError> {
         self.check_size(circuit)?;
@@ -253,6 +257,27 @@ mod tests {
             }
         ));
         assert!(!err.is_retryable());
+    }
+
+    #[test]
+    fn circuit_beyond_density_matrix_limit_is_typed_error() {
+        // Melbourne has 15 qubits, more than a density matrix holds: 14-
+        // and 15-qubit circuits pass the device check and must still come
+        // back as an error, not a panic in the simulator.
+        let emu = HardwareEmulator::new(presets::melbourne());
+        assert!(emu.model().n_qubits() > DensityMatrix::MAX_QUBITS);
+        for n in [DensityMatrix::MAX_QUBITS + 1, emu.model().n_qubits()] {
+            let err = emu.run(&Circuit::new(n)).unwrap_err();
+            assert_eq!(
+                err,
+                BackendError::QubitCount {
+                    needed: n,
+                    available: DensityMatrix::MAX_QUBITS,
+                    backend: emu.model().name().to_string(),
+                }
+            );
+            assert!(emu.expect_all_z(&Circuit::new(n)).is_err());
+        }
     }
 
     #[test]

@@ -5,11 +5,34 @@
 //! observable). This is the gradient engine used for classical training of
 //! QuantumNAT models; [`crate::paramshift`] provides the hardware-compatible
 //! alternative and serves as the validation oracle.
+//!
+//! ## Run fusion
+//!
+//! Both sweeps defer single-qubit gates. The forward pass keeps one
+//! pending 2×2 per qubit and folds it into the next two-qubit gate on
+//! that qubit, so the state is only walked once per two-qubit gate (plus
+//! one final flush per qubit). The backward pass keeps the states
+//! `[ψ, λ_0 … λ_{m−1}]` in one buffer and a pending product `P_q` of
+//! undone single-qubit gates per qubit: the true states are
+//! `(⊗_q P_q)·buffer`. A gradient of a single-qubit gate `G` on `q` is
+//!
+//! ```text
+//! 2·Re⟨λ|∂G·G†|ψ⟩ = 2·Re Σ_ab A[a][b]·C_o[a][b],
+//! A = P_q†·(∂G·G†)·P_q,   C_o[a][b] = Σ_r conj(λ_o[r,a])·ψ[r,b],
+//! ```
+//!
+//! where `r` runs over the other qubits' indices. `C_o` is one pass over
+//! the buffer, and it stays valid for the whole single-qubit run on `q`:
+//! only two-qubit gates touch the buffer, and one on other qubits applies
+//! the same unitary to the rest index of `ψ` and `λ_o`, which preserves
+//! their inner products. A two-qubit gate folds its qubits' `P` into its
+//! inverse, makes one 4×4 pass per state and invalidates both qubits'
+//! `C`. Every gate matrix is computed once per call.
 
-use crate::circuit::{invert_gate, Circuit};
-use crate::gate::GateMatrix;
-use crate::math::C64;
-use crate::statevector::StateVector;
+use crate::circuit::Circuit;
+use crate::gate::{Gate, GateKind, GateMatrix};
+use crate::kernels::{apply_mat2, apply_mat4, cross_mat2, prob_one_mass};
+use crate::math::{kron2, mat2_dagger, mat2_mul, mat4_dagger, mat4_mul, Mat2, Mat4, C64};
 
 /// Expectations and gradients returned by a differentiation engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,6 +43,8 @@ pub struct GradientResult {
     /// flattened parameter list ([`Circuit::param_slots`] order).
     pub gradients: Vec<Vec<f64>>,
 }
+
+const I2: Mat2 = [[C64::ONE, C64::ZERO], [C64::ZERO, C64::ONE]];
 
 /// Applies the Pauli-Z operator on qubit `q` to a raw state (sign flip on
 /// all amplitudes with bit `q` set).
@@ -32,12 +57,102 @@ fn apply_z(amps: &mut [C64], q: usize) {
     }
 }
 
+/// `P†·M·P`.
+fn conjugate2(m: &Mat2, p: &Mat2) -> Mat2 {
+    mat2_mul(&mat2_dagger(p), &mat2_mul(m, p))
+}
+
+/// `P†·M·P`.
+fn conjugate4(m: &Mat4, p: &Mat4) -> Mat4 {
+    mat4_mul(&mat4_dagger(p), &mat4_mul(m, p))
+}
+
+/// `∂G/∂θ_slot · G†` for a single-qubit gate with matrix `u`. `RZ`, the
+/// only parameterized gate of the compiled basis, gives `−(i/2)Z`
+/// directly.
+fn generator1(g: &Gate, slot: usize, u: &Mat2) -> Mat2 {
+    if g.kind == GateKind::Rz {
+        let h = C64::new(0.0, -0.5);
+        return [[h, C64::ZERO], [C64::ZERO, -h]];
+    }
+    match g.d_matrix(slot) {
+        GateMatrix::One(d) => mat2_mul(&d, &mat2_dagger(u)),
+        GateMatrix::Two(_) => unreachable!("single-qubit gate has a 2×2 derivative"),
+    }
+}
+
+/// `∂G/∂θ_slot · G†` for a two-qubit gate with matrix `u`.
+fn generator2(g: &Gate, slot: usize, u: &Mat4) -> Mat4 {
+    match g.d_matrix(slot) {
+        GateMatrix::Two(d) => mat4_mul(&d, &mat4_dagger(u)),
+        GateMatrix::One(_) => unreachable!("two-qubit gate has a 4×4 derivative"),
+    }
+}
+
+/// `U·P` for a pending product `P` (`None` is the identity).
+fn premul(u: &Mat2, p: Option<Mat2>) -> Mat2 {
+    p.map_or(*u, |p| mat2_mul(u, &p))
+}
+
+/// Takes qubit `a`'s and `b`'s pending products as `P_a⊗P_b`, or `None`
+/// when both are the identity.
+fn take_kron(pending: &mut [Option<Mat2>], a: usize, b: usize) -> Option<Mat4> {
+    match (pending[a].take(), pending[b].take()) {
+        (None, None) => None,
+        (pa, pb) => Some(kron2(&pa.unwrap_or(I2), &pb.unwrap_or(I2))),
+    }
+}
+
+/// `Re Σ_ab A[a][b]·C[a][b]`.
+fn re_contract(a: &Mat2, c: &Mat2) -> f64 {
+    let mut acc = 0.0;
+    for (ra, rc) in a.iter().zip(c) {
+        for (x, y) in ra.iter().zip(rc) {
+            acc += x.re * y.re - x.im * y.im;
+        }
+    }
+    acc
+}
+
+/// `Re⟨l|m⟩`.
+fn re_inner(l: &[C64], m: &[C64]) -> f64 {
+    l.iter()
+        .zip(m)
+        .map(|(l, m)| l.re * m.re + l.im * m.im)
+        .sum()
+}
+
+/// Runs the gates on `psi` with each single-qubit run folded into the
+/// next two-qubit gate on its qubit (or flushed at the end).
+fn forward(psi: &mut [C64], gates: &[Gate], mats: &[GateMatrix], n: usize) {
+    let mut pending: Vec<Option<Mat2>> = vec![None; n];
+    for (g, mat) in gates.iter().zip(mats) {
+        match mat {
+            GateMatrix::One(u) => {
+                let q = g.qubits[0];
+                pending[q] = Some(premul(u, pending[q]));
+            }
+            GateMatrix::Two(u) => {
+                let [a, b] = g.qubits;
+                let m = take_kron(&mut pending, a, b).map_or(*u, |p| mat4_mul(u, &p));
+                apply_mat4(psi, a, b, &m);
+            }
+        }
+    }
+    for (q, p) in pending.iter().enumerate() {
+        if let Some(p) = p {
+            apply_mat2(psi, q, p);
+        }
+    }
+}
+
 /// Computes ⟨Z_q⟩ and all parameter gradients for the given observable
 /// qubits via the adjoint method.
 ///
 /// The circuit is simulated once forward; then gates are undone one at a
 /// time while a co-state per observable accumulates
-/// `∂E/∂θ = 2·Re⟨λ|∂U/∂θ|ψ⟩`.
+/// `∂E/∂θ = 2·Re⟨λ|∂U/∂θ|ψ⟩`. Single-qubit runs are fused in both
+/// sweeps (see the module docs).
 ///
 /// # Panics
 ///
@@ -62,78 +177,87 @@ pub fn adjoint_gradients(circuit: &Circuit, obs_qubits: &[usize]) -> GradientRes
     for &q in obs_qubits {
         assert!(q < n, "observable qubit {q} out of range");
     }
-    let mut psi = StateVector::zero_state(n);
-    psi.run(circuit);
+    let gates = circuit.gates();
+    let mats: Vec<GateMatrix> = gates.iter().map(Gate::matrix).collect();
+    let dim = 1usize << n;
+    let m = obs_qubits.len();
 
-    let expectations: Vec<f64> = obs_qubits.iter().map(|&q| psi.expect_z(q)).collect();
-
-    let slots = circuit.param_slots();
-    let n_params = slots.len();
-    let mut gradients = vec![vec![0.0f64; n_params]; obs_qubits.len()];
-    if n_params == 0 {
-        return GradientResult {
-            expectations,
-            gradients,
-        };
+    // One buffer: ψ, then λ_o = Z_o|ψ⟩ for each observable.
+    let mut buf = vec![C64::ZERO; (1 + m) * dim];
+    buf[0] = C64::ONE;
+    forward(&mut buf[..dim], gates, &mats, n);
+    let (psi, lambdas) = buf.split_at_mut(dim);
+    let expectations: Vec<f64> = obs_qubits
+        .iter()
+        .map(|&q| 1.0 - 2.0 * prob_one_mass(psi, q))
+        .collect();
+    for (lambda, &q) in lambdas.chunks_exact_mut(dim).zip(obs_qubits) {
+        lambda.copy_from_slice(psi);
+        apply_z(lambda, q);
     }
 
-    // λ_o = Z_o |ψ⟩ for each observable.
-    let mut lambdas: Vec<StateVector> = obs_qubits
-        .iter()
-        .map(|&q| {
-            let mut l = psi.clone();
-            // Safe: we only mutate amplitudes through a scoped copy.
-            let mut amps = l.amplitudes().to_vec();
-            apply_z(&mut amps, q);
-            l = StateVector::from_amplitudes(amps);
-            l
-        })
-        .collect();
-
-    // Map flat parameter index ranges per gate for quick lookup.
-    // slots is sorted by gate index; walk gates from last to first.
-    let gates = circuit.gates();
-    let mut flat_end = n_params; // exclusive end of current gate's params
-    for gi in (0..gates.len()).rev() {
-        let g = &gates[gi];
+    let n_params = circuit.n_params();
+    let mut gradients = vec![vec![0.0f64; n_params]; m];
+    // Undone single-qubit gates not yet applied to the buffer, per qubit.
+    let mut pending: Vec<Option<Mat2>> = vec![None; n];
+    // `cross[q·m + o]` = C_o on qubit q, valid while `cross_valid[q]`.
+    let mut cross = vec![I2; n * m];
+    let mut cross_valid = vec![false; n];
+    let mut scratch: Vec<C64> = Vec::new();
+    // Walk gates from last to first; `flat_end` is the exclusive end of
+    // the current gate's slots. Gates before the first parameter need no
+    // undoing.
+    let mut flat_end = n_params;
+    for (g, mat) in gates.iter().zip(&mats).rev() {
+        if flat_end == 0 {
+            break;
+        }
         let np = g.kind.param_count();
         let flat_start = flat_end - np;
-        debug_assert!(slots[flat_start..flat_end].iter().all(|&(i, _)| i == gi));
-
-        // ψ ← U† ψ (now the state before gate gi).
-        let inv = invert_gate(g);
-        psi.apply(&inv);
-
-        if np > 0 {
-            for slot in 0..np {
-                // μ = (∂U/∂θ) ψ.
-                let mut mu_amps = psi.amplitudes().to_vec();
-                match g.d_matrix(slot) {
-                    GateMatrix::One(dm) => {
-                        crate::kernels::apply_mat2(&mut mu_amps, g.qubits[0], &dm)
+        match mat {
+            GateMatrix::One(u) => {
+                let q = g.qubits[0];
+                if np > 0 {
+                    let cs = &mut cross[q * m..(q + 1) * m];
+                    if !cross_valid[q] {
+                        let (psi, lambdas) = buf.split_at(dim);
+                        for (c, lambda) in cs.iter_mut().zip(lambdas.chunks_exact(dim)) {
+                            *c = cross_mat2(psi, lambda, q);
+                        }
+                        cross_valid[q] = true;
                     }
-                    GateMatrix::Two(dm) => crate::kernels::apply_mat4(
-                        &mut mu_amps,
-                        g.qubits[0],
-                        g.qubits[1],
-                        &dm,
-                    ),
+                    for slot in 0..np {
+                        let gen = generator1(g, slot, u);
+                        let a = pending[q].map_or(gen, |p| conjugate2(&gen, &p));
+                        for (grad, c) in gradients.iter_mut().zip(cs.iter()) {
+                            grad[flat_start + slot] = 2.0 * re_contract(&a, c);
+                        }
+                    }
                 }
-                for (o, lambda) in lambdas.iter().enumerate() {
-                    let ip: C64 = lambda
-                        .amplitudes()
-                        .iter()
-                        .zip(&mu_amps)
-                        .map(|(l, m)| l.conj() * *m)
-                        .sum();
-                    gradients[o][flat_start + slot] = 2.0 * ip.re;
-                }
+                pending[q] = Some(premul(&mat2_dagger(u), pending[q]));
             }
-        }
-
-        // λ ← U† λ.
-        for lambda in &mut lambdas {
-            lambda.apply(&inv);
+            GateMatrix::Two(u) => {
+                let [a, b] = g.qubits;
+                let p = take_kron(&mut pending, a, b);
+                let (psi, lambdas) = buf.split_at(dim);
+                for slot in 0..np {
+                    let gen = generator2(g, slot, u);
+                    let d = p.map_or(gen, |p| conjugate4(&gen, &p));
+                    scratch.clear();
+                    scratch.extend_from_slice(psi);
+                    apply_mat4(&mut scratch, a, b, &d);
+                    for (grad, lambda) in gradients.iter_mut().zip(lambdas.chunks_exact(dim)) {
+                        grad[flat_start + slot] = 2.0 * re_inner(lambda, &scratch);
+                    }
+                }
+                let inv = mat4_dagger(u);
+                let undo = p.map_or(inv, |p| mat4_mul(&inv, &p));
+                for state in buf.chunks_exact_mut(dim) {
+                    apply_mat4(state, a, b, &undo);
+                }
+                cross_valid[a] = false;
+                cross_valid[b] = false;
+            }
         }
         flat_end = flat_start;
     }
@@ -153,7 +277,7 @@ pub fn adjoint_all_z(circuit: &Circuit) -> GradientResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gate::Gate;
+    use crate::statevector::StateVector;
 
     fn finite_diff(circuit: &Circuit, obs: &[usize]) -> Vec<Vec<f64>> {
         let eps = 1e-6;

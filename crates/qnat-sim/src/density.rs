@@ -37,9 +37,21 @@ pub struct DensityMatrix {
 }
 
 impl DensityMatrix {
+    /// Largest register a density matrix holds: vec(ρ) has 4ⁿ amplitudes,
+    /// 1 GiB at n = 13.
+    pub const MAX_QUBITS: usize = 13;
+
     /// The pure state `|0…0⟩⟨0…0|`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_qubits` exceeds [`DensityMatrix::MAX_QUBITS`].
     pub fn zero_state(n_qubits: usize) -> Self {
-        assert!(n_qubits <= 13, "density matrix limited to 13 qubits");
+        assert!(
+            n_qubits <= Self::MAX_QUBITS,
+            "density matrix limited to {} qubits",
+            Self::MAX_QUBITS
+        );
         let dim = 1usize << n_qubits;
         let mut data = vec![C64::ZERO; dim * dim];
         data[0] = C64::ONE;

@@ -49,9 +49,25 @@ fn checked_bit(len: usize, q: usize) -> usize {
 ///
 /// Panics if `amps.len()` is not a power of two or `q` is out of range
 /// (checked once, before the branch-free hot loop).
+// Out of line on purpose: inlined into the density-matrix callers
+// (`DensityMatrix::apply_gate`, `apply_channel1`), this small wrapper
+// made the served emulator workload ~10% slower.
+#[inline(never)]
 pub fn apply_mat2(amps: &mut [C64], q: usize, m: &Mat2) {
     let bit = checked_bit(amps.len(), q);
     let [[m00, m01], [m10, m11]] = *m;
+    mix_pairs(amps, bit, m00, m01, m10, m11);
+}
+
+/// The hot loop of [`apply_mat2`]. The matrix entries arrive as by-value
+/// arguments of a function that is never inlined, so they stay in
+/// registers for the whole loop. Compiled inline, whether LLVM kept
+/// re-loading them through the `&Mat2` (and guarded the vector loop with
+/// run-time overlap checks) depended on which other functions shared the
+/// codegen unit, so unrelated edits elsewhere in the crate could swing
+/// `apply_mat2`'s speed by ~1.5×.
+#[inline(never)]
+fn mix_pairs(amps: &mut [C64], bit: usize, m00: C64, m01: C64, m10: C64, m11: C64) {
     // Each 2·bit block splits into a low half (bit clear) and a high half
     // (bit set); zipping the halves pairs partner amplitudes with no index
     // arithmetic or bounds checks in the loop body.
@@ -128,6 +144,32 @@ pub fn prob_one_mass(amps: &[C64], q: usize) -> f64 {
     amps.chunks_exact(bit << 1)
         .map(|block| block[bit..].iter().map(|a| a.norm_sqr()).sum::<f64>())
         .sum()
+}
+
+/// Cross matrix of two states on bit `q`:
+/// `C[a][b] = Σ_r conj(lam[r,a])·psi[r,b]`, where `r` runs over the other
+/// bits. `⟨lam|A_q|psi⟩ = Σ_ab A[a][b]·C[a][b]` for any 2×2 `A` on `q`.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length, the length is not a power of
+/// two, or `q` is out of range.
+pub(crate) fn cross_mat2(psi: &[C64], lam: &[C64], q: usize) -> Mat2 {
+    assert_eq!(psi.len(), lam.len(), "cross of states of unequal length");
+    let bit = checked_bit(psi.len(), q);
+    let (mut c00, mut c01, mut c10, mut c11) = (C64::ZERO, C64::ZERO, C64::ZERO, C64::ZERO);
+    for (pb, lb) in psi.chunks_exact(bit << 1).zip(lam.chunks_exact(bit << 1)) {
+        let (p0, p1) = pb.split_at(bit);
+        let (l0, l1) = lb.split_at(bit);
+        for (((x0, x1), y0), y1) in p0.iter().zip(p1).zip(l0).zip(l1) {
+            let (y0, y1) = (y0.conj(), y1.conj());
+            c00 += y0 * *x0;
+            c01 += y0 * *x1;
+            c10 += y1 * *x0;
+            c11 += y1 * *x1;
+        }
+    }
+    [[c00, c01], [c10, c11]]
 }
 
 /// Element-wise conjugate of a 2×2 matrix (not the transpose).

@@ -2,45 +2,34 @@
 # Full CI gate, in the order a reviewer wants failures surfaced:
 #   1. smoke:  fast deterministic breaker-trip smoke test (seconds; fails
 #              first if the health state machine regresses)
-#   2. tier-1: release build + the whole workspace test suite
-#   3. health: the fleet-health suites — breaker unit tests, the
-#              breaker-on-vs-off / deadline-budget e2e acceptance tests,
-#              and the report-merge property tests
-#   4. serve:  the serving-subsystem suites — engine unit tests, the
-#              batch-replay property tests, the serving e2e acceptance
-#              tests, and a deadlock-guarded smoke run of the serving
-#              example against a fault-injecting backend (the example
-#              itself asserts a nonzero completed-job count; the timeout
-#              turns a queue deadlock into a loud failure)
-#   5. transport: the HTTP front-door suites — wire-format and HTTP
-#              parser unit tests, the replay-parity / status-contract
-#              e2e tests, and a deadlock-guarded smoke run of the
-#              http_serving example (ephemeral port, 50% fault
-#              injection, submit/poll/wait over real TCP; the example
-#              asserts a full graceful drain, the timeout turns an
-#              accept-loop or drain deadlock into a loud failure)
-#   6. fleet:  the multi-device routing suites — router unit tests, the
-#              failover / quarantine-starvation / routing-accuracy e2e
-#              acceptance tests, the bitwise-replay property tests, and
-#              a deadlock-guarded smoke run of the fleet_routing example
+#   2. tier-1: release build + the whole workspace test suite (the root
+#              manifest's `default-members` covers every crate, so this
+#              one stage runs the health, serve, transport, fleet, calib
+#              and mitigation suites in debug)
+#   3. serve:  a deadlock-guarded smoke run of the serving example
+#              against a fault-injecting backend (the example itself
+#              asserts a nonzero completed-job count; the timeout turns a
+#              queue deadlock into a loud failure)
+#   4. transport: a deadlock-guarded smoke run of the http_serving
+#              example (ephemeral port, 50% fault injection,
+#              submit/poll/wait over real TCP; the example asserts a full
+#              graceful drain, the timeout turns an accept-loop or drain
+#              deadlock into a loud failure)
+#   5. fleet:  a deadlock-guarded smoke run of the fleet_routing example
 #              (three devices, the preferred one goes terminally dark
 #              mid-run; the example asserts failover keeps the
 #              completed-job count at 100% with zero refusals)
-#   7. calib:  the learned-calibration suites — tracker unit tests and
-#              the calibration property pins (bitwise arrival-order
-#              invariance of the tracker, decision replay, clamped
-#              estimates under pathological report streams)
-#   8. lint:   clippy -D warnings (scripts/lint.sh; the workspace sweep
+#   6. lint:   clippy -D warnings (scripts/lint.sh; the workspace sweep
 #              includes qnat-serve's, qnat-transport's and qnat-fleet's
 #              unwrap_used walls)
-#   9. sim-bench: the simulator hot-path gate — the kernel bounds-check
+#   7. sim-bench: the simulator hot-path gate — the kernel bounds-check
 #              regression tests re-run under --release (the checks must
 #              survive optimized builds, not just debug_assert), then the
 #              gate-kernel microbench plus the fused-vs-unfused
 #              acceptance bench, which asserts fused execution of the
 #              §4.2 QNN block sustains >= 2x unfused runs/sec and writes
 #              latency percentiles to results/BENCH_sim.json
-#  10. load:   the overload-robustness gate — the socket-level chaos
+#   8. load:   the overload-robustness gate — the socket-level chaos
 #              suite (resets, slow-loris, stalls, corruption against a
 #              live server; no hung workers, no leaked connection
 #              slots), then the open-loop load harness (Poisson +
@@ -50,23 +39,20 @@
 #              the overload SLO: p99 stays flat under 429/503 shedding
 #              and the pooled keep-alive client sustains >= 2x the
 #              connection-per-call request rate
-#  11. perf:   the batch-, serve-, transport- and fleet-throughput
+#   9. perf:   the batch-, serve-, transport- and fleet-throughput
 #              acceptance benches, which assert the 4-worker pool /
 #              serving engine / HTTP front door / routed fleet beats
 #              single-threaded submission by >= 2x on a 64-job workload
 #              with real wall-clock backoff (the transport and fleet
 #              benches also write latency percentiles to
 #              results/BENCH_transport.json and results/BENCH_fleet.json)
-#  12. calib-bench: the calibration acceptance gate — drifting-fleet
+#  10. calib-bench: the calibration acceptance gate — drifting-fleet
 #              scenarios (RandomWalk and StepRecalibration heavy drift)
 #              asserting ScorePolicy::Predicted beats Static on
 #              accuracy-per-attempt and the learned tracker beats a
 #              frozen-preset baseline on attempt-weighted prequential
 #              Brier score; writes results/BENCH_calib.json
-#  13. mitigate: the error-mitigation gate — the de-panicked mitigation
-#              math unit tests, the folding unitary-identity property
-#              tests, the sweep bitwise-replay property tests, and the
-#              ZNE acceptance bench, which asserts the served
+#  11. mitigate: the ZNE acceptance bench, which asserts the served
 #              gate-folding sweep beats the raw noisy expectation error
 #              on the §4.2 block under Santiago emulator noise and
 #              writes arm-by-arm errors plus sweep latency percentiles
@@ -83,34 +69,17 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
-echo "== health: breaker unit + e2e + report-merge property suites =="
-cargo test -q -p qnat-core --lib health::
-cargo test -q -p qnat-core --test health_e2e
-cargo test -q -p qnat-core --test report_props
-
-echo "== serve: engine unit + replay property + e2e suites =="
-cargo test -q -p qnat-serve
-
 echo "== serve: example smoke gate (deadlock-guarded) =="
 cargo build --release --example serving
 timeout 120 cargo run --release --example serving
-
-echo "== transport: wire/http unit + e2e suites =="
-cargo test -q -p qnat-transport
 
 echo "== transport: example smoke gate (deadlock-guarded) =="
 cargo build --release --example http_serving
 timeout 120 cargo run --release --example http_serving
 
-echo "== fleet: router unit + e2e + replay property suites =="
-cargo test -q -p qnat-fleet
-
 echo "== fleet: example smoke gate (deadlock-guarded) =="
 cargo build --release --example fleet_routing
 timeout 120 cargo run --release --example fleet_routing
-
-echo "== calib: tracker unit + property suites =="
-cargo test -q -p qnat-calib
 
 echo "== lint: scripts/lint.sh =="
 ./scripts/lint.sh
@@ -142,11 +111,6 @@ cargo bench -p qnat-bench --bench fleet_routing
 
 echo "== bench: calib_tracking acceptance gate =="
 cargo bench -p qnat-bench --bench calib_tracking
-
-echo "== mitigate: de-panicked math + folding identity + sweep replay suites =="
-cargo test -q -p qnat-core --lib mitigate::
-cargo test -q -p qnat-compiler --test folding_props
-cargo test -q -p qnat-serve --test mitigate_replay
 
 echo "== mitigate: ZNE acceptance gate =="
 cargo bench -p qnat-bench --bench zne_mitigation
