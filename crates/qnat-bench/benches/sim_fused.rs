@@ -12,11 +12,10 @@
 //! fused execution sustains ≥ 2× the unfused runs/sec.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use qnat_bench::block_circuit;
 use qnat_bench::stats::latency_percentiles_ms;
 use qnat_compiler::fusion::fuse;
-use qnat_core::model::{Qnn, QnnConfig};
 use qnat_json::Json;
-use qnat_noise::presets;
 use qnat_sim::circuit::Circuit;
 use qnat_sim::fused::FusedCircuit;
 use qnat_sim::gate::Gate;
@@ -26,22 +25,6 @@ use std::time::{Duration, Instant};
 /// Per-run iterations of the acceptance gate (each run = full block
 /// execution + ⟨Z⟩ readout, exactly the serving layer's per-job work).
 const ITERS: usize = 2000;
-
-/// The §4.2 QNN block as the simulator actually sees it: the standard
-/// 16-feature / 4-qubit model's first block, routed for Santiago at
-/// transpile level 2, with one encoder row and the trained parameters
-/// bound into the symbolic circuit.
-fn block_circuit() -> Circuit {
-    let qnn = Qnn::new(QnnConfig::standard(16, 4, 1, 2), 7);
-    let plans = qnn
-        .route_plan(&presets::santiago(), 2)
-        .expect("santiago fits the standard model");
-    let block = &qnn.blocks()[0];
-    let row: Vec<f64> = (0..16).map(|j| (j as f64 * 0.013).sin()).collect();
-    let mut params = block.encoder.angles(&row);
-    params.extend_from_slice(qnn.block_params(0));
-    plans[0].lowered.bind(&params)
-}
 
 fn run_unfused(circuit: &Circuit) -> Vec<f64> {
     let mut psi = StateVector::zero_state(circuit.n_qubits());

@@ -9,8 +9,17 @@
 //! ≥ 2× the jobs/sec of a sequential inline `ResilientExecutor` loop
 //! over the same work. Latency percentiles (submit → wait completion,
 //! socket round trips included) go to `results/BENCH_transport.json`.
+//!
+//! The `wire_codec` group times the JSON codec alone on the §4.2 submit
+//! body: encode (`submit_request_to_json` + `to_json`) and the server's
+//! decode (`parse_body` + `submit_request_from_json`), in µs and ns per
+//! byte, to `results/BENCH_codec.json`. Its gate is a same-binary ratio,
+//! so it does not depend on host speed: decoding a body 16× longer must
+//! take at most 32× as long (a linear parser gives ≈16×; one that
+//! rescans the rest of the body per string character measured 179×).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use qnat_bench::block_circuit;
 use qnat_bench::stats::latency_percentiles_ms;
 use qnat_core::batch::{run_job, BatchJob};
 use qnat_core::executor::{splitmix64, ResilientExecutor, RetryPolicy, ThreadSleeper};
@@ -20,7 +29,7 @@ use qnat_noise::fault::{FaultSpec, FaultyBackend};
 use qnat_serve::{Lane, ServeConfig, ServeEngine};
 use qnat_sim::circuit::Circuit;
 use qnat_sim::gate::Gate;
-use qnat_transport::{TransportClient, TransportConfig, TransportServer};
+use qnat_transport::{wire, TransportClient, TransportConfig, TransportServer};
 use std::time::{Duration, Instant};
 
 const BATCH: usize = 64;
@@ -151,6 +160,116 @@ fn run_transport(workers: usize) -> TransportRun {
     TransportRun { elapsed, latencies }
 }
 
+/// Copies of the §4.2 block in the long body the scaling gate decodes.
+const CODEC_SCALE: usize = 16;
+/// Ceiling on decode(16× body) / decode(1× body).
+const CODEC_MAX_RATIO: f64 = 32.0;
+
+/// The §4.2 block's gates repeated `copies` times, as one exact job.
+fn codec_job(copies: usize) -> BatchJob {
+    let block = block_circuit();
+    let mut circuit = Circuit::new(block.n_qubits());
+    for _ in 0..copies {
+        for &g in block.gates() {
+            circuit.push(g);
+        }
+    }
+    BatchJob::exact(circuit)
+}
+
+fn encode(job: &BatchJob) -> String {
+    wire::submit_request_to_json(job, Lane::Interactive).to_json()
+}
+
+/// What the server does with a `POST /v1/jobs` body.
+fn decode(body: &str) -> (BatchJob, Lane) {
+    wire::parse_body(body.as_bytes())
+        .and_then(|v| wire::submit_request_from_json(&v))
+        .expect("the body decodes")
+}
+
+/// Median wall time of `f`, in µs, over `reps` calls.
+fn median_us<O>(reps: usize, mut f: impl FnMut() -> O) -> f64 {
+    let mut times: Vec<f64> = (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(f());
+            start.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[reps / 2]
+}
+
+fn bench_wire_codec(c: &mut Criterion) {
+    let job = codec_job(1);
+    let long_job = codec_job(CODEC_SCALE);
+    let body = encode(&job);
+    let long_body = encode(&long_job);
+    assert_eq!(decode(&long_body).0, long_job, "the long body round-trips");
+
+    let mut group = c.benchmark_group("wire_codec");
+    group.bench_function("encode_4_2_body", |b| b.iter(|| encode(&job)));
+    group.bench_function("decode_4_2_body", |b| b.iter(|| decode(&body)));
+    group.bench_function("decode_16x_body", |b| b.iter(|| decode(&long_body)));
+    group.finish();
+
+    let encode_us = median_us(201, || encode(&job));
+    let decode_us = median_us(201, || decode(&body));
+    let long_decode_us = median_us(31, || decode(&long_body));
+    let ns_per_byte = |us: f64, bytes: usize| us * 1e3 / bytes as f64;
+    let ratio = long_decode_us / decode_us;
+    println!(
+        "wire_codec: §4.2 submit body {} B: encode {encode_us:.1} µs ({:.2} ns/B), decode \
+         {decode_us:.1} µs ({:.2} ns/B); {CODEC_SCALE}x body {} B: decode {long_decode_us:.1} µs \
+         ({:.2} ns/B) → {ratio:.1}x the 1x decode (gate ≤ {CODEC_MAX_RATIO})",
+        body.len(),
+        ns_per_byte(encode_us, body.len()),
+        ns_per_byte(decode_us, body.len()),
+        long_body.len(),
+        ns_per_byte(long_decode_us, long_body.len()),
+    );
+
+    let doc = Json::obj([
+        ("bench", Json::Str("wire_codec".into())),
+        ("body_bytes", Json::Num(body.len() as f64)),
+        ("encode_us", Json::Num(encode_us)),
+        (
+            "encode_ns_per_byte",
+            Json::Num(ns_per_byte(encode_us, body.len())),
+        ),
+        ("decode_us", Json::Num(decode_us)),
+        (
+            "decode_ns_per_byte",
+            Json::Num(ns_per_byte(decode_us, body.len())),
+        ),
+        ("long_body_bytes", Json::Num(long_body.len() as f64)),
+        ("long_decode_us", Json::Num(long_decode_us)),
+        (
+            "long_decode_ns_per_byte",
+            Json::Num(ns_per_byte(long_decode_us, long_body.len())),
+        ),
+        ("decode_ratio", Json::Num(ratio)),
+        ("decode_ratio_max", Json::Num(CODEC_MAX_RATIO)),
+    ]);
+    write_result("BENCH_codec.json", &doc);
+
+    assert!(
+        ratio <= CODEC_MAX_RATIO,
+        "decoding a {CODEC_SCALE}x longer body must cost ≤ {CODEC_MAX_RATIO}x: got {ratio:.1}x"
+    );
+}
+
+/// Writes `doc` under the workspace's `results/`. Anchored on the
+/// manifest dir: cargo runs benches from the package root, but the
+/// results belong next to the workspace's other outputs.
+fn write_result(name: &str, doc: &Json) {
+    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    std::fs::create_dir_all(&results).expect("create results dir");
+    std::fs::write(results.join(name), doc.to_json_pretty())
+        .unwrap_or_else(|e| panic!("write results/{name}: {e}"));
+}
+
 fn bench_transport_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("transport_throughput");
     group.bench_function("sequential", |b| b.iter(run_sequential));
@@ -209,12 +328,7 @@ fn bench_transport_throughput(c: &mut Criterion) {
             ]),
         ),
     ]);
-    // Anchor on the manifest dir: cargo runs benches from the package
-    // root, but the results belong next to the workspace's other outputs.
-    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&results).expect("create results dir");
-    std::fs::write(results.join("BENCH_transport.json"), doc.to_json_pretty())
-        .expect("write results/BENCH_transport.json");
+    write_result("BENCH_transport.json", &doc);
 
     assert!(
         speedup >= 2.0,
@@ -222,5 +336,5 @@ fn bench_transport_throughput(c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, bench_transport_throughput);
+criterion_group!(benches, bench_wire_codec, bench_transport_throughput);
 criterion_main!(benches);

@@ -20,36 +20,19 @@
 //! paper's own workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use qnat_bench::block_circuit;
 use qnat_bench::stats::latency_percentiles_ms;
 use qnat_core::executor::{ResilientExecutor, RetryPolicy};
 use qnat_core::mitigate::unconfuse_expectations;
-use qnat_core::model::{Qnn, QnnConfig};
 use qnat_json::Json;
 use qnat_noise::backend::EmulatorBackend;
 use qnat_noise::presets;
 use qnat_serve::{submit_mitigated, MitigatedJob, ServeConfig, ServeEngine};
-use qnat_sim::circuit::Circuit;
 use qnat_sim::statevector::StateVector;
 use std::time::{Duration, Instant};
 
 /// Served sweeps timed for the latency percentiles.
 const SWEEPS: usize = 30;
-
-/// The §4.2 QNN block exactly as `sim_fused` benches it: the standard
-/// 16-feature / 4-qubit model's first block, routed for Santiago at
-/// transpile level 2, with one encoder row and the trained parameters
-/// bound in.
-fn block_circuit() -> Circuit {
-    let qnn = Qnn::new(QnnConfig::standard(16, 4, 1, 2), 7);
-    let plans = qnn
-        .route_plan(&presets::santiago(), 2)
-        .expect("santiago fits the standard model");
-    let block = &qnn.blocks()[0];
-    let row: Vec<f64> = (0..16).map(|j| (j as f64 * 0.013).sin()).collect();
-    let mut params = block.encoder.angles(&row);
-    params.extend_from_slice(qnn.block_params(0));
-    plans[0].lowered.bind(&params)
-}
 
 fn emulator_engine(workers: usize) -> ServeEngine {
     let device = presets::santiago();

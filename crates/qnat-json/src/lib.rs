@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,7 +82,8 @@ impl Json {
     /// The value as `usize`, if it is a non-negative integer number.
     pub fn as_usize(&self) -> Option<usize> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= usize::MAX as f64 => {
+            // `usize::MAX as f64` rounds up to 2^64, so the bound is strict.
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < usize::MAX as f64 => {
                 Some(*n as usize)
             }
             _ => None,
@@ -112,8 +113,10 @@ impl Json {
     /// Returns [`JsonError`] on malformed input or trailing garbage.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -198,38 +201,58 @@ impl Json {
 }
 
 fn write_number(out: &mut String, n: f64) {
-    if n.is_finite() {
-        if n.fract() == 0.0 && n.abs() < 1e15 {
-            // Integral values print without an exponent or trailing `.0`.
-            out.push_str(&format!("{}", n as i64));
-        } else {
-            out.push_str(&format!("{n}"));
-        }
-    } else {
+    // `fmt::Write` for `String` cannot fail, so its results are dropped.
+    if !n.is_finite() {
         // JSON has no Inf/NaN; null is the conventional fallback.
         out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < 1e15 {
+        // Integral values print without an exponent or trailing `.0`.
+        let _ = write!(out, "{}", n as i64);
+    } else {
+        let _ = write!(out, "{n}");
     }
 }
 
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Every byte that needs escaping is ASCII, so each unescaped run
+    // starts and ends on a char boundary and is pushed whole.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match short {
+            Some(escape) => out.push_str(escape),
+            // Other control characters take the `\u00XX` form.
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so the limit bounds its stack use; the
+/// wire format nests at most 6 deep.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -278,12 +301,27 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             Some(b) => Err(self.err(format!("unexpected character '{}'", b as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -343,22 +381,35 @@ impl Parser<'_> {
             .bytes
             .get(at..at + 4)
             .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let hex = std::str::from_utf8(hex).map_err(|_| self.err("non-ASCII \\u escape"))?;
-        u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))
+        hex.iter().try_fold(0, |code, &b| {
+            let digit = (b as char)
+                .to_digit(16)
+                .ok_or_else(|| self.err("bad \\u escape"))?;
+            Ok(code << 4 | digit)
+        })
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
-            let start = self.pos;
+            // Copy the run up to the next quote or backslash in one go.
+            // Both are ASCII, so the run ends on a char boundary of the
+            // (already UTF-8) input.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map_or(self.bytes.len(), |n| self.pos + n);
+            s.push_str(&self.text[self.pos..run]);
+            self.pos = run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(s);
                 }
-                Some(b'\\') => {
+                _ => {
+                    // A backslash: one escape sequence.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => s.push('"'),
@@ -369,65 +420,48 @@ impl Parser<'_> {
                         Some(b't') => s.push('\t'),
                         Some(b'b') => s.push('\u{8}'),
                         Some(b'f') => s.push('\u{c}'),
-                        Some(b'u') => {
-                            let code = self.hex4(self.pos + 1)?;
-                            if (0xDC00..0xE000).contains(&code) {
-                                // A low surrogate with no preceding high
-                                // surrogate (covers inverted pairs too).
-                                return Err(self.err(format!(
-                                    "lone low surrogate \\u{code:04x} in string"
-                                )));
-                            }
-                            if (0xD800..0xDC00).contains(&code) {
-                                // UTF-16 surrogate pair: the high half must
-                                // be followed immediately by an escaped low
-                                // half, per RFC 8259 §7.
-                                if self.bytes.get(self.pos + 5) != Some(&b'\\')
-                                    || self.bytes.get(self.pos + 6) != Some(&b'u')
-                                {
-                                    return Err(self.err(format!(
-                                        "lone high surrogate \\u{code:04x} in string"
-                                    )));
-                                }
-                                let low = self.hex4(self.pos + 7)?;
-                                if !(0xDC00..0xE000).contains(&low) {
-                                    return Err(self.err(format!(
-                                        "high surrogate \\u{code:04x} followed by \
-                                         non-low-surrogate \\u{low:04x}"
-                                    )));
-                                }
-                                let scalar =
-                                    0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                                s.push(
-                                    char::from_u32(scalar)
-                                        .ok_or_else(|| self.err("invalid surrogate pair"))?,
-                                );
-                                self.pos += 10;
-                            } else {
-                                // Non-surrogate BMP code points are always
-                                // valid chars.
-                                s.push(
-                                    char::from_u32(code)
-                                        .ok_or_else(|| self.err("invalid \\u code point"))?,
-                                );
-                                self.pos += 4;
-                            }
-                        }
+                        Some(b'u') => self.unicode_escape(&mut s)?,
                         _ => return Err(self.err("bad escape")),
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = &self.bytes[start..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = text.chars().next().ok_or_else(|| self.err("empty"))?;
-                    s.push(c);
-                    self.pos += c.len_utf8();
-                }
             }
         }
+    }
+
+    /// Decodes the `\uXXXX` escape (or surrogate pair) whose `u` sits at
+    /// `self.pos`, leaving `self.pos` on its last hex digit.
+    fn unicode_escape(&mut self, s: &mut String) -> Result<(), JsonError> {
+        let code = self.hex4(self.pos + 1)?;
+        if (0xDC00..0xE000).contains(&code) {
+            // A low surrogate with no preceding high surrogate (covers
+            // inverted pairs too).
+            return Err(self.err(format!("lone low surrogate \\u{code:04x} in string")));
+        }
+        if (0xD800..0xDC00).contains(&code) {
+            // UTF-16 surrogate pair: the high half must be followed
+            // immediately by an escaped low half, per RFC 8259 §7.
+            if self.bytes.get(self.pos + 5) != Some(&b'\\')
+                || self.bytes.get(self.pos + 6) != Some(&b'u')
+            {
+                return Err(self.err(format!("lone high surrogate \\u{code:04x} in string")));
+            }
+            let low = self.hex4(self.pos + 7)?;
+            if !(0xDC00..0xE000).contains(&low) {
+                return Err(self.err(format!(
+                    "high surrogate \\u{code:04x} followed by \
+                     non-low-surrogate \\u{low:04x}"
+                )));
+            }
+            let scalar = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+            s.push(char::from_u32(scalar).ok_or_else(|| self.err("invalid surrogate pair"))?);
+            self.pos += 10;
+        } else {
+            // Non-surrogate BMP code points are always valid chars.
+            s.push(char::from_u32(code).ok_or_else(|| self.err("invalid \\u code point"))?);
+            self.pos += 4;
+        }
+        Ok(())
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -453,8 +487,8 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number bytes"))?;
+        // Only ASCII was consumed, so the slice is on char boundaries.
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err(format!("invalid number '{text}'")))
@@ -558,5 +592,51 @@ mod tests {
         assert_eq!(v.get("i").unwrap().as_usize(), Some(3));
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::Null.as_f64(), None);
+    }
+
+    #[test]
+    fn as_usize_rejects_two_to_the_64() {
+        // 2^64 and up used to pass the bound and saturate to usize::MAX.
+        for big in ["18446744073709551616", "18446744073709551615", "1e20"] {
+            assert_eq!(Json::parse(big).unwrap().as_usize(), None, "{big}");
+        }
+        // The largest f64 below 2^64 still converts exactly.
+        let below = 2f64.powi(64) - 2048.0;
+        assert_eq!(Json::Num(below).as_usize(), Some(below as usize));
+        assert_eq!(Json::Num(-1.0).as_usize(), None);
+    }
+
+    #[test]
+    fn nesting_past_max_depth_is_an_error_not_a_stack_overflow() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert!(err.reason.contains("nesting"), "{}", err.reason);
+        assert_eq!(err.offset, MAX_DEPTH, "fails at the first bracket too many");
+        // Objects count too, and an unclosed body far past the limit is
+        // refused long before it could exhaust the stack.
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
+        let err = Json::parse(&"[".repeat(20_000)).expect_err("20k brackets");
+        assert!(err.reason.contains("nesting"), "{}", err.reason);
+    }
+
+    #[test]
+    fn writer_escapes_pin_the_wire_bytes() {
+        let v = Json::Str("q\"\\\n\r\t\u{8}\u{1f}é😀/".into());
+        assert_eq!(v.to_json(), r#""q\"\\\n\r\t\u0008\u001fé😀/""#);
+        for (n, text) in [(3.0, "3"), (-0.5, "-0.5"), (1e15, "1000000000000000"), (1e-7, "0.0000001")]
+        {
+            assert_eq!(Json::Num(n).to_json(), text);
+        }
+        assert_eq!(Json::Num(f64::NAN).to_json(), "null");
+    }
+
+    #[test]
+    fn unicode_escapes_need_four_hex_digits() {
+        assert_eq!(Json::parse(r#""\u00E9""#).unwrap(), Json::Str("é".into()));
+        for bad in [r#""\u+041""#, r#""\u00g1""#, r#""\u00""#, r#""\u00é1""#] {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
     }
 }

@@ -8,6 +8,7 @@
 
 use proptest::prelude::*;
 use qnat_json::Json;
+use std::collections::BTreeMap;
 
 /// Maps an arbitrary `u32` into a valid Unicode scalar value, folding the
 /// surrogate range (which no Rust `char` can hold) into the astral plane
@@ -33,6 +34,79 @@ fn arbitrary_string(choices: &[(u8, u32)]) -> String {
             _ => scalar(0x1_0000 + raw % 0xF_0000), // astral only: always a surrogate pair in UTF-16
         })
         .collect()
+}
+
+/// A deterministic stream of choices for building whole documents.
+struct Choices(u64);
+
+impl Choices {
+    /// splitmix64.
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    /// Integral, subnormal, ±1e±300-scale and arbitrary finite numbers.
+    fn number(&mut self) -> f64 {
+        let sign = if self.below(2) == 0 { 1.0 } else { -1.0 };
+        let x = match self.below(5) {
+            0 => self.below(1 << 53) as f64,
+            1 => self.below(1 << 20) as f64,
+            2 => f64::from_bits(1 + self.below((1 << 52) - 1)),
+            3 => {
+                let mantissa = 1.0 + self.below(1 << 52) as f64 / (1u64 << 52) as f64;
+                let exponent = [1e300, 1e-300][self.below(2) as usize];
+                mantissa * exponent
+            }
+            _ => loop {
+                let x = f64::from_bits(self.next()).abs();
+                if x.is_finite() {
+                    break x;
+                }
+            },
+        };
+        sign * x
+    }
+
+    /// Escapes plus 1-, 2-, 3- and 4-byte UTF-8.
+    fn string(&mut self) -> String {
+        let len = self.below(12);
+        (0..len)
+            .map(|_| match self.below(6) {
+                0 => ['"', '\\', '\n', '\r', '\t', '\u{8}', '\u{1f}', '/'][self.below(8) as usize],
+                1 => scalar(self.below(0x80) as u32),
+                2 => scalar(0x80 + self.below(0x800 - 0x80) as u32),
+                3 => scalar(0x800 + self.below(0x1_0000 - 0x800) as u32),
+                _ => scalar(0x1_0000 + self.below(0x10_0000) as u32),
+            })
+            .collect()
+    }
+
+    /// A random value nested at most `depth` containers deep.
+    fn value(&mut self, depth: usize) -> Json {
+        let kinds = if depth == 0 { 4 } else { 6 };
+        match self.below(kinds) {
+            0 => match self.below(3) {
+                0 => Json::Null,
+                b => Json::Bool(b == 1),
+            },
+            1 => Json::Num(self.number()),
+            2 | 3 => Json::Str(self.string()),
+            4 => Json::Arr((0..self.below(5)).map(|_| self.value(depth - 1)).collect()),
+            _ => Json::Obj(
+                (0..self.below(5))
+                    .map(|_| (self.string(), self.value(depth - 1)))
+                    .collect::<BTreeMap<_, _>>(),
+            ),
+        }
+    }
 }
 
 proptest! {
@@ -91,5 +165,21 @@ proptest! {
         let doc = format!("\"{pre}\\u{unit:04x}\"");
         let err = Json::parse(&doc).expect_err("lone surrogate must not parse");
         prop_assert!(err.reason.contains("surrogate"), "{}", err.reason);
+    }
+
+    /// Whole documents — nested arrays and objects holding numbers and
+    /// escape-heavy strings — parse back to the value that wrote them,
+    /// and writing the parsed value again gives the same bytes.
+    #[test]
+    fn document_round_trips_byte_identically(seed in 0u64..=u64::MAX, depth in 0usize..6) {
+        let v = Choices(seed).value(depth);
+        let compact = v.to_json();
+        let back = Json::parse(&compact).expect("compact re-parse");
+        prop_assert_eq!(&back, &v);
+        prop_assert_eq!(back.to_json(), compact);
+        let pretty = v.to_json_pretty();
+        let back = Json::parse(&pretty).expect("pretty re-parse");
+        prop_assert_eq!(&back, &v);
+        prop_assert_eq!(back.to_json_pretty(), pretty);
     }
 }

@@ -94,9 +94,9 @@ fn usize_field(v: &Json, key: &str) -> Result<usize, WireError> {
     Ok(uint(v, key)? as usize)
 }
 
-fn string(v: &Json, key: &str) -> Result<String, WireError> {
+fn str_field<'a>(v: &'a Json, key: &str) -> Result<&'a str, WireError> {
     match field(v, key)? {
-        Json::Str(s) => Ok(s.clone()),
+        Json::Str(s) => Ok(s),
         _ => Err(WireError::new(format!("'{key}' is not a string"))),
     }
 }
@@ -147,8 +147,8 @@ pub fn gate_to_json(g: &Gate) -> Json {
 /// Decodes a gate; the kind tag must be a known OpenQASM mnemonic and
 /// the qubit array must match the kind's arity.
 pub fn gate_from_json(v: &Json) -> Result<Gate, WireError> {
-    let name = string(v, "kind")?;
-    let kind = GateKind::from_name(&name)
+    let name = str_field(v, "kind")?;
+    let kind = GateKind::from_name(name)
         .ok_or_else(|| WireError::new(format!("unknown gate kind '{name}'")))?;
     let qs = array(v, "qubits")?;
     let ps = array(v, "params")?;
@@ -325,12 +325,11 @@ pub fn error_to_json(e: &BackendError) -> Json {
 
 /// Decodes a typed backend error.
 pub fn error_from_json(v: &Json) -> Result<BackendError, WireError> {
-    let kind = string(v, "kind")?;
-    match kind.as_str() {
+    match str_field(v, "kind")? {
         "qubit_count" => Ok(BackendError::QubitCount {
             needed: usize_field(v, "needed")?,
             available: usize_field(v, "available")?,
-            backend: string(v, "backend")?,
+            backend: str_field(v, "backend")?.to_owned(),
         }),
         "unmapped_two_qubit_gate" => Ok(BackendError::UnmappedTwoQubitGate {
             gate_index: usize_field(v, "gate_index")?,
@@ -345,14 +344,14 @@ pub fn error_from_json(v: &Json) -> Result<BackendError, WireError> {
             requested: usize_field(v, "requested")?,
         }),
         "invalid_channel" => Ok(BackendError::InvalidChannel {
-            reason: string(v, "reason")?,
+            reason: str_field(v, "reason")?.to_owned(),
         }),
         "invalid_config" => Ok(BackendError::InvalidConfig {
-            reason: string(v, "reason")?,
+            reason: str_field(v, "reason")?.to_owned(),
         }),
         "transient_failure" => Ok(BackendError::TransientFailure {
             job: uint(v, "job")?,
-            reason: string(v, "reason")?,
+            reason: str_field(v, "reason")?.to_owned(),
         }),
         "queue_timeout" => Ok(BackendError::QueueTimeout {
             job: uint(v, "job")?,
@@ -363,10 +362,10 @@ pub fn error_from_json(v: &Json) -> Result<BackendError, WireError> {
             needed_ms: uint(v, "needed_ms")?,
         }),
         "circuit_open" => Ok(BackendError::CircuitOpen {
-            backend: string(v, "backend")?,
+            backend: str_field(v, "backend")?.to_owned(),
         }),
         "overloaded" => Ok(BackendError::Overloaded {
-            reason: string(v, "reason")?,
+            reason: str_field(v, "reason")?.to_owned(),
         }),
         other => Err(WireError::new(format!("unknown error kind '{other}'"))),
     }
@@ -521,7 +520,7 @@ pub fn submit_request_to_json(job: &BatchJob, lane: Lane) -> Json {
 /// Decodes the `POST /v1/jobs` request body.
 pub fn submit_request_from_json(v: &Json) -> Result<(BatchJob, Lane), WireError> {
     let job = job_from_json(field(v, "job")?)?;
-    let lane = lane_from_str(&string(v, "lane")?)?;
+    let lane = lane_from_str(str_field(v, "lane")?)?;
     Ok((job, lane))
 }
 
@@ -644,11 +643,11 @@ pub fn mitigate_request_from_json(v: &Json) -> Result<(MitigatedJob, u64), WireE
     for s in array(v, "scales")? {
         scales.push(uint_of(s, "scales")? as usize);
     }
-    let strategy_name = string(v, "strategy")?;
-    let strategy = FoldStrategy::from_name(&strategy_name)
+    let strategy_name = str_field(v, "strategy")?;
+    let strategy = FoldStrategy::from_name(strategy_name)
         .ok_or_else(|| WireError::new(format!("unknown fold strategy '{strategy_name}'")))?;
-    let method_name = string(v, "method")?;
-    let method = ZneMethod::from_name(&method_name)
+    let method_name = str_field(v, "method")?;
+    let method = ZneMethod::from_name(method_name)
         .ok_or_else(|| WireError::new(format!("unknown ZNE method '{method_name}'")))?;
     let readout = match v.get("readout") {
         None | Some(Json::Null) => None,

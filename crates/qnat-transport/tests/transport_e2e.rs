@@ -340,6 +340,44 @@ fn protocol_errors_are_typed_statuses() {
     drop(server);
 }
 
+/// A small body nested far past the parser's depth limit is a 400, not
+/// a stack overflow that takes the process down: the same server goes
+/// on to serve a normal job.
+#[test]
+fn deeply_nested_body_is_400_and_the_server_survives() {
+    use std::io::{BufReader, Write};
+    let (server, client) = serve(
+        ServeConfig {
+            workers: 1,
+            seed: 4,
+            ..ServeConfig::default()
+        },
+        TransportConfig::default(),
+    );
+    for (target, body) in [
+        ("/v1/jobs", "[".repeat(20_000)),
+        ("/v1/mitigate", "{\"a\":".repeat(20_000)),
+    ] {
+        let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+        let head = format!(
+            "POST {target} HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+            body.len()
+        );
+        stream.write_all(head.as_bytes()).expect("head");
+        stream.write_all(body.as_bytes()).expect("body");
+        let resp =
+            qnat_transport::http::read_response(&mut BufReader::new(stream)).expect("response");
+        assert_eq!(resp.status, 400, "{target}");
+        assert!(resp.text().expect("utf-8").contains("nesting"), "{target}");
+    }
+    let t = client
+        .submit(&simple_job(0), Lane::Interactive)
+        .expect("server still accepts jobs");
+    let outcome = client.wait(t).expect("wait").expect("ticket known");
+    assert!(outcome.result.is_ok());
+    server.shutdown();
+}
+
 /// The chunked `/v1/stream` feed delivers every completion with results
 /// matching what `wait` would have returned.
 #[test]

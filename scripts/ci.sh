@@ -45,7 +45,12 @@
 #              single-threaded submission by >= 2x on a 64-job workload
 #              with real wall-clock backoff (the transport and fleet
 #              benches also write latency percentiles to
-#              results/BENCH_transport.json and results/BENCH_fleet.json)
+#              results/BENCH_transport.json and results/BENCH_fleet.json).
+#              The transport bench first runs the wire-codec scaling
+#              gate: in the same binary, decoding a /v1/jobs body 16x
+#              the §4.2 submit body must take <= 32x as long as the 1x
+#              body (linear ≈ 16x, the old quadratic parser 179x); it writes
+#              encode/decode µs and ns/byte to results/BENCH_codec.json
 #  10. calib-bench: the calibration acceptance gate — drifting-fleet
 #              scenarios (RandomWalk and StepRecalibration heavy drift)
 #              asserting ScorePolicy::Predicted beats Static on
@@ -103,7 +108,7 @@ cargo bench -p qnat-bench --bench batch_throughput
 echo "== bench: serve_throughput acceptance gate =="
 cargo bench -p qnat-bench --bench serve_throughput
 
-echo "== bench: transport_throughput acceptance gate =="
+echo "== bench: wire-codec scaling (decode 16x body <= 32x) + transport_throughput acceptance gates =="
 cargo bench -p qnat-bench --bench transport_throughput
 
 echo "== bench: fleet_routing acceptance gate =="
