@@ -5,9 +5,17 @@
 //! post-measurement normalization, straight-through quantization with the
 //! quadratic centroid penalty `‖y − Q(y)‖²` (Fig. 6), the fixed
 //! classification head and softmax cross-entropy.
+//!
+//! Each quantum block runs in two phases. First every sample's random
+//! draws (angle noise, error-gate plan) are made serially, in sample
+//! order, from the caller's RNG — exactly the order a one-sample-at-a-time
+//! loop consumes them. Then the batch is differentiated on all cores, each
+//! worker writing a contiguous chunk of samples into preallocated slots.
+//! Differentiation draws nothing and every sample lands in its own slot,
+//! so the step is bitwise identical for any worker count.
 
 use crate::head::head_matrix;
-use crate::model::{NoiseSource, Qnn};
+use crate::model::{NoiseSource, PreparedSample, Qnn};
 use crate::normalize::NORM_EPS;
 use qnat_autodiff::tape::{quantize_value, Tape, Var};
 use qnat_autodiff::tensor::Tensor;
@@ -113,8 +121,74 @@ fn tape_normalize(tape: &mut Tape, x: Var) -> Var {
     tape.div(centered, sdb)
 }
 
+/// Differentiates a block's prepared samples on up to `workers` scoped
+/// threads (the calling thread takes the first chunk) and returns the
+/// `[batch, n_qubits]` outputs with one input and one parameter Jacobian
+/// per sample. Worker `w` takes the `w`-th contiguous chunk and writes
+/// sample `i` into preallocated slot `i`, so the result does not depend
+/// on `workers`.
+fn differentiate_batch(
+    qnn: &Qnn,
+    block: usize,
+    prepared: &[PreparedSample],
+    readout: Option<&DeviceModel>,
+    workers: usize,
+) -> (Tensor, Vec<Tensor>, Vec<Tensor>) {
+    let batch = prepared.len();
+    let n_q = qnn.config().n_qubits;
+    let n_in = qnn.blocks()[block].encoder.n_features();
+    let n_p = qnn.block_params(block).len();
+    let mut outputs = vec![0.0; batch * n_q];
+    let mut jx: Vec<Tensor> = (0..batch).map(|_| Tensor::zeros(vec![n_q, n_in])).collect();
+    let mut jp: Vec<Tensor> = (0..batch).map(|_| Tensor::zeros(vec![n_q, n_p])).collect();
+
+    let chunk = batch.div_ceil(workers.clamp(1, batch));
+    let run = |(prepared, outputs, jx, jp): Chunk<'_>| {
+        let slots = outputs.chunks_exact_mut(n_q).zip(jx).zip(jp);
+        for (sample, ((out, jx), jp)) in prepared.iter().zip(slots) {
+            qnn.differentiate(block, sample, readout, out, jx.data_mut(), jp.data_mut());
+        }
+    };
+    let mut chunks = prepared
+        .chunks(chunk)
+        .zip(outputs.chunks_mut(chunk * n_q))
+        .zip(jx.chunks_mut(chunk))
+        .zip(jp.chunks_mut(chunk))
+        .map(|(((p, o), x), w)| (p, o, x, w));
+    let first = chunks.next();
+    std::thread::scope(|s| {
+        let run = &run;
+        let workers: Vec<_> = chunks.map(|c| s.spawn(move || run(c))).collect();
+        if let Some(c) = first {
+            run(c);
+        }
+        // Join explicitly: the scope's own wait returns as soon as each
+        // closure finishes, before its thread has handed its malloc arena
+        // back, so the next block's worker would start another arena.
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+    (Tensor::new(outputs, vec![batch, n_q]), jx, jp)
+}
+
+/// One worker's share of a batch: prepared samples and their output,
+/// input-Jacobian and parameter-Jacobian slots.
+type Chunk<'a> = (
+    &'a [PreparedSample],
+    &'a mut [f64],
+    &'a mut [Tensor],
+    &'a mut [Tensor],
+);
+
 /// Runs the full differentiable pipeline on one batch and returns loss,
 /// probabilities and parameter gradients.
+///
+/// Block differentiation runs on `std::thread::available_parallelism()`
+/// threads; the result is bitwise identical to a serial run (see the
+/// module docs).
 ///
 /// # Panics
 ///
@@ -125,6 +199,19 @@ pub fn train_forward<R: Rng>(
     labels: &[usize],
     opts: &PipelineOptions<'_>,
     rng: &mut R,
+) -> TrainStep {
+    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    train_forward_on(qnn, features, labels, opts, rng, workers)
+}
+
+/// [`train_forward`] with an explicit differentiation worker count.
+fn train_forward_on<R: Rng>(
+    qnn: &Qnn,
+    features: &[Vec<f64>],
+    labels: &[usize],
+    opts: &PipelineOptions<'_>,
+    rng: &mut R,
+    workers: usize,
 ) -> TrainStep {
     assert_eq!(features.len(), labels.len(), "batch size mismatch");
     assert!(!features.is_empty(), "empty batch");
@@ -140,25 +227,17 @@ pub fn train_forward<R: Rng>(
     for bi in 0..n_blocks {
         let pv = tape.input(Tensor::vector(qnn.block_params(bi).to_vec()));
         param_vars.push(pv);
-        // Evaluate the block per sample with Jacobians.
-        let inputs_t = tape.value(x).clone();
-        let n_in = inputs_t.shape()[1];
-        let mut out_rows = Vec::with_capacity(batch);
-        let mut jx = Vec::with_capacity(batch);
-        let mut jp = Vec::with_capacity(batch);
-        for i in 0..batch {
-            let row: Vec<f64> = (0..n_in).map(|k| inputs_t.get2(i, k)).collect();
-            let ev = qnn.eval_block(bi, &row, &opts.noise, opts.readout, true, rng);
-            out_rows.push(ev.outputs);
-            let jx_flat: Vec<f64> = ev.jac_inputs.iter().flatten().copied().collect();
-            let jp_flat: Vec<f64> = ev.jac_params.iter().flatten().copied().collect();
-            jx.push(Tensor::new(jx_flat, vec![n_q, n_in]));
-            jp.push(Tensor::new(
-                jp_flat,
-                vec![n_q, qnn.block_params(bi).len()],
-            ));
-        }
-        x = tape.quantum(x, pv, Tensor::from_rows(&out_rows), jx, jp);
+        // Phase 1: every sample's random draws, in sample order.
+        let inputs = tape.value(x);
+        let n_in = inputs.shape()[1];
+        let prepared: Vec<PreparedSample> = inputs
+            .data()
+            .chunks_exact(n_in)
+            .map(|row| qnn.prepare(bi, row, &opts.noise, rng))
+            .collect();
+        // Phase 2: outputs and Jacobians, on all cores.
+        let (out, jx, jp) = differentiate_batch(qnn, bi, &prepared, opts.readout, workers);
+        x = tape.quantum(x, pv, out, jx, jp);
 
         let last = bi + 1 == n_blocks;
         if last && !opts.process_last {
@@ -326,6 +405,48 @@ mod tests {
         let step = train_forward(&qnn, &features, &labels, &opts, &mut rng);
         assert!(step.penalty >= 0.0);
         assert!((step.loss - (step.ce_loss + 0.5 * step.penalty)).abs() < 1e-10);
+    }
+
+    #[test]
+    fn worker_count_does_not_change_the_step() {
+        let device = qnat_noise::presets::santiago();
+        let qnn = Qnn::for_device(QnnConfig::standard(16, 4, 2, 2), &device, 5).unwrap();
+        let opts = PipelineOptions {
+            noise: NoiseSource::GateInsertion {
+                model: &device,
+                factor: 1.5,
+            },
+            readout: Some(&device),
+            ..PipelineOptions::default()
+        };
+        let (features, labels) = toy_batch();
+        for n in [1, 5, 8] {
+            let (features, labels) = (&features[..n], &labels[..n]);
+            let mut rng = StdRng::seed_from_u64(9);
+            let serial = train_forward_on(&qnn, features, labels, &opts, &mut rng, 1);
+            let after = rng.gen::<u64>();
+            for workers in [2, 3, 4, 7, 64] {
+                let mut rng = StdRng::seed_from_u64(9);
+                let step = train_forward_on(&qnn, features, labels, &opts, &mut rng, workers);
+                assert_eq!(
+                    step.loss.to_bits(),
+                    serial.loss.to_bits(),
+                    "batch {n}, {workers} workers"
+                );
+                let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&step.grads),
+                    bits(&serial.grads),
+                    "batch {n}, {workers} workers"
+                );
+                assert_eq!(bits(step.probs.data()), bits(serial.probs.data()));
+                assert_eq!(
+                    rng.gen::<u64>(),
+                    after,
+                    "batch {n}, {workers} workers: RNG state"
+                );
+            }
+        }
     }
 
     #[test]

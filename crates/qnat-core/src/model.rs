@@ -18,7 +18,7 @@ use qnat_compiler::mapping::Layout;
 use qnat_compiler::symbolic::{lower_symbolic, SymbolicLowered};
 use qnat_compiler::transpile::route_and_window;
 use qnat_noise::device::{DeviceModel, InvalidDeviceError};
-use qnat_noise::inject::insert_error_gates;
+use qnat_noise::inject::{sample_error_plan, splice, ErrorPlan};
 use qnat_sim::adjoint::adjoint_gradients;
 use qnat_sim::circuit::Circuit;
 use rand::Rng;
@@ -138,6 +138,20 @@ pub struct BlockEval {
     pub jac_inputs: Vec<Vec<f64>>,
     /// `jac_params[q][j]` = d `outputs[q]` / d `params[j]` (block-local).
     pub jac_params: Vec<Vec<f64>>,
+}
+
+/// One sample's random draws for a block evaluation, made by
+/// [`Qnn::prepare`] and consumed by [`Qnn::differentiate`]. Holds no
+/// bound circuit: binding and splicing happen where the sample is
+/// evaluated.
+#[derive(Debug, Clone)]
+pub struct PreparedSample {
+    /// Logical parameters: encoder angles, then the block's trainable
+    /// parameters, with any angle noise already added.
+    pub params: Vec<f64>,
+    /// Error gates to splice into the bound circuit (empty unless the
+    /// noise source is gate insertion).
+    pub plan: ErrorPlan,
 }
 
 fn gaussian<R: Rng>(rng: &mut R) -> f64 {
@@ -282,7 +296,8 @@ impl Qnn {
     }
 
     /// Evaluates one block on one sample, optionally with injected noise
-    /// and gradients.
+    /// and gradients: [`Qnn::prepare`], then [`Qnn::differentiate`] or a
+    /// fused forward run.
     ///
     /// `inputs` are features (block 0) or the previous block's processed
     /// outcomes. When `with_grads` is false the Jacobian vectors are empty.
@@ -295,26 +310,8 @@ impl Qnn {
         with_grads: bool,
         rng: &mut R,
     ) -> BlockEval {
+        let prepared = self.prepare(block_idx, inputs, noise, rng);
         let block = &self.blocks[block_idx];
-        let enc_angles = block.encoder.angles(inputs);
-        let mut logical_params =
-            Vec::with_capacity(block.n_enc + block.n_train);
-        logical_params.extend_from_slice(&enc_angles);
-        logical_params.extend_from_slice(self.block_params(block_idx));
-        if let NoiseSource::AnglePerturb { sigma } = noise {
-            for p in &mut logical_params {
-                *p += sigma * gaussian(rng);
-            }
-        }
-        let bound = block.lowered.bind(&logical_params);
-        let run = match noise {
-            NoiseSource::GateInsertion { model, factor } => {
-                let (injected, _stats) = insert_error_gates(&bound, model, *factor, rng);
-                injected
-            }
-            _ => bound,
-        };
-
         if !with_grads {
             // Pure-unitary evaluation runs through the fused IR: adjacent
             // single-qubit runs and CX sandwiches collapse into dense ops
@@ -324,6 +321,7 @@ impl Qnn {
             // Gate insertion changes the circuit's structure per sample,
             // so only it pays for a fresh structural scan; every other
             // source binds the template and reuses the block's plan.
+            let run = self.bound_run(block, &prepared);
             let fused = match noise {
                 NoiseSource::GateInsertion { .. } => qnat_compiler::fusion::fuse(&run),
                 _ => block.fusion.fuse_bound(&run),
@@ -332,7 +330,7 @@ impl Qnn {
             let all = psi.expect_all_z();
             let mut outputs: Vec<f64> =
                 block.obs.iter().map(|&q| all[q]).collect();
-            self.apply_readout(block_idx, readout, &mut outputs, None, None);
+            self.apply_readout(block_idx, readout, &mut outputs, &mut []);
             return BlockEval {
                 outputs,
                 jac_inputs: Vec::new(),
@@ -340,49 +338,129 @@ impl Qnn {
             };
         }
 
-        let grad = adjoint_gradients(&run, &block.obs);
         let n_q = self.config.n_qubits;
-        let scale = block.encoder.scale();
-        let mut outputs = grad.expectations.clone();
-        let mut jac_inputs = vec![vec![0.0; block.encoder.n_features()]; n_q];
-        let mut jac_params = vec![vec![0.0; block.n_train]; n_q];
-        for q in 0..n_q {
-            let chained = block.lowered.chain_gradient(&grad.gradients[q]);
-            for k in 0..block.n_enc {
-                jac_inputs[q][k] = chained[k] * scale;
-            }
-            for j in 0..block.n_train {
-                jac_params[q][j] = chained[block.n_enc + j];
-            }
-        }
-        self.apply_readout(
+        let (n_in, n_p) = (block.encoder.n_features(), block.n_train);
+        let mut outputs = vec![0.0; n_q];
+        let mut jx = vec![0.0; n_q * n_in];
+        let mut jp = vec![0.0; n_q * n_p];
+        self.differentiate(
             block_idx,
+            &prepared,
             readout,
             &mut outputs,
-            Some(&mut jac_inputs),
-            Some(&mut jac_params),
+            &mut jx,
+            &mut jp,
         );
         BlockEval {
             outputs,
-            jac_inputs,
-            jac_params,
+            jac_inputs: jx.chunks_exact(n_in).map(<[f64]>::to_vec).collect(),
+            jac_params: jp.chunks_exact(n_p).map(<[f64]>::to_vec).collect(),
         }
     }
 
+    /// Makes every random draw of one block evaluation, in the order the
+    /// evaluation consumes them: angle noise on the logical parameters,
+    /// then the error-gate plan, sampled on the block's symbolic template
+    /// (sampling reads gate kinds and qubits only, which binding never
+    /// changes).
+    pub fn prepare<R: Rng>(
+        &self,
+        block_idx: usize,
+        inputs: &[f64],
+        noise: &NoiseSource<'_>,
+        rng: &mut R,
+    ) -> PreparedSample {
+        let block = &self.blocks[block_idx];
+        let enc_angles = block.encoder.angles(inputs);
+        let mut params = Vec::with_capacity(block.n_enc + block.n_train);
+        params.extend_from_slice(&enc_angles);
+        params.extend_from_slice(self.block_params(block_idx));
+        if let NoiseSource::AnglePerturb { sigma } = noise {
+            for p in &mut params {
+                *p += sigma * gaussian(rng);
+            }
+        }
+        let plan = match noise {
+            NoiseSource::GateInsertion { model, factor } => {
+                sample_error_plan(&block.lowered.circuit, model, *factor, rng)
+            }
+            _ => ErrorPlan::default(),
+        };
+        PreparedSample { params, plan }
+    }
+
+    /// The runnable circuit of a prepared sample: the lowered template
+    /// bound to its parameters, with its error gates spliced in.
+    fn bound_run(&self, block: &Block, prepared: &PreparedSample) -> Circuit {
+        let bound = block.lowered.bind(&prepared.params);
+        if prepared.plan.is_empty() {
+            bound
+        } else {
+            splice(&bound, &prepared.plan)
+        }
+    }
+
+    /// Outputs and Jacobians of a prepared sample, written into
+    /// caller-owned row-major buffers: `outputs` `[n_qubits]`,
+    /// `jac_inputs` `[n_qubits, n_inputs]`, `jac_params`
+    /// `[n_qubits, n_params]` (block-local). Pure: draws nothing, so
+    /// prepared samples can be differentiated in any order or
+    /// concurrently.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a buffer's length disagrees with the block.
+    pub fn differentiate(
+        &self,
+        block_idx: usize,
+        prepared: &PreparedSample,
+        readout: Option<&DeviceModel>,
+        outputs: &mut [f64],
+        jac_inputs: &mut [f64],
+        jac_params: &mut [f64],
+    ) {
+        let block = &self.blocks[block_idx];
+        let n_q = self.config.n_qubits;
+        let (n_in, n_p) = (block.encoder.n_features(), block.n_train);
+        assert_eq!(outputs.len(), n_q, "output buffer length");
+        assert_eq!(jac_inputs.len(), n_q * n_in, "input Jacobian buffer length");
+        assert_eq!(
+            jac_params.len(),
+            n_q * n_p,
+            "parameter Jacobian buffer length"
+        );
+        let run = self.bound_run(block, prepared);
+        let grad = adjoint_gradients(&run, &block.obs);
+        let scale = block.encoder.scale();
+        outputs.copy_from_slice(&grad.expectations);
+        let rows = jac_inputs
+            .chunks_exact_mut(n_in)
+            .zip(jac_params.chunks_exact_mut(n_p));
+        for ((jx, jp), g) in rows.zip(&grad.gradients) {
+            let chained = block.lowered.chain_gradient(g);
+            let (enc, train) = chained.split_at(block.n_enc);
+            for (dst, &c) in jx.iter_mut().zip(enc) {
+                *dst = c * scale;
+            }
+            jp.copy_from_slice(train);
+        }
+        self.apply_readout(block_idx, readout, outputs, &mut [jac_inputs, jac_params]);
+    }
+
     /// Applies the readout-error emulation (paper §3.2): each qubit's
-    /// expectation goes through the affine confusion map; Jacobian rows are
-    /// scaled by the map's slope γ.
+    /// expectation goes through the affine confusion map; that qubit's
+    /// row of every row-major Jacobian in `jacobians` is scaled by the
+    /// map's slope γ.
     fn apply_readout(
         &self,
         block_idx: usize,
         readout: Option<&DeviceModel>,
         outputs: &mut [f64],
-        jac_inputs: Option<&mut Vec<Vec<f64>>>,
-        jac_params: Option<&mut Vec<Vec<f64>>>,
+        jacobians: &mut [&mut [f64]],
     ) {
         let Some(model) = readout else { return };
         let block = &self.blocks[block_idx];
-        let mut gammas = vec![1.0; outputs.len()];
+        let n_out = outputs.len();
         for (lq, out) in outputs.iter_mut().enumerate() {
             // Physical qubit = the window-local observable; when the model
             // passed in is the full device we just use the logical index
@@ -392,19 +470,10 @@ impl Qnn {
             let m = ro.matrix();
             let gamma = m[0][0] + m[1][1] - 1.0;
             *out = ro.apply_to_expectation(*out);
-            gammas[lq] = gamma;
-        }
-        if let Some(jx) = jac_inputs {
-            for (lq, row) in jx.iter_mut().enumerate() {
-                for v in row {
-                    *v *= gammas[lq];
-                }
-            }
-        }
-        if let Some(jp) = jac_params {
-            for (lq, row) in jp.iter_mut().enumerate() {
-                for v in row {
-                    *v *= gammas[lq];
+            for jac in jacobians.iter_mut() {
+                let width = jac.len() / n_out;
+                for v in &mut jac[lq * width..(lq + 1) * width] {
+                    *v *= gamma;
                 }
             }
         }

@@ -1,0 +1,248 @@
+//! Oracle for the two-phase `train_forward`: the batch step must be
+//! bitwise identical to the serial per-sample loop it replaced, which
+//! evaluates each sample's block with `eval_block` — drawing its noise and
+//! differentiating it — before moving to the next sample.
+//!
+//! The serial reference below is that loop, kept verbatim as the
+//! definition of the step. Every listed configuration must agree on loss,
+//! cross-entropy, penalty, probabilities and gradients bit for bit, and
+//! leave the caller's RNG in the same state.
+
+use qnat_autodiff::tape::{quantize_value, Tape, Var};
+use qnat_autodiff::tensor::Tensor;
+use qnat_core::forward::{train_forward, PipelineOptions, QuantizeSpec, TrainStep};
+use qnat_core::head::head_matrix;
+use qnat_core::model::{NoiseSource, Qnn, QnnConfig};
+use qnat_core::normalize::NORM_EPS;
+use qnat_noise::presets;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
+
+fn tape_normalize(tape: &mut Tape, x: Var) -> Var {
+    let b = tape.value(x).shape()[0];
+    let mu = tape.mean_axis0(x);
+    let mub = tape.broadcast0(mu, b);
+    let centered = tape.sub(x, mub);
+    let var = tape.var_axis0(x);
+    let var_eps = tape.add_scalar(var, NORM_EPS);
+    let sd = tape.sqrt(var_eps);
+    let sdb = tape.broadcast0(sd, b);
+    tape.div(centered, sdb)
+}
+
+/// The serial step: one `eval_block` per sample, in sample order.
+fn serial_train_forward<R: Rng>(
+    qnn: &Qnn,
+    features: &[Vec<f64>],
+    labels: &[usize],
+    opts: &PipelineOptions<'_>,
+    rng: &mut R,
+) -> TrainStep {
+    let batch = features.len();
+    let n_q = qnn.config().n_qubits;
+    let n_blocks = qnn.config().n_blocks;
+
+    let mut tape = Tape::new();
+    let mut x = tape.input(Tensor::from_rows(features));
+    let mut param_vars: Vec<Var> = Vec::with_capacity(n_blocks);
+    let mut penalty: Option<Var> = None;
+
+    for bi in 0..n_blocks {
+        let pv = tape.input(Tensor::vector(qnn.block_params(bi).to_vec()));
+        param_vars.push(pv);
+        let inputs_t = tape.value(x).clone();
+        let n_in = inputs_t.shape()[1];
+        let mut out_rows = Vec::with_capacity(batch);
+        let mut jx = Vec::with_capacity(batch);
+        let mut jp = Vec::with_capacity(batch);
+        for i in 0..batch {
+            let row: Vec<f64> = (0..n_in).map(|k| inputs_t.get2(i, k)).collect();
+            let ev = qnn.eval_block(bi, &row, &opts.noise, opts.readout, true, rng);
+            out_rows.push(ev.outputs);
+            let jx_flat: Vec<f64> = ev.jac_inputs.iter().flatten().copied().collect();
+            let jp_flat: Vec<f64> = ev.jac_params.iter().flatten().copied().collect();
+            jx.push(Tensor::new(jx_flat, vec![n_q, n_in]));
+            jp.push(Tensor::new(jp_flat, vec![n_q, qnn.block_params(bi).len()]));
+        }
+        x = tape.quantum(x, pv, Tensor::from_rows(&out_rows), jx, jp);
+
+        let last = bi + 1 == n_blocks;
+        if last && !opts.process_last {
+            break;
+        }
+        if opts.normalize {
+            x = tape_normalize(&mut tape, x);
+        }
+        if let NoiseSource::OutcomePerturb { mu, sigma } = opts.noise {
+            let noise_rows: Vec<Vec<f64>> = (0..batch)
+                .map(|_| {
+                    (0..n_q)
+                        .map(|_| {
+                            let u1: f64 = rng.gen_range(1e-12..1.0f64);
+                            let u2: f64 = rng.gen();
+                            mu + sigma
+                                * (-2.0 * u1.ln()).sqrt()
+                                * (2.0 * std::f64::consts::PI * u2).cos()
+                        })
+                        .collect()
+                })
+                .collect();
+            let nt = tape.input(Tensor::from_rows(&noise_rows));
+            x = tape.add(x, nt);
+        }
+        if let Some(spec) = opts.quantize {
+            let y_val = tape.value(x).clone();
+            let q_const: Vec<f64> = y_val
+                .data()
+                .iter()
+                .map(|&v| quantize_value(v, spec.levels, spec.p_min, spec.p_max))
+                .collect();
+            let qc = tape.input(Tensor::new(q_const, y_val.shape().to_vec()));
+            let diff = tape.sub(x, qc);
+            let sq = tape.mul(diff, diff);
+            let pen_b = tape.mean(sq);
+            penalty = Some(match penalty {
+                Some(p) => tape.add(p, pen_b),
+                None => pen_b,
+            });
+            x = tape.quantize_ste(x, spec.levels, spec.p_min, spec.p_max);
+        }
+    }
+
+    let head = head_matrix(n_q, qnn.config().n_classes);
+    let logits = tape.matmul_const(x, head);
+    let ce = tape.softmax_cross_entropy(logits, labels);
+    let loss = match penalty {
+        Some(p) if opts.quant_penalty != 0.0 => {
+            let scaled = tape.scale(p, opts.quant_penalty);
+            tape.add(ce, scaled)
+        }
+        _ => ce,
+    };
+
+    let grads_all = tape.backward(loss);
+    let mut grads = vec![0.0; qnn.n_params()];
+    for (bi, &pv) in param_vars.iter().enumerate() {
+        let g = grads_all.get(pv, &tape);
+        let off = qnn.block_offset(bi);
+        grads[off..off + g.len()].copy_from_slice(g.data());
+    }
+    let pen_val = penalty.map(|p| tape.value(p).item()).unwrap_or(0.0);
+    TrainStep {
+        loss: tape.value(loss).item(),
+        ce_loss: tape.value(ce).item(),
+        penalty: pen_val,
+        probs: tape
+            .aux(ce)
+            .expect("cross-entropy stores probabilities")
+            .clone(),
+        grads,
+    }
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+fn assert_bitwise_equal(got: &TrainStep, want: &TrainStep, what: &str) {
+    assert_eq!(got.loss.to_bits(), want.loss.to_bits(), "{what}: loss");
+    assert_eq!(
+        got.ce_loss.to_bits(),
+        want.ce_loss.to_bits(),
+        "{what}: ce_loss"
+    );
+    assert_eq!(
+        got.penalty.to_bits(),
+        want.penalty.to_bits(),
+        "{what}: penalty"
+    );
+    assert_eq!(got.probs.shape(), want.probs.shape(), "{what}: probs shape");
+    assert_eq!(
+        bits(got.probs.data()),
+        bits(want.probs.data()),
+        "{what}: probs"
+    );
+    assert_eq!(bits(&got.grads), bits(&want.grads), "{what}: grads");
+}
+
+fn batch(n: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
+    let features = (0..n)
+        .map(|i| {
+            (0..16)
+                .map(|k| ((i * 16 + k) as f64 * 0.61).sin().abs())
+                .collect()
+        })
+        .collect();
+    let labels = (0..n).map(|i| (i * 7) % 4).collect();
+    (features, labels)
+}
+
+#[test]
+fn batch_step_is_bitwise_the_serial_step() {
+    let device = presets::santiago();
+    let sources = [
+        ("none", NoiseSource::None),
+        (
+            "gates T=0.5",
+            NoiseSource::GateInsertion {
+                model: &device,
+                factor: 0.5,
+            },
+        ),
+        (
+            "gates T=1.5",
+            NoiseSource::GateInsertion {
+                model: &device,
+                factor: 1.5,
+            },
+        ),
+        ("angles", NoiseSource::AnglePerturb { sigma: 0.2 }),
+        (
+            "outcomes",
+            NoiseSource::OutcomePerturb {
+                mu: 0.05,
+                sigma: 0.3,
+            },
+        ),
+    ];
+    let mut configs = 0;
+    for n_blocks in [1, 2] {
+        let qnn = Qnn::for_device(QnnConfig::standard(16, 4, n_blocks, 2), &device, 17)
+            .expect("santiago fits the standard model");
+        for (name, noise) in sources {
+            for readout in [None, Some(&device)] {
+                for process_last in [false, true] {
+                    for n in [1, 3, 48] {
+                        let (features, labels) = batch(n);
+                        let opts = PipelineOptions {
+                            noise,
+                            readout,
+                            normalize: true,
+                            quantize: Some(QuantizeSpec::levels(5)),
+                            quant_penalty: 0.1,
+                            process_last,
+                        };
+                        let seed = (configs as u64) * 7919 + 3;
+                        let mut serial_rng = StdRng::seed_from_u64(seed);
+                        let mut batch_rng = StdRng::seed_from_u64(seed);
+                        let want =
+                            serial_train_forward(&qnn, &features, &labels, &opts, &mut serial_rng);
+                        let got = train_forward(&qnn, &features, &labels, &opts, &mut batch_rng);
+                        let what = format!(
+                            "{name}, blocks {n_blocks}, readout {}, process_last {process_last}, batch {n}",
+                            readout.is_some()
+                        );
+                        assert_bitwise_equal(&got, &want, &what);
+                        assert_eq!(
+                            batch_rng.next_u64(),
+                            serial_rng.next_u64(),
+                            "{what}: RNG state after the step"
+                        );
+                        configs += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(configs, 2 * 5 * 2 * 2 * 3);
+}

@@ -58,6 +58,53 @@ pub struct EdgeError {
     pub spec: PauliErrorSpec,
 }
 
+/// The Pauli error events of one gate, as returned by
+/// [`DeviceModel::gate_errors`]: at most two `(qubit, spec)` pairs held
+/// inline. Iterating yields the events in order; dereferencing gives the
+/// events not yet iterated as a slice (`len`, `is_empty`, `iter`,
+/// indexing).
+#[derive(Debug, Clone, Copy)]
+pub struct GateErrors {
+    events: [(usize, PauliErrorSpec); 2],
+    next: usize,
+    end: usize,
+}
+
+impl GateErrors {
+    fn new(events: [(usize, PauliErrorSpec); 2], end: usize) -> GateErrors {
+        GateErrors {
+            events,
+            next: 0,
+            end,
+        }
+    }
+}
+
+impl Iterator for GateErrors {
+    type Item = (usize, PauliErrorSpec);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.next == self.end {
+            return None;
+        }
+        self.next += 1;
+        Some(self.events[self.next - 1])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.end - self.next;
+        (left, Some(left))
+    }
+}
+
+impl std::ops::Deref for GateErrors {
+    type Target = [(usize, PauliErrorSpec)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.events[self.next..self.end]
+    }
+}
+
 /// A hardware noise model: topology, gate errors, readout errors and
 /// decoherence rates.
 ///
@@ -197,17 +244,19 @@ impl DeviceModel {
 
     /// The Pauli error events a gate produces: `(qubit, spec)` pairs.
     /// Virtual gates produce none; a two-qubit gate errs on both qubits
-    /// with the edge spec.
-    pub fn gate_errors(&self, gate: &Gate) -> Vec<(usize, PauliErrorSpec)> {
+    /// with the edge spec. Reads only the gate's kind and qubits, never
+    /// its angles, and allocates nothing.
+    pub fn gate_errors(&self, gate: &Gate) -> GateErrors {
+        let [a, b] = gate.qubits;
         if gate.arity() == 1 {
             if Self::is_virtual(gate.kind) {
-                Vec::new()
+                GateErrors::new([(a, PauliErrorSpec::zero()); 2], 0)
             } else {
-                vec![(gate.qubits[0], self.sq_errors[gate.qubits[0]])]
+                GateErrors::new([(a, self.sq_errors[a]); 2], 1)
             }
         } else {
-            let spec = self.two_qubit_error(gate.qubits[0], gate.qubits[1]);
-            vec![(gate.qubits[0], spec), (gate.qubits[1], spec)]
+            let spec = self.two_qubit_error(a, b);
+            GateErrors::new([(a, spec), (b, spec)], 2)
         }
     }
 
@@ -709,6 +758,20 @@ mod tests {
         let cx_err = d.gate_errors(&Gate::cx(0, 1));
         assert_eq!(cx_err.len(), 2);
         assert!((cx_err[0].1.total() - 0.01).abs() < 1e-12);
+    }
+
+    #[test]
+    fn gate_errors_iterate_in_order_and_shrink_the_slice() {
+        let d = toy_device();
+        let mut events = d.gate_errors(&Gate::cx(1, 0));
+        assert_eq!(events.size_hint(), (2, Some(2)));
+        assert_eq!(events.next().map(|(q, _)| q), Some(1));
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].0, 0);
+        assert_eq!(events.next().map(|(q, _)| q), Some(0));
+        assert!(events.is_empty());
+        assert_eq!(events.next(), None);
+        assert_eq!(d.gate_errors(&Gate::rz(2, 0.1)).count(), 0);
     }
 
     #[test]

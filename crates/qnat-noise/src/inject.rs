@@ -42,9 +42,73 @@ fn error_gate(e: PauliError, q: usize) -> Option<Gate> {
     }
 }
 
+/// The Pauli error gates sampled for one circuit: `(gate index, error
+/// gate)` pairs in circuit order, each error gate applied right after the
+/// gate at its index. Sampling reads only gate kinds and qubits, so a plan
+/// drawn on a symbolic template applies to every binding of it.
+#[derive(Debug, Clone, Default)]
+pub struct ErrorPlan {
+    entries: Vec<(usize, Gate)>,
+}
+
+impl ErrorPlan {
+    /// Number of error gates in the plan.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// `true` when no error gate was drawn.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+}
+
+/// Samples Pauli error gates for `circuit` from `model`, error
+/// probabilities scaled by `noise_factor`: one draw per error event of
+/// every gate, in circuit order.
+pub fn sample_error_plan<R: Rng>(
+    circuit: &Circuit,
+    model: &DeviceModel,
+    noise_factor: f64,
+    rng: &mut R,
+) -> ErrorPlan {
+    let mut entries = Vec::new();
+    for (i, g) in circuit.gates().iter().enumerate() {
+        for (q, spec) in model.gate_errors(g) {
+            if let Some(eg) = error_gate(spec.scaled(noise_factor).sample(rng), q) {
+                entries.push((i, eg));
+            }
+        }
+    }
+    ErrorPlan { entries }
+}
+
+/// Returns `circuit` with the plan's error gates inserted after their
+/// gates.
+///
+/// # Panics
+///
+/// Panics if the plan addresses a gate index past the end of `circuit`.
+pub fn splice(circuit: &Circuit, plan: &ErrorPlan) -> Circuit {
+    let mut out = Circuit::new(circuit.n_qubits());
+    out.gates_mut().reserve(circuit.len() + plan.len());
+    let mut pending = plan.entries.iter().peekable();
+    for (i, g) in circuit.gates().iter().enumerate() {
+        out.push(*g);
+        while let Some((_, eg)) = pending.next_if(|(at, _)| *at == i) {
+            out.push(*eg);
+        }
+    }
+    assert!(
+        pending.next().is_none(),
+        "error plan addresses a gate past the circuit's end"
+    );
+    out
+}
+
 /// Samples Pauli error gates for `circuit` from `model` (error probabilities
 /// scaled by `noise_factor`) and returns the noise-injected circuit together
-/// with insertion statistics.
+/// with insertion statistics: [`sample_error_plan`] then [`splice`].
 ///
 /// # Examples
 ///
@@ -68,21 +132,12 @@ pub fn insert_error_gates<R: Rng>(
     noise_factor: f64,
     rng: &mut R,
 ) -> (Circuit, InjectionStats) {
-    let mut out = Circuit::new(circuit.n_qubits());
-    let mut stats = InjectionStats {
+    let plan = sample_error_plan(circuit, model, noise_factor, rng);
+    let stats = InjectionStats {
         original_gates: circuit.len(),
-        inserted_gates: 0,
+        inserted_gates: plan.len(),
     };
-    for g in circuit.gates() {
-        out.push(*g);
-        for (q, spec) in model.gate_errors(g) {
-            if let Some(eg) = error_gate(spec.scaled(noise_factor).sample(rng), q) {
-                out.push(eg);
-                stats.inserted_gates += 1;
-            }
-        }
-    }
-    (out, stats)
+    (splice(circuit, &plan), stats)
 }
 
 /// Expected insertion overhead of a circuit under a model (analytic, no
@@ -127,6 +182,18 @@ mod tests {
         let (noisy, stats) = insert_error_gates(&c, &model, 0.0, &mut rng);
         assert_eq!(noisy.len(), c.len());
         assert_eq!(stats.inserted_gates, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the circuit's end")]
+    fn splice_rejects_a_plan_for_a_longer_circuit() {
+        let c = sample_circuit();
+        let mut rng = StdRng::seed_from_u64(4);
+        // Every error probability saturates, so the last gate gets one.
+        let plan = sample_error_plan(&c, &presets::yorktown(), 1e6, &mut rng);
+        let mut shorter = Circuit::new(c.n_qubits());
+        shorter.push(c.gates()[0]);
+        splice(&shorter, &plan);
     }
 
     #[test]

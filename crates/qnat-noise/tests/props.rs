@@ -2,16 +2,17 @@
 //! laws, injection structure and emulator physicality.
 
 use proptest::prelude::*;
+use qnat_compiler::symbolic::lower_symbolic;
 use qnat_noise::device::DeviceModel;
 use qnat_noise::emulator::HardwareEmulator;
 use qnat_noise::error_spec::PauliErrorSpec;
-use qnat_noise::inject::{expected_overhead, insert_error_gates};
+use qnat_noise::inject::{expected_overhead, insert_error_gates, sample_error_plan, splice};
 use qnat_noise::presets;
 use qnat_noise::readout::ReadoutError;
 use qnat_sim::circuit::Circuit;
 use qnat_sim::gate::{Gate, GateKind};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 fn arb_spec() -> impl Strategy<Value = PauliErrorSpec> {
     (0.0f64..0.3, 0.0f64..0.3, 0.0f64..0.3)
@@ -35,8 +36,61 @@ fn arb_circuit() -> impl Strategy<Value = Circuit> {
     })
 }
 
+/// A parameterized logical circuit, the kind a QNN block lowers: encoder
+/// rotations, U3/CU3 layers and fixed entanglers.
+fn arb_logical() -> impl Strategy<Value = Circuit> {
+    prop::collection::vec(
+        prop_oneof![
+            (0usize..4).prop_map(|q| Gate::ry(q, 0.0)),
+            (0usize..4).prop_map(|q| Gate::rz(q, 0.0)),
+            (0usize..4).prop_map(|q| Gate::u3(q, 0.0, 0.0, 0.0)),
+            (0usize..4, 1usize..4).prop_map(|(a, d)| Gate::cu3(a, (a + d) % 4, 0.0, 0.0, 0.0)),
+            (0usize..4, 1usize..4).prop_map(|(a, d)| Gate::cx(a, (a + d) % 4)),
+            (0usize..4).prop_map(Gate::sx),
+        ],
+        1..16,
+    )
+    .prop_map(|gates| {
+        let mut c = Circuit::new(4);
+        c.extend(gates);
+        c
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn plan_on_template_splices_to_injection_on_binding(
+        logical in arb_logical(),
+        raw_params in prop::collection::vec(-3.0f64..3.0, 64),
+        seed in 0u64..1_000,
+        factor in 0.0f64..3.0,
+        device in 0usize..3,
+    ) {
+        let model = [presets::yorktown(), presets::santiago(), presets::melbourne()][device].clone();
+        let lowered = lower_symbolic(&logical);
+        let params = &raw_params[..lowered.n_logical];
+        let bound = lowered.bind(params);
+
+        let mut inject_rng = StdRng::seed_from_u64(seed);
+        let (injected, stats) = insert_error_gates(&bound, &model, factor, &mut inject_rng);
+        let mut plan_rng = StdRng::seed_from_u64(seed);
+        let plan = sample_error_plan(&lowered.circuit, &model, factor, &mut plan_rng);
+
+        prop_assert_eq!(&splice(&bound, &plan), &injected);
+        prop_assert_eq!(plan.len(), stats.inserted_gates);
+        prop_assert_eq!(inject_rng.next_u64(), plan_rng.next_u64());
+    }
+
+    #[test]
+    fn zero_noise_factor_draws_an_empty_plan(logical in arb_logical(), seed in 0u64..1_000) {
+        let lowered = lower_symbolic(&logical);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let plan = sample_error_plan(&lowered.circuit, &presets::yorktown(), 0.0, &mut rng);
+        prop_assert!(plan.is_empty());
+        prop_assert_eq!(splice(&lowered.circuit, &plan), lowered.circuit);
+    }
 
     #[test]
     fn spec_scaling_is_linear_below_cap(spec in arb_spec(), t in 0.0f64..2.0) {

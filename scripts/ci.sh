@@ -24,7 +24,11 @@
 #              unwrap_used walls)
 #   7. sim-bench: the simulator hot-path gate — the kernel bounds-check
 #              regression tests re-run under --release (the checks must
-#              survive optimized builds, not just debug_assert), then the
+#              survive optimized builds, not just debug_assert), the
+#              two-phase training-step oracle re-run under --release
+#              (forward_oracle: train_forward must stay bitwise equal to
+#              the serial per-sample loop; thread-chunking bugs show
+#              under optimized timing), then the
 #              gate-kernel microbench plus the fused-vs-unfused
 #              acceptance bench, which asserts fused execution of the
 #              §4.2 QNN block sustains >= 2x unfused runs/sec and writes
@@ -91,6 +95,9 @@ echo "== lint: scripts/lint.sh =="
 
 echo "== sim-bench: release-mode kernel bounds regression =="
 cargo test -q --release -p qnat-sim --test kernel_bounds
+
+echo "== sim-bench: release-mode two-phase training-step oracle =="
+cargo test -q --release -p qnat-core --test forward_oracle
 
 echo "== sim-bench: fused-vs-unfused acceptance gate =="
 cargo bench -p qnat-bench --bench sim_fused
