@@ -4,9 +4,9 @@
 //! classical operations QuantumNAT's training pipeline needs:
 //! element-wise arithmetic, batch statistics for post-measurement
 //! normalization, straight-through quantization, fixed-head matrix
-//! multiplication, softmax cross-entropy and a custom *quantum* node that
-//! splices externally-computed circuit Jacobians (from `qnat-sim`'s adjoint
-//! or parameter-shift engines) into the backward pass.
+//! multiplication, softmax cross-entropy and a custom *quantum* node whose
+//! backward pass is a vector-Jacobian-product callback (`qnat-sim`'s
+//! adjoint sweep, seeded with the upstream gradient).
 //!
 //! ## Example
 //!
@@ -27,5 +27,5 @@
 pub mod tape;
 pub mod tensor;
 
-pub use tape::{Gradients, Tape, Var};
+pub use tape::{Gradients, QuantumVjp, Tape, Var};
 pub use tensor::Tensor;

@@ -4,8 +4,9 @@
 //! normalization, quantization with a straight-through estimator, the
 //! classification head and the losses — is differentiated here. Quantum
 //! blocks enter the graph through [`Tape::quantum`], a custom node whose
-//! per-sample Jacobians are produced by the adjoint or parameter-shift
-//! engines in `qnat-sim`.
+//! backward pass is a vector-Jacobian-product callback: the caller runs
+//! the block's adjoint sweep seeded with the upstream gradient, so no
+//! per-sample Jacobian is ever materialized.
 
 use crate::tensor::Tensor;
 
@@ -13,8 +14,23 @@ use crate::tensor::Tensor;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Var(usize);
 
-#[derive(Debug, Clone)]
-enum Op {
+/// The vector-Jacobian product of a quantum node ([`Tape::quantum`]):
+/// maps the upstream gradient of the node's outputs `[batch, n_out]` to
+/// the gradient of its inputs `[batch, n_in]` — `None` when the inputs
+/// need none — and of its parameters `[n_p]`.
+pub type QuantumVjp<'a> = Box<dyn Fn(&Tensor) -> (Option<Tensor>, Tensor) + 'a>;
+
+/// A [`QuantumVjp`] on the tape.
+struct Vjp<'a>(QuantumVjp<'a>);
+
+impl std::fmt::Debug for Vjp<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Vjp")
+    }
+}
+
+#[derive(Debug)]
+enum Op<'a> {
     Leaf,
     Add(Var, Var),
     Sub(Var, Var),
@@ -43,16 +59,13 @@ enum Op {
     Quantum {
         x: Var,
         params: Var,
-        /// Per-sample Jacobian of outputs w.r.t. inputs: `[n_out × n_in]`.
-        jx: Vec<Tensor>,
-        /// Per-sample Jacobian of outputs w.r.t. parameters: `[n_out × n_p]`.
-        jp: Vec<Tensor>,
+        vjp: Vjp<'a>,
     },
 }
 
-#[derive(Debug, Clone)]
-struct Node {
-    op: Op,
+#[derive(Debug)]
+struct Node<'a> {
+    op: Op<'a>,
     value: Tensor,
     aux: Option<Tensor>,
 }
@@ -102,18 +115,21 @@ pub fn quantize_value(x: f64, levels: usize, p_min: f64, p_max: f64) -> f64 {
 /// let g = t.backward(y);
 /// assert_eq!(g.get(x, &t).data(), &[6.0]); // dy/dx = 2x
 /// ```
+///
+/// The lifetime `'a` bounds what the quantum nodes' VJP callbacks
+/// borrow.
 #[derive(Debug, Default)]
-pub struct Tape {
-    nodes: Vec<Node>,
+pub struct Tape<'a> {
+    nodes: Vec<Node<'a>>,
 }
 
-impl Tape {
+impl<'a> Tape<'a> {
     /// Creates an empty tape.
     pub fn new() -> Self {
         Tape { nodes: Vec::new() }
     }
 
-    fn push(&mut self, op: Op, value: Tensor, aux: Option<Tensor>) -> Var {
+    fn push(&mut self, op: Op<'a>, value: Tensor, aux: Option<Tensor>) -> Var {
         self.nodes.push(Node { op, value, aux });
         Var(self.nodes.len() - 1)
     }
@@ -134,7 +150,7 @@ impl Tape {
         self.push(Op::Leaf, t, None)
     }
 
-    fn binary(&mut self, a: Var, b: Var, f: impl Fn(f64, f64) -> f64, op: Op) -> Var {
+    fn binary(&mut self, a: Var, b: Var, f: impl Fn(f64, f64) -> f64, op: Op<'a>) -> Var {
         let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
         assert_eq!(ta.shape(), tb.shape(), "shape mismatch in binary op");
         let data = ta
@@ -410,43 +426,33 @@ impl Tape {
         )
     }
 
-    /// Inserts a quantum block with externally-computed forward values and
-    /// per-sample Jacobians.
+    /// Inserts a quantum block with externally-computed forward values
+    /// and its vector-Jacobian product.
     ///
     /// * `x` — encoder inputs `[batch, n_in]`.
     /// * `params` — trainable parameters `[n_p]` (shared across the batch).
     /// * `out` — measured expectations `[batch, n_out]`.
-    /// * `jx[i]` — `[n_out, n_in]` Jacobian for sample `i`.
-    /// * `jp[i]` — `[n_out, n_p]` Jacobian for sample `i`.
+    /// * `vjp` — called once by [`Tape::backward`] with the gradient of
+    ///   `out`; returns the gradients of `x` (or `None`) and `params`.
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent shapes.
-    pub fn quantum(
-        &mut self,
-        x: Var,
-        params: Var,
-        out: Tensor,
-        jx: Vec<Tensor>,
-        jp: Vec<Tensor>,
-    ) -> Var {
+    /// Panics on inconsistent shapes, here or when `backward` checks what
+    /// `vjp` returned.
+    pub fn quantum(&mut self, x: Var, params: Var, out: Tensor, vjp: QuantumVjp<'a>) -> Var {
         let tx = &self.nodes[x.0].value;
-        let tp = &self.nodes[params.0].value;
         assert_eq!(tx.shape().len(), 2, "quantum inputs must be a matrix");
         assert_eq!(out.shape().len(), 2, "quantum outputs must be a matrix");
-        let (b, n_in) = (tx.shape()[0], tx.shape()[1]);
-        let n_out = out.shape()[1];
-        let n_p = tp.len();
-        assert_eq!(out.shape()[0], b, "batch mismatch");
-        assert_eq!(jx.len(), b, "need one input Jacobian per sample");
-        assert_eq!(jp.len(), b, "need one parameter Jacobian per sample");
-        for j in &jx {
-            assert_eq!(j.shape(), &[n_out, n_in], "input Jacobian shape");
-        }
-        for j in &jp {
-            assert_eq!(j.shape(), &[n_out, n_p], "parameter Jacobian shape");
-        }
-        self.push(Op::Quantum { x, params, jx, jp }, out, None)
+        assert_eq!(out.shape()[0], tx.shape()[0], "batch mismatch");
+        self.push(
+            Op::Quantum {
+                x,
+                params,
+                vjp: Vjp(vjp),
+            },
+            out,
+            None,
+        )
     }
 
     /// Runs reverse-mode accumulation from a scalar `loss` node.
@@ -678,29 +684,14 @@ impl Tape {
                     }
                     give(*logits, Tensor::new(data, vec![b, c]), &mut grads);
                 }
-                Op::Quantum { x, params, jx, jp } => {
-                    let tx = &self.nodes[x.0].value;
-                    let (b, n_in) = (tx.shape()[0], tx.shape()[1]);
-                    let n_p = self.nodes[params.0].value.len();
-                    let n_out = self.nodes[idx].value.shape()[1];
-                    let mut gx = vec![0.0; b * n_in];
-                    let mut gp = vec![0.0; n_p];
-                    for i in 0..b {
-                        for q in 0..n_out {
-                            let go = g.data()[i * n_out + q];
-                            if go == 0.0 {
-                                continue;
-                            }
-                            for k in 0..n_in {
-                                gx[i * n_in + k] += go * jx[i].get2(q, k);
-                            }
-                            for j in 0..n_p {
-                                gp[j] += go * jp[i].get2(q, j);
-                            }
-                        }
+                Op::Quantum { x, params, vjp } => {
+                    let (gx, gp) = (vjp.0)(&g);
+                    if let Some(gx) = gx {
+                        assert_eq!(gx.shape(), self.nodes[x.0].value.shape(), "input VJP shape");
+                        give(*x, gx, &mut grads);
                     }
-                    give(*x, Tensor::new(gx, vec![b, n_in]), &mut grads);
-                    give(*params, Tensor::vector(gp), &mut grads);
+                    assert_eq!(gp.len(), self.nodes[params.0].value.len(), "parameter VJP length");
+                    give(*params, gp, &mut grads);
                 }
             }
         }
@@ -888,16 +879,25 @@ mod tests {
 
     #[test]
     fn quantum_node_backpropagates_jacobians() {
-        // A fake "quantum block": out = [sin(p)·x0, x1·p] with 1 param.
+        // A fake "quantum block": out = [sin(p)·x0, x1·p] with 1 param,
+        // its VJP contracting the Jacobians with the upstream gradient.
         let p_val = 0.7f64;
         let x_val = Tensor::from_rows(&[vec![0.3, -0.5]]);
         let out = Tensor::from_rows(&[vec![p_val.sin() * 0.3, -0.5 * p_val]]);
-        let jx = vec![Tensor::new(vec![p_val.sin(), 0.0, 0.0, p_val], vec![2, 2])];
-        let jp = vec![Tensor::new(vec![p_val.cos() * 0.3, -0.5], vec![2, 1])];
+        let jx = [[p_val.sin(), 0.0], [0.0, p_val]];
+        let jp = [p_val.cos() * 0.3, -0.5];
+        let vjp = move |g: &Tensor| {
+            let (g0, g1) = (g.get2(0, 0), g.get2(0, 1));
+            let gx = vec![g0 * jx[0][0] + g1 * jx[1][0], g0 * jx[0][1] + g1 * jx[1][1]];
+            (
+                Some(Tensor::new(gx, vec![1, 2])),
+                Tensor::vector(vec![g0 * jp[0] + g1 * jp[1]]),
+            )
+        };
         let mut tape = Tape::new();
         let x = tape.input(x_val);
         let theta = tape.input(Tensor::vector(vec![p_val]));
-        let q = tape.quantum(x, theta, out, jx, jp);
+        let q = tape.quantum(x, theta, out, Box::new(vjp));
         let s = tape.sum(q);
         let grads = tape.backward(s);
         let gp = grads.get(theta, &tape);

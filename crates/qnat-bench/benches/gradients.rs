@@ -1,18 +1,27 @@
 //! Criterion benches for the gradient engines: adjoint differentiation vs
-//! parameter-shift, the adjoint on the noise-injected training block, and
-//! the symbolic-lowering chain rule.
+//! parameter-shift, the adjoint on the noise-injected training block, the
+//! batch VJP of a whole training batch, and the symbolic-lowering chain
+//! rule.
+//!
+//! The `gradients_train_batch` group is an acceptance gate: one shared
+//! batch forward plus VJP over 48 prepared samples must beat 48
+//! per-sample `adjoint_gradients` calls by ≥ 2× on the §4.2 blocks. It
+//! writes its figures to `results/BENCH_gradients.json`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use qnat_compiler::symbolic::lower_symbolic;
-use qnat_core::model::{Qnn, QnnConfig};
-use qnat_noise::inject::insert_error_gates;
+use qnat_core::model::{PreparedSample, Qnn, QnnConfig};
+use qnat_json::Json;
+use qnat_noise::inject::{insert_error_gates, splice};
 use qnat_noise::presets;
-use qnat_sim::adjoint::{adjoint_all_z, adjoint_gradients};
+use qnat_sim::adjoint::{adjoint_all_z, adjoint_gradients, batch_forward, batch_vjp, BatchSample};
 use qnat_sim::circuit::Circuit;
 use qnat_sim::gate::Gate;
+use qnat_sim::math::C64;
 use qnat_sim::paramshift::paramshift_gradients;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::time::{Duration, Instant};
 
 /// A U3+CU3 block like the QuantumNAT default ansatz.
 fn qnn_block(n: usize, layers: usize) -> Circuit {
@@ -91,6 +100,210 @@ fn bench_train_block(c: &mut Criterion) {
     group.finish();
 }
 
+/// Samples per training batch (perfbench's `train` workload).
+const BATCH: usize = 48;
+
+/// One block of a training batch: its samples prepared as
+/// `train_forward` prepares them, the same samples as bound circuits with
+/// their error gates spliced in, and each sample's VJP seed.
+struct TrainBlock {
+    template: Circuit,
+    obs: Vec<usize>,
+    prepared: Vec<PreparedSample>,
+    runs: Vec<Circuit>,
+    /// `[BATCH, n_window]`: upstream gradient × readout slope γ.
+    seeds: Vec<f64>,
+    /// First slot the sweep needs (block 0 skips its encoder prefix).
+    from: usize,
+}
+
+/// Both blocks of the §4.2 model (2 blocks × 2 U3+CU3 layers routed for
+/// Santiago), 48 samples each, error gates at T = 0.5 plus readout
+/// injection. Block 1's inputs stand in for quantized block-0 outputs.
+fn train_batch() -> Vec<TrainBlock> {
+    let device = presets::santiago();
+    let qnn = Qnn::for_device(QnnConfig::standard(16, 4, 2, 2), &device, 7)
+        .expect("santiago fits the standard model");
+    let source = qnat_core::model::NoiseSource::GateInsertion {
+        model: &device,
+        factor: 0.5,
+    };
+    let mut rng = StdRng::seed_from_u64(48);
+    (0..qnn.blocks().len())
+        .map(|bi| {
+            let block = &qnn.blocks()[bi];
+            let noise = qnn.block_noise(bi, &source, Some(&device));
+            let slopes = noise.readout_slopes(block.obs.len());
+            let template = block.lowered.circuit.clone();
+            let n_win = template.n_qubits();
+            let mut prepared = Vec::with_capacity(BATCH);
+            let mut seeds = vec![0.0; BATCH * n_win];
+            for w in seeds.chunks_exact_mut(n_win) {
+                let row: Vec<f64> = (0..block.encoder.n_features())
+                    .map(|_| rng.gen_range(-2.0..2.0))
+                    .collect();
+                prepared.push(qnn.prepare(bi, &row, &noise, &mut rng));
+                for (&q, gamma) in block.obs.iter().zip(&slopes) {
+                    w[q] = rng.gen_range(-1.0..1.0) * gamma;
+                }
+            }
+            let runs = prepared
+                .iter()
+                .map(|p| {
+                    let mut bound = template.clone();
+                    bound.set_parameters(&p.angles);
+                    splice(&bound, &p.plan)
+                })
+                .collect();
+            TrainBlock {
+                obs: block.obs.clone(),
+                from: if bi == 0 {
+                    block.first_trainable_slot()
+                } else {
+                    0
+                },
+                template,
+                prepared,
+                runs,
+                seeds,
+            }
+        })
+        .collect()
+}
+
+fn per_sample_adjoint(block: &TrainBlock) {
+    for run in &block.runs {
+        black_box(adjoint_gradients(run, &block.obs));
+    }
+}
+
+fn batch_vjp_pass(block: &TrainBlock, states: &mut [C64], grads: &mut [f64]) {
+    let samples: Vec<BatchSample<'_>> = block
+        .prepared
+        .iter()
+        .map(PreparedSample::batch_sample)
+        .collect();
+    batch_forward(&block.template, &samples, states);
+    batch_vjp(
+        &block.template,
+        &samples,
+        states,
+        &block.seeds,
+        1,
+        block.from,
+        grads,
+    );
+    black_box(grads);
+}
+
+/// Median over `passes` of the mean time per call of `f`.
+fn time_per_call(mut f: impl FnMut(), calls: usize, passes: usize) -> Duration {
+    let mut times: Vec<Duration> = (0..passes)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..calls {
+                f();
+            }
+            start.elapsed() / calls as u32
+        })
+        .collect();
+    times.sort();
+    times[passes / 2]
+}
+
+fn bench_train_batch(c: &mut Criterion) {
+    let blocks = train_batch();
+    let buffers = |b: &TrainBlock| {
+        let dim = 1usize << b.template.n_qubits();
+        (
+            vec![C64::ZERO; BATCH * dim],
+            vec![0.0; BATCH * b.template.n_params()],
+        )
+    };
+    let mut group = c.benchmark_group("gradients_train_batch");
+    group.bench_function("per_sample_adjoint", |b| {
+        b.iter(|| blocks.iter().for_each(per_sample_adjoint))
+    });
+    let mut bufs: Vec<_> = blocks.iter().map(buffers).collect();
+    group.bench_function("batch_vjp", |b| {
+        b.iter(|| {
+            for (block, (states, grads)) in blocks.iter().zip(&mut bufs) {
+                batch_vjp_pass(block, states, grads);
+            }
+        })
+    });
+    group.finish();
+
+    // Acceptance gate: both ways over both blocks, interleaved passes.
+    let per_sample = time_per_call(|| blocks.iter().for_each(per_sample_adjoint), 40, 7);
+    let batch = time_per_call(
+        || {
+            for (block, (states, grads)) in blocks.iter().zip(&mut bufs) {
+                batch_vjp_pass(block, states, grads);
+            }
+        },
+        40,
+        7,
+    );
+    let sample_blocks = (BATCH * blocks.len()) as f64;
+    let us_per = |t: Duration| t.as_secs_f64() * 1e6 / sample_blocks;
+    // Absolute cost unit: one amplitude touched by one gate in a plain
+    // gate-by-gate sweep (ψ forward, then ψ and every co-state backward);
+    // a Jacobian carries one co-state per observable, a VJP one.
+    let amp_ops = |co_states: usize| -> f64 {
+        blocks
+            .iter()
+            .flat_map(|b| {
+                b.runs
+                    .iter()
+                    .map(move |r| r.len() * (1 << r.n_qubits()) * (2 + co_states))
+            })
+            .sum::<usize>() as f64
+    };
+    let ns_per_op = |t: Duration, ops: f64| t.as_secs_f64() * 1e9 / ops;
+    let n_obs = blocks[0].obs.len();
+    let (per_sample_ns, batch_ns) = (
+        ns_per_op(per_sample, amp_ops(n_obs)),
+        ns_per_op(batch, amp_ops(1)),
+    );
+    let ratio = per_sample.as_secs_f64() / batch.as_secs_f64();
+    println!(
+        "gradients_train_batch: {BATCH} samples x {} blocks; per-sample adjoint {:.2} us \
+         per sample-block ({per_sample_ns:.2} ns/amp-op) vs batch forward+VJP {:.2} us \
+         ({batch_ns:.2} ns/amp-op) -> {ratio:.2}x",
+        blocks.len(),
+        us_per(per_sample),
+        us_per(batch),
+    );
+    let doc = Json::obj([
+        ("bench", Json::Str("gradients_train_batch".into())),
+        (
+            "workload",
+            Json::Str(
+                "standard(16,4,2,2) routed for santiago, 48 samples per block, \
+                 gate insertion T=0.5 + readout"
+                    .into(),
+            ),
+        ),
+        (
+            "per_sample_adjoint_us_per_sample_block",
+            Json::Num(us_per(per_sample)),
+        ),
+        ("batch_vjp_us_per_sample_block", Json::Num(us_per(batch))),
+        ("per_sample_adjoint_ns_per_amp_op", Json::Num(per_sample_ns)),
+        ("batch_vjp_ns_per_amp_op", Json::Num(batch_ns)),
+        ("speedup", Json::Num(ratio)),
+    ]);
+    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    std::fs::create_dir_all(&results).expect("create results dir");
+    std::fs::write(results.join("BENCH_gradients.json"), doc.to_json_pretty())
+        .expect("write results/BENCH_gradients.json");
+    assert!(
+        ratio >= 2.0,
+        "one batch forward + VJP must beat {BATCH} per-sample adjoint calls by >= 2x: got {ratio:.2}x"
+    );
+}
+
 fn bench_symbolic_lowering(c: &mut Criterion) {
     let circuit = qnn_block(4, 4);
     c.bench_function("symbolic_lowering_4q_4layers", |b| {
@@ -110,6 +323,7 @@ criterion_group!(
     bench_adjoint_vs_paramshift,
     bench_adjoint_scaling,
     bench_train_block,
+    bench_train_batch,
     bench_symbolic_lowering
 );
 criterion_main!(benches);

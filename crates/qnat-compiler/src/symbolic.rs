@@ -73,11 +73,20 @@ impl SymbolicLowered {
     ///
     /// Panics if `params.len() != n_logical`.
     pub fn bind(&self, params: &[f64]) -> Circuit {
-        assert_eq!(params.len(), self.n_logical, "logical parameter count");
-        let values: Vec<f64> = self.angles.iter().map(|a| a.eval(params)).collect();
         let mut c = self.circuit.clone();
-        c.set_parameters(&values);
+        c.set_parameters(&self.bind_angles(params));
         c
+    }
+
+    /// The compiled angles [`SymbolicLowered::bind`] sets, one per flat
+    /// parameter slot of `circuit`, without building the circuit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.len() != n_logical`.
+    pub fn bind_angles(&self, params: &[f64]) -> Vec<f64> {
+        assert_eq!(params.len(), self.n_logical, "logical parameter count");
+        self.angles.iter().map(|a| a.eval(params)).collect()
     }
 
     /// Chains gradients w.r.t. compiled angles back to logical parameters:

@@ -6,20 +6,35 @@
 //! quadratic centroid penalty `‖y − Q(y)‖²` (Fig. 6), the fixed
 //! classification head and softmax cross-entropy.
 //!
-//! Each quantum block runs in two phases. First every sample's random
-//! draws (angle noise, error-gate plan) are made serially, in sample
-//! order, from the caller's RNG — exactly the order a one-sample-at-a-time
-//! loop consumes them. Then the batch is differentiated on all cores, each
-//! worker writing a contiguous chunk of samples into preallocated slots.
-//! Differentiation draws nothing and every sample lands in its own slot,
-//! so the step is bitwise identical for any worker count.
+//! Each quantum block runs in three parts:
+//!
+//! 1. Every sample's random draws (angle noise, error-gate plan) are made
+//!    serially, in sample order, from the caller's RNG — exactly the
+//!    order a one-sample-at-a-time loop consumes them.
+//! 2. The batch runs forward through the block's template in one shared
+//!    walk ([`qnat_sim::adjoint::batch_forward`]), each worker taking a
+//!    contiguous chunk of samples. The final states stay with the tape's
+//!    quantum node.
+//! 3. On the backward pass the node's vector-Jacobian product runs one
+//!    adjoint sweep per chunk ([`qnat_sim::adjoint::batch_vjp`]), seeded
+//!    by the upstream gradient times each qubit's readout slope γ: one
+//!    co-state per sample instead of one per observable, and no
+//!    Jacobian. Block 0 stops the sweep where the encoder prefix begins,
+//!    since its inputs are the features.
+//!
+//! A sample's arithmetic does not depend on which samples share its
+//! chunk, each sample lands in its own slot, and per-sample parameter
+//! gradients are summed in sample order, so the step is bitwise
+//! identical for any worker count.
 
 use crate::head::head_matrix;
-use crate::model::{NoiseSource, PreparedSample, Qnn};
+use crate::model::{BlockNoise, NoiseSource, PreparedSample, Qnn};
 use crate::normalize::NORM_EPS;
 use qnat_autodiff::tape::{quantize_value, Tape, Var};
 use qnat_autodiff::tensor::Tensor;
 use qnat_noise::device::DeviceModel;
+use qnat_sim::adjoint::{batch_forward, batch_vjp, expect_z, BatchSample};
+use qnat_sim::math::C64;
 use rand::Rng;
 
 /// Post-measurement quantization settings (paper §3.3; Fig. 6 uses 5 levels
@@ -121,46 +136,15 @@ fn tape_normalize(tape: &mut Tape, x: Var) -> Var {
     tape.div(centered, sdb)
 }
 
-/// Differentiates a block's prepared samples on up to `workers` scoped
-/// threads (the calling thread takes the first chunk) and returns the
-/// `[batch, n_qubits]` outputs with one input and one parameter Jacobian
-/// per sample. Worker `w` takes the `w`-th contiguous chunk and writes
-/// sample `i` into preallocated slot `i`, so the result does not depend
-/// on `workers`.
-fn differentiate_batch(
-    qnn: &Qnn,
-    block: usize,
-    prepared: &[PreparedSample],
-    readout: Option<&DeviceModel>,
-    workers: usize,
-) -> (Tensor, Vec<Tensor>, Vec<Tensor>) {
-    let batch = prepared.len();
-    let n_q = qnn.config().n_qubits;
-    let n_in = qnn.blocks()[block].encoder.n_features();
-    let n_p = qnn.block_params(block).len();
-    let mut outputs = vec![0.0; batch * n_q];
-    let mut jx: Vec<Tensor> = (0..batch).map(|_| Tensor::zeros(vec![n_q, n_in])).collect();
-    let mut jp: Vec<Tensor> = (0..batch).map(|_| Tensor::zeros(vec![n_q, n_p])).collect();
-
-    let chunk = batch.div_ceil(workers.clamp(1, batch));
-    let run = |(prepared, outputs, jx, jp): Chunk<'_>| {
-        let slots = outputs.chunks_exact_mut(n_q).zip(jx).zip(jp);
-        for (sample, ((out, jx), jp)) in prepared.iter().zip(slots) {
-            qnn.differentiate(block, sample, readout, out, jx.data_mut(), jp.data_mut());
-        }
-    };
-    let mut chunks = prepared
-        .chunks(chunk)
-        .zip(outputs.chunks_mut(chunk * n_q))
-        .zip(jx.chunks_mut(chunk))
-        .zip(jp.chunks_mut(chunk))
-        .map(|(((p, o), x), w)| (p, o, x, w));
+/// Runs `f` on every chunk: the calling thread takes the first, one
+/// scoped thread each takes the rest.
+fn on_workers<T: Send>(mut chunks: impl Iterator<Item = T>, f: impl Fn(T) + Sync) {
     let first = chunks.next();
     std::thread::scope(|s| {
-        let run = &run;
-        let workers: Vec<_> = chunks.map(|c| s.spawn(move || run(c))).collect();
+        let f = &f;
+        let workers: Vec<_> = chunks.map(|c| s.spawn(move || f(c))).collect();
         if let Some(c) = first {
-            run(c);
+            f(c);
         }
         // Join explicitly: the scope's own wait returns as soon as each
         // closure finishes, before its thread has handed its malloc arena
@@ -171,24 +155,144 @@ fn differentiate_batch(
             }
         }
     });
-    (Tensor::new(outputs, vec![batch, n_q]), jx, jp)
 }
 
-/// One worker's share of a batch: prepared samples and their output,
-/// input-Jacobian and parameter-Jacobian slots.
-type Chunk<'a> = (
-    &'a [PreparedSample],
-    &'a mut [f64],
-    &'a mut [Tensor],
-    &'a mut [Tensor],
-);
+/// One block run forward on a batch, kept for its vector-Jacobian
+/// product.
+struct BlockRun<'q> {
+    qnn: &'q Qnn,
+    block: usize,
+    samples: Vec<PreparedSample>,
+    /// Final states over the block's routing window, `[batch, 2ⁿ]`.
+    states: Vec<C64>,
+    /// Readout slope γ per logical qubit.
+    slopes: Vec<f64>,
+    /// Samples per worker.
+    chunk: usize,
+}
+
+impl<'q> BlockRun<'q> {
+    /// Runs prepared samples forward through block `block` on up to
+    /// `workers` threads; returns the run and the `[batch, n_qubits]`
+    /// outputs after readout.
+    fn forward(
+        qnn: &'q Qnn,
+        block: usize,
+        samples: Vec<PreparedSample>,
+        noise: &BlockNoise,
+        workers: usize,
+    ) -> (BlockRun<'q>, Tensor) {
+        let b = &qnn.blocks()[block];
+        let dim = 1usize << b.lowered.circuit.n_qubits();
+        let (batch, n_q) = (samples.len(), b.obs.len());
+        let chunk = batch.div_ceil(workers.clamp(1, batch));
+        let mut states = vec![C64::ZERO; batch * dim];
+        let mut outputs = vec![0.0; batch * n_q];
+        let chunks = samples
+            .chunks(chunk)
+            .zip(states.chunks_mut(chunk * dim))
+            .zip(outputs.chunks_mut(chunk * n_q));
+        on_workers(chunks, |((samples, states), outputs)| {
+            let samples: Vec<BatchSample<'_>> =
+                samples.iter().map(PreparedSample::batch_sample).collect();
+            batch_forward(&b.lowered.circuit, &samples, states);
+            for (state, out) in states.chunks_exact(dim).zip(outputs.chunks_exact_mut(n_q)) {
+                for (o, &q) in out.iter_mut().zip(&b.obs) {
+                    *o = expect_z(state, q);
+                }
+                noise.apply_readout(out);
+            }
+        });
+        let run = BlockRun {
+            qnn,
+            block,
+            samples,
+            states,
+            slopes: noise.readout_slopes(n_q),
+            chunk,
+        };
+        (run, Tensor::new(outputs, vec![batch, n_q]))
+    }
+
+    /// The vector-Jacobian product for the upstream gradient `upstream`
+    /// `[batch, n_qubits]`: the gradient of the block's inputs (`None`
+    /// for block 0, whose inputs are the features) and of its trainable
+    /// parameters.
+    fn vjp(&self, upstream: &Tensor) -> (Option<Tensor>, Tensor) {
+        let b = &self.qnn.blocks()[self.block];
+        let template = &b.lowered.circuit;
+        let n_win = template.n_qubits();
+        let dim = 1usize << n_win;
+        let n_slots = template.n_params();
+        let (batch, n_q) = (self.samples.len(), b.obs.len());
+        let (n_in, n_p) = (b.encoder.n_features(), b.n_train);
+        let need_inputs = self.block > 0;
+        let from = if need_inputs {
+            0
+        } else {
+            b.first_trainable_slot()
+        };
+        let scale = b.encoder.scale();
+        let chunk = self.chunk;
+        // Per sample: the input gradient, then the parameter gradient.
+        let width = n_in + n_p;
+        let mut rows = vec![0.0; batch * width];
+        let chunks = self
+            .samples
+            .chunks(chunk)
+            .zip(self.states.chunks(chunk * dim))
+            .zip(upstream.data().chunks(chunk * n_q))
+            .zip(rows.chunks_mut(chunk * width));
+        on_workers(chunks, |(((samples, states), up), rows)| {
+            let len = samples.len();
+            let mut seeds = vec![0.0; len * n_win];
+            for (w, up) in seeds.chunks_exact_mut(n_win).zip(up.chunks_exact(n_q)) {
+                for ((&q, &u), &gamma) in b.obs.iter().zip(up).zip(&self.slopes) {
+                    w[q] = u * gamma;
+                }
+            }
+            let mut compiled = vec![0.0; len * n_slots];
+            let samples: Vec<BatchSample<'_>> =
+                samples.iter().map(PreparedSample::batch_sample).collect();
+            batch_vjp(template, &samples, states, &seeds, 1, from, &mut compiled);
+            for (i, row) in rows.chunks_exact_mut(width).enumerate() {
+                let logical = b
+                    .lowered
+                    .chain_gradient(&compiled[i * n_slots..(i + 1) * n_slots]);
+                let (enc, train) = logical.split_at(b.n_enc);
+                let (gx, gp) = row.split_at_mut(n_in);
+                gp.copy_from_slice(train);
+                if need_inputs {
+                    for (dst, &c) in gx.iter_mut().zip(enc) {
+                        *dst = c * scale;
+                    }
+                }
+            }
+        });
+        // Per-sample parameter gradients, summed in sample order.
+        let mut gp = vec![0.0; n_p];
+        for row in rows.chunks_exact(width) {
+            for (acc, &v) in gp.iter_mut().zip(&row[n_in..]) {
+                *acc += v;
+            }
+        }
+        let gx = need_inputs.then(|| {
+            let gx = rows
+                .chunks_exact(width)
+                .flat_map(|row| &row[..n_in])
+                .copied();
+            Tensor::new(gx.collect(), vec![batch, n_in])
+        });
+        (gx, Tensor::vector(gp))
+    }
+}
 
 /// Runs the full differentiable pipeline on one batch and returns loss,
 /// probabilities and parameter gradients.
 ///
-/// Block differentiation runs on `std::thread::available_parallelism()`
-/// threads; the result is bitwise identical to a serial run (see the
-/// module docs).
+/// Blocks run forward and backward on
+/// `std::thread::available_parallelism()` threads; the result is bitwise
+/// identical for any thread count (see the module docs).
 ///
 /// # Panics
 ///
@@ -204,7 +308,7 @@ pub fn train_forward<R: Rng>(
     train_forward_on(qnn, features, labels, opts, rng, workers)
 }
 
-/// [`train_forward`] with an explicit differentiation worker count.
+/// [`train_forward`] with an explicit worker count.
 fn train_forward_on<R: Rng>(
     qnn: &Qnn,
     features: &[Vec<f64>],
@@ -227,17 +331,19 @@ fn train_forward_on<R: Rng>(
     for bi in 0..n_blocks {
         let pv = tape.input(Tensor::vector(qnn.block_params(bi).to_vec()));
         param_vars.push(pv);
-        // Phase 1: every sample's random draws, in sample order.
+        // Every sample's random draws, in sample order.
+        let noise = qnn.block_noise(bi, &opts.noise, opts.readout);
         let inputs = tape.value(x);
         let n_in = inputs.shape()[1];
         let prepared: Vec<PreparedSample> = inputs
             .data()
             .chunks_exact(n_in)
-            .map(|row| qnn.prepare(bi, row, &opts.noise, rng))
+            .map(|row| qnn.prepare(bi, row, &noise, rng))
             .collect();
-        // Phase 2: outputs and Jacobians, on all cores.
-        let (out, jx, jp) = differentiate_batch(qnn, bi, &prepared, opts.readout, workers);
-        x = tape.quantum(x, pv, out, jx, jp);
+        // The shared forward walk, on all cores; the VJP runs on the
+        // backward pass.
+        let (run, out) = BlockRun::forward(qnn, bi, prepared, &noise, workers);
+        x = tape.quantum(x, pv, out, Box::new(move |g| run.vjp(g)));
 
         let last = bi + 1 == n_blocks;
         if last && !opts.process_last {

@@ -19,7 +19,8 @@ use qnat_compiler::symbolic::{lower_symbolic, SymbolicLowered};
 use qnat_compiler::transpile::route_and_window;
 use qnat_noise::device::{DeviceModel, InvalidDeviceError};
 use qnat_noise::inject::{sample_error_plan, splice, ErrorPlan};
-use qnat_sim::adjoint::adjoint_gradients;
+use qnat_noise::readout::ReadoutError;
+use qnat_sim::adjoint::{adjoint_gradients, BatchSample};
 use qnat_sim::circuit::Circuit;
 use rand::Rng;
 
@@ -79,8 +80,10 @@ pub struct Block {
     /// Observable (window-local) qubit holding each logical qubit after
     /// routing.
     pub obs: Vec<usize>,
-    /// Sub-device over the window (present when built for a device).
-    pub device_view: Option<DeviceModel>,
+    /// Routing window: the physical qubit behind each window-local qubit
+    /// of `lowered` (`0..n_qubits` when built without a device). Noise
+    /// models are indexed through it.
+    pub window: Vec<usize>,
     /// Number of encoder angle slots.
     pub n_enc: usize,
     /// Number of trainable parameters in this block.
@@ -89,6 +92,20 @@ pub struct Block {
     /// construction: every noise-free evaluation fuses its bound circuit
     /// through this plan instead of re-deriving the structure per call.
     pub fusion: std::sync::Arc<qnat_compiler::fusion::FusionPlan>,
+}
+
+impl Block {
+    /// The first slot of `lowered` whose angle reads a trainable
+    /// parameter (the slot count when none does). The slots before it
+    /// are encoder angles and constants, so a gradient that needs no
+    /// input component can stop its sweep there.
+    pub fn first_trainable_slot(&self) -> usize {
+        let angles = &self.lowered.angles;
+        angles
+            .iter()
+            .position(|a| a.terms.iter().any(|&(j, _)| j >= self.n_enc))
+            .unwrap_or(angles.len())
+    }
 }
 
 /// A trainable multi-block QNN.
@@ -141,17 +158,68 @@ pub struct BlockEval {
 }
 
 /// One sample's random draws for a block evaluation, made by
-/// [`Qnn::prepare`] and consumed by [`Qnn::differentiate`]. Holds no
-/// bound circuit: binding and splicing happen where the sample is
-/// evaluated.
+/// [`Qnn::prepare`]. Holds no circuit: the block's template is bound and
+/// its error gates run where the sample is evaluated.
 #[derive(Debug, Clone)]
 pub struct PreparedSample {
-    /// Logical parameters: encoder angles, then the block's trainable
-    /// parameters, with any angle noise already added.
-    pub params: Vec<f64>,
-    /// Error gates to splice into the bound circuit (empty unless the
+    /// Compiled angles, one per parameter slot of the block's lowered
+    /// template: the encoder angles and trainable parameters, with any
+    /// angle noise already added, mapped through the lowering.
+    pub angles: Vec<f64>,
+    /// Error gates to run after their template gates (empty unless the
     /// noise source is gate insertion).
     pub plan: ErrorPlan,
+}
+
+impl PreparedSample {
+    /// The sample as the batch adjoint engine takes it.
+    pub fn batch_sample(&self) -> BatchSample<'_> {
+        BatchSample {
+            params: &self.angles,
+            events: self.plan.entries(),
+        }
+    }
+}
+
+/// The caller's noise sources seen from one block, made once per block
+/// evaluation or training step by [`Qnn::block_noise`]. Device models
+/// are mapped through the block's routing window, so they are indexed by
+/// the window-local qubits of its lowered circuit.
+#[derive(Debug, Clone)]
+pub struct BlockNoise {
+    /// Gate insertion: the sub-device over the window and the noise
+    /// factor.
+    gates: Option<(DeviceModel, f64)>,
+    /// Angle perturbation: the standard deviation.
+    angle_sigma: Option<f64>,
+    /// Readout error of each logical qubit's measured physical qubit.
+    readout: Option<Vec<ReadoutError>>,
+}
+
+impl BlockNoise {
+    /// The readout map's slope γ per logical qubit: the factor it
+    /// applies to an expectation's gradient (`1` without readout noise).
+    pub fn readout_slopes(&self, n_qubits: usize) -> Vec<f64> {
+        match &self.readout {
+            Some(ro) => ro
+                .iter()
+                .map(|r| {
+                    let m = r.matrix();
+                    m[0][0] + m[1][1] - 1.0
+                })
+                .collect(),
+            None => vec![1.0; n_qubits],
+        }
+    }
+
+    /// Passes each expectation through its qubit's readout map.
+    pub fn apply_readout(&self, outputs: &mut [f64]) {
+        if let Some(ro) = &self.readout {
+            for (out, r) in outputs.iter_mut().zip(ro) {
+                *out = r.apply_to_expectation(*out);
+            }
+        }
+    }
 }
 
 fn gaussian<R: Rng>(rng: &mut R) -> f64 {
@@ -212,16 +280,16 @@ impl Qnn {
                 config.design.append_layer(&mut logical, l, config.n_qubits);
             }
             let n_train = logical.n_params() - n_enc;
-            let (lowered, obs, device_view) = match model {
+            let (lowered, obs, window) = match model {
                 Some(m) => {
-                    let (windowed, _window, layout, view) =
+                    let (windowed, window, layout, _view) =
                         route_and_window(&logical, m, &Layout::trivial(config.n_qubits))?;
-                    (lower_symbolic(&windowed), layout, Some(view))
+                    (lower_symbolic(&windowed), layout, window)
                 }
                 None => (
                     lower_symbolic(&logical),
                     (0..config.n_qubits).collect(),
-                    None,
+                    (0..config.n_qubits).collect(),
                 ),
             };
             offsets.push(total_params);
@@ -234,7 +302,7 @@ impl Qnn {
                 logical,
                 lowered,
                 obs,
-                device_view,
+                window,
                 n_enc,
                 n_train,
                 fusion,
@@ -296,11 +364,15 @@ impl Qnn {
     }
 
     /// Evaluates one block on one sample, optionally with injected noise
-    /// and gradients: [`Qnn::prepare`], then [`Qnn::differentiate`] or a
-    /// fused forward run.
+    /// and gradients: [`Qnn::prepare`], then the adjoint engine's
+    /// batch-of-one case or a fused forward run.
     ///
     /// `inputs` are features (block 0) or the previous block's processed
     /// outcomes. When `with_grads` is false the Jacobian vectors are empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a device model does not cover the block's routing window.
     pub fn eval_block<R: Rng>(
         &self,
         block_idx: usize,
@@ -310,8 +382,11 @@ impl Qnn {
         with_grads: bool,
         rng: &mut R,
     ) -> BlockEval {
-        let prepared = self.prepare(block_idx, inputs, noise, rng);
+        let noise = self.block_noise(block_idx, noise, readout);
+        let prepared = self.prepare(block_idx, inputs, &noise, rng);
         let block = &self.blocks[block_idx];
+        let mut run = block.lowered.circuit.clone();
+        run.set_parameters(&prepared.angles);
         if !with_grads {
             // Pure-unitary evaluation runs through the fused IR: adjacent
             // single-qubit runs and CX sandwiches collapse into dense ops
@@ -321,16 +396,14 @@ impl Qnn {
             // Gate insertion changes the circuit's structure per sample,
             // so only it pays for a fresh structural scan; every other
             // source binds the template and reuses the block's plan.
-            let run = self.bound_run(block, &prepared);
-            let fused = match noise {
-                NoiseSource::GateInsertion { .. } => qnat_compiler::fusion::fuse(&run),
-                _ => block.fusion.fuse_bound(&run),
+            let fused = match noise.gates {
+                None => block.fusion.fuse_bound(&run),
+                Some(_) => qnat_compiler::fusion::fuse(&splice(&run, &prepared.plan)),
             };
             let psi = qnat_sim::fused::simulate_fused(&fused);
             let all = psi.expect_all_z();
-            let mut outputs: Vec<f64> =
-                block.obs.iter().map(|&q| all[q]).collect();
-            self.apply_readout(block_idx, readout, &mut outputs, &mut []);
+            let mut outputs: Vec<f64> = block.obs.iter().map(|&q| all[q]).collect();
+            noise.apply_readout(&mut outputs);
             return BlockEval {
                 outputs,
                 jac_inputs: Vec::new(),
@@ -338,23 +411,62 @@ impl Qnn {
             };
         }
 
-        let n_q = self.config.n_qubits;
-        let (n_in, n_p) = (block.encoder.n_features(), block.n_train);
-        let mut outputs = vec![0.0; n_q];
-        let mut jx = vec![0.0; n_q * n_in];
-        let mut jp = vec![0.0; n_q * n_p];
-        self.differentiate(
-            block_idx,
-            &prepared,
-            readout,
-            &mut outputs,
-            &mut jx,
-            &mut jp,
-        );
+        let run = splice(&run, &prepared.plan);
+        let grad = adjoint_gradients(&run, &block.obs);
+        let mut outputs = grad.expectations;
+        noise.apply_readout(&mut outputs);
+        let gammas = noise.readout_slopes(outputs.len());
+        let scale = block.encoder.scale();
+        let (mut jac_inputs, mut jac_params) = (Vec::new(), Vec::new());
+        for (g, gamma) in grad.gradients.iter().zip(gammas) {
+            let chained = block.lowered.chain_gradient(g);
+            let (enc, train) = chained.split_at(block.n_enc);
+            jac_inputs.push(enc.iter().map(|&c| c * scale * gamma).collect());
+            jac_params.push(train.iter().map(|&c| c * gamma).collect());
+        }
         BlockEval {
             outputs,
-            jac_inputs: jx.chunks_exact(n_in).map(<[f64]>::to_vec).collect(),
-            jac_params: jp.chunks_exact(n_p).map(<[f64]>::to_vec).collect(),
+            jac_inputs,
+            jac_params,
+        }
+    }
+
+    /// The caller's noise sources seen from block `block_idx`: every
+    /// device model is replaced by its sub-device over the block's
+    /// routing window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a device model does not cover the window.
+    pub fn block_noise(
+        &self,
+        block_idx: usize,
+        noise: &NoiseSource<'_>,
+        readout: Option<&DeviceModel>,
+    ) -> BlockNoise {
+        let block = &self.blocks[block_idx];
+        let view = |model: &DeviceModel| {
+            model.subdevice(&block.window).unwrap_or_else(|e| {
+                panic!(
+                    "device {} does not cover block {block_idx}'s routing window {:?}: {e}",
+                    model.name(),
+                    block.window
+                )
+            })
+        };
+        BlockNoise {
+            gates: match noise {
+                NoiseSource::GateInsertion { model, factor } => Some((view(model), *factor)),
+                _ => None,
+            },
+            angle_sigma: match noise {
+                NoiseSource::AnglePerturb { sigma } => Some(*sigma),
+                _ => None,
+            },
+            readout: readout.map(|model| {
+                let view = view(model);
+                block.obs.iter().map(|&q| view.readout_error(q)).collect()
+            }),
         }
     }
 
@@ -362,120 +474,30 @@ impl Qnn {
     /// evaluation consumes them: angle noise on the logical parameters,
     /// then the error-gate plan, sampled on the block's symbolic template
     /// (sampling reads gate kinds and qubits only, which binding never
-    /// changes).
+    /// changes). `noise` comes from [`Qnn::block_noise`] for the same
+    /// block.
     pub fn prepare<R: Rng>(
         &self,
         block_idx: usize,
         inputs: &[f64],
-        noise: &NoiseSource<'_>,
+        noise: &BlockNoise,
         rng: &mut R,
     ) -> PreparedSample {
         let block = &self.blocks[block_idx];
-        let enc_angles = block.encoder.angles(inputs);
-        let mut params = Vec::with_capacity(block.n_enc + block.n_train);
-        params.extend_from_slice(&enc_angles);
+        let mut params = block.encoder.angles(inputs);
         params.extend_from_slice(self.block_params(block_idx));
-        if let NoiseSource::AnglePerturb { sigma } = noise {
+        if let Some(sigma) = noise.angle_sigma {
             for p in &mut params {
                 *p += sigma * gaussian(rng);
             }
         }
-        let plan = match noise {
-            NoiseSource::GateInsertion { model, factor } => {
-                sample_error_plan(&block.lowered.circuit, model, *factor, rng)
-            }
-            _ => ErrorPlan::default(),
+        let plan = match &noise.gates {
+            Some((model, factor)) => sample_error_plan(&block.lowered.circuit, model, *factor, rng),
+            None => ErrorPlan::default(),
         };
-        PreparedSample { params, plan }
-    }
-
-    /// The runnable circuit of a prepared sample: the lowered template
-    /// bound to its parameters, with its error gates spliced in.
-    fn bound_run(&self, block: &Block, prepared: &PreparedSample) -> Circuit {
-        let bound = block.lowered.bind(&prepared.params);
-        if prepared.plan.is_empty() {
-            bound
-        } else {
-            splice(&bound, &prepared.plan)
-        }
-    }
-
-    /// Outputs and Jacobians of a prepared sample, written into
-    /// caller-owned row-major buffers: `outputs` `[n_qubits]`,
-    /// `jac_inputs` `[n_qubits, n_inputs]`, `jac_params`
-    /// `[n_qubits, n_params]` (block-local). Pure: draws nothing, so
-    /// prepared samples can be differentiated in any order or
-    /// concurrently.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a buffer's length disagrees with the block.
-    pub fn differentiate(
-        &self,
-        block_idx: usize,
-        prepared: &PreparedSample,
-        readout: Option<&DeviceModel>,
-        outputs: &mut [f64],
-        jac_inputs: &mut [f64],
-        jac_params: &mut [f64],
-    ) {
-        let block = &self.blocks[block_idx];
-        let n_q = self.config.n_qubits;
-        let (n_in, n_p) = (block.encoder.n_features(), block.n_train);
-        assert_eq!(outputs.len(), n_q, "output buffer length");
-        assert_eq!(jac_inputs.len(), n_q * n_in, "input Jacobian buffer length");
-        assert_eq!(
-            jac_params.len(),
-            n_q * n_p,
-            "parameter Jacobian buffer length"
-        );
-        let run = self.bound_run(block, prepared);
-        let grad = adjoint_gradients(&run, &block.obs);
-        let scale = block.encoder.scale();
-        outputs.copy_from_slice(&grad.expectations);
-        let rows = jac_inputs
-            .chunks_exact_mut(n_in)
-            .zip(jac_params.chunks_exact_mut(n_p));
-        for ((jx, jp), g) in rows.zip(&grad.gradients) {
-            let chained = block.lowered.chain_gradient(g);
-            let (enc, train) = chained.split_at(block.n_enc);
-            for (dst, &c) in jx.iter_mut().zip(enc) {
-                *dst = c * scale;
-            }
-            jp.copy_from_slice(train);
-        }
-        self.apply_readout(block_idx, readout, outputs, &mut [jac_inputs, jac_params]);
-    }
-
-    /// Applies the readout-error emulation (paper §3.2): each qubit's
-    /// expectation goes through the affine confusion map; that qubit's
-    /// row of every row-major Jacobian in `jacobians` is scaled by the
-    /// map's slope γ.
-    fn apply_readout(
-        &self,
-        block_idx: usize,
-        readout: Option<&DeviceModel>,
-        outputs: &mut [f64],
-        jacobians: &mut [&mut [f64]],
-    ) {
-        let Some(model) = readout else { return };
-        let block = &self.blocks[block_idx];
-        let n_out = outputs.len();
-        for (lq, out) in outputs.iter_mut().enumerate() {
-            // Physical qubit = the window-local observable; when the model
-            // passed in is the full device we just use the logical index
-            // (windows preserve relative order for line devices).
-            let phys = block.obs[lq].min(model.n_qubits() - 1);
-            let ro = model.readout_error(phys);
-            let m = ro.matrix();
-            let gamma = m[0][0] + m[1][1] - 1.0;
-            *out = ro.apply_to_expectation(*out);
-            for jac in jacobians.iter_mut() {
-                let width = jac.len() / n_out;
-                for v in &mut jac[lq * width..(lq + 1) * width] {
-                    *v *= gamma;
-                }
-            }
+        PreparedSample {
+            angles: block.lowered.bind_angles(&params),
+            plan,
         }
     }
 
@@ -651,6 +673,50 @@ mod tests {
                 noisy[qb].abs() <= clean[qb].abs() + 1e-9,
                 "readout should contract |z|"
             );
+        }
+    }
+
+    /// A device whose routing window is not a prefix: logical qubits 2
+    /// and 3 are not coupled, so routing goes through physical qubit 5,
+    /// which becomes window-local qubit 4. Physical qubit 4, outside the
+    /// window, is the only noisy one; noise must be read through the
+    /// window, so the window sees a noiseless device.
+    #[test]
+    fn noise_models_are_indexed_through_the_routing_window() {
+        use qnat_noise::error_spec::PauliErrorSpec;
+        let zero = PauliErrorSpec::zero();
+        let device = DeviceModel::builder("detour", 6)
+            .edge(0, 1, zero)
+            .edge(1, 2, zero)
+            .edge(2, 5, zero)
+            .edge(5, 3, zero)
+            .edge(3, 0, zero)
+            .edge(5, 4, zero)
+            .single_qubit_error(4, PauliErrorSpec::new(0.3, 0.0, 0.0).unwrap())
+            .readout(4, ReadoutError::symmetric(0.4).unwrap())
+            .build()
+            .unwrap();
+        let q = Qnn::for_device(QnnConfig::standard(16, 4, 1, 2), &device, 3).unwrap();
+        let block = &q.blocks()[0];
+        assert_eq!(block.window, vec![0, 1, 2, 3, 5]);
+        assert!(
+            block.obs.contains(&4),
+            "a logical qubit is measured on physical 5"
+        );
+        let gates = NoiseSource::GateInsertion {
+            model: &device,
+            factor: 1.0,
+        };
+        let mut rng = StdRng::seed_from_u64(4);
+        for row in 0..8 {
+            let inputs: Vec<f64> = (0..16).map(|i| ((row * 16 + i) as f64).sin()).collect();
+            let clean = q.eval_block(0, &inputs, &NoiseSource::None, None, false, &mut rng);
+            for (noise, readout) in [(&gates, None), (&NoiseSource::None, Some(&device))] {
+                let noisy = q.eval_block(0, &inputs, noise, readout, true, &mut rng);
+                for (a, b) in noisy.outputs.iter().zip(&clean.outputs) {
+                    assert!((a - b).abs() < 1e-12, "row {row}: {a} vs noise-free {b}");
+                }
+            }
         }
     }
 

@@ -1,12 +1,17 @@
-//! Oracle for the two-phase `train_forward`: the batch step must be
-//! bitwise identical to the serial per-sample loop it replaced, which
-//! evaluates each sample's block with `eval_block` — drawing its noise and
-//! differentiating it — before moving to the next sample.
+//! Oracle for the batch `train_forward`: the shared-walk step with its
+//! vector-Jacobian products must reproduce the serial per-sample loop,
+//! which evaluates each sample's block with `eval_block` — drawing its
+//! noise and computing its Jacobians — before moving to the next sample,
+//! and contracts those Jacobians with the upstream gradient on the
+//! backward pass.
 //!
-//! The serial reference below is that loop, kept verbatim as the
-//! definition of the step. Every listed configuration must agree on loss,
-//! cross-entropy, penalty, probabilities and gradients bit for bit, and
-//! leave the caller's RNG in the same state.
+//! The serial reference below is that loop, kept as the definition of
+//! the step. Every listed configuration must agree on loss,
+//! cross-entropy, penalty and probabilities bit for bit, and leave the
+//! caller's RNG in the same state. Gradients agree to 1e-12 relative to
+//! the largest entry: a VJP sums `Σ_q g_q·∂⟨Z_q⟩/∂θ` inside the adjoint
+//! sweep, while the reference sums the same terms after it, so the two
+//! round differently.
 
 use qnat_autodiff::tape::{quantize_value, Tape, Var};
 use qnat_autodiff::tensor::Tensor;
@@ -59,12 +64,29 @@ fn serial_train_forward<R: Rng>(
             let row: Vec<f64> = (0..n_in).map(|k| inputs_t.get2(i, k)).collect();
             let ev = qnn.eval_block(bi, &row, &opts.noise, opts.readout, true, rng);
             out_rows.push(ev.outputs);
-            let jx_flat: Vec<f64> = ev.jac_inputs.iter().flatten().copied().collect();
-            let jp_flat: Vec<f64> = ev.jac_params.iter().flatten().copied().collect();
-            jx.push(Tensor::new(jx_flat, vec![n_q, n_in]));
-            jp.push(Tensor::new(jp_flat, vec![n_q, qnn.block_params(bi).len()]));
+            jx.push(ev.jac_inputs);
+            jp.push(ev.jac_params);
         }
-        x = tape.quantum(x, pv, Tensor::from_rows(&out_rows), jx, jp);
+        let n_p = qnn.block_params(bi).len();
+        // The reference VJP: contract each sample's Jacobians with its
+        // upstream gradient row.
+        let vjp = move |g: &Tensor| {
+            let mut gx = vec![0.0; batch * n_in];
+            let mut gp = vec![0.0; n_p];
+            for i in 0..batch {
+                for q in 0..n_q {
+                    let go = g.get2(i, q);
+                    for k in 0..n_in {
+                        gx[i * n_in + k] += go * jx[i][q][k];
+                    }
+                    for j in 0..n_p {
+                        gp[j] += go * jp[i][q][j];
+                    }
+                }
+            }
+            (Some(Tensor::new(gx, vec![batch, n_in])), Tensor::vector(gp))
+        };
+        x = tape.quantum(x, pv, Tensor::from_rows(&out_rows), Box::new(vjp));
 
         let last = bi + 1 == n_blocks;
         if last && !opts.process_last {
@@ -144,7 +166,7 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-fn assert_bitwise_equal(got: &TrainStep, want: &TrainStep, what: &str) {
+fn assert_matches(got: &TrainStep, want: &TrainStep, what: &str) {
     assert_eq!(got.loss.to_bits(), want.loss.to_bits(), "{what}: loss");
     assert_eq!(
         got.ce_loss.to_bits(),
@@ -162,7 +184,14 @@ fn assert_bitwise_equal(got: &TrainStep, want: &TrainStep, what: &str) {
         bits(want.probs.data()),
         "{what}: probs"
     );
-    assert_eq!(bits(&got.grads), bits(&want.grads), "{what}: grads");
+    assert_eq!(got.grads.len(), want.grads.len(), "{what}: grads length");
+    let scale = want.grads.iter().fold(0.0f64, |m, g| m.max(g.abs()));
+    for (k, (g, w)) in got.grads.iter().zip(&want.grads).enumerate() {
+        assert!(
+            (g - w).abs() <= 1e-12 * scale,
+            "{what}: grad {k}: {g} vs {w} (max |g| {scale})"
+        );
+    }
 }
 
 fn batch(n: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
@@ -178,7 +207,7 @@ fn batch(n: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
 }
 
 #[test]
-fn batch_step_is_bitwise_the_serial_step() {
+fn batch_step_matches_the_serial_step() {
     let device = presets::santiago();
     let sources = [
         ("none", NoiseSource::None),
@@ -232,7 +261,7 @@ fn batch_step_is_bitwise_the_serial_step() {
                             "{name}, blocks {n_blocks}, readout {}, process_last {process_last}, batch {n}",
                             readout.is_some()
                         );
-                        assert_bitwise_equal(&got, &want, &what);
+                        assert_matches(&got, &want, &what);
                         assert_eq!(
                             batch_rng.next_u64(),
                             serial_rng.next_u64(),

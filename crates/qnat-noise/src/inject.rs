@@ -61,6 +61,11 @@ impl ErrorPlan {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+
+    /// The `(gate index, error gate)` pairs, in circuit order.
+    pub fn entries(&self) -> &[(usize, Gate)] {
+        &self.entries
+    }
 }
 
 /// Samples Pauli error gates for `circuit` from `model`, error

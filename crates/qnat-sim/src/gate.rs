@@ -367,7 +367,12 @@ impl Gate {
                     [C64::real(sh), C64::real(ch)],
                 ]
             }
-            Rz => [[C64::cis(-a / 2.0), o], [o, C64::cis(a / 2.0)]],
+            // One `cis` for both entries: libm's cos is even and its sin
+            // odd, so `cis(−a/2)` is bitwise `cis(a/2)` conjugated.
+            Rz => {
+                let h = C64::cis(a / 2.0);
+                [[h.conj(), o], [o, h]]
+            }
             P => [[l, o], [o, C64::cis(a)]],
             U2 => {
                 let s = FRAC_1_SQRT_2;
@@ -587,6 +592,22 @@ mod tests {
     use super::*;
     use crate::math::{mat2_is_unitary, mat2_mul, mat4_is_unitary, mat4_mul};
     use std::f64::consts::PI;
+
+    /// `Rz` builds its matrix from one `cis`; that must equal the two-`cis`
+    /// form bit for bit, which holds because libm's cos is even and its
+    /// sin odd.
+    #[test]
+    fn rz_matrix_is_bitwise_the_two_cis_form() {
+        let mut a = -40.0f64;
+        while a < 40.0 {
+            let m = Gate::rz(0, a).matrix1();
+            for (got, want) in [(m[0][0], C64::cis(-a / 2.0)), (m[1][1], C64::cis(a / 2.0))] {
+                assert_eq!(got.re.to_bits(), want.re.to_bits(), "angle {a}");
+                assert_eq!(got.im.to_bits(), want.im.to_bits(), "angle {a}");
+            }
+            a += 0.0137;
+        }
+    }
 
     #[test]
     fn from_name_inverts_name_for_every_kind() {

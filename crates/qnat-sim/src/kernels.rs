@@ -18,29 +18,42 @@
 //! the loop body branch-free. [`apply_mat4`] enumerates exactly the
 //! `len/4` block-base indices via nested chunking instead of scanning all
 //! `len` indices and discarding three quarters of them.
+//!
+//! The public kernels take one power-of-two state. The crate-internal
+//! `*_rows` variants take a `[batch, 2ⁿ]` buffer of states laid end to
+//! end: every kernel only pairs amplitudes inside `2^(q+1)`-aligned
+//! blocks, so one call applies the same matrix to every state, with the
+//! same arithmetic per amplitude as one call per state.
 
 use crate::math::{C64, Mat2, Mat4};
 
-/// Validates `q` against an amplitude slice of length `len` and returns
-/// the bit mask `1 << q`.
+/// Validates `q` against an amplitude slice of length `len` holding one
+/// state or several states laid end to end, and returns the bit mask
+/// `1 << q`.
 ///
 /// # Panics
 ///
-/// Panics if `len` is not a power of two or `q` addresses a bit at or
-/// above `log2(len)`. These are real (release-mode) checks: the hot loops
-/// below rely on them and run branch-free.
+/// Panics unless `len` is a multiple of the `2^(q+1)` amplitudes that bit
+/// `q` pairs up: for one power-of-two state that is `q < log2(len)`. This
+/// is a real (release-mode) check: the hot loops below rely on it and run
+/// branch-free.
 #[inline]
 fn checked_bit(len: usize, q: usize) -> usize {
+    // `2^(q+1)` divides `len` iff `len`'s low `q + 1` bits are clear.
+    assert!(
+        q + 1 < usize::BITS as usize && len & ((2usize << q) - 1) == 0,
+        "qubit {q} out of range for an amplitude slice of length {len}"
+    );
+    1usize << q
+}
+
+/// Validates that `len` is the length of one state: a power of two.
+#[inline]
+fn checked_state(len: usize) {
     assert!(
         len.is_power_of_two(),
         "amplitude slice length {len} is not a power of two"
     );
-    let n_qubits = len.trailing_zeros() as usize;
-    assert!(
-        q < n_qubits,
-        "qubit {q} out of range for a {n_qubits}-qubit register"
-    );
-    1usize << q
 }
 
 /// Applies a 2×2 matrix to bit `q` of every index of `amps`.
@@ -54,6 +67,17 @@ fn checked_bit(len: usize, q: usize) -> usize {
 // made the served emulator workload ~10% slower.
 #[inline(never)]
 pub fn apply_mat2(amps: &mut [C64], q: usize, m: &Mat2) {
+    checked_state(amps.len());
+    apply_mat2_rows(amps, q, m);
+}
+
+/// [`apply_mat2`] on every state of a `[batch, 2ⁿ]` buffer at once.
+///
+/// # Panics
+///
+/// Panics if `amps.len()` is not a multiple of the `2^(q+1)` amplitudes
+/// bit `q` pairs up.
+pub(crate) fn apply_mat2_rows(amps: &mut [C64], q: usize, m: &Mat2) {
     let bit = checked_bit(amps.len(), q);
     let [[m00, m01], [m10, m11]] = *m;
     mix_pairs(amps, bit, m00, m01, m10, m11);
@@ -90,12 +114,47 @@ fn mix_pairs(amps: &mut [C64], bit: usize, m00: C64, m01: C64, m10: C64, m11: C6
 /// Panics if `amps.len()` is not a power of two, either qubit is out of
 /// range, or `qa == qb` (checked once, before the branch-free hot loop).
 pub fn apply_mat4(amps: &mut [C64], qa: usize, qb: usize, m: &Mat4) {
+    checked_state(amps.len());
+    apply_mat4_rows(amps, qa, qb, m);
+}
+
+/// [`apply_mat4`] on every state of a `[batch, 2ⁿ]` buffer at once.
+///
+/// # Panics
+///
+/// Panics if `amps.len()` is not a multiple of the block either qubit
+/// addresses, or `qa == qb`.
+pub(crate) fn apply_mat4_rows(amps: &mut [C64], qa: usize, qb: usize, m: &Mat4) {
     let ba = checked_bit(amps.len(), qa);
     let bb = checked_bit(amps.len(), qb);
     assert!(qa != qb, "two-qubit kernel addresses qubit {qa} twice");
-    let (lo, hi) = if ba < bb { (ba, bb) } else { (bb, ba) };
     let [[m00, m01, m02, m03], [m10, m11, m12, m13], [m20, m21, m22, m23], [m30, m31, m32, m33]] =
         *m;
+    mix_quads(
+        amps,
+        ba,
+        bb,
+        [m00, m01, m02, m03],
+        [m10, m11, m12, m13],
+        [m20, m21, m22, m23],
+        [m30, m31, m32, m33],
+    );
+}
+
+/// The hot loop of [`apply_mat4`], never inlined and handed the matrix
+/// rows by value for the same reason as [`mix_pairs`]: its speed must
+/// not depend on which callers share its codegen unit.
+#[inline(never)]
+fn mix_quads(
+    amps: &mut [C64],
+    ba: usize,
+    bb: usize,
+    [m00, m01, m02, m03]: [C64; 4],
+    [m10, m11, m12, m13]: [C64; 4],
+    [m20, m21, m22, m23]: [C64; 4],
+    [m30, m31, m32, m33]: [C64; 4],
+) {
+    let (lo, hi) = if ba < bb { (ba, bb) } else { (bb, ba) };
     // Nested chunking enumerates exactly the len/4 base indices with both
     // bits clear: outer blocks of 2·hi split on the high bit, inner blocks
     // of 2·lo split on the low bit. `hi ≥ 2·lo`, so the inner chunking
@@ -140,6 +199,7 @@ pub fn apply_mat4(amps: &mut [C64], qa: usize, qb: usize, m: &Mat4) {
 ///
 /// Panics if `amps.len()` is not a power of two or `q` is out of range.
 pub fn prob_one_mass(amps: &[C64], q: usize) -> f64 {
+    checked_state(amps.len());
     let bit = checked_bit(amps.len(), q);
     amps.chunks_exact(bit << 1)
         .map(|block| block[bit..].iter().map(|a| a.norm_sqr()).sum::<f64>())
@@ -156,6 +216,7 @@ pub fn prob_one_mass(amps: &[C64], q: usize) -> f64 {
 /// two, or `q` is out of range.
 pub(crate) fn cross_mat2(psi: &[C64], lam: &[C64], q: usize) -> Mat2 {
     assert_eq!(psi.len(), lam.len(), "cross of states of unequal length");
+    checked_state(psi.len());
     let bit = checked_bit(psi.len(), q);
     let (mut c00, mut c01, mut c10, mut c11) = (C64::ZERO, C64::ZERO, C64::ZERO, C64::ZERO);
     for (pb, lb) in psi.chunks_exact(bit << 1).zip(lam.chunks_exact(bit << 1)) {

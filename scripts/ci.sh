@@ -25,14 +25,25 @@
 #   7. sim-bench: the simulator hot-path gate — the kernel bounds-check
 #              regression tests re-run under --release (the checks must
 #              survive optimized builds, not just debug_assert), the
-#              two-phase training-step oracle re-run under --release
-#              (forward_oracle: train_forward must stay bitwise equal to
-#              the serial per-sample loop; thread-chunking bugs show
-#              under optimized timing), then the
-#              gate-kernel microbench plus the fused-vs-unfused
-#              acceptance bench, which asserts fused execution of the
-#              §4.2 QNN block sustains >= 2x unfused runs/sec and writes
-#              latency percentiles to results/BENCH_sim.json
+#              batch adjoint oracle (batch_vjp_oracle: batch forward +
+#              VJP equal the gate-by-gate sweep to 1e-12, and a sample is
+#              bitwise the same in any batch or chunking) and the
+#              training-step oracle (forward_oracle: train_forward keeps
+#              loss, probabilities and RNG state bitwise equal to the
+#              serial per-sample eval_block loop; gradients agree to
+#              1e-12 relative to the largest entry, since the VJP sums
+#              Σ_q g_q·∂⟨Z_q⟩/∂θ inside the adjoint sweep while the loop
+#              contracts Jacobians after it — bitwise until the batch
+#              VJP replaced the Jacobians), both re-run under --release
+#              (thread-chunking bugs show under optimized timing), then
+#              the gradients bench, which asserts one batch forward +
+#              VJP beats 48 per-sample adjoint calls by >= 2x on the
+#              §4.2 training blocks and writes
+#              results/BENCH_gradients.json, then the gate-kernel
+#              microbench plus the fused-vs-unfused acceptance bench,
+#              which asserts fused execution of the §4.2 QNN block
+#              sustains >= 2x unfused runs/sec and writes latency
+#              percentiles to results/BENCH_sim.json
 #   8. load:   the overload-robustness gate — the socket-level chaos
 #              suite (resets, slow-loris, stalls, corruption against a
 #              live server; no hung workers, no leaked connection
@@ -96,8 +107,12 @@ echo "== lint: scripts/lint.sh =="
 echo "== sim-bench: release-mode kernel bounds regression =="
 cargo test -q --release -p qnat-sim --test kernel_bounds
 
-echo "== sim-bench: release-mode two-phase training-step oracle =="
+echo "== sim-bench: release-mode batch adjoint and training-step oracles =="
+cargo test -q --release -p qnat-sim --test batch_vjp_oracle
 cargo test -q --release -p qnat-core --test forward_oracle
+
+echo "== sim-bench: batch VJP acceptance gate (>= 2x per-sample adjoint) =="
+cargo bench -p qnat-bench --bench gradients
 
 echo "== sim-bench: fused-vs-unfused acceptance gate =="
 cargo bench -p qnat-bench --bench sim_fused
