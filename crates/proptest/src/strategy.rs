@@ -151,7 +151,7 @@ tuple_strategy!(A, B, C, D);
 tuple_strategy!(A, B, C, D, E);
 tuple_strategy!(A, B, C, D, E, F);
 
-/// Length specification for [`vec`]: a fixed size or a half-open range.
+/// Length specification for [`vec()`]: a fixed size or a half-open range.
 #[derive(Debug, Clone)]
 pub struct SizeRange {
     lo: usize,
@@ -192,7 +192,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// The strategy returned by [`vec`].
+/// The strategy returned by [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,

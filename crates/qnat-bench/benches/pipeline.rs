@@ -62,7 +62,7 @@ fn bench_deployment(c: &mut Criterion) {
             infer(
                 &qnn,
                 &features,
-                &InferenceBackend::Hardware(&dep),
+                &InferenceBackend::Deployed(&dep),
                 &InferenceOptions::default(),
                 &mut rng,
             )

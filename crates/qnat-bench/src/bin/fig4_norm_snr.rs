@@ -39,7 +39,7 @@ fn main() {
     let noisy = infer(
         &qnn,
         &feats,
-        &InferenceBackend::Hardware(&dep),
+        &InferenceBackend::Deployed(&dep),
         &InferenceOptions::baseline(),
         &mut rng,
     )

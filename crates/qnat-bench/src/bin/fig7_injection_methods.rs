@@ -41,7 +41,7 @@ fn benchmark_error_stats(
     let noisy = infer(
         qnn,
         &feats,
-        &InferenceBackend::Hardware(&dep),
+        &InferenceBackend::Deployed(&dep),
         &InferenceOptions::baseline(),
         &mut rng,
     )
@@ -105,7 +105,7 @@ fn hw_accuracy(
     infer(
         qnn,
         &feats,
-        &InferenceBackend::Hardware(&dep),
+        &InferenceBackend::Deployed(&dep),
         &InferenceOptions {
             normalize: NormMode::BatchStats,
             quantize,

@@ -59,7 +59,7 @@ fn main() {
         let result = infer(
             &qnn,
             &feats,
-            &InferenceBackend::Hardware(&dep),
+            &InferenceBackend::Deployed(&dep),
             &InferenceOptions {
                 normalize: if arm == Arm::Baseline {
                     NormMode::Off

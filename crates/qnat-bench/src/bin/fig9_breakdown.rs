@@ -64,7 +64,7 @@ fn main() {
         let acc = infer(
             &qnn,
             &feats,
-            &InferenceBackend::Hardware(&dep),
+            &InferenceBackend::Deployed(&dep),
             &InferenceOptions {
                 normalize: NormMode::BatchStats,
                 quantize: if quant { Some(cfg.quant) } else { None },

@@ -36,7 +36,7 @@ fn main() {
             let model_acc = infer(
                 &qnn,
                 &feats,
-                &InferenceBackend::Hardware(&pauli_dep),
+                &InferenceBackend::Deployed(&pauli_dep),
                 &arm_inference_options(Arm::Full, &cfg),
                 &mut rng,
             )

@@ -40,7 +40,7 @@ fn main() {
             let stats = profile_stats(
                 &qnn,
                 &vfeats,
-                &InferenceBackend::Hardware(&dep),
+                &InferenceBackend::Deployed(&dep),
                 Some(cfg.quant),
                 &mut rng,
             )
@@ -50,7 +50,7 @@ fn main() {
             let acc_test_stats = infer(
                 &qnn,
                 &feats,
-                &InferenceBackend::Hardware(&dep),
+                &InferenceBackend::Deployed(&dep),
                 &arm_inference_options(Arm::Full, &cfg),
                 &mut rng,
             )
@@ -59,7 +59,7 @@ fn main() {
             let acc_valid_stats = infer(
                 &qnn,
                 &feats,
-                &InferenceBackend::Hardware(&dep),
+                &InferenceBackend::Deployed(&dep),
                 &InferenceOptions {
                     normalize: NormMode::FixedStats(stats.clone()),
                     quantize: Some(cfg.quant),

@@ -45,7 +45,7 @@ fn main() {
             let noisy = infer(
                 &b_qnn,
                 &feats,
-                &InferenceBackend::Hardware(&dep),
+                &InferenceBackend::Deployed(&dep),
                 &InferenceOptions::baseline(),
                 &mut rng,
             )

@@ -67,7 +67,7 @@ fn main() {
             let acc = infer(
                 qnn,
                 &feats,
-                &InferenceBackend::Hardware(&dep),
+                &InferenceBackend::Deployed(&dep),
                 &InferenceOptions {
                     normalize: NormMode::BatchStats,
                     quantize: Some(cfg.quant),

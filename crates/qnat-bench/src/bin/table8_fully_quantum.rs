@@ -81,7 +81,7 @@ fn main() {
                     let acc = infer(
                         &qnn,
                         &feats,
-                        &InferenceBackend::Hardware(&dep),
+                        &InferenceBackend::Deployed(&dep),
                         &opts,
                         &mut rng,
                     )

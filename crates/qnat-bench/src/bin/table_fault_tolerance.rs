@@ -53,7 +53,7 @@ fn main() {
         let result = infer(
             &qnn,
             &feats,
-            &InferenceBackend::Resilient(&dep),
+            &InferenceBackend::Deployed(&dep),
             &arm_inference_options(Arm::Full, &cfg),
             &mut rng,
         )
@@ -113,7 +113,7 @@ fn main() {
             let result = infer(
                 &qnn,
                 &feats,
-                &InferenceBackend::Batch(&dep),
+                &InferenceBackend::Deployed(&dep),
                 &arm_inference_options(Arm::Full, &cfg),
                 &mut rng,
             )

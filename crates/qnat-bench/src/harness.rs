@@ -243,7 +243,7 @@ pub fn eval_on_hardware(
     let result = infer(
         qnn,
         &features,
-        &InferenceBackend::Hardware(&dep),
+        &InferenceBackend::Deployed(&dep),
         &arm_inference_options(arm, cfg),
         &mut rng,
     )
@@ -282,7 +282,7 @@ pub fn eval_on_hardware_batched(
     let result = infer(
         qnn,
         &features,
-        &InferenceBackend::Batch(&dep),
+        &InferenceBackend::Deployed(&dep),
         &arm_inference_options(arm, cfg),
         &mut rng,
     )

@@ -34,11 +34,12 @@
 //! index, so the merged [`ExecutionReport`] is also identical across
 //! worker counts.
 
-use crate::executor::{splitmix64, ExecutionReport, ResilientExecutor};
+use crate::executor::{ExecutionReport, ResilientExecutor};
 use crate::health::{
     Admission, DeadlineBudget, DeadlinePolicy, HealthPolicy, HealthRegistry, JobSignal,
 };
 use qnat_noise::backend::{BackendError, Measurements};
+use qnat_noise::seed::derive;
 use qnat_sim::circuit::Circuit;
 use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -191,7 +192,7 @@ where
     /// The per-job executor seed for batch-global job index `job` — pure
     /// function of `(batch seed, job)`.
     pub fn job_seed(&self, job: u64) -> u64 {
-        splitmix64(self.seed ^ splitmix64(job))
+        derive(self.seed, job)
     }
 
     /// Runs every job through the pool and merges the per-job reports.

@@ -24,23 +24,16 @@
 //! inference surfaces to the caller.
 
 use qnat_noise::backend::{BackendError, Measurements, QuantumBackend};
+use qnat_noise::seed::derive;
 use qnat_sim::circuit::Circuit;
 use std::collections::BTreeMap;
 use std::fmt;
 
 pub use crate::time::{Sleeper, ThreadSleeper, VirtualSleeper};
 
-/// SplitMix64 — the seed hash behind every per-job derivation in the
-/// deployment stack: retry jitter draws here, per-job executor seeds in
-/// [`crate::batch::BatchExecutor::job_seed`], and per-ticket seeds in the
-/// `qnat-serve` engine (which must match the batch derivation exactly so a
-/// served workload replays as a batch bit-for-bit).
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+/// Re-exported from [`qnat_noise::seed`], where every seed derivation of
+/// the stack lives.
+pub use qnat_noise::seed::splitmix64;
 
 /// Retry/backoff/degradation policy of a [`ResilientExecutor`].
 #[derive(Debug, Clone, PartialEq)]
@@ -94,7 +87,7 @@ impl RetryPolicy {
             .base_backoff_ms
             .saturating_mul(1u64.checked_shl(retry.min(32)).unwrap_or(u64::MAX))
             .min(self.max_backoff_ms);
-        let h = splitmix64(self.jitter_seed ^ splitmix64(job.wrapping_mul(0x1_0001).wrapping_add(retry as u64)));
+        let h = derive(self.jitter_seed, job.wrapping_mul(0x1_0001).wrapping_add(retry as u64));
         // 53-bit mantissa draw in [0, 1).
         let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
         let factor = 1.0 + self.jitter.clamp(0.0, 1.0) * (2.0 * unit - 1.0);

@@ -8,20 +8,27 @@
 //! measurement outcomes pass through post-measurement normalization (batch
 //! or validation statistics) and quantization before re-upload.
 //!
-//! Three deployment shapes exist:
+//! Every device deployment has one shape: the [`BlockPlan`]s of
+//! [`Qnn::route_plan`] (each block routed, windowed and lowered for the
+//! device) plus the thing that runs them. [`infer`] reaches all of them
+//! through the [`Deployment`] trait ([`InferenceBackend::Deployed`]):
 //!
-//! * [`Qnn::deploy`] — the direct emulator path, which surfaces any
-//!   [`BackendError`] to the caller.
-//! * [`Qnn::deploy_resilient`] — every block runs behind a
+//! * [`Qnn::deploy`] — the direct emulator path, one [`ModelEngine`] per
+//!   block, which surfaces any [`BackendError`] to the caller.
+//! * [`Qnn::deploy_resilient`] — every block behind one long-lived
 //!   [`ResilientExecutor`] (retry/backoff, optional fault injection, and
 //!   graceful degradation from the hardware emulator to the Pauli
-//!   noise-model simulator). [`infer`] surfaces the merged
-//!   [`ExecutionReport`] on the result.
-//! * [`Qnn::deploy_batch`] — like `deploy_resilient`, but each block's
-//!   whole batch of circuits is fanned across a
-//!   [`BatchExecutor`](crate::batch::BatchExecutor) worker pool. Per-job
-//!   seeding keeps results bitwise identical to the single-worker path
-//!   regardless of pool size.
+//!   noise-model simulator).
+//! * [`Qnn::deploy_batch`] — each block's whole batch fanned across a
+//!   [`BatchExecutor`] worker pool, every job behind a fresh executor from
+//!   [`BlockPlan::job_factory`]. Per-job seeding keeps results bitwise
+//!   identical to the single-worker path regardless of pool size.
+//! * `qnat-serve`'s `ServingQnn` — blocks submitted to long-lived serving
+//!   engines built over the same job factory and per-block seeds
+//!   ([`block_seed`]), so a first served batch replays the pooled one.
+//!
+//! The last three report retries, backoff and degradation through
+//! [`Deployment::report`], which [`infer`] surfaces on the result.
 //!
 //! The whole pipeline is fallible: [`infer`] returns [`InferError`] instead
 //! of panicking, so a flaky backend can never take down a deployment loop.
@@ -29,23 +36,25 @@
 use crate::batch::{BatchExecutor, BatchJob};
 use crate::executor::{splitmix64, ExecutionReport, ResilientExecutor, RetryPolicy};
 use crate::forward::QuantizeSpec;
-use crate::health::{HealthPolicy, HealthRegistry};
 use crate::head::apply_head;
-use crate::model::{NoiseSource, Qnn};
+use crate::health::{HealthPolicy, HealthRegistry};
+use crate::model::{Block, NoiseSource, Qnn};
 use crate::normalize::{try_normalize_batch, NormError, NormStats};
 use qnat_autodiff::tape::quantize_value;
 use qnat_compiler::mapping::{noise_adaptive_layout, Layout};
 use qnat_compiler::symbolic::{lower_symbolic, SymbolicLowered};
 use qnat_compiler::transpile::route_and_window;
-use qnat_noise::backend::{BackendError, EmulatorBackend, NoiseModelBackend, QuantumBackend};
+use qnat_noise::backend::{
+    BackendError, EmulatorBackend, ModelEngine, NoiseModelBackend, QuantumBackend,
+};
 use qnat_noise::device::{DeviceModel, InvalidDeviceError};
-use qnat_noise::emulator::HardwareEmulator;
 use qnat_noise::fault::{FaultSpec, FaultyBackend};
-use qnat_noise::trajectory::TrajectoryEmulator;
-use rand::Rng;
+use qnat_sim::circuit::Circuit;
+use rand::{Rng, RngCore};
 use std::cell::RefCell;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 pub use qnat_noise::backend::{DEFAULT_TRAJECTORIES, DENSITY_MATRIX_LIMIT};
 
@@ -154,10 +163,9 @@ pub struct InferenceResult {
     /// Raw (pre-normalization) measurement outcomes of each block:
     /// `block_outputs[block][sample][qubit]`.
     pub block_outputs: Vec<Vec<Vec<f64>>>,
-    /// Cumulative execution report of the resilient executors (present
-    /// for [`InferenceBackend::Resilient`], [`InferenceBackend::Batch`]
-    /// and reporting [`InferenceBackend::Serving`] deployments — retries,
-    /// backoff and degradation events since the model was deployed).
+    /// Cumulative execution report of the deployment's resilient
+    /// executors ([`Deployment::report`]: retries, backoff and degradation
+    /// events since the model was deployed), if it tracks one.
     pub report: Option<ExecutionReport>,
 }
 
@@ -168,132 +176,10 @@ impl InferenceResult {
     }
 }
 
-/// The physical backend a deployed block runs on.
-#[derive(Debug, Clone)]
-enum BlockEmulator {
-    /// Exact density-matrix emulation (small windows).
-    Density(HardwareEmulator),
-    /// Monte-Carlo trajectory emulation (large windows).
-    Trajectory(TrajectoryEmulator),
-}
-
-impl BlockEmulator {
-    fn expect_all_z<R: Rng>(
-        &self,
-        c: &qnat_sim::Circuit,
-        rng: &mut R,
-    ) -> Result<Vec<f64>, BackendError> {
-        match self {
-            BlockEmulator::Density(e) => e.expect_all_z(c),
-            BlockEmulator::Trajectory(e) => e.expect_all_z(c, rng),
-        }
-    }
-
-    fn sampled_expect_all_z<R: Rng>(
-        &self,
-        c: &qnat_sim::Circuit,
-        shots: usize,
-        rng: &mut R,
-    ) -> Result<Vec<f64>, BackendError> {
-        match self {
-            BlockEmulator::Density(e) => e.sampled_expect_all_z(c, shots, rng),
-            BlockEmulator::Trajectory(e) => e.sampled_expect_all_z(c, shots, rng),
-        }
-    }
-}
-
-/// One block deployed on a device: routed, lowered and bound to a hardware
-/// emulator view.
-#[derive(Debug, Clone)]
-pub struct DeployedBlock {
-    lowered: SymbolicLowered,
-    obs: Vec<usize>,
-    emulator: BlockEmulator,
-}
-
-/// A QNN transpiled for a target device.
-#[derive(Debug, Clone)]
-pub struct DeployedQnn<'a> {
-    qnn: &'a Qnn,
-    blocks: Vec<DeployedBlock>,
-    /// Finite-shot sampling (`None` = exact expectations, paper uses 8192).
-    pub shots: Option<usize>,
-}
-
-impl DeployedQnn<'_> {
-    /// Per-block expectation evaluation on the emulator.
-    fn eval_block<R: Rng>(
-        &self,
-        block_idx: usize,
-        inputs: &[f64],
-        rng: &mut R,
-    ) -> Result<Vec<f64>, BackendError> {
-        let block = &self.qnn.blocks()[block_idx];
-        let dep = &self.blocks[block_idx];
-        let mut params = block.encoder.angles(inputs);
-        params.extend_from_slice(self.qnn.block_params(block_idx));
-        let bound = dep.lowered.bind(&params);
-        let window_z = match self.shots {
-            Some(s) => dep.emulator.sampled_expect_all_z(&bound, s, rng)?,
-            None => dep.emulator.expect_all_z(&bound, rng)?,
-        };
-        Ok(dep.obs.iter().map(|&w| window_z[w]).collect())
-    }
-}
-
-/// One block behind a retrying, degradable executor.
-struct ResilientBlock {
-    lowered: SymbolicLowered,
-    obs: Vec<usize>,
-    // `infer` takes the backend by shared reference while the executor
-    // mutates its RNGs, job counters and report — hence interior
-    // mutability. Inference is single-threaded per deployment.
-    executor: RefCell<ResilientExecutor>,
-}
-
-/// A QNN deployed behind per-block [`ResilientExecutor`]s: the hardware
-/// emulator as primary, the Pauli noise-model simulator as graceful
-/// fallback, with optional injected faults for robustness studies.
-pub struct ResilientQnn<'a> {
-    qnn: &'a Qnn,
-    blocks: Vec<ResilientBlock>,
-    /// Finite-shot sampling (`None` = exact expectations).
-    pub shots: Option<usize>,
-}
-
-impl ResilientQnn<'_> {
-    fn eval_block(&self, block_idx: usize, inputs: &[f64]) -> Result<Vec<f64>, BackendError> {
-        let block = &self.qnn.blocks()[block_idx];
-        let dep = &self.blocks[block_idx];
-        let mut params = block.encoder.angles(inputs);
-        params.extend_from_slice(self.qnn.block_params(block_idx));
-        let bound = dep.lowered.bind(&params);
-        let m = dep.executor.borrow_mut().execute(&bound, self.shots)?;
-        Ok(dep.obs.iter().map(|&w| m.expectations[w]).collect())
-    }
-
-    /// Merged execution report across all block executors (cumulative
-    /// since deployment).
-    pub fn report(&self) -> ExecutionReport {
-        let mut merged = ExecutionReport::default();
-        for b in &self.blocks {
-            merged.merge(b.executor.borrow().report());
-        }
-        merged
-    }
-
-    /// `true` if any block has permanently degraded to its fallback.
-    pub fn is_degraded(&self) -> bool {
-        self.blocks.iter().any(|b| b.executor.borrow().is_degraded())
-    }
-}
-
-/// One block routed and lowered for pooled (or served) submission, with
-/// the device window kept so per-job backends can be built inside a worker
-/// pool long after deployment.
-///
-/// Shared by [`Qnn::deploy_batch`] and the `qnat-serve` serving engine —
-/// both obtain their plans from [`Qnn::route_plan`].
+/// One block routed, windowed and lowered for a device — the shape every
+/// device deployment shares ([`Qnn::route_plan`]). The routed window is
+/// kept so backends can be built over it at any time, including inside a
+/// worker pool long after deployment.
 #[derive(Debug, Clone)]
 pub struct BlockPlan {
     /// The routed, windowed circuit lowered to symbolic parameters.
@@ -302,13 +188,198 @@ pub struct BlockPlan {
     pub obs: Vec<usize>,
     /// The routed device window backends are built over.
     pub view: DeviceModel,
-    /// Fusion structure of `lowered`'s template, computed once per plan
-    /// (and shared across deployments on a
-    /// [`PlanCache`](crate::compile_cache::PlanCache) hit): consumers
-    /// evaluating bound circuits noise-free fuse through
-    /// [`FusionPlan::fuse_bound`](qnat_compiler::fusion::FusionPlan)
-    /// instead of re-deriving the structure per deployment.
-    pub fusion: std::sync::Arc<qnat_compiler::fusion::FusionPlan>,
+}
+
+impl BlockPlan {
+    /// The circuit block `block_idx` of `qnn` runs for one input row: the
+    /// row's encoder angles, then the block's trained parameters, bound
+    /// into the lowered template.
+    pub fn bind(&self, qnn: &Qnn, block_idx: usize, row: &[f64]) -> Circuit {
+        let mut params = qnn.blocks()[block_idx].encoder.angles(row);
+        params.extend_from_slice(qnn.block_params(block_idx));
+        self.lowered.bind(&params)
+    }
+
+    /// The observable expectations, in logical order, out of the window's
+    /// per-qubit `⟨Z⟩`.
+    pub fn observe(&self, window_z: &[f64]) -> Vec<f64> {
+        self.obs.iter().map(|&w| window_z[w]).collect()
+    }
+
+    /// The per-job executor factory of pooled and served deployments:
+    /// `(job, job_seed)` gets a fresh emulator-primary, noise-model-fallback
+    /// executor seeded `job_seed`.
+    /// Fault *rolls* and retry jitter are decorrelated per job (their
+    /// seeds `^ job_seed`); calibration *drift* is positioned at the
+    /// batch-global job (or ticket) index, so all per-job backends sample
+    /// one fleet-wide drift trajectory.
+    pub fn job_factory(
+        &self,
+        policy: &RetryPolicy,
+        faults: Option<FaultSpec>,
+    ) -> impl Fn(u64, u64) -> Result<ResilientExecutor, BackendError> + Send + Sync + 'static {
+        let view = self.view.clone();
+        let policy = policy.clone();
+        move |job, job_seed| {
+            let faults = faults.map(|spec| FaultSpec {
+                seed: spec.seed ^ job_seed,
+                ..spec
+            });
+            let policy = RetryPolicy {
+                jitter_seed: policy.jitter_seed ^ job_seed,
+                ..policy.clone()
+            };
+            window_executor(&view, job_seed, faults, job, policy)
+        }
+    }
+
+    /// Registry key of block `block_idx`'s primary-backend breaker: the
+    /// routed device window is the unit that fails (and recovers) as one.
+    pub fn breaker_key(&self, block_idx: usize) -> String {
+        format!("emulator({})/block{}", self.view.name(), block_idx)
+    }
+}
+
+/// Block `block_idx`'s seed under deployment seed `seed` — the pool seed of
+/// [`Qnn::deploy_batch`] and the engine seed of `qnat-serve`'s serving
+/// deployment, which must agree for a served batch to replay a pooled one.
+pub fn block_seed(seed: u64, block_idx: usize) -> u64 {
+    splitmix64(seed ^ (block_idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+}
+
+/// A resilient executor over a routed window: the hardware emulator seeded
+/// `seed` as primary (with `faults` injected, drift positioned at
+/// `first_job`), the Pauli noise-model simulator seeded `seed ^ 0x5eed` as
+/// graceful fallback.
+fn window_executor(
+    view: &DeviceModel,
+    seed: u64,
+    faults: Option<FaultSpec>,
+    first_job: u64,
+    policy: RetryPolicy,
+) -> Result<ResilientExecutor, BackendError> {
+    let emulator = EmulatorBackend::new(view, seed)?;
+    let primary: Box<dyn QuantumBackend> = match faults {
+        Some(spec) => Box::new(FaultyBackend::starting_at(emulator, spec, first_job)),
+        None => Box::new(emulator),
+    };
+    let fallback = NoiseModelBackend::new(view, seed ^ 0x5eed)?;
+    Ok(ResilientExecutor::with_fallback(
+        primary,
+        Box::new(fallback),
+        policy,
+    ))
+}
+
+/// A model deployed on a device, as [`infer`] sees it: something that turns
+/// one block's batch of input rows into per-row observable expectations.
+///
+/// Implemented by [`DeployedQnn`], [`ResilientQnn`], [`BatchedQnn`] and
+/// `qnat-serve`'s `ServingQnn`.
+pub trait Deployment {
+    /// Evaluates block `block_idx` for every row of the batch, returning
+    /// per-row observable expectations in row order. Only deployments that
+    /// sample on the caller's stream ([`DeployedQnn`]) draw from `rng`;
+    /// the others carry their own seeds.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first row's [`BackendError`] if any job failed past
+    /// every retry, fallback and admission decision.
+    fn run_block(
+        &self,
+        block_idx: usize,
+        rows: &[Vec<f64>],
+        rng: &mut dyn RngCore,
+    ) -> Result<Vec<Vec<f64>>, BackendError>;
+
+    /// Cumulative merged execution report since deployment, if the
+    /// deployment tracks one.
+    fn report(&self) -> Option<ExecutionReport> {
+        None
+    }
+}
+
+/// A QNN transpiled for a target device, each block run directly on a
+/// hardware emulator view of its window.
+#[derive(Debug, Clone)]
+pub struct DeployedQnn<'a> {
+    qnn: &'a Qnn,
+    plans: Vec<BlockPlan>,
+    engines: Vec<ModelEngine>,
+    /// Finite-shot sampling (`None` = exact expectations, paper uses 8192).
+    pub shots: Option<usize>,
+}
+
+impl Deployment for DeployedQnn<'_> {
+    fn run_block(
+        &self,
+        block_idx: usize,
+        rows: &[Vec<f64>],
+        mut rng: &mut dyn RngCore,
+    ) -> Result<Vec<Vec<f64>>, BackendError> {
+        let plan = &self.plans[block_idx];
+        let engine = &self.engines[block_idx];
+        rows.iter()
+            .map(|row| {
+                let bound = plan.bind(self.qnn, block_idx, row);
+                Ok(plan.observe(&engine.run(&bound, self.shots, &mut rng)?))
+            })
+            .collect()
+    }
+}
+
+/// A QNN deployed behind per-block [`ResilientExecutor`]s: the hardware
+/// emulator as primary, the Pauli noise-model simulator as graceful
+/// fallback, with optional injected faults for robustness studies.
+pub struct ResilientQnn<'a> {
+    qnn: &'a Qnn,
+    plans: Vec<BlockPlan>,
+    // `infer` takes the deployment by shared reference while the executors
+    // mutate their RNGs, job counters and reports — hence interior
+    // mutability. Inference is single-threaded per deployment.
+    executors: Vec<RefCell<ResilientExecutor>>,
+    /// Finite-shot sampling (`None` = exact expectations).
+    pub shots: Option<usize>,
+}
+
+impl ResilientQnn<'_> {
+    /// Merged execution report across all block executors (cumulative
+    /// since deployment).
+    pub fn report(&self) -> ExecutionReport {
+        let mut merged = ExecutionReport::default();
+        for e in &self.executors {
+            merged.merge(e.borrow().report());
+        }
+        merged
+    }
+
+    /// `true` if any block has permanently degraded to its fallback.
+    pub fn is_degraded(&self) -> bool {
+        self.executors.iter().any(|e| e.borrow().is_degraded())
+    }
+}
+
+impl Deployment for ResilientQnn<'_> {
+    fn run_block(
+        &self,
+        block_idx: usize,
+        rows: &[Vec<f64>],
+        _rng: &mut dyn RngCore,
+    ) -> Result<Vec<Vec<f64>>, BackendError> {
+        let plan = &self.plans[block_idx];
+        let mut executor = self.executors[block_idx].borrow_mut();
+        rows.iter()
+            .map(|row| {
+                let bound = plan.bind(self.qnn, block_idx, row);
+                Ok(plan.observe(&executor.execute(&bound, self.shots)?.expectations))
+            })
+            .collect()
+    }
+
+    fn report(&self) -> Option<ExecutionReport> {
+        Some(ResilientQnn::report(self))
+    }
 }
 
 /// A QNN deployed for pooled batch submission: each block's circuits fan
@@ -320,7 +391,7 @@ pub struct BlockPlan {
 /// notes on [`crate::batch`].
 pub struct BatchedQnn<'a> {
     qnn: &'a Qnn,
-    blocks: Vec<BlockPlan>,
+    plans: Vec<BlockPlan>,
     /// Finite-shot sampling (`None` = exact expectations).
     pub shots: Option<usize>,
     policy: RetryPolicy,
@@ -333,79 +404,14 @@ pub struct BatchedQnn<'a> {
     /// Shared breaker table. Defaults to a private registry per
     /// deployment (deterministic); [`BatchedQnn::with_health_registry`]
     /// swaps in a shared one to pool health signal across deployments.
-    registry: std::sync::Arc<HealthRegistry>,
+    registry: Arc<HealthRegistry>,
     // `infer` holds the deployment by shared reference while batch runs
     // accumulate into the report — hence interior mutability. A deployment
-    // is driven from one thread; the pool lives inside `eval_block_batch`.
+    // is driven from one thread; the pool lives inside `run_block`.
     report: RefCell<ExecutionReport>,
 }
 
 impl BatchedQnn<'_> {
-    /// Evaluates one block for the whole batch through the worker pool.
-    fn eval_block_batch(
-        &self,
-        block_idx: usize,
-        rows: &[Vec<f64>],
-    ) -> Result<Vec<Vec<f64>>, BackendError> {
-        let block = &self.qnn.blocks()[block_idx];
-        let dep = &self.blocks[block_idx];
-        let jobs: Vec<BatchJob> = rows
-            .iter()
-            .map(|row| {
-                let mut params = block.encoder.angles(row);
-                params.extend_from_slice(self.qnn.block_params(block_idx));
-                BatchJob {
-                    circuit: dep.lowered.bind(&params),
-                    shots: self.shots,
-                }
-            })
-            .collect();
-        let view = &dep.view;
-        let policy = &self.policy;
-        let faults = self.faults;
-        let factory = move |job: u64, job_seed: u64| -> Result<ResilientExecutor, BackendError> {
-            let emulator = EmulatorBackend::new(view, job_seed)?;
-            let primary: Box<dyn QuantumBackend> = match faults {
-                // Fault *rolls* are decorrelated per job (seed ^
-                // job_seed); calibration *drift* is positioned at the
-                // batch-global job index, so all per-job backends sample
-                // one fleet-wide drift trajectory.
-                Some(spec) => Box::new(FaultyBackend::starting_at(
-                    emulator,
-                    FaultSpec {
-                        seed: spec.seed ^ job_seed,
-                        ..spec
-                    },
-                    job,
-                )),
-                None => Box::new(emulator),
-            };
-            let fallback = NoiseModelBackend::new(view, job_seed ^ 0x5eed)?;
-            Ok(ResilientExecutor::with_fallback(
-                primary,
-                Box::new(fallback),
-                RetryPolicy {
-                    jitter_seed: policy.jitter_seed ^ job_seed,
-                    ..policy.clone()
-                },
-            ))
-        };
-        let pool_seed = splitmix64(self.seed ^ (block_idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let pool = BatchExecutor::new(self.workers, pool_seed, factory);
-        let outcome = match &self.health {
-            Some(health) => {
-                pool.execute_with_health(&jobs, health, &self.registry, &self.breaker_key(block_idx))
-            }
-            None => pool.execute(&jobs),
-        };
-        self.report.borrow_mut().merge(&outcome.report);
-        let measurements = outcome.into_measurements()?;
-        Ok(measurements
-            .into_iter()
-            .map(|m| dep.obs.iter().map(|&w| m.expectations[w]).collect())
-            .collect())
-    }
-
     /// Cumulative merged execution report of every pooled batch run since
     /// deployment.
     pub fn report(&self) -> ExecutionReport {
@@ -430,29 +436,74 @@ impl BatchedQnn<'_> {
     /// deployments pool their health signal. Note the determinism caveat
     /// in [`crate::health`]: trips driven by another deployment's traffic
     /// arrive at nondeterministic points.
-    pub fn with_health_registry(mut self, registry: std::sync::Arc<HealthRegistry>) -> Self {
+    pub fn with_health_registry(mut self, registry: Arc<HealthRegistry>) -> Self {
         self.registry = registry;
         self
     }
 
     /// The registry holding this deployment's circuit breakers.
-    pub fn health_registry(&self) -> &std::sync::Arc<HealthRegistry> {
+    pub fn health_registry(&self) -> &Arc<HealthRegistry> {
         &self.registry
     }
 
-    /// Registry key of `block_idx`'s primary-backend breaker: the routed
-    /// device window is the unit that fails (and recovers) as one.
+    /// Registry key of `block_idx`'s primary-backend breaker
+    /// ([`BlockPlan::breaker_key`]).
     pub fn breaker_key(&self, block_idx: usize) -> String {
-        format!("emulator({})/block{}", self.blocks[block_idx].view.name(), block_idx)
+        self.plans[block_idx].breaker_key(block_idx)
+    }
+}
+
+impl Deployment for BatchedQnn<'_> {
+    fn run_block(
+        &self,
+        block_idx: usize,
+        rows: &[Vec<f64>],
+        _rng: &mut dyn RngCore,
+    ) -> Result<Vec<Vec<f64>>, BackendError> {
+        let plan = &self.plans[block_idx];
+        let jobs: Vec<BatchJob> = rows
+            .iter()
+            .map(|row| BatchJob {
+                circuit: plan.bind(self.qnn, block_idx, row),
+                shots: self.shots,
+            })
+            .collect();
+        let pool = BatchExecutor::new(
+            self.workers,
+            block_seed(self.seed, block_idx),
+            plan.job_factory(&self.policy, self.faults),
+        );
+        let outcome = match &self.health {
+            Some(health) => {
+                pool.execute_with_health(&jobs, health, &self.registry, &self.breaker_key(block_idx))
+            }
+            None => pool.execute(&jobs),
+        };
+        self.report.borrow_mut().merge(&outcome.report);
+        Ok(outcome
+            .into_measurements()?
+            .iter()
+            .map(|m| plan.observe(&m.expectations))
+            .collect())
+    }
+
+    fn report(&self) -> Option<ExecutionReport> {
+        Some(BatchedQnn::report(self))
+    }
+}
+
+/// A backend construction failure reported as a deployment failure.
+fn invalid_device(e: BackendError) -> InvalidDeviceError {
+    InvalidDeviceError {
+        reason: e.to_string(),
     }
 }
 
 impl Qnn {
     /// Routes and lowers every block for a device without binding it to
-    /// any executor — the shared front half of [`Qnn::deploy_batch`] and
-    /// the `qnat-serve` serving deployment. `opt_level ≥ 3` enables the
-    /// noise-adaptive initial layout (Table 7); lower levels use the
-    /// trivial layout.
+    /// any executor — the front half every deployment shares.
+    /// `opt_level ≥ 3` enables the noise-adaptive initial layout
+    /// (Table 7); lower levels use the trivial layout.
     ///
     /// # Errors
     ///
@@ -462,21 +513,10 @@ impl Qnn {
         device: &DeviceModel,
         opt_level: u8,
     ) -> Result<Vec<BlockPlan>, InvalidDeviceError> {
-        let mut plans = Vec::with_capacity(self.blocks().len());
-        for block in self.blocks() {
-            let (windowed, obs, view) = route_block(self, block, device, opt_level)?;
-            let lowered = lower_symbolic(&windowed);
-            let fusion = std::sync::Arc::new(
-                qnat_compiler::fusion::FusionPlan::for_template(&lowered.circuit),
-            );
-            plans.push(BlockPlan {
-                lowered,
-                obs,
-                view,
-                fusion,
-            });
-        }
-        Ok(plans)
+        self.blocks()
+            .iter()
+            .map(|block| self.compile_block(block, device, opt_level))
+            .collect()
     }
 
     /// Like [`Qnn::route_plan`], but memoized through a shared
@@ -501,29 +541,51 @@ impl Qnn {
         cache: &crate::compile_cache::PlanCache,
     ) -> Result<Vec<BlockPlan>, InvalidDeviceError> {
         let device_fp = device.fingerprint();
-        let mut plans = Vec::with_capacity(self.blocks().len());
-        for block in self.blocks() {
-            let key = crate::compile_cache::PlanKey {
-                circuit: block.logical.fingerprint(),
-                device: device_fp,
-                opt_level,
-            };
-            let plan = cache.get_or_insert_with(key, || -> Result<BlockPlan, InvalidDeviceError> {
-                let (windowed, obs, view) = route_block(self, block, device, opt_level)?;
-                let lowered = lower_symbolic(&windowed);
-                let fusion = std::sync::Arc::new(
-                    qnat_compiler::fusion::FusionPlan::for_template(&lowered.circuit),
-                );
-                Ok(BlockPlan {
-                    lowered,
-                    obs,
-                    view,
-                    fusion,
-                })
-            })?;
-            plans.push((*plan).clone());
+        self.blocks()
+            .iter()
+            .map(|block| {
+                let key = crate::compile_cache::PlanKey {
+                    circuit: block.logical.fingerprint(),
+                    device: device_fp,
+                    opt_level,
+                };
+                let plan = cache
+                    .get_or_insert_with(key, || self.compile_block(block, device, opt_level))?;
+                Ok((*plan).clone())
+            })
+            .collect()
+    }
+
+    /// Layout, routing, window extraction and symbolic lowering of one
+    /// block — the compile step behind both routing entry points.
+    fn compile_block(
+        &self,
+        block: &Block,
+        device: &DeviceModel,
+        opt_level: u8,
+    ) -> Result<BlockPlan, InvalidDeviceError> {
+        let n_qubits = self.config().n_qubits;
+        if n_qubits > device.n_qubits() {
+            return Err(InvalidDeviceError {
+                reason: format!(
+                    "model needs {} qubits, device {} has {}",
+                    n_qubits,
+                    device.name(),
+                    device.n_qubits()
+                ),
+            });
         }
-        Ok(plans)
+        let layout = if opt_level >= 3 {
+            noise_adaptive_layout(&block.logical, device)
+        } else {
+            Layout::trivial(n_qubits)
+        };
+        let (windowed, _window, obs, view) = route_and_window(&block.logical, device, &layout)?;
+        Ok(BlockPlan {
+            lowered: lower_symbolic(&windowed),
+            obs,
+            view,
+        })
     }
 
     /// Transpiles the model for a device. `opt_level ≥ 3` enables the
@@ -538,28 +600,16 @@ impl Qnn {
         device: &DeviceModel,
         opt_level: u8,
     ) -> Result<DeployedQnn<'a>, InvalidDeviceError> {
-        let mut blocks = Vec::with_capacity(self.blocks().len());
-        for block in self.blocks() {
-            let (windowed, obs, view) = route_block(self, block, device, opt_level)?;
-            let emulator = if view.n_qubits() <= DENSITY_MATRIX_LIMIT {
-                BlockEmulator::Density(HardwareEmulator::new(view))
-            } else {
-                BlockEmulator::Trajectory(
-                    TrajectoryEmulator::new(view, DEFAULT_TRAJECTORIES)
-                        .map_err(|e| InvalidDeviceError {
-                            reason: e.to_string(),
-                        })?,
-                )
-            };
-            blocks.push(DeployedBlock {
-                lowered: lower_symbolic(&windowed),
-                obs,
-                emulator,
-            });
-        }
+        let plans = self.route_plan(device, opt_level)?;
+        let engines = plans
+            .iter()
+            .map(|plan| ModelEngine::build(plan.view.clone()))
+            .collect::<Result<_, _>>()
+            .map_err(invalid_device)?;
         Ok(DeployedQnn {
             qnn: self,
-            blocks,
+            plans,
+            engines,
             shots: None,
         })
     }
@@ -583,39 +633,25 @@ impl Qnn {
         faults: Option<FaultSpec>,
         seed: u64,
     ) -> Result<ResilientQnn<'a>, InvalidDeviceError> {
-        let backend_err = |e: BackendError| InvalidDeviceError {
-            reason: e.to_string(),
-        };
-        let mut blocks = Vec::with_capacity(self.blocks().len());
-        for (bi, block) in self.blocks().iter().enumerate() {
-            let (windowed, obs, view) = route_block(self, block, device, opt_level)?;
-            let block_seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(bi as u64));
-            let emulator = EmulatorBackend::new(&view, block_seed).map_err(backend_err)?;
-            let primary: Box<dyn QuantumBackend> = match faults {
-                Some(spec) => Box::new(FaultyBackend::new(
-                    emulator,
-                    FaultSpec {
-                        seed: spec.seed.wrapping_add(bi as u64),
-                        ..spec
-                    },
-                )),
-                None => Box::new(emulator),
-            };
-            let fallback =
-                NoiseModelBackend::new(&view, block_seed ^ 0x5eed).map_err(backend_err)?;
-            blocks.push(ResilientBlock {
-                lowered: lower_symbolic(&windowed),
-                obs,
-                executor: RefCell::new(ResilientExecutor::with_fallback(
-                    primary,
-                    Box::new(fallback),
-                    policy.clone(),
-                )),
-            });
-        }
+        let plans = self.route_plan(device, opt_level)?;
+        let executors = plans
+            .iter()
+            .enumerate()
+            .map(|(bi, plan)| {
+                let block_seed =
+                    seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(bi as u64));
+                let faults = faults.map(|spec| FaultSpec {
+                    seed: spec.seed.wrapping_add(bi as u64),
+                    ..spec
+                });
+                window_executor(&plan.view, block_seed, faults, 0, policy.clone()).map(RefCell::new)
+            })
+            .collect::<Result<_, _>>()
+            .map_err(invalid_device)?;
         Ok(ResilientQnn {
             qnn: self,
-            blocks,
+            plans,
+            executors,
             shots: None,
         })
     }
@@ -641,72 +677,16 @@ impl Qnn {
     ) -> Result<BatchedQnn<'a>, InvalidDeviceError> {
         Ok(BatchedQnn {
             qnn: self,
-            blocks: self.route_plan(device, opt_level)?,
+            plans: self.route_plan(device, opt_level)?,
             shots: None,
             policy,
             faults,
             workers: workers.max(1),
             seed,
             health: None,
-            registry: std::sync::Arc::new(HealthRegistry::new()),
+            registry: Arc::new(HealthRegistry::new()),
             report: RefCell::new(ExecutionReport::default()),
         })
-    }
-}
-
-/// Shared routing front half of both deployment paths: layout, routing,
-/// window extraction.
-fn route_block(
-    qnn: &Qnn,
-    block: &crate::model::Block,
-    device: &DeviceModel,
-    opt_level: u8,
-) -> Result<(qnat_sim::Circuit, Vec<usize>, DeviceModel), InvalidDeviceError> {
-    if qnn.config().n_qubits > device.n_qubits() {
-        return Err(InvalidDeviceError {
-            reason: format!(
-                "model needs {} qubits, device {} has {}",
-                qnn.config().n_qubits,
-                device.name(),
-                device.n_qubits()
-            ),
-        });
-    }
-    let layout = if opt_level >= 3 {
-        noise_adaptive_layout(&block.logical, device)
-    } else {
-        Layout::trivial(qnn.config().n_qubits)
-    };
-    let (windowed, _window, obs, view) = route_and_window(&block.logical, device, &layout)?;
-    Ok((windowed, obs, view))
-}
-
-/// A long-lived serving deployment [`infer`] can hand whole block batches
-/// to — the seam the `qnat-serve` crate plugs its `ServeEngine` into
-/// without `qnat-core` depending on it.
-///
-/// Implementations submit every row of the block as one job each, wait for
-/// all tickets, and return per-row observable expectations in submission
-/// order (completion order is the serving layer's concern, not the
-/// pipeline's).
-pub trait ServeBackend {
-    /// Evaluates `block_idx` for every row of the batch, returning
-    /// per-row observable expectations in row order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first row's [`BackendError`] if any job failed past
-    /// every retry, fallback and admission decision.
-    fn serve_block_batch(
-        &self,
-        block_idx: usize,
-        rows: &[Vec<f64>],
-    ) -> Result<Vec<Vec<f64>>, BackendError>;
-
-    /// Cumulative merged execution report of the serving workers, if the
-    /// implementation tracks one.
-    fn serve_report(&self) -> Option<ExecutionReport> {
-        None
     }
 }
 
@@ -725,18 +705,11 @@ pub enum InferenceBackend<'a> {
         /// Number of stochastic samples to average.
         n_avg: usize,
     },
-    /// The density-matrix hardware emulator ("real QC" stand-in).
-    Hardware(&'a DeployedQnn<'a>),
-    /// The hardware emulator behind retry/backoff executors with graceful
-    /// degradation to the noise-model simulator.
-    Resilient(&'a ResilientQnn<'a>),
-    /// Like [`InferenceBackend::Resilient`], but whole batches are fanned
-    /// across a worker pool ([`Qnn::deploy_batch`]).
-    Batch(&'a BatchedQnn<'a>),
-    /// A long-lived serving deployment (the `qnat-serve` engine): blocks
-    /// are submitted to a persistent job queue with admission control and
-    /// backpressure instead of a per-batch pool.
-    Serving(&'a dyn ServeBackend),
+    /// A model deployed on a device ([`Deployment`]): the hardware
+    /// emulator directly ([`Qnn::deploy`]), behind resilient executors
+    /// ([`Qnn::deploy_resilient`]), a worker pool ([`Qnn::deploy_batch`])
+    /// or `qnat-serve`'s serving engines.
+    Deployed(&'a dyn Deployment),
 }
 
 /// Runs the full inference pipeline over a batch.
@@ -770,49 +743,41 @@ pub fn infer<R: Rng>(
     let mut activations: Vec<Vec<f64>> = features.to_vec();
     let mut block_outputs = Vec::with_capacity(n_blocks);
     for bi in 0..n_blocks {
-        // Raw outcomes for the whole batch. The batch and serving backends
-        // submit all rows at once (worker pool / serve queue); the others
-        // evaluate row by row.
-        let raw: Vec<Vec<f64>> = if let InferenceBackend::Batch(dep) = backend {
-            dep.eval_block_batch(bi, &activations)?
-        } else if let InferenceBackend::Serving(dep) = backend {
-            dep.serve_block_batch(bi, &activations)?
-        } else {
-            activations
-            .iter()
-            .map(|row| -> Result<Vec<f64>, InferError> {
-                match backend {
-                    InferenceBackend::NoiseFree => Ok(qnn
-                        .eval_block(bi, row, &NoiseSource::None, None, false, rng)
-                        .outputs),
-                    InferenceBackend::PauliModel {
-                        model,
-                        factor,
-                        n_avg,
-                    } => {
-                        let n_avg = (*n_avg).max(1);
-                        let mut acc = vec![0.0; qnn.config().n_qubits];
-                        for _ in 0..n_avg {
-                            let noise = NoiseSource::GateInsertion {
-                                model,
-                                factor: *factor,
-                            };
-                            let out = qnn
-                                .eval_block(bi, row, &noise, Some(model), false, rng)
-                                .outputs;
-                            for (a, o) in acc.iter_mut().zip(&out) {
-                                *a += o;
-                            }
+        // Raw outcomes for the whole batch: a deployment takes the batch
+        // at once, the simulated backends evaluate row by row.
+        let raw: Vec<Vec<f64>> = match backend {
+            InferenceBackend::NoiseFree => activations
+                .iter()
+                .map(|row| {
+                    qnn.eval_block(bi, row, &NoiseSource::None, None, false, rng)
+                        .outputs
+                })
+                .collect(),
+            InferenceBackend::PauliModel {
+                model,
+                factor,
+                n_avg,
+            } => activations
+                .iter()
+                .map(|row| {
+                    let n_avg = (*n_avg).max(1);
+                    let mut acc = vec![0.0; qnn.config().n_qubits];
+                    for _ in 0..n_avg {
+                        let noise = NoiseSource::GateInsertion {
+                            model,
+                            factor: *factor,
+                        };
+                        let out = qnn
+                            .eval_block(bi, row, &noise, Some(model), false, rng)
+                            .outputs;
+                        for (a, o) in acc.iter_mut().zip(&out) {
+                            *a += o;
                         }
-                        Ok(acc.into_iter().map(|a| a / n_avg as f64).collect())
                     }
-                    InferenceBackend::Hardware(dep) => Ok(dep.eval_block(bi, row, rng)?),
-                    InferenceBackend::Resilient(dep) => Ok(dep.eval_block(bi, row)?),
-                    // Handled by the whole-batch paths above.
-                    InferenceBackend::Batch(_) | InferenceBackend::Serving(_) => unreachable!(),
-                }
-            })
-            .collect::<Result<_, _>>()?
+                    acc.into_iter().map(|a| a / n_avg as f64).collect()
+                })
+                .collect(),
+            InferenceBackend::Deployed(dep) => dep.run_block(bi, &activations, rng)?,
         };
         block_outputs.push(raw.clone());
         let mut processed = raw;
@@ -838,9 +803,7 @@ pub fn infer<R: Rng>(
     }
     let logits = apply_head(&activations, qnn.config().n_classes);
     let report = match backend {
-        InferenceBackend::Resilient(dep) => Some(dep.report()),
-        InferenceBackend::Batch(dep) => Some(dep.report()),
-        InferenceBackend::Serving(dep) => dep.serve_report(),
+        InferenceBackend::Deployed(dep) => dep.report(),
         _ => None,
     };
     Ok(InferenceResult {
@@ -934,7 +897,7 @@ mod tests {
         let noisy = infer(
             &qnn,
             &batch,
-            &InferenceBackend::Hardware(&dep),
+            &InferenceBackend::Deployed(&dep),
             &InferenceOptions::baseline(),
             &mut rng,
         )
@@ -963,7 +926,7 @@ mod tests {
         let noisy = infer(
             &qnn,
             &batch,
-            &InferenceBackend::Hardware(&dep),
+            &InferenceBackend::Deployed(&dep),
             &InferenceOptions::baseline(),
             &mut rng,
         )
@@ -1056,7 +1019,7 @@ mod tests {
         let exact = infer(
             &qnn,
             &batch,
-            &InferenceBackend::Hardware(&dep),
+            &InferenceBackend::Deployed(&dep),
             &InferenceOptions::baseline(),
             &mut rng,
         )
@@ -1065,7 +1028,7 @@ mod tests {
         let sampled = infer(
             &qnn,
             &batch,
-            &InferenceBackend::Hardware(&dep),
+            &InferenceBackend::Deployed(&dep),
             &InferenceOptions::baseline(),
             &mut rng,
         )
@@ -1128,7 +1091,7 @@ mod tests {
         let hw = infer(
             &qnn,
             &batch,
-            &InferenceBackend::Hardware(&dep),
+            &InferenceBackend::Deployed(&dep),
             &InferenceOptions::baseline(),
             &mut rng,
         )
@@ -1136,7 +1099,7 @@ mod tests {
         let rs = infer(
             &qnn,
             &batch,
-            &InferenceBackend::Resilient(&res),
+            &InferenceBackend::Deployed(&res),
             &InferenceOptions::baseline(),
             &mut rng,
         )
@@ -1171,7 +1134,7 @@ mod tests {
         let hw = infer(
             &qnn,
             &batch,
-            &InferenceBackend::Hardware(&dep),
+            &InferenceBackend::Deployed(&dep),
             &InferenceOptions::baseline(),
             &mut rng,
         )
@@ -1179,7 +1142,7 @@ mod tests {
         let pb = infer(
             &qnn,
             &batch,
-            &InferenceBackend::Batch(&pooled),
+            &InferenceBackend::Deployed(&pooled),
             &InferenceOptions::baseline(),
             &mut rng,
         )
@@ -1221,7 +1184,7 @@ mod tests {
             let r = infer(
                 &qnn,
                 &batch,
-                &InferenceBackend::Batch(&pooled),
+                &InferenceBackend::Deployed(&pooled),
                 &InferenceOptions::default(),
                 &mut rng,
             )

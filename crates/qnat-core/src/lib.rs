@@ -72,7 +72,7 @@ pub use health::{
     DeadlinePolicy, DeadlineSleeper, HealthPolicy, HealthRegistry, JobSignal,
 };
 pub use infer::{
-    infer, BlockPlan, InferError, InferenceBackend, InferenceOptions, NormMode, ServeBackend,
+    infer, BlockPlan, Deployment, InferError, InferenceBackend, InferenceOptions, NormMode,
 };
 pub use model::{NoiseSource, Qnn, QnnConfig};
 pub use train::{train, AdamConfig, TrainOptions};

@@ -322,7 +322,7 @@ fn deployed_batch_with_breaker_matches_results_and_cuts_attempts() {
         let out = infer(
             &qnn,
             &batch,
-            &InferenceBackend::Batch(&pooled),
+            &InferenceBackend::Deployed(&pooled),
             &InferenceOptions::baseline(),
             &mut rng,
         )

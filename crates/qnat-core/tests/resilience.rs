@@ -72,7 +72,7 @@ fn test_accuracy(
     let result = infer(
         qnn,
         &feats,
-        &InferenceBackend::Resilient(&dep),
+        &InferenceBackend::Deployed(&dep),
         &full_arm_options(),
         &mut rng,
     )

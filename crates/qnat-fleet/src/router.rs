@@ -68,11 +68,12 @@ use qnat_calib::{
     NoiseSource,
 };
 use qnat_core::batch::{run_job, BatchJob, JobDeadline};
-use qnat_core::executor::{splitmix64, ExecutionReport};
+use qnat_core::executor::ExecutionReport;
 use qnat_core::health::{BreakerPolicy, BreakerSnapshot, BreakerState, HealthRegistry};
 use qnat_noise::backend::{BackendError, Measurements};
 use qnat_noise::device::DeviceModel;
 use qnat_noise::fault::DriftCursor;
+use qnat_noise::seed::derive;
 use qnat_serve::engine::{
     AdmissionControl, EngineLoad, JobOutcome, Lane, LaneConfig, OpenAction, ServeConfig,
     ServeEngine, SubmitError, Ticket, WaitError,
@@ -778,7 +779,7 @@ impl FleetRouter {
     /// The per-job executor seed for fleet ticket `t` — the same pure
     /// derivation the batch and serving layers use.
     pub fn job_seed(&self, ticket: FleetTicket) -> u64 {
-        splitmix64(self.shared.config.seed ^ splitmix64(ticket))
+        derive(self.shared.config.seed, ticket)
     }
 
     /// Enqueues a fleet job and returns its [`FleetTicket`]. Blocks when
@@ -1011,7 +1012,7 @@ fn pilot_loop(shared: &Arc<Shared>) {
                 st = shared.jobs_cv.wait(st).unwrap_or_else(|p| p.into_inner());
             }
         };
-        let seed = splitmix64(shared.config.seed ^ splitmix64(ticket));
+        let seed = derive(shared.config.seed, ticket);
         let started = Instant::now();
         let mut trace = JobTrace {
             job: ticket,
@@ -1280,6 +1281,7 @@ mod tests {
     use qnat_noise::backend::{QuantumBackend, SimulatorBackend};
     use qnat_noise::fault::{FaultSpec, FaultyBackend};
     use qnat_noise::presets;
+    use qnat_noise::seed::splitmix64;
     use qnat_sim::circuit::Circuit;
     use qnat_sim::gate::Gate;
     use std::time::Duration;

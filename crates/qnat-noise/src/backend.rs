@@ -22,7 +22,7 @@ use qnat_sim::circuit::Circuit;
 use qnat_sim::measure::sampled_expect_all_z;
 use qnat_sim::statevector::StateVector;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::error::Error;
 use std::fmt;
 
@@ -374,17 +374,26 @@ impl QuantumBackend for SimulatorBackend {
     }
 }
 
-/// How a device-model backend evaluates circuits: exact density matrices
-/// for small windows, Monte-Carlo trajectories beyond
-/// [`DENSITY_MATRIX_LIMIT`].
+/// How a device model evaluates circuits: exact density matrices for
+/// small windows, Monte-Carlo trajectories beyond
+/// [`DENSITY_MATRIX_LIMIT`]. The engine behind both device-model backends
+/// and the direct emulator deployment of `qnat-core`.
 #[derive(Debug, Clone)]
-enum ModelEngine {
+pub enum ModelEngine {
+    /// Exact density-matrix emulation.
     Density(HardwareEmulator),
+    /// Monte-Carlo trajectory emulation.
     Trajectory(TrajectoryEmulator),
 }
 
 impl ModelEngine {
-    fn build(model: DeviceModel) -> Result<ModelEngine, BackendError> {
+    /// The engine for `model`, picked by register size.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BackendError`] if the trajectory emulator cannot be
+    /// constructed.
+    pub fn build(model: DeviceModel) -> Result<ModelEngine, BackendError> {
         if model.n_qubits() <= DENSITY_MATRIX_LIMIT {
             Ok(ModelEngine::Density(HardwareEmulator::new(model)))
         } else {
@@ -395,11 +404,17 @@ impl ModelEngine {
         }
     }
 
-    fn run(
+    /// Per-qubit `⟨Z⟩` of `circuit`: exact, or estimated from `shots`
+    /// samples drawn from `rng` (trajectories draw from `rng` either way).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BackendError`] if the circuit does not fit the model.
+    pub fn run<R: Rng>(
         &self,
         circuit: &Circuit,
         shots: Option<usize>,
-        rng: &mut StdRng,
+        rng: &mut R,
     ) -> Result<Vec<f64>, BackendError> {
         match (self, shots) {
             (ModelEngine::Density(e), None) => e.expect_all_z(circuit),

@@ -16,6 +16,7 @@
 //! device model downstream.
 
 use crate::backend::{BackendError, Measurements, QuantumBackend};
+use crate::seed::derive;
 use qnat_sim::circuit::Circuit;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -138,19 +139,10 @@ impl FaultSpec {
     }
 }
 
-/// SplitMix64 — decorrelates consecutive job indices into independent
-/// per-job seeds.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// A 53-bit uniform draw in `[0, 1)` from `(seed, salt, index)` — the
 /// deterministic source behind drift trajectories.
 fn unit_draw(seed: u64, salt: u64, index: u64) -> f64 {
-    let h = splitmix64(seed ^ salt ^ splitmix64(index));
+    let h = derive(seed ^ salt, index);
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
@@ -306,7 +298,7 @@ impl<B: QuantumBackend> FaultyBackend<B> {
     /// The RNG deciding job `k`'s faults — a pure function of
     /// `(spec.seed, k)`.
     fn fault_rng(&self, job: u64) -> StdRng {
-        StdRng::seed_from_u64(splitmix64(self.spec.seed ^ splitmix64(job)))
+        StdRng::seed_from_u64(derive(self.spec.seed, job))
     }
 }
 

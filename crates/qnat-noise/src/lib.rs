@@ -35,6 +35,7 @@ pub mod fault;
 pub mod inject;
 pub mod presets;
 pub mod readout;
+pub mod seed;
 pub mod trajectory;
 
 pub use backend::{

@@ -87,7 +87,7 @@ fn run_grid(
                 let result = infer(
                     serving.qnn(),
                     features,
-                    &InferenceBackend::Serving(serving),
+                    &InferenceBackend::Deployed(serving),
                     &opts,
                     &mut rng,
                 )?;

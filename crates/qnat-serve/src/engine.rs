@@ -41,9 +41,10 @@
 //! with [`BackendError::Overloaded`]).
 
 use qnat_core::batch::{job_signal, run_job, BatchJob, JobDeadline};
-use qnat_core::executor::{splitmix64, ExecutionReport, ResilientExecutor};
+use qnat_core::executor::{ExecutionReport, ResilientExecutor};
 use qnat_core::health::{Admission, BreakerPolicy, HealthRegistry};
 use qnat_noise::backend::{BackendError, Measurements};
+use qnat_noise::seed::derive;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::error::Error;
 use std::fmt;
@@ -469,7 +470,7 @@ impl ServeEngine {
     /// [`qnat_core::batch::BatchExecutor::job_seed`] computes from its
     /// batch seed and job index.
     pub fn job_seed(&self, ticket: Ticket) -> u64 {
-        splitmix64(self.shared.config.seed ^ splitmix64(ticket))
+        derive(self.shared.config.seed, ticket)
     }
 
     /// Enqueues a job on `lane` and returns its [`Ticket`].
@@ -631,10 +632,7 @@ impl ServeEngine {
         let ticket = st.next_ticket;
         st.next_ticket += 1;
         st.stats.submitted += 1;
-        let (global, seed) = routed.unwrap_or((
-            ticket,
-            splitmix64(shared.config.seed ^ splitmix64(ticket)),
-        ));
+        let (global, seed) = routed.unwrap_or((ticket, derive(shared.config.seed, ticket)));
         st.lanes[li].push_back(Queued {
             ticket,
             job,
@@ -866,6 +864,7 @@ mod tests {
     use qnat_core::health::BreakerState;
     use qnat_noise::backend::SimulatorBackend;
     use qnat_noise::fault::{FaultSpec, FaultyBackend};
+    use qnat_noise::seed::splitmix64;
     use qnat_sim::circuit::Circuit;
     use qnat_sim::gate::Gate;
 

@@ -12,10 +12,12 @@
 //!   completion order. Circuit-breaker admission control at enqueue time,
 //!   per-lane backpressure (`Block | RejectWhenFull | ShedOldest`) and
 //!   priority lanes (interactive before bulk).
-//! * [`qnn::ServingQnn`] — a QNN deployed onto per-block engines, plugged
-//!   into [`qnat_core::infer::infer`] through the
-//!   [`InferenceBackend::Serving`](qnat_core::infer::InferenceBackend)
-//!   variant. The first served workload is **bitwise identical** to the
+//! * [`qnn::ServingQnn`] — a QNN deployed onto per-block engines, a
+//!   [`Deployment`](qnat_core::infer::Deployment) that
+//!   [`qnat_core::infer::infer`] reaches through
+//!   [`InferenceBackend::Deployed`](qnat_core::infer::InferenceBackend).
+//!   It shares the batch layer's block plans, job factory and per-block
+//!   seeds, so the first served workload is **bitwise identical** to the
 //!   same deployment run through [`Qnn::deploy_batch`] — per-job seeds
 //!   derive from tickets exactly as the batch layer derives them from job
 //!   indices.

@@ -38,11 +38,12 @@
 use crate::engine::{JobOutcome, Lane, ServeEngine, SubmitError, Ticket, WaitError};
 use qnat_compiler::folding::{fold_circuit, FoldError, FoldStrategy};
 use qnat_core::batch::BatchJob;
-use qnat_core::executor::{splitmix64, ExecutionReport};
+use qnat_core::executor::ExecutionReport;
 use qnat_core::mitigate::{
     extrapolate_expectation, unconfuse_expectations, MitigateError, ZneMethod,
 };
 use qnat_noise::backend::{BackendError, Measurements};
+use qnat_noise::seed::derive;
 use qnat_sim::circuit::Circuit;
 use qnat_sim::measure::Confusion;
 use std::error::Error;
@@ -194,7 +195,7 @@ impl From<MitigateError> for MitigationError {
 /// `sweep_seed` — the repo-wide `splitmix64(seed ^ splitmix64(job))`
 /// schedule, re-exported so tests and the wire can pin it.
 pub fn sub_seed(sweep_seed: u64, k: u64) -> u64 {
-    splitmix64(sweep_seed ^ splitmix64(k))
+    derive(sweep_seed, k)
 }
 
 /// An in-flight mitigated sweep: the fan-out's tickets plus everything
@@ -444,6 +445,7 @@ mod tests {
     use crate::engine::ServeConfig;
     use qnat_core::executor::{ResilientExecutor, RetryPolicy};
     use qnat_noise::backend::SimulatorBackend;
+    use qnat_noise::seed::splitmix64;
     use qnat_sim::gate::Gate;
 
     fn test_circuit() -> Circuit {

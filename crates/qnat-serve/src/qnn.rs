@@ -1,33 +1,33 @@
 //! Serving deployment of a QNN: one [`ServeEngine`] per block, wired into
-//! the inference pipeline through [`qnat_core::infer::ServeBackend`].
+//! the inference pipeline as a [`Deployment`].
 //!
 //! ## Replay contract
 //!
 //! [`DeployServing::deploy_serving`] mirrors
-//! [`Qnn::deploy_batch`](qnat_core::model::Qnn::deploy_batch) exactly:
-//! the same [`Qnn::route_plan`](qnat_core::model::Qnn::route_plan) routing,
-//! the same per-job backend factory (emulator primary, optional fault
-//! decorator positioned at the job index, Pauli noise-model fallback), and
-//! the same per-block seed `splitmix64(seed ^ block · φ)`. Each block's
-//! engine numbers its tickets from zero, so the *first* inference through
-//! a fresh [`ServingQnn`] is bitwise identical to the same batch through a
-//! fresh `deploy_batch` deployment — pinned by
-//! `qnat-serve/tests/serving_e2e.rs`. Later inferences keep advancing the
-//! ticket counter (a serving queue is a stream, not a batch), so replaying
-//! them as a batch requires replaying the whole served history.
+//! [`Qnn::deploy_batch`](qnat_core::model::Qnn::deploy_batch) exactly: the
+//! same [`Qnn::route_plan`](qnat_core::model::Qnn::route_plan) routing, the
+//! same per-job executors ([`BlockPlan::job_factory`]) and the same
+//! per-block seeds ([`block_seed`]). Each block's engine numbers its
+//! tickets from zero, so the *first* inference through a fresh
+//! [`ServingQnn`] is bitwise identical to the same batch through a fresh
+//! `deploy_batch` deployment — pinned by `qnat-serve/tests/serving_e2e.rs`.
+//! Later inferences keep advancing the ticket counter (a serving queue is
+//! a stream, not a batch), so replaying them as a batch requires replaying
+//! the whole served history.
 
 use crate::engine::{
     AdmissionControl, EngineStats, Lane, LaneConfig, OpenAction, ServeConfig, ServeEngine,
 };
 use qnat_core::batch::BatchJob;
 use qnat_core::compile_cache::PlanCache;
-use qnat_core::executor::{splitmix64, ExecutionReport, ResilientExecutor, RetryPolicy};
+use qnat_core::executor::{ExecutionReport, RetryPolicy};
 use qnat_core::health::{BreakerPolicy, HealthRegistry};
-use qnat_core::infer::{BlockPlan, ServeBackend};
+use qnat_core::infer::{block_seed, BlockPlan, Deployment};
 use qnat_core::model::Qnn;
-use qnat_noise::backend::{BackendError, EmulatorBackend, NoiseModelBackend, QuantumBackend};
+use qnat_noise::backend::BackendError;
 use qnat_noise::device::{DeviceModel, InvalidDeviceError};
-use qnat_noise::fault::{FaultSpec, FaultyBackend};
+use qnat_noise::fault::FaultSpec;
+use rand::RngCore;
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
@@ -49,8 +49,7 @@ pub struct ServingOptions {
     /// Persistent workers per block engine (clamped to ≥ 1).
     pub workers: usize,
     /// Deployment seed — block `b`'s engine seed is
-    /// `splitmix64(seed ^ b · φ)`, matching the batch layer's per-block
-    /// pool seeds.
+    /// [`block_seed`]`(seed, b)`, the batch layer's per-block pool seed.
     pub seed: u64,
     /// The interactive lane of every block engine.
     pub interactive: LaneConfig,
@@ -86,9 +85,8 @@ impl Default for ServingOptions {
 }
 
 /// A QNN deployed onto long-lived per-block serving engines. Use through
-/// [`InferenceBackend::Serving`](qnat_core::infer::InferenceBackend) or
-/// submit block batches directly via
-/// [`ServeBackend::serve_block_batch`].
+/// [`InferenceBackend::Deployed`](qnat_core::infer::InferenceBackend) or
+/// submit block batches directly via [`Deployment::run_block`].
 pub struct ServingQnn<'a> {
     qnn: &'a Qnn,
     plans: Vec<BlockPlan>,
@@ -106,7 +104,8 @@ pub trait DeployServing {
     /// Routes the model for `device` and starts one [`ServeEngine`] per
     /// block: hardware emulator primary, Pauli noise-model fallback,
     /// `faults` (if given) injected into the primary, every job behind a
-    /// fresh ticket-seeded [`ResilientExecutor`].
+    /// fresh ticket-seeded
+    /// [`ResilientExecutor`](qnat_core::executor::ResilientExecutor).
     ///
     /// # Errors
     ///
@@ -139,54 +138,19 @@ impl DeployServing for Qnn {
             .iter()
             .enumerate()
             .map(|(bi, plan)| {
-                // The factory mirrors BatchedQnn's job factory exactly —
-                // same backends, same seed mixing, same jitter
-                // decorrelation — so a serve ticket and a batch job index
-                // produce the same executor.
-                let view = plan.view.clone();
-                let policy = policy.clone();
-                let factory =
-                    move |job: u64, job_seed: u64| -> Result<ResilientExecutor, BackendError> {
-                        let emulator = EmulatorBackend::new(&view, job_seed)?;
-                        let primary: Box<dyn QuantumBackend> = match faults {
-                            // Fault *rolls* are decorrelated per job (seed ^
-                            // job_seed); calibration *drift* is positioned at
-                            // the ticket, so all per-job backends sample one
-                            // fleet-wide drift trajectory.
-                            Some(spec) => Box::new(FaultyBackend::starting_at(
-                                emulator,
-                                FaultSpec {
-                                    seed: spec.seed ^ job_seed,
-                                    ..spec
-                                },
-                                job,
-                            )),
-                            None => Box::new(emulator),
-                        };
-                        let fallback = NoiseModelBackend::new(&view, job_seed ^ 0x5eed)?;
-                        Ok(ResilientExecutor::with_fallback(
-                            primary,
-                            Box::new(fallback),
-                            RetryPolicy {
-                                jitter_seed: policy.jitter_seed ^ job_seed,
-                                ..policy.clone()
-                            },
-                        ))
-                    };
-                let engine_seed =
-                    splitmix64(opts.seed ^ (bi as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
                 let config = ServeConfig {
                     workers: opts.workers,
-                    seed: engine_seed,
+                    seed: block_seed(opts.seed, bi),
                     interactive: opts.interactive.clone(),
                     bulk: opts.bulk.clone(),
                     deadline_ms: opts.deadline_ms,
                     admission: opts.admission.as_ref().map(|a| AdmissionControl {
-                        key: breaker_key(plan, bi),
+                        key: plan.breaker_key(bi),
                         policy: a.policy.clone(),
                         on_open: a.on_open,
                     }),
                 };
+                let factory = plan.job_factory(&policy, faults);
                 ServeEngine::with_registry(config, factory, Arc::clone(&registry))
             })
             .collect();
@@ -200,12 +164,6 @@ impl DeployServing for Qnn {
             report: RefCell::new(ExecutionReport::default()),
         })
     }
-}
-
-/// Registry key of a block's primary-backend breaker — the same key the
-/// batch health layer uses, so shared registries line up.
-fn breaker_key(plan: &BlockPlan, block_idx: usize) -> String {
-    format!("emulator({})/block{}", plan.view.name(), block_idx)
 }
 
 impl ServingQnn<'_> {
@@ -246,9 +204,10 @@ impl ServingQnn<'_> {
         &self.registry
     }
 
-    /// Registry key of `block_idx`'s breaker.
+    /// Registry key of `block_idx`'s breaker — the batch health layer's
+    /// key ([`BlockPlan::breaker_key`]), so shared registries line up.
     pub fn breaker_key(&self, block_idx: usize) -> String {
-        breaker_key(&self.plans[block_idx], block_idx)
+        self.plans[block_idx].breaker_key(block_idx)
     }
 
     /// Gracefully drains every block engine (queued jobs finish) and
@@ -258,31 +217,38 @@ impl ServingQnn<'_> {
     }
 }
 
-impl ServeBackend for ServingQnn<'_> {
-    fn serve_block_batch(
+impl Deployment for ServingQnn<'_> {
+    fn run_block(
         &self,
         block_idx: usize,
         rows: &[Vec<f64>],
+        _rng: &mut dyn RngCore,
     ) -> Result<Vec<Vec<f64>>, BackendError> {
-        let block = &self.qnn.blocks()[block_idx];
         let plan = &self.plans[block_idx];
         let engine = &self.engines[block_idx];
         let lane = self.lane.get();
         let mut tickets = Vec::with_capacity(rows.len());
+        let mut refused = None;
         for row in rows {
-            let mut params = block.encoder.angles(row);
-            params.extend_from_slice(self.qnn.block_params(block_idx));
             let job = BatchJob {
-                circuit: plan.lowered.bind(&params),
+                circuit: plan.bind(self.qnn, block_idx, row),
                 shots: self.shots,
             };
-            tickets.push(engine.submit(job, lane).map_err(BackendError::from)?);
+            match engine.submit(job, lane) {
+                Ok(t) => tickets.push(t),
+                Err(e) => {
+                    refused = Some(BackendError::from(e));
+                    break;
+                }
+            }
         }
         // Wait in ticket order and merge reports the same way — matching
         // the batch layer's job-index-ordered merge, so a served batch's
-        // report equals the pooled batch's report.
+        // report equals the pooled batch's report. A refused submission
+        // still waits out the tickets already issued, so their outcomes
+        // are not left behind in the engine and their reports count.
         let mut merged = ExecutionReport::default();
-        let mut results = Vec::with_capacity(rows.len());
+        let mut results = Vec::with_capacity(tickets.len());
         for &t in &tickets {
             match engine.wait(t) {
                 Some(outcome) => {
@@ -295,15 +261,16 @@ impl ServeBackend for ServingQnn<'_> {
             }
         }
         self.report.borrow_mut().merge(&merged);
-        let mut out = Vec::with_capacity(rows.len());
-        for result in results {
-            let m = result?;
-            out.push(plan.obs.iter().map(|&w| m.expectations[w]).collect());
+        if let Some(e) = refused {
+            return Err(e);
         }
-        Ok(out)
+        results
+            .into_iter()
+            .map(|result| Ok(plan.observe(&result?.expectations)))
+            .collect()
     }
 
-    fn serve_report(&self) -> Option<ExecutionReport> {
-        Some(self.report())
+    fn report(&self) -> Option<ExecutionReport> {
+        Some(ServingQnn::report(self))
     }
 }

@@ -4,12 +4,15 @@
 
 use qnat_core::executor::RetryPolicy;
 use qnat_core::health::BreakerPolicy;
-use qnat_core::infer::{infer, InferenceBackend, InferenceOptions};
+use qnat_core::infer::{infer, Deployment, InferenceBackend, InferenceOptions};
 use qnat_core::model::{Qnn, QnnConfig};
 use qnat_core::sweep::SweepConfig;
 use qnat_noise::fault::FaultSpec;
 use qnat_noise::presets;
-use qnat_serve::{bulk_grid_sweep, DeployServing, Lane, OpenAction, ServeAdmission, ServingOptions};
+use qnat_serve::{
+    bulk_grid_sweep, DeployServing, Lane, LaneConfig, OpenAction, Poll, ServeAdmission,
+    ServingOptions,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -40,7 +43,7 @@ fn first_serving_inference_bitwise_matches_fresh_batch_deployment() {
         .deploy_batch(&presets::santiago(), 2, RetryPolicy::default(), Some(spec), 4, 11)
         .expect("batch deploy");
     let mut rng = StdRng::seed_from_u64(0);
-    let via_batch = infer(&qnn, &batch, &InferenceBackend::Batch(&pooled), &opts, &mut rng)
+    let via_batch = infer(&qnn, &batch, &InferenceBackend::Deployed(&pooled), &opts, &mut rng)
         .expect("batch inference");
 
     let serving = qnn
@@ -57,7 +60,7 @@ fn first_serving_inference_bitwise_matches_fresh_batch_deployment() {
         )
         .expect("serving deploy");
     let mut rng = StdRng::seed_from_u64(0);
-    let via_serve = infer(&qnn, &batch, &InferenceBackend::Serving(&serving), &opts, &mut rng)
+    let via_serve = infer(&qnn, &batch, &InferenceBackend::Deployed(&serving), &opts, &mut rng)
         .expect("served inference");
 
     // Bitwise: f64 expectations compared by exact equality.
@@ -104,10 +107,10 @@ fn serving_admission_trips_per_block_breakers_and_cuts_attempts() {
             )
             .expect("serving deploy");
         let mut rng = StdRng::seed_from_u64(0);
-        let first = infer(&qnn, &batch, &InferenceBackend::Serving(&serving), &opts, &mut rng)
+        let first = infer(&qnn, &batch, &InferenceBackend::Deployed(&serving), &opts, &mut rng)
             .expect("served inference");
         let mut rng = StdRng::seed_from_u64(0);
-        let second = infer(&qnn, &batch, &InferenceBackend::Serving(&serving), &opts, &mut rng)
+        let second = infer(&qnn, &batch, &InferenceBackend::Deployed(&serving), &opts, &mut rng)
             .expect("served inference");
         ((first, second), serving)
     };
@@ -159,6 +162,47 @@ fn serving_admission_trips_per_block_breakers_and_cuts_attempts() {
     );
     drop(off_serving);
     on_serving.drain();
+}
+
+/// A block batch refused part-way through submission still waits out the
+/// tickets it already submitted: their outcomes are handed over (not left
+/// in the engine for good) and their reports reach the deployment's
+/// cumulative report before the refusal is returned.
+#[test]
+fn refused_block_batch_collects_submitted_tickets() {
+    let qnn = model();
+    let rows = features(4);
+    let serving = qnn
+        .deploy_serving(
+            &presets::santiago(),
+            2,
+            RetryPolicy::default(),
+            None,
+            &ServingOptions {
+                workers: 1,
+                interactive: LaneConfig::rejecting(2),
+                ..ServingOptions::default()
+            },
+        )
+        .expect("serving deploy");
+    let engine = serving.engine(0);
+    engine.pause();
+    let result = std::thread::scope(|scope| {
+        // Tickets 0 and 1 fill the paused lane and ticket 2 is refused;
+        // resume only then, so the batch has to wait for the first two.
+        scope.spawn(|| {
+            while engine.stats().rejected_full == 0 {
+                std::thread::yield_now();
+            }
+            engine.resume();
+        });
+        serving.run_block(0, &rows, &mut StdRng::seed_from_u64(0))
+    });
+    assert!(result.is_err(), "the third submission is refused");
+    assert_eq!(engine.poll(0), Poll::Unknown, "ticket 0 was collected");
+    assert_eq!(engine.poll(1), Poll::Unknown, "ticket 1 was collected");
+    assert_eq!(serving.report().jobs, 2);
+    serving.drain();
 }
 
 /// The §4.2 grid served as background traffic: records come back in grid

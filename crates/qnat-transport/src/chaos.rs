@@ -18,7 +18,7 @@
 //! truncate the request mid-read, which is the contract under test:
 //! the worker must answer 400/408 or close cleanly, never hang.
 
-use qnat_core::executor::splitmix64;
+use qnat_noise::seed::{derive, splitmix64};
 use std::io::{self, Read, Write};
 use std::time::Duration;
 
@@ -81,7 +81,7 @@ impl ChaosPlan {
     /// the same discipline `FaultyBackend` uses per job, so chaos runs
     /// are exactly reproducible and independent of scheduling order.
     pub fn derive(seed: u64, conn: u64) -> ChaosPlan {
-        let h = splitmix64(seed ^ splitmix64(conn));
+        let h = derive(seed, conn);
         // Independent parameter streams off the same hash.
         let p1 = splitmix64(h ^ 0xC0FF_EE00);
         let p2 = splitmix64(h ^ 0xDEAD_BEEF);

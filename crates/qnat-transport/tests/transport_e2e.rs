@@ -76,7 +76,7 @@ fn served_workload_bitwise_matches_deploy_batch() {
     let via_batch = infer(
         &qnn,
         &batch,
-        &InferenceBackend::Batch(&pooled),
+        &InferenceBackend::Deployed(&pooled),
         &InferenceOptions::default(),
         &mut rng,
     )
@@ -124,7 +124,7 @@ fn served_workload_bitwise_matches_deploy_batch() {
         TransportServer::bind("127.0.0.1:0", TransportConfig::default(), engine).expect("bind");
     let client = TransportClient::new(server.local_addr());
 
-    // The exact jobs `eval_block_batch` builds for block 0.
+    // The exact jobs `BatchedQnn::run_block` builds for block 0.
     let block = &qnn.blocks()[0];
     let jobs: Vec<BatchJob> = batch
         .iter()

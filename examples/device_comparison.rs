@@ -61,7 +61,7 @@ fn main() {
         let raw = infer(
             &qnn,
             &feats,
-            &InferenceBackend::Hardware(&dep),
+            &InferenceBackend::Deployed(&dep),
             &InferenceOptions::baseline(),
             &mut rng,
         )
@@ -70,7 +70,7 @@ fn main() {
         let norm = infer(
             &qnn,
             &feats,
-            &InferenceBackend::Hardware(&dep),
+            &InferenceBackend::Deployed(&dep),
             &InferenceOptions {
                 normalize: NormMode::BatchStats,
                 quantize: None,

@@ -51,7 +51,7 @@ fn main() {
         let result = infer(
             &qnn,
             &batch,
-            &InferenceBackend::Batch(&dep),
+            &InferenceBackend::Deployed(&dep),
             &InferenceOptions::baseline(),
             &mut rng,
         )

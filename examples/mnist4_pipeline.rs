@@ -104,7 +104,7 @@ fn main() {
         let acc = infer(
             &qnn,
             &feats,
-            &InferenceBackend::Hardware(&dep),
+            &InferenceBackend::Deployed(&dep),
             &InferenceOptions {
                 normalize: if norm {
                     NormMode::BatchStats

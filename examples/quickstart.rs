@@ -79,7 +79,7 @@ fn main() {
     let acc_base = infer(
         &baseline,
         &feats,
-        &InferenceBackend::Hardware(&dep_b),
+        &InferenceBackend::Deployed(&dep_b),
         &InferenceOptions::baseline(),
         &mut rng,
     )
@@ -90,7 +90,7 @@ fn main() {
     let acc_qnat = infer(
         &quantumnat,
         &feats,
-        &InferenceBackend::Hardware(&dep_q),
+        &InferenceBackend::Deployed(&dep_q),
         &InferenceOptions {
             normalize: NormMode::BatchStats,
             quantize: Some(quantumnat::core::QuantizeSpec::levels(5)),

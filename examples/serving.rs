@@ -69,7 +69,7 @@ fn main() {
     let result = infer(
         &qnn,
         &batch,
-        &InferenceBackend::Serving(&serving),
+        &InferenceBackend::Deployed(&serving),
         &InferenceOptions::default(),
         &mut rng,
     )

@@ -22,7 +22,10 @@
 #   6. lint:   clippy -D warnings (scripts/lint.sh; the workspace sweep
 #              includes qnat-serve's, qnat-transport's and qnat-fleet's
 #              unwrap_used walls)
-#   7. sim-bench: the simulator hot-path gate — the kernel bounds-check
+#   7. docs:   rustdoc over the workspace with broken intra-doc links
+#              denied, so a doc link left pointing at a renamed or
+#              deleted item fails the build
+#   8. sim-bench: the simulator hot-path gate — the kernel bounds-check
 #              regression tests re-run under --release (the checks must
 #              survive optimized builds, not just debug_assert), the
 #              batch adjoint oracle (batch_vjp_oracle: batch forward +
@@ -44,7 +47,7 @@
 #              which asserts fused execution of the §4.2 QNN block
 #              sustains >= 2x unfused runs/sec and writes latency
 #              percentiles to results/BENCH_sim.json
-#   8. load:   the overload-robustness gate — the socket-level chaos
+#   9. load:   the overload-robustness gate — the socket-level chaos
 #              suite (resets, slow-loris, stalls, corruption against a
 #              live server; no hung workers, no leaked connection
 #              slots), then the open-loop load harness (Poisson +
@@ -54,7 +57,7 @@
 #              the overload SLO: p99 stays flat under 429/503 shedding
 #              and the pooled keep-alive client sustains >= 2x the
 #              connection-per-call request rate
-#   9. perf:   the batch-, serve-, transport- and fleet-throughput
+#  10. perf:   the batch-, serve-, transport- and fleet-throughput
 #              acceptance benches, which assert the 4-worker pool /
 #              serving engine / HTTP front door / routed fleet beats
 #              single-threaded submission by >= 2x on a 64-job workload
@@ -66,13 +69,13 @@
 #              the §4.2 submit body must take <= 32x as long as the 1x
 #              body (linear ≈ 16x, the old quadratic parser 179x); it writes
 #              encode/decode µs and ns/byte to results/BENCH_codec.json
-#  10. calib-bench: the calibration acceptance gate — drifting-fleet
+#  11. calib-bench: the calibration acceptance gate — drifting-fleet
 #              scenarios (RandomWalk and StepRecalibration heavy drift)
 #              asserting ScorePolicy::Predicted beats Static on
 #              accuracy-per-attempt and the learned tracker beats a
 #              frozen-preset baseline on attempt-weighted prequential
 #              Brier score; writes results/BENCH_calib.json
-#  11. mitigate: the ZNE acceptance bench, which asserts the served
+#  12. mitigate: the ZNE acceptance bench, which asserts the served
 #              gate-folding sweep beats the raw noisy expectation error
 #              on the §4.2 block under Santiago emulator noise and
 #              writes arm-by-arm errors plus sweep latency percentiles
@@ -103,6 +106,9 @@ timeout 120 cargo run --release --example fleet_routing
 
 echo "== lint: scripts/lint.sh =="
 ./scripts/lint.sh
+
+echo "== docs: cargo doc, broken intra-doc links denied =="
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
 
 echo "== sim-bench: release-mode kernel bounds regression =="
 cargo test -q --release -p qnat-sim --test kernel_bounds

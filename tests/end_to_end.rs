@@ -55,7 +55,7 @@ fn training_reaches_useful_accuracy_and_deploys() {
     let acc = infer(
         &qnn,
         &feats,
-        &InferenceBackend::Hardware(&dep),
+        &InferenceBackend::Deployed(&dep),
         &InferenceOptions {
             normalize: NormMode::BatchStats,
             quantize: None,
@@ -88,7 +88,7 @@ fn normalization_improves_snr_on_hardware() {
     let noisy = infer(
         &qnn,
         &feats,
-        &InferenceBackend::Hardware(&dep),
+        &InferenceBackend::Deployed(&dep),
         &InferenceOptions::baseline(),
         &mut rng,
     )
@@ -173,7 +173,7 @@ fn ten_qubit_model_trains_and_deploys_on_melbourne() {
     let result = infer(
         &qnn,
         &feats,
-        &InferenceBackend::Hardware(&dep),
+        &InferenceBackend::Deployed(&dep),
         &InferenceOptions {
             normalize: NormMode::BatchStats,
             quantize: None,
@@ -207,7 +207,7 @@ fn batched_deployment_matches_direct_and_survives_faults() {
     let direct = infer(
         &qnn,
         &feats,
-        &InferenceBackend::Hardware(&dep),
+        &InferenceBackend::Deployed(&dep),
         &InferenceOptions::baseline(),
         &mut rng,
     )
@@ -218,7 +218,7 @@ fn batched_deployment_matches_direct_and_survives_faults() {
     let batched = infer(
         &qnn,
         &feats,
-        &InferenceBackend::Batch(&pooled),
+        &InferenceBackend::Deployed(&pooled),
         &InferenceOptions::baseline(),
         &mut rng,
     )
@@ -250,7 +250,7 @@ fn batched_deployment_matches_direct_and_survives_faults() {
         infer(
             &qnn,
             &feats,
-            &InferenceBackend::Batch(&dep),
+            &InferenceBackend::Deployed(&dep),
             &InferenceOptions::baseline(),
             &mut rng,
         )
@@ -277,7 +277,7 @@ fn noise_model_serde_round_trips_through_deployment() {
     let out = infer(
         &qnn,
         &[vec![0.5; 16]],
-        &InferenceBackend::Hardware(&dep),
+        &InferenceBackend::Deployed(&dep),
         &InferenceOptions::baseline(),
         &mut rng,
     )
@@ -301,7 +301,7 @@ fn cross_device_deployment_uses_target_topology() {
         let out = infer(
             &qnn,
             &[vec![0.3; 16], vec![0.7; 16]],
-            &InferenceBackend::Hardware(&dep),
+            &InferenceBackend::Deployed(&dep),
             &InferenceOptions::baseline(),
             &mut rng,
         )
