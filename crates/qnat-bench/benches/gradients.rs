@@ -1,24 +1,32 @@
 //! Criterion benches for the gradient engines: adjoint differentiation vs
 //! parameter-shift, the adjoint on the noise-injected training block, the
-//! batch VJP of a whole training batch, and the symbolic-lowering chain
-//! rule.
+//! batch VJP of a whole training batch, the batch forward that inference
+//! runs, and the symbolic-lowering chain rule.
 //!
-//! The `gradients_train_batch` group is an acceptance gate: one shared
-//! batch forward plus VJP over 48 prepared samples must beat 48
-//! per-sample `adjoint_gradients` calls by ≥ 2× on the §4.2 blocks. It
-//! writes its figures to `results/BENCH_gradients.json`.
+//! The `gradients_train_batch` group ends in two acceptance gates, which
+//! write their figures to `results/BENCH_gradients.json`:
+//!
+//! * training: one shared batch forward plus VJP over 48 prepared
+//!   samples must beat 48 per-sample `adjoint_gradients` calls by ≥ 2×
+//!   on the §4.2 blocks;
+//! * inference: one noise-free `batch_forward` over 48 distinct §4.2 rows
+//!   must agree with 48 per-row bind + `StateVector::run` calls to 1e-12
+//!   on every ⟨Z⟩ and sustain ≥ 1.3× their rate.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use qnat_compiler::symbolic::lower_symbolic;
-use qnat_core::model::{PreparedSample, Qnn, QnnConfig};
+use qnat_core::model::{NoiseSource, PreparedSample, Qnn, QnnConfig};
 use qnat_json::Json;
 use qnat_noise::inject::{insert_error_gates, splice};
 use qnat_noise::presets;
-use qnat_sim::adjoint::{adjoint_all_z, adjoint_gradients, batch_forward, batch_vjp, BatchSample};
+use qnat_sim::adjoint::{
+    adjoint_all_z, adjoint_gradients, batch_forward, batch_vjp, expect_z, BatchSample,
+};
 use qnat_sim::circuit::Circuit;
 use qnat_sim::gate::Gate;
 use qnat_sim::math::C64;
 use qnat_sim::paramshift::paramshift_gradients;
+use qnat_sim::statevector::StateVector;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
@@ -124,7 +132,7 @@ fn train_batch() -> Vec<TrainBlock> {
     let device = presets::santiago();
     let qnn = Qnn::for_device(QnnConfig::standard(16, 4, 2, 2), &device, 7)
         .expect("santiago fits the standard model");
-    let source = qnat_core::model::NoiseSource::GateInsertion {
+    let source = NoiseSource::GateInsertion {
         model: &device,
         factor: 0.5,
     };
@@ -194,6 +202,70 @@ fn batch_vjp_pass(block: &TrainBlock, states: &mut [C64], grads: &mut [f64]) {
         grads,
     );
     black_box(grads);
+}
+
+/// The noise-free inference forward of block 0 of the §4.2 model (2
+/// blocks × 2 U3+CU3 layers routed for Santiago): 48 distinct rows
+/// prepared as `infer` prepares them.
+struct InferBlock {
+    template: Circuit,
+    obs: Vec<usize>,
+    prepared: Vec<PreparedSample>,
+}
+
+fn infer_block() -> InferBlock {
+    let device = presets::santiago();
+    let qnn = Qnn::for_device(QnnConfig::standard(16, 4, 2, 2), &device, 7)
+        .expect("santiago fits the standard model");
+    let noise = qnn.block_noise(0, &NoiseSource::None, None);
+    let mut rng = StdRng::seed_from_u64(16);
+    let prepared = (0..BATCH)
+        .map(|_| {
+            let row: Vec<f64> = (0..16).map(|_| rng.gen_range(0.0..1.0)).collect();
+            qnn.prepare(0, &row, &noise, &mut rng)
+        })
+        .collect();
+    let block = &qnn.blocks()[0];
+    InferBlock {
+        template: block.lowered.circuit.clone(),
+        obs: block.obs.clone(),
+        prepared,
+    }
+}
+
+/// Every row's ⟨Z⟩, one bind and gate-by-gate statevector run per row.
+fn per_row_forward(block: &InferBlock, out: &mut [f64]) {
+    let rows = out.chunks_exact_mut(block.obs.len());
+    for (p, out) in block.prepared.iter().zip(rows) {
+        let mut bound = block.template.clone();
+        bound.set_parameters(&p.angles);
+        let mut psi = StateVector::zero_state(bound.n_qubits());
+        psi.run(&bound);
+        for (o, &q) in out.iter_mut().zip(&block.obs) {
+            *o = psi.expect_z(q);
+        }
+    }
+    black_box(out);
+}
+
+/// Every row's ⟨Z⟩ from one shared batch forward.
+fn batch_infer_forward(block: &InferBlock, states: &mut [C64], out: &mut [f64]) {
+    let samples: Vec<BatchSample<'_>> = block
+        .prepared
+        .iter()
+        .map(PreparedSample::batch_sample)
+        .collect();
+    batch_forward(&block.template, &samples, states);
+    let dim = 1usize << block.template.n_qubits();
+    for (state, out) in states
+        .chunks_exact(dim)
+        .zip(out.chunks_exact_mut(block.obs.len()))
+    {
+        for (o, &q) in out.iter_mut().zip(&block.obs) {
+            *o = expect_z(state, q);
+        }
+    }
+    black_box(out);
 }
 
 /// Median over `passes` of the mean time per call of `f`.
@@ -275,6 +347,31 @@ fn bench_train_batch(c: &mut Criterion) {
         us_per(per_sample),
         us_per(batch),
     );
+
+    // Inference gate: the batch forward against per-row runs.
+    let infer = infer_block();
+    let n_out = BATCH * infer.obs.len();
+    let mut states = vec![C64::ZERO; BATCH << infer.template.n_qubits()];
+    let (mut per_row_out, mut batch_out) = (vec![0.0; n_out], vec![0.0; n_out]);
+    per_row_forward(&infer, &mut per_row_out);
+    batch_infer_forward(&infer, &mut states, &mut batch_out);
+    for (k, (a, b)) in per_row_out.iter().zip(&batch_out).enumerate() {
+        assert!((a - b).abs() < 1e-12, "⟨Z⟩ {k}: per-row {a} vs batch {b}");
+    }
+    let per_row = time_per_call(|| per_row_forward(&infer, &mut per_row_out), 40, 7);
+    let batch_infer = time_per_call(
+        || batch_infer_forward(&infer, &mut states, &mut batch_out),
+        40,
+        7,
+    );
+    let row_us = |t: Duration| t.as_secs_f64() * 1e6 / BATCH as f64;
+    let infer_ratio = per_row.as_secs_f64() / batch_infer.as_secs_f64();
+    println!(
+        "gradients_infer_forward: {BATCH} rows; per-row bind + run {:.2} us per row vs \
+         batch forward {:.2} us -> {infer_ratio:.2}x",
+        row_us(per_row),
+        row_us(batch_infer),
+    );
     let doc = Json::obj([
         ("bench", Json::Str("gradients_train_batch".into())),
         (
@@ -293,6 +390,19 @@ fn bench_train_batch(c: &mut Criterion) {
         ("per_sample_adjoint_ns_per_amp_op", Json::Num(per_sample_ns)),
         ("batch_vjp_ns_per_amp_op", Json::Num(batch_ns)),
         ("speedup", Json::Num(ratio)),
+        (
+            "infer_workload",
+            Json::Str(
+                "standard(16,4,2,2) routed for santiago, block 0, 48 distinct rows, noise-free"
+                    .into(),
+            ),
+        ),
+        ("infer_per_row_us_per_row", Json::Num(row_us(per_row))),
+        (
+            "infer_batch_forward_us_per_row",
+            Json::Num(row_us(batch_infer)),
+        ),
+        ("infer_speedup", Json::Num(infer_ratio)),
     ]);
     let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     std::fs::create_dir_all(&results).expect("create results dir");
@@ -301,6 +411,10 @@ fn bench_train_batch(c: &mut Criterion) {
     assert!(
         ratio >= 2.0,
         "one batch forward + VJP must beat {BATCH} per-sample adjoint calls by >= 2x: got {ratio:.2}x"
+    );
+    assert!(
+        infer_ratio >= 1.3,
+        "one batch forward must sustain >= 1.3x the rate of {BATCH} per-row runs: got {infer_ratio:.2}x"
     );
 }
 

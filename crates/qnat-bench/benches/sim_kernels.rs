@@ -1,5 +1,6 @@
 //! Criterion benches for the simulator kernels: statevector gate
-//! application, density-matrix channel application and shot sampling.
+//! application, the raw `apply_mat2`/`apply_mat4` kernels per register
+//! size, density-matrix channel application and shot sampling.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qnat_noise::presets;
@@ -40,6 +41,29 @@ fn bench_statevector(c: &mut Criterion) {
                 psi.run(&circuit);
                 psi.expect_all_z()
             })
+        });
+    }
+    group.finish();
+}
+
+/// Raw kernel microbench: one U3 (Mat2 path) and one CU3 (Mat4 path)
+/// swept across register sizes, isolating the branch-free strided
+/// kernels from circuit overhead. Kernel codegen is layout-sensitive, so
+/// compare these against the parent after any `qnat-sim` edit.
+fn bench_gate_kernels(c: &mut Criterion) {
+    let mut group = c.benchmark_group("gate_kernels");
+    for &n in &[8usize, 12, 16] {
+        let mut one_q = Circuit::new(n);
+        one_q.push(Gate::u3(n / 2, 0.3, -0.2, 0.7));
+        let mut two_q = Circuit::new(n);
+        two_q.push(Gate::cu3(0, n - 1, 0.3, -0.2, 0.7));
+        group.bench_with_input(BenchmarkId::new("mat2", n), &n, |b, &n| {
+            let mut psi = StateVector::zero_state(n);
+            b.iter(|| psi.run(&one_q))
+        });
+        group.bench_with_input(BenchmarkId::new("mat4", n), &n, |b, &n| {
+            let mut psi = StateVector::zero_state(n);
+            b.iter(|| psi.run(&two_q))
         });
     }
     group.finish();
@@ -92,6 +116,7 @@ fn bench_sampling(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_statevector,
+    bench_gate_kernels,
     bench_density,
     bench_hardware_emulator,
     bench_sampling

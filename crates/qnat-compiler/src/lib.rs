@@ -6,6 +6,9 @@
 //! ([`decompose`]), SWAP routing over real coupling maps and noise-adaptive
 //! layout ([`mapping`]), peephole cleanup ([`optimize`]) and the end-to-end
 //! pipeline with Qiskit-style optimization levels 0–3 ([`mod@transpile`]).
+//! [`symbolic`] lowers a QNN block's template once, keeping each compiled
+//! angle as an affine map of the logical parameters, so every sample of
+//! training and inference only binds angles.
 //! The zero-noise-extrapolation workload adds [`folding`]: global and
 //! per-gate `G → G·(G†·G)^k` folding to odd noise scales, unitary-identical
 //! on the noise-free simulator.
@@ -32,7 +35,6 @@ pub mod calibration;
 pub mod decompose;
 pub mod euler;
 pub mod folding;
-pub mod fusion;
 pub mod mapping;
 pub mod optimize;
 pub mod symbolic;
@@ -41,5 +43,4 @@ pub mod unitary;
 
 pub use calibration::{calibrated_view, quantize_estimate};
 pub use folding::{fold_circuit, FoldError, FoldStrategy};
-pub use fusion::fuse;
 pub use transpile::{transpile, Transpiled, TranspileOptions};

@@ -14,7 +14,9 @@
 //! 2. The batch runs forward through the block's template in one shared
 //!    walk ([`qnat_sim::adjoint::batch_forward`]), each worker taking a
 //!    contiguous chunk of samples. The final states stay with the tape's
-//!    quantum node.
+//!    quantum node. This part (`block_forward`) is also the forward of
+//!    inference's simulated backends and of `Qnn::eval_block` without
+//!    gradients.
 //! 3. On the backward pass the node's vector-Jacobian product runs one
 //!    adjoint sweep per chunk ([`qnat_sim::adjoint::batch_vjp`]), seeded
 //!    by the upstream gradient times each qubit's readout slope γ: one
@@ -157,6 +159,57 @@ fn on_workers<T: Send>(mut chunks: impl Iterator<Item = T>, f: impl Fn(T) + Sync
     });
 }
 
+/// A block run forward on a batch of prepared samples.
+pub(crate) struct BlockForward {
+    /// Final states over the block's routing window, `[batch, 2ⁿ]`.
+    states: Vec<C64>,
+    /// Each logical qubit's `⟨Z⟩` after readout, `[batch, n_qubits]`.
+    pub(crate) outputs: Vec<f64>,
+    /// Samples per worker.
+    chunk: usize,
+}
+
+/// The forward run of training, inference and `eval_block`: prepared
+/// samples through block `block` in one shared walk
+/// ([`qnat_sim::adjoint::batch_forward`]) on up to `workers` threads,
+/// each taking a contiguous chunk, then each logical qubit's `⟨Z⟩`
+/// through `noise`'s readout map. A sample's outputs do not depend on
+/// the batch or the chunking.
+pub(crate) fn block_forward(
+    qnn: &Qnn,
+    block: usize,
+    samples: &[PreparedSample],
+    noise: &BlockNoise,
+    workers: usize,
+) -> BlockForward {
+    let b = &qnn.blocks()[block];
+    let dim = 1usize << b.lowered.circuit.n_qubits();
+    let (batch, n_q) = (samples.len(), b.obs.len());
+    let chunk = batch.div_ceil(workers.clamp(1, batch.max(1))).max(1);
+    let mut states = vec![C64::ZERO; batch * dim];
+    let mut outputs = vec![0.0; batch * n_q];
+    let chunks = samples
+        .chunks(chunk)
+        .zip(states.chunks_mut(chunk * dim))
+        .zip(outputs.chunks_mut(chunk * n_q));
+    on_workers(chunks, |((samples, states), outputs)| {
+        let samples: Vec<BatchSample<'_>> =
+            samples.iter().map(PreparedSample::batch_sample).collect();
+        batch_forward(&b.lowered.circuit, &samples, states);
+        for (state, out) in states.chunks_exact(dim).zip(outputs.chunks_exact_mut(n_q)) {
+            for (o, &q) in out.iter_mut().zip(&b.obs) {
+                *o = expect_z(state, q);
+            }
+            noise.apply_readout(out);
+        }
+    });
+    BlockForward {
+        states,
+        outputs,
+        chunk,
+    }
+}
+
 /// One block run forward on a batch, kept for its vector-Jacobian
 /// product.
 struct BlockRun<'q> {
@@ -171,49 +224,7 @@ struct BlockRun<'q> {
     chunk: usize,
 }
 
-impl<'q> BlockRun<'q> {
-    /// Runs prepared samples forward through block `block` on up to
-    /// `workers` threads; returns the run and the `[batch, n_qubits]`
-    /// outputs after readout.
-    fn forward(
-        qnn: &'q Qnn,
-        block: usize,
-        samples: Vec<PreparedSample>,
-        noise: &BlockNoise,
-        workers: usize,
-    ) -> (BlockRun<'q>, Tensor) {
-        let b = &qnn.blocks()[block];
-        let dim = 1usize << b.lowered.circuit.n_qubits();
-        let (batch, n_q) = (samples.len(), b.obs.len());
-        let chunk = batch.div_ceil(workers.clamp(1, batch));
-        let mut states = vec![C64::ZERO; batch * dim];
-        let mut outputs = vec![0.0; batch * n_q];
-        let chunks = samples
-            .chunks(chunk)
-            .zip(states.chunks_mut(chunk * dim))
-            .zip(outputs.chunks_mut(chunk * n_q));
-        on_workers(chunks, |((samples, states), outputs)| {
-            let samples: Vec<BatchSample<'_>> =
-                samples.iter().map(PreparedSample::batch_sample).collect();
-            batch_forward(&b.lowered.circuit, &samples, states);
-            for (state, out) in states.chunks_exact(dim).zip(outputs.chunks_exact_mut(n_q)) {
-                for (o, &q) in out.iter_mut().zip(&b.obs) {
-                    *o = expect_z(state, q);
-                }
-                noise.apply_readout(out);
-            }
-        });
-        let run = BlockRun {
-            qnn,
-            block,
-            samples,
-            states,
-            slopes: noise.readout_slopes(n_q),
-            chunk,
-        };
-        (run, Tensor::new(outputs, vec![batch, n_q]))
-    }
-
+impl BlockRun<'_> {
     /// The vector-Jacobian product for the upstream gradient `upstream`
     /// `[batch, n_qubits]`: the gradient of the block's inputs (`None`
     /// for block 0, whose inputs are the features) and of its trainable
@@ -287,6 +298,12 @@ impl<'q> BlockRun<'q> {
     }
 }
 
+/// Threads a block's forward and backward runs use: the machine's
+/// available parallelism.
+pub(crate) fn default_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 /// Runs the full differentiable pipeline on one batch and returns loss,
 /// probabilities and parameter gradients.
 ///
@@ -304,8 +321,7 @@ pub fn train_forward<R: Rng>(
     opts: &PipelineOptions<'_>,
     rng: &mut R,
 ) -> TrainStep {
-    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    train_forward_on(qnn, features, labels, opts, rng, workers)
+    train_forward_on(qnn, features, labels, opts, rng, default_workers())
 }
 
 /// [`train_forward`] with an explicit worker count.
@@ -342,7 +358,16 @@ fn train_forward_on<R: Rng>(
             .collect();
         // The shared forward walk, on all cores; the VJP runs on the
         // backward pass.
-        let (run, out) = BlockRun::forward(qnn, bi, prepared, &noise, workers);
+        let fwd = block_forward(qnn, bi, &prepared, &noise, workers);
+        let out = Tensor::new(fwd.outputs, vec![batch, n_q]);
+        let run = BlockRun {
+            qnn,
+            block: bi,
+            samples: prepared,
+            states: fwd.states,
+            slopes: noise.readout_slopes(n_q),
+            chunk: fwd.chunk,
+        };
         x = tape.quantum(x, pv, out, Box::new(move |g| run.vjp(g)));
 
         let last = bi + 1 == n_blocks;

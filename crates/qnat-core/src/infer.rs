@@ -35,10 +35,10 @@
 
 use crate::batch::{BatchExecutor, BatchJob};
 use crate::executor::{splitmix64, ExecutionReport, ResilientExecutor, RetryPolicy};
-use crate::forward::QuantizeSpec;
+use crate::forward::{block_forward, default_workers, QuantizeSpec};
 use crate::head::apply_head;
 use crate::health::{HealthPolicy, HealthRegistry};
-use crate::model::{Block, NoiseSource, Qnn};
+use crate::model::{Block, BlockNoise, NoiseSource, Qnn};
 use crate::normalize::{try_normalize_batch, NormError, NormStats};
 use qnat_autodiff::tape::quantize_value;
 use qnat_compiler::mapping::{noise_adaptive_layout, Layout};
@@ -712,7 +712,47 @@ pub enum InferenceBackend<'a> {
     Deployed(&'a dyn Deployment),
 }
 
+/// Each row's raw outcomes from block `bi` on a simulated backend: the
+/// mean of `reps` samples per row. Every sample's random draws are made
+/// serially, rows in order and a row's repetitions innermost (the order
+/// a per-row `eval_block` loop draws them), then all samples run in one
+/// shared forward on `workers` threads.
+fn simulate_rows<R: Rng>(
+    qnn: &Qnn,
+    bi: usize,
+    rows: &[Vec<f64>],
+    noise: &BlockNoise,
+    reps: usize,
+    rng: &mut R,
+    workers: usize,
+) -> Vec<Vec<f64>> {
+    let mut samples = Vec::with_capacity(rows.len() * reps);
+    for row in rows {
+        for _ in 0..reps {
+            samples.push(qnn.prepare(bi, row, noise, rng));
+        }
+    }
+    let n_q = qnn.config().n_qubits;
+    let outputs = block_forward(qnn, bi, &samples, noise, workers).outputs;
+    outputs
+        .chunks_exact(reps * n_q)
+        .map(|row| {
+            let mut acc = vec![0.0; n_q];
+            for out in row.chunks_exact(n_q) {
+                for (a, o) in acc.iter_mut().zip(out) {
+                    *a += o;
+                }
+            }
+            acc.into_iter().map(|a| a / reps as f64).collect()
+        })
+        .collect()
+}
+
 /// Runs the full inference pipeline over a batch.
+///
+/// The simulated backends run each block's whole batch on
+/// `std::thread::available_parallelism()` threads; the result and the
+/// RNG's final state are bitwise identical for any thread count.
 ///
 /// # Errors
 ///
@@ -725,6 +765,18 @@ pub fn infer<R: Rng>(
     backend: &InferenceBackend<'_>,
     opts: &InferenceOptions,
     rng: &mut R,
+) -> Result<InferenceResult, InferError> {
+    infer_on(qnn, features, backend, opts, rng, default_workers())
+}
+
+/// [`infer`] with an explicit worker count.
+fn infer_on<R: Rng>(
+    qnn: &Qnn,
+    features: &[Vec<f64>],
+    backend: &InferenceBackend<'_>,
+    opts: &InferenceOptions,
+    rng: &mut R,
+    workers: usize,
 ) -> Result<InferenceResult, InferError> {
     let n_blocks = qnn.config().n_blocks;
     if let NormMode::FixedStats(stats) = &opts.normalize {
@@ -743,40 +795,24 @@ pub fn infer<R: Rng>(
     let mut activations: Vec<Vec<f64>> = features.to_vec();
     let mut block_outputs = Vec::with_capacity(n_blocks);
     for bi in 0..n_blocks {
-        // Raw outcomes for the whole batch: a deployment takes the batch
-        // at once, the simulated backends evaluate row by row.
+        // Raw outcomes for the whole batch.
         let raw: Vec<Vec<f64>> = match backend {
-            InferenceBackend::NoiseFree => activations
-                .iter()
-                .map(|row| {
-                    qnn.eval_block(bi, row, &NoiseSource::None, None, false, rng)
-                        .outputs
-                })
-                .collect(),
+            InferenceBackend::NoiseFree => {
+                let noise = qnn.block_noise(bi, &NoiseSource::None, None);
+                simulate_rows(qnn, bi, &activations, &noise, 1, rng, workers)
+            }
             InferenceBackend::PauliModel {
                 model,
                 factor,
                 n_avg,
-            } => activations
-                .iter()
-                .map(|row| {
-                    let n_avg = (*n_avg).max(1);
-                    let mut acc = vec![0.0; qnn.config().n_qubits];
-                    for _ in 0..n_avg {
-                        let noise = NoiseSource::GateInsertion {
-                            model,
-                            factor: *factor,
-                        };
-                        let out = qnn
-                            .eval_block(bi, row, &noise, Some(model), false, rng)
-                            .outputs;
-                        for (a, o) in acc.iter_mut().zip(&out) {
-                            *a += o;
-                        }
-                    }
-                    acc.into_iter().map(|a| a / n_avg as f64).collect()
-                })
-                .collect(),
+            } => {
+                let source = NoiseSource::GateInsertion {
+                    model,
+                    factor: *factor,
+                };
+                let noise = qnn.block_noise(bi, &source, Some(model));
+                simulate_rows(qnn, bi, &activations, &noise, (*n_avg).max(1), rng, workers)
+            }
             InferenceBackend::Deployed(dep) => dep.run_block(bi, &activations, rng)?,
         };
         block_outputs.push(raw.clone());
@@ -1198,5 +1234,63 @@ mod tests {
         assert_eq!(serial.2, pooled.2);
         let report = serial.2.expect("report present");
         assert!(report.retries > 0, "30% transient faults should retry");
+    }
+
+    /// The simulated backends run each block's batch in one shared
+    /// forward; their raw outcomes and the RNG's final state must equal
+    /// a serial loop of one `eval_block` per row and repetition, for any
+    /// worker count.
+    #[test]
+    fn simulated_backends_match_the_serial_row_loop() {
+        let device = presets::santiago();
+        let qnn = Qnn::for_device(QnnConfig::standard(16, 4, 2, 2), &device, 8).unwrap();
+        let batch = toy_batch();
+        let pauli = |n_avg| InferenceBackend::PauliModel {
+            model: &device,
+            factor: 1.0,
+            n_avg,
+        };
+        let gates = NoiseSource::GateInsertion {
+            model: &device,
+            factor: 1.0,
+        };
+        let backends = [
+            (InferenceBackend::NoiseFree, NoiseSource::None, None, 1),
+            (pauli(1), gates, Some(&device), 1),
+            (pauli(3), gates, Some(&device), 3),
+        ];
+        for (seed, (backend, source, readout, n_avg)) in backends.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(seed as u64);
+            let mut want: Vec<Vec<Vec<f64>>> = Vec::new();
+            for bi in 0..2 {
+                let rows = want.last().unwrap_or(&batch);
+                let raw = rows
+                    .iter()
+                    .map(|row| {
+                        let mut acc = vec![0.0; 4];
+                        for _ in 0..*n_avg {
+                            let out = qnn.eval_block(bi, row, source, *readout, false, &mut rng);
+                            for (a, o) in acc.iter_mut().zip(&out.outputs) {
+                                *a += o;
+                            }
+                        }
+                        acc.into_iter().map(|a| a / *n_avg as f64).collect()
+                    })
+                    .collect();
+                want.push(raw);
+            }
+            let after = rng.next_u64();
+            for workers in [1, 2, 3, 7] {
+                let mut rng = StdRng::seed_from_u64(seed as u64);
+                let opts = InferenceOptions::baseline();
+                let got = infer_on(&qnn, &batch, backend, &opts, &mut rng, workers).unwrap();
+                let bits = |m: &[Vec<Vec<f64>>]| -> Vec<u64> {
+                    m.iter().flatten().flatten().map(|v| v.to_bits()).collect()
+                };
+                let what = format!("n_avg {n_avg}, {workers} workers");
+                assert_eq!(bits(&got.block_outputs), bits(&want), "{what}");
+                assert_eq!(rng.next_u64(), after, "{what}: RNG state");
+            }
+        }
     }
 }

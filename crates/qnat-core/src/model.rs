@@ -14,6 +14,7 @@
 
 use crate::ansatz::DesignSpace;
 use crate::encoder::Encoder;
+use crate::forward::block_forward;
 use qnat_compiler::mapping::Layout;
 use qnat_compiler::symbolic::{lower_symbolic, SymbolicLowered};
 use qnat_compiler::transpile::route_and_window;
@@ -88,10 +89,6 @@ pub struct Block {
     pub n_enc: usize,
     /// Number of trainable parameters in this block.
     pub n_train: usize,
-    /// Fusion structure of the lowered template, computed once at
-    /// construction: every noise-free evaluation fuses its bound circuit
-    /// through this plan instead of re-deriving the structure per call.
-    pub fusion: std::sync::Arc<qnat_compiler::fusion::FusionPlan>,
 }
 
 impl Block {
@@ -294,9 +291,6 @@ impl Qnn {
             };
             offsets.push(total_params);
             total_params += n_train;
-            let fusion = std::sync::Arc::new(
-                qnat_compiler::fusion::FusionPlan::for_template(&lowered.circuit),
-            );
             blocks.push(Block {
                 encoder,
                 logical,
@@ -305,7 +299,6 @@ impl Qnn {
                 window,
                 n_enc,
                 n_train,
-                fusion,
             });
         }
         // Small random initialization (uniform in ±0.3 rad).
@@ -365,7 +358,8 @@ impl Qnn {
 
     /// Evaluates one block on one sample, optionally with injected noise
     /// and gradients: [`Qnn::prepare`], then the adjoint engine's
-    /// batch-of-one case or a fused forward run.
+    /// batch-of-one case, or without gradients the batch of one of the
+    /// forward run that training and inference share.
     ///
     /// `inputs` are features (block 0) or the previous block's processed
     /// outcomes. When `with_grads` is false the Jacobian vectors are empty.
@@ -384,33 +378,18 @@ impl Qnn {
     ) -> BlockEval {
         let noise = self.block_noise(block_idx, noise, readout);
         let prepared = self.prepare(block_idx, inputs, &noise, rng);
-        let block = &self.blocks[block_idx];
-        let mut run = block.lowered.circuit.clone();
-        run.set_parameters(&prepared.angles);
         if !with_grads {
-            // Pure-unitary evaluation runs through the fused IR: adjacent
-            // single-qubit runs and CX sandwiches collapse into dense ops
-            // applied by the branch-free kernels. Exact within f64
-            // reassociation (the fusion proptests pin 1e-12); the adjoint
-            // path below stays gate-by-gate, which gradients require.
-            // Gate insertion changes the circuit's structure per sample,
-            // so only it pays for a fresh structural scan; every other
-            // source binds the template and reuses the block's plan.
-            let fused = match noise.gates {
-                None => block.fusion.fuse_bound(&run),
-                Some(_) => qnat_compiler::fusion::fuse(&splice(&run, &prepared.plan)),
-            };
-            let psi = qnat_sim::fused::simulate_fused(&fused);
-            let all = psi.expect_all_z();
-            let mut outputs: Vec<f64> = block.obs.iter().map(|&q| all[q]).collect();
-            noise.apply_readout(&mut outputs);
+            let run = block_forward(self, block_idx, std::slice::from_ref(&prepared), &noise, 1);
             return BlockEval {
-                outputs,
+                outputs: run.outputs,
                 jac_inputs: Vec::new(),
                 jac_params: Vec::new(),
             };
         }
 
+        let block = &self.blocks[block_idx];
+        let mut run = block.lowered.circuit.clone();
+        run.set_parameters(&prepared.angles);
         let run = splice(&run, &prepared.plan);
         let grad = adjoint_gradients(&run, &block.obs);
         let mut outputs = grad.expectations;

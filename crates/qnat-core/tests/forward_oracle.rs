@@ -12,6 +12,11 @@
 //! the largest entry: a VJP sums `Σ_q g_q·∂⟨Z_q⟩/∂θ` inside the adjoint
 //! sweep, while the reference sums the same terms after it, so the two
 //! round differently.
+//!
+//! `eval_block` without gradients runs the forward that the batch step
+//! and inference share, as a batch of one; for each noise source and
+//! readout setting its outputs must equal the gradient path's bit for
+//! bit, drawing the same randomness.
 
 use qnat_autodiff::tape::{quantize_value, Tape, Var};
 use qnat_autodiff::tensor::Tensor;
@@ -194,6 +199,39 @@ fn assert_matches(got: &TrainStep, want: &TrainStep, what: &str) {
     }
 }
 
+/// Runs every block on every row through `eval_block` with and without
+/// gradients, from two RNGs with the same seed: outputs and the final
+/// RNG state must agree bit for bit. Later blocks read a row's first
+/// inputs.
+fn assert_forward_paths_agree(
+    qnn: &Qnn,
+    opts: &PipelineOptions<'_>,
+    rows: &[Vec<f64>],
+    seed: u64,
+    what: &str,
+) {
+    let mut plain = StdRng::seed_from_u64(seed);
+    let mut grads = StdRng::seed_from_u64(seed);
+    for bi in 0..qnn.blocks().len() {
+        let n_in = qnn.blocks()[bi].encoder.n_features();
+        for row in rows {
+            let row = &row[..n_in];
+            let a = qnn.eval_block(bi, row, &opts.noise, opts.readout, false, &mut plain);
+            let b = qnn.eval_block(bi, row, &opts.noise, opts.readout, true, &mut grads);
+            assert_eq!(
+                bits(&a.outputs),
+                bits(&b.outputs),
+                "{what}: block {bi} eval_block outputs"
+            );
+        }
+    }
+    assert_eq!(
+        plain.next_u64(),
+        grads.next_u64(),
+        "{what}: RNG state after eval_block"
+    );
+}
+
 fn batch(n: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
     let features = (0..n)
         .map(|i| {
@@ -267,6 +305,9 @@ fn batch_step_matches_the_serial_step() {
                             serial_rng.next_u64(),
                             "{what}: RNG state after the step"
                         );
+                        if n == 3 && !process_last {
+                            assert_forward_paths_agree(&qnn, &opts, &features, seed, &what);
+                        }
                         configs += 1;
                     }
                 }

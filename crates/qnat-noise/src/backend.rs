@@ -430,6 +430,8 @@ impl ModelEngine {
 struct ModelBackend {
     name: String,
     base: DeviceModel,
+    /// The (gate, readout) drift scales `engine` runs `base` at.
+    drift: (f64, f64),
     engine: ModelEngine,
     rng: StdRng,
 }
@@ -440,6 +442,7 @@ impl ModelBackend {
             name,
             engine: ModelEngine::build(model.clone())?,
             base: model,
+            drift: (1.0, 1.0),
             rng: StdRng::seed_from_u64(seed),
         })
     }
@@ -459,15 +462,21 @@ impl ModelBackend {
     }
 
     fn apply_drift(&mut self, gate_scale: f64, readout_scale: f64) {
-        if (gate_scale - 1.0).abs() < 1e-12 && (readout_scale - 1.0).abs() < 1e-12 {
+        if (gate_scale, readout_scale) == self.drift {
             return;
         }
-        let drifted = self.base.drifted(gate_scale, readout_scale);
+        let one = |s: f64| (s - 1.0).abs() < 1e-12;
+        let model = if one(gate_scale) && one(readout_scale) {
+            self.base.clone()
+        } else {
+            self.base.drifted(gate_scale, readout_scale)
+        };
         // A drifted copy of a valid model stays valid (scaling clamps), so
-        // the rebuild cannot fail; fall back to the undrifted engine if it
-        // somehow does rather than panicking mid-deployment.
-        if let Ok(engine) = ModelEngine::build(drifted) {
+        // the rebuild cannot fail; keep the current engine if it somehow
+        // does rather than panicking mid-deployment.
+        if let Ok(engine) = ModelEngine::build(model) {
             self.engine = engine;
+            self.drift = (gate_scale, readout_scale);
         }
     }
 }
@@ -550,11 +559,6 @@ impl EmulatorBackend {
         Ok(EmulatorBackend {
             inner: ModelBackend::new(format!("emulator({})", model.name()), model.clone(), seed)?,
         })
-    }
-
-    /// The device model this backend currently runs (drift included).
-    pub fn model(&self) -> &DeviceModel {
-        &self.inner.base
     }
 }
 
@@ -698,6 +702,25 @@ mod tests {
         b.apply_drift(4.0, 4.0);
         let z1 = b.execute(&c, None).unwrap().expectations[0];
         assert!(z1.abs() < z0.abs(), "drifted run noisier: {z1} vs {z0}");
+    }
+
+    #[test]
+    fn drift_reset_restores_the_base_model() {
+        let mut c = Circuit::new(1);
+        c.push(Gate::x(0));
+        for _ in 0..20 {
+            c.push(Gate::sx(0));
+        }
+        let model = presets::santiago().subdevice(&[0]).unwrap();
+        let mut b = EmulatorBackend::new(&model, 0).unwrap();
+        let z0 = b.execute(&c, None).unwrap().expectations[0];
+        b.apply_drift(4.0, 4.0);
+        let z1 = b.execute(&c, None).unwrap().expectations[0];
+        b.apply_drift(4.0, 4.0);
+        assert_eq!(b.execute(&c, None).unwrap().expectations[0], z1);
+        b.apply_drift(1.0, 1.0);
+        let z2 = b.execute(&c, None).unwrap().expectations[0];
+        assert_eq!(z2, z0, "reset to (1, 1) must undo the drift (drifted {z1})");
     }
 
     #[test]

@@ -82,11 +82,6 @@ impl DensityMatrix {
         1 << self.n_qubits
     }
 
-    /// Mutable `vec(ρ)` access for in-crate kernels (fused execution).
-    pub(crate) fn data_mut(&mut self) -> &mut [C64] {
-        &mut self.data
-    }
-
     /// Matrix element `ρ[r][c]`.
     pub fn element(&self, r: usize, c: usize) -> C64 {
         self.data[r * self.dim() + c]

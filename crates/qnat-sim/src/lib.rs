@@ -13,10 +13,13 @@
 //! * [`circuit`] — circuits, parameter binding, inversion.
 //! * [`statevector`] — pure-state simulation.
 //! * [`density`] — mixed-state simulation with Kraus channels.
-//! * [`fused`] — the fused-circuit IR executed by the branch-free kernels.
 //! * [`channel`] — Pauli / depolarizing / damping channels.
+//! * [`kernels`] — the branch-free gate kernels every simulator shares.
 //! * [`measure`] — shot sampling and readout confusion.
-//! * [`adjoint`] — adjoint-method gradients (training backend).
+//! * [`adjoint`] — the batch engine: [`adjoint::batch_forward`] is the
+//!   forward of every simulated QNN block (training and inference),
+//!   [`adjoint::batch_vjp`] and [`adjoint::adjoint_gradients`] its
+//!   gradients.
 //! * [`paramshift`] — parameter-shift gradients (hardware-compatible).
 //!
 //! ## Example
@@ -40,7 +43,6 @@ pub mod adjoint;
 pub mod channel;
 pub mod circuit;
 pub mod density;
-pub mod fused;
 pub mod gate;
 pub mod kernels;
 pub mod math;
@@ -51,6 +53,5 @@ pub mod qasm;
 pub mod statevector;
 
 pub use circuit::Circuit;
-pub use fused::{FusedCircuit, FusedOp};
 pub use gate::{Gate, GateKind};
 pub use statevector::StateVector;

@@ -88,11 +88,6 @@ impl StateVector {
         &self.amps
     }
 
-    /// Mutable amplitude access for in-crate kernels (fused execution).
-    pub(crate) fn amps_mut(&mut self) -> &mut [C64] {
-        &mut self.amps
-    }
-
     /// Squared norm ⟨ψ|ψ⟩ (should be 1 for a normalized state).
     pub fn norm_sqr(&self) -> f64 {
         self.amps.iter().map(|a| a.norm_sqr()).sum()

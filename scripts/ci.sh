@@ -1,31 +1,30 @@
 #!/usr/bin/env sh
 # Full CI gate, in the order a reviewer wants failures surfaced:
-#   1. smoke:  fast deterministic breaker-trip smoke test (seconds; fails
-#              first if the health state machine regresses)
-#   2. tier-1: release build + the whole workspace test suite (the root
+#   1. tier-1: release build + the whole workspace test suite (the root
 #              manifest's `default-members` covers every crate, so this
 #              one stage runs the health, serve, transport, fleet, calib
-#              and mitigation suites in debug)
-#   3. serve:  a deadlock-guarded smoke run of the serving example
+#              and mitigation suites in debug, the breaker-trip smoke
+#              test included)
+#   2. serve:  a deadlock-guarded smoke run of the serving example
 #              against a fault-injecting backend (the example itself
 #              asserts a nonzero completed-job count; the timeout turns a
 #              queue deadlock into a loud failure)
-#   4. transport: a deadlock-guarded smoke run of the http_serving
+#   3. transport: a deadlock-guarded smoke run of the http_serving
 #              example (ephemeral port, 50% fault injection,
 #              submit/poll/wait over real TCP; the example asserts a full
 #              graceful drain, the timeout turns an accept-loop or drain
 #              deadlock into a loud failure)
-#   5. fleet:  a deadlock-guarded smoke run of the fleet_routing example
+#   4. fleet:  a deadlock-guarded smoke run of the fleet_routing example
 #              (three devices, the preferred one goes terminally dark
 #              mid-run; the example asserts failover keeps the
 #              completed-job count at 100% with zero refusals)
-#   6. lint:   clippy -D warnings (scripts/lint.sh; the workspace sweep
+#   5. lint:   clippy -D warnings (scripts/lint.sh; the workspace sweep
 #              includes qnat-serve's, qnat-transport's and qnat-fleet's
 #              unwrap_used walls)
-#   7. docs:   rustdoc over the workspace with broken intra-doc links
+#   6. docs:   rustdoc over the workspace with broken intra-doc links
 #              denied, so a doc link left pointing at a renamed or
 #              deleted item fails the build
-#   8. sim-bench: the simulator hot-path gate — the kernel bounds-check
+#   7. sim-bench: the simulator hot-path gate — the kernel bounds-check
 #              regression tests re-run under --release (the checks must
 #              survive optimized builds, not just debug_assert), the
 #              batch adjoint oracle (batch_vjp_oracle: batch forward +
@@ -37,17 +36,19 @@
 #              1e-12 relative to the largest entry, since the VJP sums
 #              Σ_q g_q·∂⟨Z_q⟩/∂θ inside the adjoint sweep while the loop
 #              contracts Jacobians after it — bitwise until the batch
-#              VJP replaced the Jacobians), both re-run under --release
+#              VJP replaced the Jacobians; and eval_block without
+#              gradients, the forward inference shares, bitwise equal to
+#              the gradient path), both re-run under --release
 #              (thread-chunking bugs show under optimized timing), then
 #              the gradients bench, which asserts one batch forward +
 #              VJP beats 48 per-sample adjoint calls by >= 2x on the
-#              §4.2 training blocks and writes
-#              results/BENCH_gradients.json, then the gate-kernel
-#              microbench plus the fused-vs-unfused acceptance bench,
-#              which asserts fused execution of the §4.2 QNN block
-#              sustains >= 2x unfused runs/sec and writes latency
-#              percentiles to results/BENCH_sim.json
-#   9. load:   the overload-robustness gate — the socket-level chaos
+#              §4.2 training blocks, and that one noise-free batch
+#              forward over 48 §4.2 rows (the inference path) matches
+#              48 per-row statevector runs to 1e-12 at >= 1.3x their
+#              rate; it writes both to results/BENCH_gradients.json.
+#              The per-qubit mat2/mat4 kernel timings live in
+#              `cargo bench -p qnat-bench --bench sim_kernels`
+#   8. load:   the overload-robustness gate — the socket-level chaos
 #              suite (resets, slow-loris, stalls, corruption against a
 #              live server; no hung workers, no leaked connection
 #              slots), then the open-loop load harness (Poisson +
@@ -57,7 +58,7 @@
 #              the overload SLO: p99 stays flat under 429/503 shedding
 #              and the pooled keep-alive client sustains >= 2x the
 #              connection-per-call request rate
-#  10. perf:   the batch-, serve-, transport- and fleet-throughput
+#   9. perf:   the batch-, serve-, transport- and fleet-throughput
 #              acceptance benches, which assert the 4-worker pool /
 #              serving engine / HTTP front door / routed fleet beats
 #              single-threaded submission by >= 2x on a 64-job workload
@@ -69,22 +70,19 @@
 #              the §4.2 submit body must take <= 32x as long as the 1x
 #              body (linear ≈ 16x, the old quadratic parser 179x); it writes
 #              encode/decode µs and ns/byte to results/BENCH_codec.json
-#  11. calib-bench: the calibration acceptance gate — drifting-fleet
+#  10. calib-bench: the calibration acceptance gate — drifting-fleet
 #              scenarios (RandomWalk and StepRecalibration heavy drift)
 #              asserting ScorePolicy::Predicted beats Static on
 #              accuracy-per-attempt and the learned tracker beats a
 #              frozen-preset baseline on attempt-weighted prequential
 #              Brier score; writes results/BENCH_calib.json
-#  12. mitigate: the ZNE acceptance bench, which asserts the served
+#  11. mitigate: the ZNE acceptance bench, which asserts the served
 #              gate-folding sweep beats the raw noisy expectation error
 #              on the §4.2 block under Santiago emulator noise and
 #              writes arm-by-arm errors plus sweep latency percentiles
 #              to results/BENCH_zne.json
 set -eu
 cd "$(dirname "$0")/.."
-
-echo "== smoke: deterministic breaker trip =="
-cargo test -q -p qnat-core --test health_e2e breaker_trip_smoke
 
 echo "== tier-1: cargo build --release =="
 cargo build --release
@@ -117,11 +115,8 @@ echo "== sim-bench: release-mode batch adjoint and training-step oracles =="
 cargo test -q --release -p qnat-sim --test batch_vjp_oracle
 cargo test -q --release -p qnat-core --test forward_oracle
 
-echo "== sim-bench: batch VJP acceptance gate (>= 2x per-sample adjoint) =="
+echo "== sim-bench: batch VJP (>= 2x per-sample adjoint) and batch inference forward (>= 1.3x per-row) gates =="
 cargo bench -p qnat-bench --bench gradients
-
-echo "== sim-bench: fused-vs-unfused acceptance gate =="
-cargo bench -p qnat-bench --bench sim_fused
 
 echo "== load: socket-level chaos suite =="
 cargo test -q --release -p qnat-transport --test transport_chaos
