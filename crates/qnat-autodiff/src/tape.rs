@@ -47,20 +47,9 @@ enum Op<'a> {
     VarAxis0(Var),
     Broadcast0(Var, usize),
     MatmulConst(Var, Tensor),
-    QuantizeSte {
-        x: Var,
-        p_min: f64,
-        p_max: f64,
-    },
-    SoftmaxCrossEntropy {
-        logits: Var,
-        labels: Vec<usize>,
-    },
-    Quantum {
-        x: Var,
-        params: Var,
-        vjp: Vjp<'a>,
-    },
+    QuantizeSte { x: Var, p_min: f64, p_max: f64 },
+    SoftmaxCrossEntropy { logits: Var, labels: Vec<usize> },
+    Quantum { x: Var, params: Var, vjp: Vjp<'a> },
 }
 
 #[derive(Debug)]
@@ -195,7 +184,12 @@ impl<'a> Tape<'a> {
     /// Multiplication by a constant.
     pub fn scale(&mut self, a: Var, c: f64) -> Var {
         let t = Tensor::new(
-            self.nodes[a.0].value.data().iter().map(|&x| x * c).collect(),
+            self.nodes[a.0]
+                .value
+                .data()
+                .iter()
+                .map(|&x| x * c)
+                .collect(),
             self.nodes[a.0].value.shape().to_vec(),
         );
         self.push(Op::Scale(a, c), t, None)
@@ -204,7 +198,12 @@ impl<'a> Tape<'a> {
     /// Addition of a constant.
     pub fn add_scalar(&mut self, a: Var, c: f64) -> Var {
         let t = Tensor::new(
-            self.nodes[a.0].value.data().iter().map(|&x| x + c).collect(),
+            self.nodes[a.0]
+                .value
+                .data()
+                .iter()
+                .map(|&x| x + c)
+                .collect(),
             self.nodes[a.0].value.shape().to_vec(),
         );
         self.push(Op::AddScalar(a), t, None)
@@ -368,11 +367,7 @@ impl<'a> Tape<'a> {
                 }
             }
         }
-        self.push(
-            Op::MatmulConst(a, w),
-            Tensor::new(data, vec![b, c]),
-            None,
-        )
+        self.push(Op::MatmulConst(a, w), Tensor::new(data, vec![b, c]), None)
     }
 
     /// Post-measurement quantization with a clipped straight-through
@@ -472,9 +467,7 @@ impl<'a> Tape<'a> {
             let Some(g) = grads[idx].clone() else {
                 continue;
             };
-            let give = |v: Var, t: Tensor, grads: &mut Vec<Option<Tensor>>| match &mut grads
-                [v.0]
-            {
+            let give = |v: Var, t: Tensor, grads: &mut Vec<Option<Tensor>>| match &mut grads[v.0] {
                 Some(acc) => acc.accumulate(&t),
                 slot @ None => *slot = Some(t),
             };
@@ -486,10 +479,8 @@ impl<'a> Tape<'a> {
                 }
                 Op::Sub(a, b) => {
                     give(*a, g.clone(), &mut grads);
-                    let neg = Tensor::new(
-                        g.data().iter().map(|&v| -v).collect(),
-                        g.shape().to_vec(),
-                    );
+                    let neg =
+                        Tensor::new(g.data().iter().map(|&v| -v).collect(), g.shape().to_vec());
                     give(*b, neg, &mut grads);
                 }
                 Op::Mul(a, b) => {
@@ -535,10 +526,8 @@ impl<'a> Tape<'a> {
                     give(*b, gb, &mut grads);
                 }
                 Op::Neg(a) => {
-                    let ga = Tensor::new(
-                        g.data().iter().map(|&v| -v).collect(),
-                        g.shape().to_vec(),
-                    );
+                    let ga =
+                        Tensor::new(g.data().iter().map(|&v| -v).collect(), g.shape().to_vec());
                     give(*a, ga, &mut grads);
                 }
                 Op::Scale(a, c) => {
@@ -690,7 +679,11 @@ impl<'a> Tape<'a> {
                         assert_eq!(gx.shape(), self.nodes[x.0].value.shape(), "input VJP shape");
                         give(*x, gx, &mut grads);
                     }
-                    assert_eq!(gp.len(), self.nodes[params.0].value.len(), "parameter VJP length");
+                    assert_eq!(
+                        gp.len(),
+                        self.nodes[params.0].value.len(),
+                        "parameter VJP length"
+                    );
                     give(*params, gp, &mut grads);
                 }
             }
@@ -704,11 +697,7 @@ mod tests {
     use super::*;
 
     /// Central finite-difference check of d loss / d input element.
-    fn finite_diff(
-        build: &impl Fn(&mut Tape, Var) -> Var,
-        input: &Tensor,
-        idx: usize,
-    ) -> f64 {
+    fn finite_diff(build: &impl Fn(&mut Tape, Var) -> Var, input: &Tensor, idx: usize) -> f64 {
         let eps = 1e-6;
         let eval = |delta: f64| {
             let mut t = input.clone();
@@ -837,10 +826,7 @@ mod tests {
     fn softmax_cross_entropy_gradients() {
         let input = Tensor::from_rows(&[vec![0.5, -0.2, 0.9], vec![-1.0, 0.4, 0.1]]);
         let labels = vec![2usize, 1];
-        check_all(
-            move |t, x| t.softmax_cross_entropy(x, &labels),
-            input,
-        );
+        check_all(move |t, x| t.softmax_cross_entropy(x, &labels), input);
     }
 
     #[test]

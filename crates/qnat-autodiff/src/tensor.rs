@@ -148,7 +148,12 @@ impl Tensor {
 
 impl fmt::Display for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Tensor{:?} {:.4?}", self.shape, &self.data[..self.len().min(8)])?;
+        write!(
+            f,
+            "Tensor{:?} {:.4?}",
+            self.shape,
+            &self.data[..self.len().min(8)]
+        )?;
         if self.len() > 8 {
             write!(f, "…")?;
         }

@@ -212,9 +212,7 @@ fn run_scenario(drift: DriftModel, per_job: f64, policy: ScorePolicy) -> Scenari
                 Disposition::Failed(_) if Some(i) == jt.winner => {
                     CalibrationTracker::report_usage(&o.report).attempts.max(1) as u64
                 }
-                Disposition::Failed(_) if at.device == drifty_name => {
-                    DRIFTY_MAX_ATTEMPTS as u64
-                }
+                Disposition::Failed(_) if at.device == drifty_name => DRIFTY_MAX_ATTEMPTS as u64,
                 Disposition::Failed(_) => STEADY_MAX_ATTEMPTS as u64,
                 _ => 0,
             };
@@ -242,8 +240,8 @@ fn run_scenario(drift: DriftModel, per_job: f64, policy: ScorePolicy) -> Scenari
     }
     let tracker_mae = router.with_tracker(|t| t.mae(0));
     let tracker_brier = router.with_tracker(|t| t.brier(0));
-    let frozen_mae = (!frozen_abs.is_empty())
-        .then(|| frozen_abs.iter().sum::<f64>() / frozen_abs.len() as f64);
+    let frozen_mae =
+        (!frozen_abs.is_empty()).then(|| frozen_abs.iter().sum::<f64>() / frozen_abs.len() as f64);
     let frozen_brier = (frozen_w > 0.0).then(|| frozen_sq / frozen_w);
     router.drain();
     ScenarioRun {
@@ -261,8 +259,9 @@ fn run_scenario(drift: DriftModel, per_job: f64, policy: ScorePolicy) -> Scenari
 /// Median accuracy over 3 runs — routing interleaves with breaker state,
 /// so individual runs wobble slightly even with fixed seeds.
 fn median_run(drift: DriftModel, per_job: f64, policy: ScorePolicy) -> ScenarioRun {
-    let mut runs: Vec<ScenarioRun> =
-        (0..3).map(|_| run_scenario(drift, per_job, policy)).collect();
+    let mut runs: Vec<ScenarioRun> = (0..3)
+        .map(|_| run_scenario(drift, per_job, policy))
+        .collect();
     runs.sort_by(|a, b| {
         a.accuracy_per_attempt
             .partial_cmp(&b.accuracy_per_attempt)
@@ -274,10 +273,7 @@ fn median_run(drift: DriftModel, per_job: f64, policy: ScorePolicy) -> ScenarioR
 /// Synthetic observation stream timing the pilot-path cost of one
 /// `observe` (feature extraction + prequential Adam step).
 fn update_latencies(n: usize) -> Vec<Duration> {
-    let mut tracker = CalibrationTracker::new(
-        CalibConfig::default(),
-        vec!["a".into(), "b".into()],
-    );
+    let mut tracker = CalibrationTracker::new(CalibConfig::default(), vec!["a".into(), "b".into()]);
     let mut out = Vec::with_capacity(n);
     for t in 0..n {
         let usage = BackendUsage {
@@ -301,8 +297,14 @@ fn scenario_json(name: &str, stat: &ScenarioRun, pred: &ScenarioRun) -> (String,
             ("accuracy_per_attempt", Json::Num(r.accuracy_per_attempt)),
             ("drifty_serves", Json::Num(r.drifty_serves as f64)),
             ("tracker_mae", r.tracker_mae.map_or(Json::Null, Json::Num)),
-            ("frozen_preset_mae", r.frozen_mae.map_or(Json::Null, Json::Num)),
-            ("tracker_brier", r.tracker_brier.map_or(Json::Null, Json::Num)),
+            (
+                "frozen_preset_mae",
+                r.frozen_mae.map_or(Json::Null, Json::Num),
+            ),
+            (
+                "tracker_brier",
+                r.tracker_brier.map_or(Json::Null, Json::Num),
+            ),
             (
                 "frozen_preset_brier",
                 r.frozen_brier.map_or(Json::Null, Json::Num),
@@ -386,10 +388,7 @@ fn bench_calib_tracking(c: &mut Criterion) {
                 ("step_recalibration", Json::Num(STEP_DRIFT_PER_JOB)),
             ]),
         ),
-        (
-            "scenarios",
-            Json::Obj(sections.into_iter().collect()),
-        ),
+        ("scenarios", Json::Obj(sections.into_iter().collect())),
         (
             "update_latency_ms",
             Json::obj([

@@ -162,7 +162,10 @@ fn bench_fleet_routing(c: &mut Criterion) {
     let fleet_rate = BATCH as f64 / routed.as_secs_f64();
     let speedup = fleet_rate / seq_rate;
 
-    let mut pooled: Vec<Duration> = fleet_runs.iter().flat_map(|r| r.latencies.clone()).collect();
+    let mut pooled: Vec<Duration> = fleet_runs
+        .iter()
+        .flat_map(|r| r.latencies.clone())
+        .collect();
     let (p50, p90, p99) = latency_percentiles_ms(&mut pooled);
     let failovers: u64 = fleet_runs.iter().map(|r| r.stats.failovers).sum();
     let hedges: u64 = fleet_runs.iter().map(|r| r.stats.hedges).sum();

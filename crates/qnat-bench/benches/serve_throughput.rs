@@ -138,7 +138,10 @@ fn bench_serve_throughput(c: &mut Criterion) {
     let speedup = serve_rate / seq_rate;
 
     // Latency percentiles pooled over the three gate runs.
-    let mut pooled: Vec<Duration> = serve_runs.iter().flat_map(|r| r.latencies.clone()).collect();
+    let mut pooled: Vec<Duration> = serve_runs
+        .iter()
+        .flat_map(|r| r.latencies.clone())
+        .collect();
     let (p50, p90, p99) = latency_percentiles_ms(&mut pooled);
     println!(
         "serve_throughput: {BATCH} jobs, sequential {seq_rate:.1} jobs/s vs 4 workers \

@@ -137,8 +137,14 @@ fn acceptance_gate() {
 
     let doc = Json::obj([
         ("bench", Json::Str("zne_mitigation".into())),
-        ("block", Json::Str("standard(16,4,1,2) block 0, santiago, level 2".into())),
-        ("backend", Json::Str("emulator(santiago), exact expectations".into())),
+        (
+            "block",
+            Json::Str("standard(16,4,1,2) block 0, santiago, level 2".into()),
+        ),
+        (
+            "backend",
+            Json::Str("emulator(santiago), exact expectations".into()),
+        ),
         ("scales", Json::nums([1.0, 3.0, 5.0])),
         ("strategy", Json::Str("per_gate".into())),
         ("method", Json::Str("linear".into())),
@@ -148,7 +154,10 @@ fn acceptance_gate() {
         ("readout_inversion_mean_abs_error", Json::Num(inv_err)),
         ("combined_mean_abs_error", Json::Num(combined_err)),
         ("zne_error_reduction", Json::Num(1.0 - zne_err / raw_err)),
-        ("combined_error_reduction", Json::Num(1.0 - combined_err / raw_err)),
+        (
+            "combined_error_reduction",
+            Json::Num(1.0 - combined_err / raw_err),
+        ),
         (
             "sweep_latency_ms",
             Json::obj([

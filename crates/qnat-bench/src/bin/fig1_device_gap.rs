@@ -14,13 +14,15 @@ fn main() {
     let arch = ArchSpec::u3cu3(2, 2);
     // One noise-unaware model; it must fit every device, so build it for
     // the largest ring-compatible topology (line) and re-deploy per device.
-    let (qnn, ds, _) = train_arm(Task::Mnist2, arch, &presets::santiago(), Arm::Baseline, &cfg);
+    let (qnn, ds, _) = train_arm(
+        Task::Mnist2,
+        arch,
+        &presets::santiago(),
+        Arm::Baseline,
+        &cfg,
+    );
     let clean = eval_noise_free(&qnn, &ds, Arm::Baseline, &cfg);
-    let mut rows = vec![vec![
-        "noise-free".into(),
-        "0".into(),
-        format!("{clean:.3}"),
-    ]];
+    let mut rows = vec![vec!["noise-free".into(), "0".into(), format!("{clean:.3}")]];
     for device in [
         presets::santiago(),
         presets::athens(),

@@ -24,7 +24,13 @@ fn col_stats(m: &[Vec<f64>], q: usize) -> (f64, f64) {
 fn main() {
     let cfg = RunConfig::default();
     let device = presets::santiago();
-    let (qnn, ds, _) = train_arm(Task::Mnist4, ArchSpec::u3cu3(2, 2), &device, Arm::Norm, &cfg);
+    let (qnn, ds, _) = train_arm(
+        Task::Mnist4,
+        ArchSpec::u3cu3(2, 2),
+        &device,
+        Arm::Norm,
+        &cfg,
+    );
     let dep = qnn.deploy(&device, 2).expect("deployable");
     let mut rng = StdRng::seed_from_u64(1);
     let feats: Vec<Vec<f64>> = ds.test.iter().map(|s| s.features.clone()).collect();

@@ -66,14 +66,17 @@ fn train_with(
 ) -> (Qnn, qnat_data::Dataset) {
     let dataset = build(task, &cfg.data);
     let arch = ArchSpec::u3cu3(2, 2);
-    let mut qnn =
-        Qnn::for_device(qnn_config(task, arch), device, cfg.seed).expect("fits device");
+    let mut qnn = Qnn::for_device(qnn_config(task, arch), device, cfg.seed).expect("fits device");
     let pipeline = PipelineOptions {
         noise,
         readout: Some(device),
         normalize: true,
         quantize,
-        quant_penalty: if quantize.is_some() { cfg.quant_penalty } else { 0.0 },
+        quant_penalty: if quantize.is_some() {
+            cfg.quant_penalty
+        } else {
+            0.0
+        },
         process_last: false,
     };
     let options = TrainOptions {

@@ -18,7 +18,11 @@ fn main() {
 
     // Left: (T, levels) contour.
     let device = presets::athens();
-    let factors: &[f64] = if fast { &[0.2, 1.0] } else { &[0.1, 0.2, 0.5, 1.0] };
+    let factors: &[f64] = if fast {
+        &[0.2, 1.0]
+    } else {
+        &[0.1, 0.2, 0.5, 1.0]
+    };
     let levels: &[usize] = if fast { &[5] } else { &[3, 4, 5, 6] };
     let mut rows = Vec::new();
     for &t in factors {
@@ -29,8 +33,13 @@ fn main() {
                 quant: QuantizeSpec::levels(lv),
                 ..cfg
             };
-            let (qnn, ds, _) =
-                train_arm(Task::Fashion4, ArchSpec::u3cu3(2, 2), &device, Arm::Full, &cell);
+            let (qnn, ds, _) = train_arm(
+                Task::Fashion4,
+                ArchSpec::u3cu3(2, 2),
+                &device,
+                Arm::Full,
+                &cell,
+            );
             let acc = eval_on_hardware(&qnn, &ds, &device, Arm::Full, &cell, 2);
             row.push(format!("{acc:.2}"));
         }
@@ -54,7 +63,12 @@ fn main() {
         let (qnn, ds, _) = train_arm(Task::Mnist2, ArchSpec::u3cu3(2, 2), &device, arm, &cfg);
         let dep = qnn.deploy(&device, 2).expect("deployable");
         let mut rng = StdRng::seed_from_u64(4);
-        let feats: Vec<Vec<f64>> = ds.test.iter().take(48).map(|s| s.features.clone()).collect();
+        let feats: Vec<Vec<f64>> = ds
+            .test
+            .iter()
+            .take(48)
+            .map(|s| s.features.clone())
+            .collect();
         let labels: Vec<usize> = ds.test.iter().take(48).map(|s| s.label).collect();
         let result = infer(
             &qnn,

@@ -28,8 +28,7 @@ fn main() {
     ];
     let mut rows = Vec::new();
     for (label, inject, quant) in variants {
-        let mut qnn =
-            Qnn::for_device(qnn_config(task, arch), &device, cfg.seed).expect("fits");
+        let mut qnn = Qnn::for_device(qnn_config(task, arch), &device, cfg.seed).expect("fits");
         let pipeline = PipelineOptions {
             noise: if inject {
                 NoiseSource::GateInsertion {

@@ -11,7 +11,12 @@ fn main() {
     let arch = ArchSpec::u3cu3(2, 2);
     for task in [Task::Mnist2, Task::Mnist4] {
         let t0 = Instant::now();
-        println!("== {} on {} ({}) ==", task.name(), device.name(), arch.label());
+        println!(
+            "== {} on {} ({}) ==",
+            task.name(),
+            device.name(),
+            arch.label()
+        );
         for arm in Arm::all() {
             let t1 = Instant::now();
             let (qnn, ds, report) = train_arm(task, arch, &device, arm, &cfg);

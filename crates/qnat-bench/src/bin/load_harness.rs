@@ -226,8 +226,7 @@ fn run_open_loop(server: &TransportServer, schedule: &[Arrival]) -> Vec<Sample> 
                 scope.spawn(move || {
                     // One pooled keep-alive client per injector: its
                     // connection stays hot across the whole run.
-                    let client =
-                        TransportClient::new(addr).with_timeout(Duration::from_secs(5));
+                    let client = TransportClient::new(addr).with_timeout(Duration::from_secs(5));
                     loop {
                         let i = next.fetch_add(1, Ordering::SeqCst);
                         let Some(arrival) = schedule.get(i) else {
@@ -384,8 +383,7 @@ fn main() {
     println!(
         "latency ms (from scheduled arrival): all p50 {:.1} p99 {:.1} p999 {:.1}; \
          interactive p99 {:.1}; bulk p99 {:.1}; malformed p99 {:.1}",
-        all_tails.p50, all_tails.p99, all_tails.p999, int_tails.p99, bulk_tails.p99,
-        mal_tails.p99
+        all_tails.p50, all_tails.p99, all_tails.p999, int_tails.p99, bulk_tails.p99, mal_tails.p99
     );
     println!(
         "transport: {} conns accepted, {} keep-alive reuses, {} shed, {} served, \

@@ -4,9 +4,7 @@
 //! little accuracy loss.
 
 use qnat_bench::harness::*;
-use qnat_core::infer::{
-    infer, profile_stats, InferenceBackend, InferenceOptions, NormMode,
-};
+use qnat_core::infer::{infer, profile_stats, InferenceBackend, InferenceOptions, NormMode};
 use qnat_data::dataset::Task;
 use qnat_noise::presets;
 use rand::rngs::StdRng;
@@ -35,8 +33,7 @@ fn main() {
             let (qnn, ds, _) = train_arm(task, arch, device, Arm::Full, &cfg);
             let dep = qnn.deploy(device, 2).expect("deployable");
             let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x13);
-            let vfeats: Vec<Vec<f64>> =
-                ds.valid.iter().map(|s| s.features.clone()).collect();
+            let vfeats: Vec<Vec<f64>> = ds.valid.iter().map(|s| s.features.clone()).collect();
             let stats = profile_stats(
                 &qnn,
                 &vfeats,
@@ -96,7 +93,12 @@ fn main() {
     ]);
     print_table(
         "Table 13: test-batch statistics vs validation-profiled statistics",
-        &["task-device", "valid block-1 means", "test stats acc", "valid stats acc"],
+        &[
+            "task-device",
+            "valid block-1 means",
+            "test stats acc",
+            "valid stats acc",
+        ],
         &rows,
     );
     println!("\nExpected shape (paper Table 13): the two accuracies are close");

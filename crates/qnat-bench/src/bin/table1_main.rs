@@ -49,11 +49,28 @@ fn main() {
         // the deep Athens/Santiago models select T = 0.1-0.5 while shallow
         // Yorktown models use T = 0.5: injected noise per training step
         // grows with circuit depth, so deep circuits need less scaling.
-        let deep = RunConfig { epochs: 60, t_factor: 0.12, ..cfg };
-        let mid = RunConfig { t_factor: 0.25, ..cfg };
+        let deep = RunConfig {
+            epochs: 60,
+            t_factor: 0.12,
+            ..cfg
+        };
+        let mid = RunConfig {
+            t_factor: 0.25,
+            ..cfg
+        };
         vec![
-            (presets::santiago(), ArchSpec::u3cu3(2, 12), four_q.clone(), deep),
-            (presets::yorktown(), ArchSpec::u3cu3(2, 2), four_q.clone(), cfg),
+            (
+                presets::santiago(),
+                ArchSpec::u3cu3(2, 12),
+                four_q.clone(),
+                deep,
+            ),
+            (
+                presets::yorktown(),
+                ArchSpec::u3cu3(2, 2),
+                four_q.clone(),
+                cfg,
+            ),
             (presets::belem(), ArchSpec::u3cu3(2, 6), four_q.clone(), mid),
             (presets::athens(), ArchSpec::u3cu3(3, 10), four_q, deep),
             (
@@ -115,7 +132,13 @@ fn main() {
         .collect();
     print_table(
         "Table 12: improvement vs number of classes",
-        &["task group", "Baseline", "QuantumNAT", "absolute", "relative"],
+        &[
+            "task group",
+            "Baseline",
+            "QuantumNAT",
+            "absolute",
+            "relative",
+        ],
         &rows,
     );
 
@@ -124,7 +147,10 @@ fn main() {
         &["parameter", "value"],
         &[
             vec!["noise factor T".into(), format!("{}", cfg.t_factor)],
-            vec!["quantization levels".into(), format!("{}", cfg.quant.levels)],
+            vec![
+                "quantization levels".into(),
+                format!("{}", cfg.quant.levels),
+            ],
             vec![
                 "clip range".into(),
                 format!("[{}, {}]", cfg.quant.p_min, cfg.quant.p_max),

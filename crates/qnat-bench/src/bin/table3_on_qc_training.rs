@@ -54,7 +54,11 @@ fn dataset(seed: u64, n: usize) -> Vec<(Vec<f64>, usize)> {
     (0..n)
         .map(|i| {
             let label = i % 2;
-            let (cx, cy) = if label == 0 { (0.38, 0.46) } else { (0.58, 0.54) };
+            let (cx, cy) = if label == 0 {
+                (0.38, 0.46)
+            } else {
+                (0.58, 0.54)
+            };
             let x = vec![
                 (cx + rng.gen_range(-0.16..0.16f64)).clamp(0.0, 1.0),
                 (cy + rng.gen_range(-0.16..0.16f64)).clamp(0.0, 1.0),

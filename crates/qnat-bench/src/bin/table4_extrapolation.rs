@@ -14,8 +14,8 @@ use qnat_bench::harness::*;
 use qnat_core::head::apply_head;
 use qnat_core::metrics::accuracy;
 use qnat_core::mitigate::{batch_std, extrapolate_std};
-use qnat_core::normalize::{normalize_batch, NormStats};
 use qnat_core::model::Qnn;
+use qnat_core::normalize::{normalize_batch, NormStats};
 use qnat_data::dataset::{Dataset, Task};
 use qnat_noise::emulator::HardwareEmulator;
 use qnat_noise::presets;

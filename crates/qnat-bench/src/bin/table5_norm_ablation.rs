@@ -32,8 +32,7 @@ fn main() {
             // SNR of the baseline model's block-1 outcomes.
             let dep = b_qnn.deploy(&device, 2).expect("deployable");
             let mut rng = StdRng::seed_from_u64(3);
-            let feats: Vec<Vec<f64>> =
-                ds.test.iter().map(|s| s.features.clone()).collect();
+            let feats: Vec<Vec<f64>> = ds.test.iter().map(|s| s.features.clone()).collect();
             let clean = infer(
                 &b_qnn,
                 &feats,

@@ -28,8 +28,8 @@ fn main() {
     let trained: Vec<Qnn> = models
         .iter()
         .map(|noise_model| {
-            let mut qnn = Qnn::for_device(qnn_config(task, arch), noise_model, cfg.seed)
-                .expect("fits");
+            let mut qnn =
+                Qnn::for_device(qnn_config(task, arch), noise_model, cfg.seed).expect("fits");
             let options = TrainOptions {
                 adam: AdamConfig {
                     lr_max: cfg.lr_max,

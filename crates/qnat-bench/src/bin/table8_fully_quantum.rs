@@ -34,8 +34,7 @@ fn main() {
                 let mut accs = Vec::new();
                 for full in [false, true] {
                     let mut qnn =
-                        Qnn::for_device(qnn_config(task, arch), &device, cfg.seed)
-                            .expect("fits");
+                        Qnn::for_device(qnn_config(task, arch), &device, cfg.seed).expect("fits");
                     let pipeline = if full {
                         PipelineOptions {
                             noise: NoiseSource::GateInsertion {
@@ -67,8 +66,7 @@ fn main() {
                     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x88);
                     let feats: Vec<Vec<f64>> =
                         dataset.test.iter().map(|s| s.features.clone()).collect();
-                    let labels: Vec<usize> =
-                        dataset.test.iter().map(|s| s.label).collect();
+                    let labels: Vec<usize> = dataset.test.iter().map(|s| s.label).collect();
                     let opts = if full {
                         InferenceOptions {
                             normalize: NormMode::BatchStats,

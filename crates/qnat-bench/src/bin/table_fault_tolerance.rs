@@ -104,7 +104,14 @@ fn main() {
         for breaker in [false, true] {
             let faults = FaultSpec::transient(rate, 0xFA02 + (rate * 100.0) as u64);
             let mut dep = qnn
-                .deploy_batch(&device, 2, RetryPolicy::default(), Some(faults), 4, cfg.seed)
+                .deploy_batch(
+                    &device,
+                    2,
+                    RetryPolicy::default(),
+                    Some(faults),
+                    4,
+                    cfg.seed,
+                )
                 .expect("deployable");
             if breaker {
                 dep = dep.with_health(HealthPolicy::breaker_only());

@@ -328,7 +328,10 @@ pub fn run_ladder(
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n## {title}\n");
     println!("| {} |", header.join(" | "));
-    println!("|{}|", header.iter().map(|_| "---").collect::<Vec<_>>().join("|"));
+    println!(
+        "|{}|",
+        header.iter().map(|_| "---").collect::<Vec<_>>().join("|")
+    );
     for row in rows {
         println!("| {} |", row.join(" | "));
     }

@@ -114,6 +114,9 @@ mod tests {
         let tails = latency_tails_ms(&mut long);
         assert!(tails.p99 < tails.p999, "p999 resolves past p99: {tails:?}");
         assert!(tails.p999 <= 2000.0);
-        assert_eq!(tails.p999, 1998.0, "nearest rank: round(0.999 * 1999) = 1997");
+        assert_eq!(
+            tails.p999, 1998.0,
+            "nearest rank: round(0.999 * 1999) = 1997"
+        );
     }
 }

@@ -128,6 +128,12 @@ mod tests {
             chosen: 3,
         };
         assert_eq!(replay_decision(&d), Some(3));
-        assert_eq!(replay_decision(&CalibDecision { candidates: vec![], ..d }), None);
+        assert_eq!(
+            replay_decision(&CalibDecision {
+                candidates: vec![],
+                ..d
+            }),
+            None
+        );
     }
 }

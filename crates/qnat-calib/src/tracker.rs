@@ -175,7 +175,8 @@ impl DeviceTrack {
                 }
                 s / w
             };
-            wmean(&mut self.window.iter().skip(n - half)) - wmean(&mut self.window.iter().take(half))
+            wmean(&mut self.window.iter().skip(n - half))
+                - wmean(&mut self.window.iter().take(half))
         };
         let last = self.window.back().map_or(0.0, |o| o.label);
         Some([
@@ -481,9 +482,7 @@ impl CalibrationTracker {
     /// the static model unchanged.
     pub fn compile_view(&self, device: usize, model: &DeviceModel, reference: f64) -> DeviceModel {
         match self.estimate(device) {
-            Some(e) => {
-                qnat_compiler::calibrated_view(model, e, reference, self.config.quant_step)
-            }
+            Some(e) => qnat_compiler::calibrated_view(model, e, reference, self.config.quant_step),
             None => model.clone(),
         }
     }
@@ -618,7 +617,14 @@ mod tests {
     #[test]
     fn out_of_order_tickets_apply_in_ticket_order() {
         let obs: Vec<(u64, usize, BackendUsage, bool)> = (0..40u64)
-            .map(|k| (k, (k % 2) as usize, usage(synthetic_retries(0.4, k)), k % 5 != 0))
+            .map(|k| {
+                (
+                    k,
+                    (k % 2) as usize,
+                    usage(synthetic_retries(0.4, k)),
+                    k % 5 != 0,
+                )
+            })
             .collect();
         let mut in_order = tracker();
         for (t, d, u, ok) in &obs {

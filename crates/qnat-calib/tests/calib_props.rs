@@ -37,7 +37,15 @@ fn usage_from(
 
 /// Realistic usage: a handful of attempts with correlated counters.
 fn arb_usage() -> impl Strategy<Value = BackendUsage> {
-    (0usize..6, 0usize..8, 0usize..4, 0usize..2, 0usize..2, 0u64..2000).prop_map(usage_from)
+    (
+        0usize..6,
+        0usize..8,
+        0usize..4,
+        0usize..2,
+        0usize..2,
+        0u64..2000,
+    )
+        .prop_map(usage_from)
 }
 
 /// Pathological usage: every counter independently 0, huge, or saturated.

@@ -75,7 +75,11 @@ mod tests {
         let model = presets::santiago();
         let a = calibrated_view(&model, 0.101, 0.1, 0.05);
         let b = calibrated_view(&model, 0.099, 0.1, 0.05);
-        assert_eq!(a.fingerprint(), b.fingerprint(), "jitter must not recompile");
+        assert_eq!(
+            a.fingerprint(),
+            b.fingerprint(),
+            "jitter must not recompile"
+        );
         let c = calibrated_view(&model, 0.16, 0.1, 0.05);
         assert_ne!(
             a.fingerprint(),

@@ -254,10 +254,7 @@ mod tests {
         c.push(Gate::t(0));
         c.push(Gate::z(0));
         let lowered = decompose_to_basis(&c);
-        assert!(lowered
-            .gates()
-            .iter()
-            .all(|g| g.kind == GateKind::Rz));
+        assert!(lowered.gates().iter().all(|g| g.kind == GateKind::Rz));
     }
 
     #[test]

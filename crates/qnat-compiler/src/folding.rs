@@ -85,7 +85,10 @@ impl fmt::Display for FoldError {
                 "noise scale {scale} is even; gate folding reaches odd scales only (1, 3, 5, …)"
             ),
             FoldError::ZeroScale => {
-                write!(f, "noise scale 0 is the extrapolation target, not a runnable circuit")
+                write!(
+                    f,
+                    "noise scale 0 is the extrapolation target, not a runnable circuit"
+                )
             }
         }
     }
@@ -201,7 +204,10 @@ mod tests {
             fold_circuit(&c, 2, FoldStrategy::Global),
             Err(FoldError::EvenScale { scale: 2 })
         );
-        assert_eq!(fold_circuit(&c, 0, FoldStrategy::PerGate), Err(FoldError::ZeroScale));
+        assert_eq!(
+            fold_circuit(&c, 0, FoldStrategy::PerGate),
+            Err(FoldError::ZeroScale)
+        );
     }
 
     #[test]

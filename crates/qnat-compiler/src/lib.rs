@@ -43,4 +43,4 @@ pub mod unitary;
 
 pub use calibration::{calibrated_view, quantize_estimate};
 pub use folding::{fold_circuit, FoldError, FoldStrategy};
-pub use transpile::{transpile, Transpiled, TranspileOptions};
+pub use transpile::{transpile, TranspileOptions, Transpiled};

@@ -69,7 +69,9 @@ pub fn layout_cost(
     for g in circuit.gates() {
         if g.arity() == 1 {
             if !DeviceModel::is_virtual(g.kind) {
-                cost += model.single_qubit_error(layout.physical[g.qubits[0]]).total();
+                cost += model
+                    .single_qubit_error(layout.physical[g.qubits[0]])
+                    .total();
             }
         } else {
             let (pa, pb) = (layout.physical[g.qubits[0]], layout.physical[g.qubits[1]]);
@@ -147,8 +149,7 @@ pub fn noise_adaptive_layout(circuit: &Circuit, model: &DeviceModel) -> Layout {
     // Greedy connected window on big devices.
     let qubit_score = |p: usize| -> f64 {
         let ro = model.readout_error(p);
-        model.single_qubit_error(p).total()
-            + (ro.matrix()[0][1] + ro.matrix()[1][0]) / 2.0
+        model.single_qubit_error(p).total() + (ro.matrix()[0][1] + ro.matrix()[1][0]) / 2.0
     };
     let mut adj = vec![Vec::new(); n_phys];
     for &(a, b) in model.coupling() {
@@ -262,12 +263,7 @@ pub fn route(circuit: &Circuit, model: &DeviceModel, layout: &Layout) -> (Circui
             }
         }
     }
-    (
-        out,
-        Layout {
-            physical: phys_of,
-        },
-    )
+    (out, Layout { physical: phys_of })
 }
 
 #[cfg(test)]

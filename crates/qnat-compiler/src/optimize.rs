@@ -66,14 +66,14 @@ pub fn cancel_pairs(circuit: &mut Circuit) -> bool {
             GateKind::X | GateKind::Cx => {
                 // Find the last gate in `out` touching any of g's qubits.
                 let touches: Vec<usize> = (0..g.arity()).map(|k| g.qubits[k]).collect();
-                let last = out.iter().rposition(|p| {
-                    (0..p.arity()).any(|k| touches.contains(&p.qubits[k]))
-                });
+                let last = out
+                    .iter()
+                    .rposition(|p| (0..p.arity()).any(|k| touches.contains(&p.qubits[k])));
                 match last {
                     Some(i) => {
                         let p = out[i];
-                        let same = p.kind == g.kind
-                            && p.qubits[..p.arity()] == g.qubits[..g.arity()];
+                        let same =
+                            p.kind == g.kind && p.qubits[..p.arity()] == g.qubits[..g.arity()];
                         // For CX both qubits' last-touching gate must be p.
                         let clean = touches.iter().all(|&q| {
                             out.iter()

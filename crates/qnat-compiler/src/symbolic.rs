@@ -44,12 +44,7 @@ impl AffineAngle {
 
     /// Evaluates the angle for concrete logical parameters.
     pub fn eval(&self, params: &[f64]) -> f64 {
-        self.constant
-            + self
-                .terms
-                .iter()
-                .map(|&(i, k)| k * params[i])
-                .sum::<f64>()
+        self.constant + self.terms.iter().map(|&(i, k)| k * params[i]).sum::<f64>()
     }
 }
 
@@ -191,7 +186,12 @@ fn lower_gate(g: &Gate, base: usize) -> Vec<Emit> {
             AffineAngle::constant(-FRAC_PI_2),
             AffineAngle::constant(FRAC_PI_2),
         ),
-        Ry => u3_affine(q, slot(0), AffineAngle::constant(0.0), AffineAngle::constant(0.0)),
+        Ry => u3_affine(
+            q,
+            slot(0),
+            AffineAngle::constant(0.0),
+            AffineAngle::constant(0.0),
+        ),
         U2 => u3_affine(q, AffineAngle::constant(FRAC_PI_2), slot(0), slot(1)),
         U3 => u3_affine(q, slot(0), slot(1), slot(2)),
         // Fixed 1q gates: H = U3(π/2, 0, π), Y = U3(π, π/2, π/2),
@@ -307,11 +307,7 @@ fn lower_gate(g: &Gate, base: usize) -> Vec<Emit> {
             ));
             v
         }
-        Rzz => vec![
-            fixed(Gate::cx(a, b)),
-            rz(b, slot(0)),
-            fixed(Gate::cx(a, b)),
-        ],
+        Rzz => vec![fixed(Gate::cx(a, b)), rz(b, slot(0)), fixed(Gate::cx(a, b))],
         Rxx => {
             let mut v = lower_gate(&Gate::h(a), base);
             v.extend(lower_gate(&Gate::h(b), base));
@@ -477,11 +473,7 @@ mod tests {
         let compiled = adjoint_all_z(&bound);
         for obs in 0..2 {
             let chained = sym.chain_gradient(&compiled.gradients[obs]);
-            for (j, (&got, &want)) in chained
-                .iter()
-                .zip(&logical.gradients[obs])
-                .enumerate()
-            {
+            for (j, (&got, &want)) in chained.iter().zip(&logical.gradients[obs]).enumerate() {
                 assert!(
                     (got - want).abs() < 1e-8,
                     "obs {obs} param {j}: chained {got} vs logical {want}"

@@ -30,9 +30,18 @@ fn arb_gate() -> impl Strategy<Value = Gate> {
         (0..N_QUBITS, 1..N_QUBITS).prop_map(|(a, d)| Gate::cx(a, (a + d) % N_QUBITS)),
         (0..N_QUBITS, 1..N_QUBITS).prop_map(|(a, d)| Gate::cz(a, (a + d) % N_QUBITS)),
         (0..N_QUBITS, 1..N_QUBITS).prop_map(|(a, d)| Gate::swap(a, (a + d) % N_QUBITS)),
-        (0..N_QUBITS, 1..N_QUBITS, angle.clone())
-            .prop_map(|(a, d, t)| Gate::cry(a, (a + d) % N_QUBITS, t)),
-        (0..N_QUBITS, 1..N_QUBITS, angle.clone(), angle.clone(), angle)
+        (0..N_QUBITS, 1..N_QUBITS, angle.clone()).prop_map(|(a, d, t)| Gate::cry(
+            a,
+            (a + d) % N_QUBITS,
+            t
+        )),
+        (
+            0..N_QUBITS,
+            1..N_QUBITS,
+            angle.clone(),
+            angle.clone(),
+            angle
+        )
             .prop_map(|(a, d, t, p, l)| Gate::cu3(a, (a + d) % N_QUBITS, t, p, l)),
     ]
 }

@@ -243,7 +243,11 @@ mod tests {
                     touched[g.qubits[k]] = true;
                 }
             }
-            assert!(touched.iter().all(|&x| x), "{} leaves idle qubits", d.name());
+            assert!(
+                touched.iter().all(|&x| x),
+                "{} leaves idle qubits",
+                d.name()
+            );
         }
     }
 

@@ -274,8 +274,14 @@ where
                 }
                 let g = (base + i) as u64;
                 let short = admissions.map(|a| a[i]) == Some(Admission::ShortCircuit);
-                let (result, report) =
-                    run_job(&self.factory, g, self.job_seed(g), &jobs[i], short, deadline);
+                let (result, report) = run_job(
+                    &self.factory,
+                    g,
+                    self.job_seed(g),
+                    &jobs[i],
+                    short,
+                    deadline,
+                );
                 done.push((base + i, result, report));
             }
             done
@@ -377,7 +383,10 @@ mod tests {
         let out = run(4, 0.0, 16);
         assert_eq!(out.results.len(), 16);
         assert_eq!(out.failed_jobs(), 0);
-        assert_eq!((out.report.jobs, out.report.attempts, out.report.retries), (16, 16, 0));
+        assert_eq!(
+            (out.report.jobs, out.report.attempts, out.report.retries),
+            (16, 16, 0)
+        );
         let all = out.into_measurements().unwrap();
         assert!(all.iter().all(|m| m.expectations.len() == 2));
     }
@@ -399,7 +408,11 @@ mod tests {
         let mut last = 0;
         for f in &out.report.failures {
             assert!(f.job < 32);
-            assert!(f.job >= last, "failures sorted by job: {:?}", out.report.failures);
+            assert!(
+                f.job >= last,
+                "failures sorted by job: {:?}",
+                out.report.failures
+            );
             last = f.job;
         }
     }

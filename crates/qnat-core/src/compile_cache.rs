@@ -198,8 +198,12 @@ mod tests {
         assert_eq!(cache.misses(), misses);
         // Drifted calibration: the level-3 noise-adaptive layout may move,
         // so every block must recompile.
-        qnn.route_plan_cached(&device.drifted(2.0, 1.0), 3, &cache).unwrap();
-        assert_eq!(cache.misses() as usize, misses as usize + qnn.blocks().len());
+        qnn.route_plan_cached(&device.drifted(2.0, 1.0), 3, &cache)
+            .unwrap();
+        assert_eq!(
+            cache.misses() as usize,
+            misses as usize + qnn.blocks().len()
+        );
         // Different opt level is also a distinct key.
         qnn.route_plan_cached(&device, 1, &cache).unwrap();
         assert_eq!(

@@ -87,7 +87,10 @@ impl RetryPolicy {
             .base_backoff_ms
             .saturating_mul(1u64.checked_shl(retry.min(32)).unwrap_or(u64::MAX))
             .min(self.max_backoff_ms);
-        let h = derive(self.jitter_seed, job.wrapping_mul(0x1_0001).wrapping_add(retry as u64));
+        let h = derive(
+            self.jitter_seed,
+            job.wrapping_mul(0x1_0001).wrapping_add(retry as u64),
+        );
         // 53-bit mantissa draw in [0, 1).
         let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
         let factor = 1.0 + self.jitter.clamp(0.0, 1.0) * (2.0 * unit - 1.0);
@@ -108,7 +111,11 @@ pub struct FailureRecord {
 
 impl fmt::Display for FailureRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "job {} attempt {}: {}", self.job, self.attempt, self.error)
+        write!(
+            f,
+            "job {} attempt {}: {}",
+            self.job, self.attempt, self.error
+        )
     }
 }
 
@@ -347,10 +354,7 @@ impl ResilientExecutor {
     /// deadline. Budgets can be shared across executors (batch-wide
     /// deadline) or fresh per executor (per-job deadline).
     pub fn with_deadline(mut self, budget: crate::health::DeadlineBudget) -> Self {
-        let inner = std::mem::replace(
-            &mut self.sleeper,
-            Box::new(VirtualSleeper::default()),
-        );
+        let inner = std::mem::replace(&mut self.sleeper, Box::new(VirtualSleeper::default()));
         self.sleeper = Box::new(crate::health::DeadlineSleeper::new(inner, budget));
         self
     }
@@ -662,7 +666,10 @@ mod tests {
         assert_eq!(p.backoff_ms(3, 1), p.backoff_ms(3, 1));
         let draws: Vec<u64> = (0..16).map(|j| p.backoff_ms(j, 1)).collect();
         let distinct: std::collections::HashSet<u64> = draws.iter().copied().collect();
-        assert!(distinct.len() > 8, "jitter should vary across jobs: {draws:?}");
+        assert!(
+            distinct.len() > 8,
+            "jitter should vary across jobs: {draws:?}"
+        );
     }
 
     #[test]
@@ -691,7 +698,13 @@ mod tests {
         let r = ex.report();
         assert!(ok >= 38, "retries should absorb most faults: {ok}/40");
         assert!(r.retries > 0, "some retries must have happened");
-        assert_eq!(r.retries as u64, r.failures.iter().filter(|f| f.attempt < ex.policy.max_attempts).count() as u64);
+        assert_eq!(
+            r.retries as u64,
+            r.failures
+                .iter()
+                .filter(|f| f.attempt < ex.policy.max_attempts)
+                .count() as u64
+        );
         assert!(r.total_backoff_ms > 0);
     }
 
@@ -770,7 +783,10 @@ mod tests {
         assert!(ex.is_degraded());
         for _ in 0..10 {
             let err = ex.execute(&bell(), None).unwrap_err();
-            assert!(err.is_retryable(), "terminal error is the last real one: {err}");
+            assert!(
+                err.is_retryable(),
+                "terminal error is the last real one: {err}"
+            );
         }
         let r = ex.report();
         assert_eq!(r.fast_failed_jobs, 10);
@@ -861,7 +877,10 @@ mod tests {
         )
         .with_deadline(DeadlineBudget::new(1_500));
         let err = ex.execute(&bell(), None).unwrap_err();
-        assert!(matches!(err, BackendError::DeadlineExceeded { .. }), "{err}");
+        assert!(
+            matches!(err, BackendError::DeadlineExceeded { .. }),
+            "{err}"
+        );
         let r = ex.report();
         // First backoff (1000 ms) fits the 1500 ms budget; the second
         // (2000 ms) does not, so the job stops after two attempts.
@@ -872,7 +891,10 @@ mod tests {
             r.total_backoff_ms <= 1_500,
             "accounted backoff stays within budget"
         );
-        assert!(!r.degraded, "a deadline abort says nothing about backend health");
+        assert!(
+            !r.degraded,
+            "a deadline abort says nothing about backend health"
+        );
     }
 
     #[test]
@@ -898,7 +920,10 @@ mod tests {
         assert_eq!(r.deadline_exceeded_jobs, 1);
         assert_eq!(r.fallback_jobs, 1);
         assert!(r.total_backoff_ms <= 1_500);
-        assert!(!r.degraded, "a deadline abort says nothing about backend health");
+        assert!(
+            !r.degraded,
+            "a deadline abort says nothing about backend health"
+        );
     }
 
     #[test]
@@ -936,7 +961,10 @@ mod tests {
             ..ExecutionReport::default()
         };
         a.merge(&b);
-        assert_eq!((a.jobs, a.attempts, a.retries, a.fallback_jobs), (3, 5, 2, 1));
+        assert_eq!(
+            (a.jobs, a.attempts, a.retries, a.fallback_jobs),
+            (3, 5, 2, 1)
+        );
         assert!(a.degraded);
         assert_eq!(a.total_backoff_ms, 750);
     }
@@ -951,7 +979,10 @@ mod tests {
         }
         let r = ex.report().clone();
         let usage = r.backend_usage(name);
-        assert_eq!(usage.attempts, r.attempts, "all attempts ran on the primary");
+        assert_eq!(
+            usage.attempts, r.attempts,
+            "all attempts ran on the primary"
+        );
         assert_eq!(usage.retries, r.retries);
         assert_eq!(usage.backoff_ms, r.total_backoff_ms);
         assert_eq!(r.retries_for(name), r.retries);
@@ -1062,7 +1093,10 @@ mod tests {
             RetryPolicy::fail_fast(),
         );
         let m = ex.execute(&bell(), None).unwrap();
-        assert!(m.expectations.iter().all(|z| z.is_finite() && z.abs() <= 1.0));
+        assert!(m
+            .expectations
+            .iter()
+            .all(|z| z.is_finite() && z.abs() <= 1.0));
         assert!(ex.is_degraded());
         assert!(ex.active_backend().starts_with("noise-model"));
     }

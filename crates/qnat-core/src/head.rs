@@ -39,12 +39,7 @@ pub fn apply_head(outputs: &[Vec<f64>], n_classes: usize) -> Vec<Vec<f64>> {
         .iter()
         .map(|row| {
             (0..n_classes)
-                .map(|c| {
-                    row.iter()
-                        .enumerate()
-                        .map(|(q, &z)| z * w.get2(q, c))
-                        .sum()
-                })
+                .map(|c| row.iter().enumerate().map(|(q, &z)| z * w.get2(q, c)).sum())
                 .collect()
         })
         .collect()

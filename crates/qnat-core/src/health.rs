@@ -248,14 +248,10 @@ impl CircuitBreaker {
         match (admission, signal) {
             // A trip earlier in this epoch (a sibling probe failed) voids
             // the remaining probe verdicts — hence the HalfOpen guards.
-            (Admission::Probe, JobSignal::Success)
-                if self.state == BreakerState::HalfOpen =>
-            {
+            (Admission::Probe, JobSignal::Success) if self.state == BreakerState::HalfOpen => {
                 self.probe_successes += 1;
             }
-            (Admission::Probe, JobSignal::Failure)
-                if self.state == BreakerState::HalfOpen =>
-            {
+            (Admission::Probe, JobSignal::Failure) if self.state == BreakerState::HalfOpen => {
                 self.probe_failures += 1;
                 self.trip();
             }
@@ -286,7 +282,9 @@ impl CircuitBreaker {
     /// success and no probe failure re-closes; with no probe verdict at
     /// all it stays half-open and probes again next epoch.
     pub fn end_epoch(&mut self) {
-        if self.state == BreakerState::HalfOpen && self.probe_failures == 0 && self.probe_successes > 0
+        if self.state == BreakerState::HalfOpen
+            && self.probe_failures == 0
+            && self.probe_successes > 0
         {
             self.state = BreakerState::Closed;
             self.recoveries += 1;
@@ -641,7 +639,13 @@ mod tests {
             for e in 0..12usize {
                 log.push(epoch(&mut b, 5, |i| (e + i) % 3 != 0));
             }
-            (log, b.state(), b.trips(), b.recoveries(), b.short_circuited())
+            (
+                log,
+                b.state(),
+                b.trips(),
+                b.recoveries(),
+                b.short_circuited(),
+            )
         };
         assert_eq!(run(), run());
     }

@@ -474,9 +474,12 @@ impl Deployment for BatchedQnn<'_> {
             plan.job_factory(&self.policy, self.faults),
         );
         let outcome = match &self.health {
-            Some(health) => {
-                pool.execute_with_health(&jobs, health, &self.registry, &self.breaker_key(block_idx))
-            }
+            Some(health) => pool.execute_with_health(
+                &jobs,
+                health,
+                &self.registry,
+                &self.breaker_key(block_idx),
+            ),
             None => pool.execute(&jobs),
         };
         self.report.borrow_mut().merge(&outcome.report);
@@ -1042,7 +1045,13 @@ mod tests {
             &mut rng,
         )
         .unwrap_err();
-        assert_eq!(err, InferError::StatsMismatch { expected: 1, got: 0 });
+        assert_eq!(
+            err,
+            InferError::StatsMismatch {
+                expected: 1,
+                got: 0
+            }
+        );
     }
 
     #[test]
@@ -1114,13 +1123,7 @@ mod tests {
         let qnn = Qnn::for_device(cfg, &presets::santiago(), 7).unwrap();
         let dep = qnn.deploy(&presets::santiago(), 2).unwrap();
         let res = qnn
-            .deploy_resilient(
-                &presets::santiago(),
-                2,
-                RetryPolicy::default(),
-                None,
-                0,
-            )
+            .deploy_resilient(&presets::santiago(), 2, RetryPolicy::default(), None, 0)
             .unwrap();
         let mut rng = StdRng::seed_from_u64(0);
         let batch = toy_batch();

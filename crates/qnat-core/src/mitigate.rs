@@ -101,7 +101,10 @@ impl fmt::Display for MitigateError {
                 "ragged observations: row {index} has {got} qubits, row 0 has {expected}"
             ),
             MitigateError::DegenerateFit { denom } => {
-                write!(f, "degenerate fit: near-constant x-values (denom {denom:.3e})")
+                write!(
+                    f,
+                    "degenerate fit: near-constant x-values (denom {denom:.3e})"
+                )
             }
             MitigateError::NonFinite { what } => write!(f, "non-finite {what}"),
             MitigateError::SingularConfusion { det } => write!(
@@ -293,7 +296,9 @@ pub fn extrapolate_expectation(
                 });
             }
             if scales.len() < 2 {
-                return Err(MitigateError::NotEnoughPoints { points: scales.len() });
+                return Err(MitigateError::NotEnoughPoints {
+                    points: scales.len(),
+                });
             }
             check_finite(scales, "noise scale")?;
             check_finite(ys, "expectation")?;
@@ -623,7 +628,10 @@ mod tests {
         let r = extrapolate_expectation(&scales, &ys, ZneMethod::Richardson).expect("zne");
         assert!((r - 0.7).abs() < 1e-12, "richardson missed: {r}");
         let l = extrapolate_expectation(&scales, &ys, ZneMethod::Linear).expect("zne");
-        assert!((l - 0.7).abs() > 1e-3, "linear should under-correct the quadratic");
+        assert!(
+            (l - 0.7).abs() > 1e-3,
+            "linear should under-correct the quadratic"
+        );
     }
 
     #[test]

@@ -255,7 +255,10 @@ impl Qnn {
         seed: u64,
     ) -> Result<Qnn, InvalidDeviceError> {
         assert!(config.n_blocks >= 1, "need at least one block");
-        assert!(config.n_qubits >= config.n_classes.min(4) / 2, "too few qubits");
+        assert!(
+            config.n_qubits >= config.n_classes.min(4) / 2,
+            "too few qubits"
+        );
         let mut blocks = Vec::with_capacity(config.n_blocks);
         let mut offsets = Vec::with_capacity(config.n_blocks);
         let mut total_params = 0usize;
@@ -645,7 +648,14 @@ mod tests {
             .outputs;
         let model = presets::yorktown();
         let noisy = q
-            .eval_block(0, &inputs, &NoiseSource::None, Some(&model), false, &mut rng)
+            .eval_block(
+                0,
+                &inputs,
+                &NoiseSource::None,
+                Some(&model),
+                false,
+                &mut rng,
+            )
             .outputs;
         for qb in 0..4 {
             assert!(
@@ -718,9 +728,6 @@ mod tests {
                 &mut rng,
             )
             .outputs;
-        assert!(clean
-            .iter()
-            .zip(&noisy)
-            .any(|(a, b)| (a - b).abs() > 1e-6));
+        assert!(clean.iter().zip(&noisy).any(|(a, b)| (a - b).abs() > 1e-6));
     }
 }

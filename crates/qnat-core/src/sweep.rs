@@ -130,66 +130,67 @@ pub fn select_hyperparameters(
     let n = points.len();
     let workers = sweep.workers.max(1).min(n);
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let run_candidate = |point: SweepPoint| -> Result<(SweepRecord, Qnn), crate::infer::InferError> {
-        // Same seed for every candidate (fair comparison) — and a pure
-        // function of the grid point, so pooled execution cannot change
-        // any candidate's training run.
-        let mut qnn = Qnn::for_device(config, device, sweep.seed).expect("config fits device");
-        let pipeline = PipelineOptions {
-            noise: NoiseSource::GateInsertion {
-                model: device,
-                factor: point.t_factor,
-            },
-            readout: Some(device),
-            normalize: true,
-            quantize: Some(QuantizeSpec::levels(point.levels)),
-            quant_penalty: sweep.quant_penalty,
-            process_last: false,
+    let run_candidate =
+        |point: SweepPoint| -> Result<(SweepRecord, Qnn), crate::infer::InferError> {
+            // Same seed for every candidate (fair comparison) — and a pure
+            // function of the grid point, so pooled execution cannot change
+            // any candidate's training run.
+            let mut qnn = Qnn::for_device(config, device, sweep.seed).expect("config fits device");
+            let pipeline = PipelineOptions {
+                noise: NoiseSource::GateInsertion {
+                    model: device,
+                    factor: point.t_factor,
+                },
+                readout: Some(device),
+                normalize: true,
+                quantize: Some(QuantizeSpec::levels(point.levels)),
+                quant_penalty: sweep.quant_penalty,
+                process_last: false,
+            };
+            let report = train(
+                &mut qnn,
+                dataset,
+                &TrainOptions {
+                    adam: sweep.adam,
+                    batch_size: sweep.batch_size,
+                    pipeline,
+                    seed: sweep.seed,
+                },
+            )?;
+            Ok((
+                SweepRecord {
+                    point,
+                    valid_loss: report.valid_loss,
+                    valid_acc: report.valid_acc,
+                },
+                qnn,
+            ))
         };
-        let report = train(
-            &mut qnn,
-            dataset,
-            &TrainOptions {
-                adam: sweep.adam,
-                batch_size: sweep.batch_size,
-                pipeline,
-                seed: sweep.seed,
-            },
-        )?;
-        Ok((
-            SweepRecord {
-                point,
-                valid_loss: report.valid_loss,
-                valid_acc: report.valid_acc,
-            },
-            qnn,
-        ))
-    };
     type Finished = Vec<(usize, Result<(SweepRecord, Qnn), crate::infer::InferError>)>;
     let mut finished: Finished = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut done = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            done.push((i, run_candidate(points[i])));
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        if i >= n {
+                            break;
                         }
-                        done
-                    })
+                        done.push((i, run_candidate(points[i])));
+                    }
+                    done
                 })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| {
-                    h.join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                })
-                .collect()
-        });
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect()
+    });
     // Grid order: records deterministic, ties broken toward the earlier
     // point regardless of which worker finished first.
     finished.sort_by_key(|(i, _)| *i);
@@ -232,13 +233,9 @@ mod tests {
             adam: AdamConfig::fast(6),
             ..SweepConfig::default()
         };
-        let outcome = select_hyperparameters(
-            QnnConfig::standard(16, 2, 2, 2),
-            &dataset,
-            &device,
-            &sweep,
-        )
-        .unwrap();
+        let outcome =
+            select_hyperparameters(QnnConfig::standard(16, 2, 2, 2), &dataset, &device, &sweep)
+                .unwrap();
         assert_eq!(outcome.records.len(), 4);
         let min_loss = outcome
             .records

@@ -113,9 +113,8 @@ impl Adam {
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * grads[i] * grads[i];
             let mhat = self.m[i] / bc1;
             let vhat = self.v[i] / bc2;
-            params[i] -=
-                lr * (mhat / (vhat.sqrt() + self.config.eps)
-                    + self.config.weight_decay * params[i]);
+            params[i] -= lr
+                * (mhat / (vhat.sqrt() + self.config.eps) + self.config.weight_decay * params[i]);
         }
         true
     }

@@ -16,10 +16,7 @@ fn jobs(n: usize, shots: Option<usize>) -> Vec<BatchJob> {
             let mut c = Circuit::new(2);
             c.push(Gate::ry(0, 0.11 * k as f64 + 0.05));
             c.push(Gate::cx(0, 1));
-            BatchJob {
-                circuit: c,
-                shots,
-            }
+            BatchJob { circuit: c, shots }
         })
         .collect()
 }

@@ -10,8 +10,8 @@ use qnat_core::health::{
 use qnat_core::infer::{infer, InferenceBackend, InferenceOptions};
 use qnat_core::model::{Qnn, QnnConfig};
 use qnat_noise::backend::{BackendError, SimulatorBackend};
-use qnat_noise::presets;
 use qnat_noise::fault::{FaultSpec, FaultyBackend};
+use qnat_noise::presets;
 use qnat_sim::circuit::Circuit;
 use qnat_sim::gate::Gate;
 use rand::rngs::StdRng;
@@ -31,9 +31,7 @@ fn jobs(n: usize) -> Vec<BatchJob> {
 /// Primary failing at `rate`, clean fallback, deterministic jitter. The
 /// default sleeper is virtual, so `total_backoff_ms` measures the backoff
 /// schedule without real wall-clock cost.
-fn flaky_factory(
-    rate: f64,
-) -> impl Fn(u64, u64) -> Result<ResilientExecutor, BackendError> + Sync {
+fn flaky_factory(rate: f64) -> impl Fn(u64, u64) -> Result<ResilientExecutor, BackendError> + Sync {
     move |_job, seed| {
         Ok(ResilientExecutor::with_fallback(
             Box::new(FaultyBackend::new(
@@ -163,7 +161,10 @@ fn per_job_deadline_flags_exactly_the_over_budget_jobs() {
     let bounded = run(Some(DeadlinePolicy::PerJob(25)));
 
     assert_eq!(bounded.results.len(), n);
-    assert!(bounded.report.deadline_exceeded_jobs > 0, "tight per-job budget must bite");
+    assert!(
+        bounded.report.deadline_exceeded_jobs > 0,
+        "tight per-job budget must bite"
+    );
     for (i, (u, b)) in unbounded.results.iter().zip(&bounded.results).enumerate() {
         match b {
             // A job within budget behaves exactly as without a deadline.
@@ -290,7 +291,11 @@ fn breaker_trip_smoke() {
     // 2 and 3 short-circuit entirely.
     assert_eq!(report.short_circuited_jobs, 8);
     assert_eq!(results.iter().filter(|r| r.is_ok()).count(), 12);
-    assert_eq!(run(), (results, report, snap), "smoke must be deterministic");
+    assert_eq!(
+        run(),
+        (results, report, snap),
+        "smoke must be deterministic"
+    );
 }
 
 /// The health layer at the deployment level: `deploy_batch` +
@@ -301,7 +306,11 @@ fn deployed_batch_with_breaker_matches_results_and_cuts_attempts() {
     let cfg = QnnConfig::standard(16, 4, 2, 2);
     let qnn = Qnn::for_device(cfg, &presets::santiago(), 7).unwrap();
     let batch: Vec<Vec<f64>> = (0..24)
-        .map(|k| (0..16).map(|j| ((k * 16 + j) as f64 * 0.013).sin()).collect())
+        .map(|k| {
+            (0..16)
+                .map(|j| ((k * 16 + j) as f64 * 0.013).sin())
+                .collect()
+        })
         .collect();
     let spec = FaultSpec::transient(1.0, 99);
     let run = |health: Option<HealthPolicy>| {

@@ -10,7 +10,6 @@ use qnat_core::normalize::normalize_batch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-
 /// Per-column variance floor: the affine-cancellation property only holds
 /// when the true variance dominates the numerical ε inside the
 /// normalization (a constant qubit carries no signal to recover).

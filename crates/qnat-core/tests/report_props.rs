@@ -12,7 +12,13 @@ use std::collections::BTreeMap;
 
 /// Deterministically expands compact generated stats into one per-job
 /// report whose failure records carry the batch-global index `job`.
-fn job_report(job: usize, attempts: usize, retries: usize, flags: u8, backoff: u64) -> ExecutionReport {
+fn job_report(
+    job: usize,
+    attempts: usize,
+    retries: usize,
+    flags: u8,
+    backoff: u64,
+) -> ExecutionReport {
     let failures = (0..retries)
         .map(|attempt| FailureRecord {
             job: job as u64,

@@ -18,8 +18,8 @@ use rand::SeedableRng;
 fn trained_full_arm() -> (Qnn, Dataset) {
     let dataset = build(Task::Mnist2, &TaskConfig::small(1));
     let device = presets::santiago();
-    let mut qnn = Qnn::for_device(QnnConfig::standard(16, 2, 2, 2), &device, 3)
-        .expect("fits device");
+    let mut qnn =
+        Qnn::for_device(QnnConfig::standard(16, 2, 2, 2), &device, 3).expect("fits device");
     train(
         &mut qnn,
         &dataset,
@@ -91,11 +91,7 @@ fn full_arm_survives_30pct_transient_faults() {
     assert_eq!(clean_report.retries, 0);
     assert!(!clean_report.degraded);
 
-    let (faulty_acc, report) = test_accuracy(
-        &qnn,
-        &dataset,
-        Some(FaultSpec::transient(0.3, 99)),
-    );
+    let (faulty_acc, report) = test_accuracy(&qnn, &dataset, Some(FaultSpec::transient(0.3, 99)));
     // Retries absorb a 30% transient rate: the pipeline answers every
     // query, and accuracy stays within 2 points of the fault-free run.
     assert!(
@@ -108,7 +104,10 @@ fn full_arm_survives_30pct_transient_faults() {
         report.total_backoff_ms > 0,
         "retries must accrue (virtual) backoff"
     );
-    assert!(!report.degraded, "30% transients should not force degradation");
+    assert!(
+        !report.degraded,
+        "30% transients should not force degradation"
+    );
 }
 
 #[test]

@@ -191,14 +191,8 @@ fn image_split(task: Task, n: usize, rng: &mut StdRng) -> Vec<Sample> {
     (0..n)
         .map(|i| {
             let label = i % classes.len();
-            let features = synth_features(
-                task.corpus_seed(),
-                classes[label],
-                &style,
-                crop,
-                pool,
-                rng,
-            );
+            let features =
+                synth_features(task.corpus_seed(), classes[label], &style, crop, pool, rng);
             Sample { features, label }
         })
         .collect()
@@ -226,8 +220,7 @@ fn build_vowel(config: &TaskConfig) -> Dataset {
                 .map(|&m| {
                     let u1: f64 = rng.gen_range(1e-12..1.0);
                     let u2: f64 = rng.gen();
-                    let n =
-                        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+                    let n = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
                     m + 0.55 * n
                 })
                 .collect();
@@ -241,7 +234,10 @@ fn build_vowel(config: &TaskConfig) -> Dataset {
     let train_raw = &samples[..n_train];
     // Fit PCA on the training split only.
     let pca = Pca::fit(
-        &train_raw.iter().map(|s| s.features.clone()).collect::<Vec<_>>(),
+        &train_raw
+            .iter()
+            .map(|s| s.features.clone())
+            .collect::<Vec<_>>(),
         10,
     );
     // Rescale each PCA dimension to [0, 1] using train statistics.

@@ -168,8 +168,7 @@ impl ClassPrototype {
     /// Deterministically builds the prototype of `class` for a corpus seed:
     /// shared corpus blobs plus weaker class-specific ones.
     pub fn generate(corpus_seed: u64, class: usize, style: &ImageStyle, size: usize) -> Self {
-        let mut shared_rng =
-            StdRng::seed_from_u64(corpus_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut shared_rng = StdRng::seed_from_u64(corpus_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut class_rng = StdRng::seed_from_u64(
             corpus_seed
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)

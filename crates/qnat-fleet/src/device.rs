@@ -21,8 +21,7 @@ use std::sync::Arc;
 /// `(global job index, per-job seed) -> executor`. Identical to the batch
 /// and serving layers' factory, which is what keeps routed execution
 /// replayable through [`qnat_core::batch::run_job`].
-pub type DeviceFactory =
-    dyn Fn(u64, u64) -> Result<ResilientExecutor, BackendError> + Send + Sync;
+pub type DeviceFactory = dyn Fn(u64, u64) -> Result<ResilientExecutor, BackendError> + Send + Sync;
 
 /// One routable device: name, noise model (for scoring), optional fault
 /// spec (for *drift-aware* scoring), and the executor factory that

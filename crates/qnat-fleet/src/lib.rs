@@ -42,11 +42,11 @@ pub mod plan;
 pub mod router;
 
 pub use device::{DeviceFactory, FleetDevice};
+pub use plan::{plan_fleet, DevicePlan};
 pub use qnat_calib::{
     replay_decision, CalibConfig, CalibDecision, CalibTrace, CalibrationHealth, CandidateScore,
     DeviceCalibrationView, NoiseSource,
 };
-pub use plan::{plan_fleet, DevicePlan};
 pub use router::{
     replay_job, AttemptKind, AttemptTrace, DeviceHealthView, Disposition, FleetConfig, FleetError,
     FleetHealth, FleetOutcome, FleetPoll, FleetRouter, FleetStats, FleetTicket, HedgePolicy,

@@ -95,10 +95,20 @@ mod tests {
     fn fleet() -> Vec<FleetDevice> {
         let retry = RetryPolicy::default();
         vec![
-            FleetDevice::emulated(presets::santiago(), 4, FaultSpec::transient(0.0, 1), retry.clone())
-                .expect("santiago"),
-            FleetDevice::emulated(presets::yorktown(), 4, FaultSpec::transient(0.0, 1), retry.clone())
-                .expect("yorktown"),
+            FleetDevice::emulated(
+                presets::santiago(),
+                4,
+                FaultSpec::transient(0.0, 1),
+                retry.clone(),
+            )
+            .expect("santiago"),
+            FleetDevice::emulated(
+                presets::yorktown(),
+                4,
+                FaultSpec::transient(0.0, 1),
+                retry.clone(),
+            )
+            .expect("yorktown"),
             FleetDevice::emulated(presets::santiago(), 4, FaultSpec::transient(0.0, 1), retry)
                 .expect("santiago twin")
                 .named("santiago-b"),
@@ -135,7 +145,10 @@ mod tests {
                 let block = &qnn.blocks()[b];
                 let mut params = block.encoder.angles(&row);
                 params.extend_from_slice(qnn.block_params(b));
-                assert_eq!(dp.job(&qnn, b, &row).circuit, plain[b].lowered.bind(&params));
+                assert_eq!(
+                    dp.job(&qnn, b, &row).circuit,
+                    plain[b].lowered.bind(&params)
+                );
                 assert_eq!(dp.plans[b].obs, plain[b].obs);
             }
         }

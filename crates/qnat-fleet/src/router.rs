@@ -478,12 +478,7 @@ impl Shared {
 
     /// Sum of the drifted model's mean errors for `slot` at fleet job
     /// index `job` — the noise half of the routing score.
-    fn noise_estimate(
-        &self,
-        index: usize,
-        cursor: Option<&mut DriftCursor>,
-        job: u64,
-    ) -> f64 {
+    fn noise_estimate(&self, index: usize, cursor: Option<&mut DriftCursor>, job: u64) -> f64 {
         let model = self.slots[index].device.model();
         match cursor {
             Some(c) => {
@@ -586,9 +581,8 @@ impl Shared {
                     Some(BreakerState::HalfOpen) => self.config.weights.half_open_penalty,
                     _ => 0.0,
                 };
-                let score = self.config.weights.depth * depth
-                    + self.config.weights.noise * noise
-                    + penalty;
+                let score =
+                    self.config.weights.depth * depth + self.config.weights.noise * noise + penalty;
                 if predicted {
                     rows.push(CandidateScore {
                         device: self.slots[i].device.name().to_owned(),
@@ -809,7 +803,9 @@ impl FleetRouter {
             // Even refusals serve the fleet's cooldowns — pure refusal
             // pressure must still be able to resurrect a device.
             for slot in &shared.slots {
-                if shared.registry.tick_idle(slot.device.name())
+                if shared
+                    .registry
+                    .tick_idle(slot.device.name())
                     .is_some_and(|s| s != BreakerState::Closed)
                 {
                     st.stats.idle_ticks += 1;
@@ -1436,7 +1432,12 @@ mod tests {
         let trace = router.calib_trace();
         assert!(!trace.decisions.is_empty());
         for d in &trace.decisions {
-            assert_eq!(qnat_calib::replay_decision(d), Some(d.chosen), "job {}", d.job);
+            assert_eq!(
+                qnat_calib::replay_decision(d),
+                Some(d.chosen),
+                "job {}",
+                d.job
+            );
         }
         // At least one late decision was actually driven by a predicted
         // noise term.
@@ -1450,7 +1451,10 @@ mod tests {
     fn static_policy_records_no_calib_decisions_but_still_tracks() {
         let router = FleetRouter::new(
             config(),
-            vec![sim_device(presets::quito()), sim_device(presets::santiago())],
+            vec![
+                sim_device(presets::quito()),
+                sim_device(presets::santiago()),
+            ],
         )
         .unwrap();
         for k in 0..12 {
@@ -1468,11 +1472,13 @@ mod tests {
         // santiago's static mean errors are strictly below quito's.
         let router = FleetRouter::new(
             config(),
-            vec![sim_device(presets::quito()), sim_device(presets::santiago())],
+            vec![
+                sim_device(presets::quito()),
+                sim_device(presets::santiago()),
+            ],
         )
         .unwrap();
-        let tickets: Vec<FleetTicket> =
-            (0..6).map(|k| router.submit(job(k)).unwrap()).collect();
+        let tickets: Vec<FleetTicket> = (0..6).map(|k| router.submit(job(k)).unwrap()).collect();
         for &t in &tickets {
             let outcome = router.wait(t).expect("delivered");
             assert!(outcome.result.is_ok());
@@ -1506,11 +1512,8 @@ mod tests {
             ..FaultSpec::none()
         };
         let santiago = sim_device(presets::santiago()).with_faults(drift);
-        let router = FleetRouter::new(
-            config(),
-            vec![santiago, sim_device(presets::quito())],
-        )
-        .unwrap();
+        let router =
+            FleetRouter::new(config(), vec![santiago, sim_device(presets::quito())]).unwrap();
         let early = router.wait(router.submit(job(0)).unwrap()).unwrap();
         assert_eq!(early.device, presets::santiago().name());
         // By job 40 santiago's drifted estimate dwarfs quito's static one.
@@ -1528,11 +1531,13 @@ mod tests {
         // deliver 100% Ok via quito with zero caller-visible refusals.
         let router = FleetRouter::new(
             config(),
-            vec![dead_device(presets::santiago()), sim_device(presets::quito())],
+            vec![
+                dead_device(presets::santiago()),
+                sim_device(presets::quito()),
+            ],
         )
         .unwrap();
-        let tickets: Vec<FleetTicket> =
-            (0..10).map(|k| router.submit(job(k)).unwrap()).collect();
+        let tickets: Vec<FleetTicket> = (0..10).map(|k| router.submit(job(k)).unwrap()).collect();
         for &t in &tickets {
             let outcome = router.wait(t).expect("delivered");
             assert!(outcome.result.is_ok(), "failover rescued job {t}");
@@ -1580,7 +1585,10 @@ mod tests {
         };
         let router = FleetRouter::new(
             cfg,
-            vec![dead_device(presets::santiago()), dead_device(presets::quito())],
+            vec![
+                dead_device(presets::santiago()),
+                dead_device(presets::quito()),
+            ],
         )
         .unwrap();
         // Pump jobs until both breakers trip and both devices quarantine.
@@ -1654,8 +1662,7 @@ mod tests {
             dead_device(presets::quito()).named("quito-dead"),
         ];
         let router = FleetRouter::new(config(), devices.clone()).unwrap();
-        let tickets: Vec<FleetTicket> =
-            (0..8).map(|k| router.submit(job(k)).unwrap()).collect();
+        let tickets: Vec<FleetTicket> = (0..8).map(|k| router.submit(job(k)).unwrap()).collect();
         let outcomes: Vec<FleetOutcome> = tickets
             .iter()
             .map(|&t| router.wait(t).expect("delivered"))
@@ -1672,10 +1679,8 @@ mod tests {
 
     #[test]
     fn drain_delivers_queued_work_and_drop_discards_it() {
-        let router =
-            FleetRouter::new(config(), vec![sim_device(presets::santiago())]).unwrap();
-        let tickets: Vec<FleetTicket> =
-            (0..5).map(|k| router.submit(job(k)).unwrap()).collect();
+        let router = FleetRouter::new(config(), vec![sim_device(presets::santiago())]).unwrap();
+        let tickets: Vec<FleetTicket> = (0..5).map(|k| router.submit(job(k)).unwrap()).collect();
         for &t in &tickets {
             assert!(router.wait(t).is_some());
         }
@@ -1683,8 +1688,7 @@ mod tests {
         assert_eq!(stats.submitted, 5);
         assert_eq!(stats.completed, 5);
 
-        let router =
-            FleetRouter::new(config(), vec![sim_device(presets::santiago())]).unwrap();
+        let router = FleetRouter::new(config(), vec![sim_device(presets::santiago())]).unwrap();
         let _t = router.submit(job(0)).unwrap();
         drop(router); // must not hang
     }

@@ -118,8 +118,7 @@ fn noise_aware_routing_beats_static_and_random() {
         drift_seed: 11,
         ..FaultSpec::none()
     };
-    let device_a =
-        FleetDevice::emulated(presets::santiago(), 2, drifting, retry.clone()).unwrap();
+    let device_a = FleetDevice::emulated(presets::santiago(), 2, drifting, retry.clone()).unwrap();
     // Device B: noisier calibration, but stable.
     let device_b =
         FleetDevice::emulated(presets::quito(), 2, FaultSpec::none(), retry.clone()).unwrap();

@@ -11,9 +11,9 @@ use qnat_fleet::{
     replay_decision, replay_job, CalibConfig, Disposition, FleetConfig, FleetDevice, FleetRouter,
     QuarantinePolicy, ScorePolicy,
 };
+use qnat_noise::backend::SimulatorBackend;
 use qnat_noise::fault::{FaultSpec, FaultyBackend};
 use qnat_noise::presets;
-use qnat_noise::backend::SimulatorBackend;
 use qnat_sim::circuit::Circuit;
 use qnat_sim::gate::Gate;
 

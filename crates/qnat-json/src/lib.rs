@@ -41,7 +41,11 @@ pub struct JsonError {
 
 impl fmt::Display for JsonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON parse error at byte {}: {}", self.offset, self.reason)
+        write!(
+            f,
+            "JSON parse error at byte {}: {}",
+            self.offset, self.reason
+        )
     }
 }
 
@@ -50,12 +54,7 @@ impl Error for JsonError {}
 impl Json {
     /// Builds an object from key/value pairs.
     pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-        Json::Obj(
-            pairs
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
     /// Builds an array of numbers.
@@ -143,11 +142,7 @@ impl Json {
 
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
         let (nl, pad, padc) = match indent {
-            Some(w) => (
-                "\n",
-                " ".repeat(w * (depth + 1)),
-                " ".repeat(w * depth),
-            ),
+            Some(w) => ("\n", " ".repeat(w * (depth + 1)), " ".repeat(w * depth)),
             None => ("", String::new(), String::new()),
         };
         match self {
@@ -504,10 +499,7 @@ mod tests {
         assert_eq!(Json::parse("null").unwrap(), Json::Null);
         assert_eq!(Json::parse("true").unwrap(), Json::Bool(true));
         assert_eq!(Json::parse(" -3.5e2 ").unwrap(), Json::Num(-350.0));
-        assert_eq!(
-            Json::parse("\"a\\nb\"").unwrap(),
-            Json::Str("a\nb".into())
-        );
+        assert_eq!(Json::parse("\"a\\nb\"").unwrap(), Json::Str("a\nb".into()));
     }
 
     #[test]
@@ -521,7 +513,14 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["{not json", "[1, 2", "{\"a\": }", "1 2", "\"open", "{\"a\" 1}"] {
+        for bad in [
+            "{not json",
+            "[1, 2",
+            "{\"a\": }",
+            "1 2",
+            "\"open",
+            "{\"a\" 1}",
+        ] {
             assert!(Json::parse(bad).is_err(), "{bad} should fail");
         }
     }
@@ -550,13 +549,13 @@ mod tests {
     #[test]
     fn rejects_lone_and_inverted_surrogates() {
         for bad in [
-            r#""\ud800""#,          // lone high, end of string
-            r#""\ud83dx""#,         // lone high, raw text follows
-            r#""\ud83d\n""#,        // lone high, non-\u escape follows
-            r#""\ude00""#,          // lone low
-            r#""\ude00\ud83d""#,    // inverted pair
-            r#""\ud83d\ud83d""#,    // high followed by high
-            r#""\ud83dA""#,    // high followed by non-surrogate
+            r#""\ud800""#,       // lone high, end of string
+            r#""\ud83dx""#,      // lone high, raw text follows
+            r#""\ud83d\n""#,     // lone high, non-\u escape follows
+            r#""\ude00""#,       // lone low
+            r#""\ude00\ud83d""#, // inverted pair
+            r#""\ud83d\ud83d""#, // high followed by high
+            r#""\ud83dA""#,      // high followed by non-surrogate
         ] {
             let err = Json::parse(bad).expect_err(bad);
             assert!(err.reason.contains("surrogate"), "{bad}: {}", err.reason);
@@ -625,8 +624,12 @@ mod tests {
     fn writer_escapes_pin_the_wire_bytes() {
         let v = Json::Str("q\"\\\n\r\t\u{8}\u{1f}é😀/".into());
         assert_eq!(v.to_json(), r#""q\"\\\n\r\t\u0008\u001fé😀/""#);
-        for (n, text) in [(3.0, "3"), (-0.5, "-0.5"), (1e15, "1000000000000000"), (1e-7, "0.0000001")]
-        {
+        for (n, text) in [
+            (3.0, "3"),
+            (-0.5, "-0.5"),
+            (1e15, "1000000000000000"),
+            (1e-7, "0.0000001"),
+        ] {
             assert_eq!(Json::Num(n).to_json(), text);
         }
         assert_eq!(Json::Num(f64::NAN).to_json(), "null");

@@ -29,8 +29,8 @@ fn arbitrary_string(choices: &[(u8, u32)]) -> String {
     choices
         .iter()
         .map(|&(plane, raw)| match plane % 3 {
-            0 => scalar(raw % 0x80),            // ASCII incl. controls, quotes, backslash
-            1 => scalar(raw),                   // any scalar (BMP + astral, surrogates folded)
+            0 => scalar(raw % 0x80), // ASCII incl. controls, quotes, backslash
+            1 => scalar(raw),        // any scalar (BMP + astral, surrogates folded)
             _ => scalar(0x1_0000 + raw % 0xF_0000), // astral only: always a surrogate pair in UTF-16
         })
         .collect()

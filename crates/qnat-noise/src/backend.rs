@@ -168,10 +168,9 @@ impl fmt::Display for BackendError {
                 f,
                 "gate {gate_index} acts on uncoupled pair ({a}, {b}); route the circuit first"
             ),
-            BackendError::NonFiniteParameter { gate_index, slot } => write!(
-                f,
-                "gate {gate_index} parameter {slot} is not finite"
-            ),
+            BackendError::NonFiniteParameter { gate_index, slot } => {
+                write!(f, "gate {gate_index} parameter {slot} is not finite")
+            }
             BackendError::ShotBudget { requested } => {
                 write!(f, "shot budget must be positive, got {requested}")
             }

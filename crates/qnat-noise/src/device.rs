@@ -735,7 +735,10 @@ mod tests {
         let d = toy_device();
         let confusions = d.confusions();
         assert_eq!(confusions.len(), 3);
-        assert_eq!(confusions[0], *ReadoutError::asymmetric(0.01, 0.02).unwrap().matrix());
+        assert_eq!(
+            confusions[0],
+            *ReadoutError::asymmetric(0.01, 0.02).unwrap().matrix()
+        );
         assert_eq!(confusions[1], *ReadoutError::ideal().matrix());
     }
 

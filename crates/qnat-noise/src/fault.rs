@@ -212,8 +212,7 @@ impl DriftCursor {
                     self.walk_readout = 0.0;
                 }
                 while self.next < job {
-                    self.walk_gate +=
-                        walk_step(self.spec.drift_seed, WALK_GATE_SALT, self.next);
+                    self.walk_gate += walk_step(self.spec.drift_seed, WALK_GATE_SALT, self.next);
                     self.walk_readout +=
                         walk_step(self.spec.drift_seed, WALK_READOUT_SALT, self.next);
                     self.next += 1;
@@ -376,7 +375,9 @@ mod tests {
 
     fn run_schedule(spec: FaultSpec, jobs: usize) -> Vec<bool> {
         let mut b = FaultyBackend::new(SimulatorBackend::new(1), spec);
-        (0..jobs).map(|_| b.execute(&bell(), None).is_ok()).collect()
+        (0..jobs)
+            .map(|_| b.execute(&bell(), None).is_ok())
+            .collect()
     }
 
     #[test]
@@ -467,11 +468,13 @@ mod tests {
         c.push(Gate::h(0));
         c.push(Gate::cx(0, 1));
         for job in 0..400 {
-            let m = b.execute(&c, None).unwrap_or_else(|e| {
-                panic!("job {job} failed under heavy drift: {e}")
-            });
+            let m = b
+                .execute(&c, None)
+                .unwrap_or_else(|e| panic!("job {job} failed under heavy drift: {e}"));
             assert!(
-                m.expectations.iter().all(|z| z.is_finite() && z.abs() <= 1.0 + 1e-9),
+                m.expectations
+                    .iter()
+                    .all(|z| z.is_finite() && z.abs() <= 1.0 + 1e-9),
                 "job {job} produced unphysical expectations: {:?}",
                 m.expectations
             );
@@ -513,7 +516,10 @@ mod tests {
         assert_ne!(a, other, "different seed → different walk");
         assert!(a.iter().all(|&(g, r)| g >= 0.0 && r >= 0.0));
         // A real walk moves both ways: some scales above 1, some below.
-        assert!(a.iter().any(|&(g, _)| g > 1.0) && a.iter().any(|&(g, _)| g < 1.0), "{a:?}");
+        assert!(
+            a.iter().any(|&(g, _)| g > 1.0) && a.iter().any(|&(g, _)| g < 1.0),
+            "{a:?}"
+        );
     }
 
     #[test]
@@ -631,11 +637,13 @@ mod tests {
             drift_spec(DriftModel::RandomWalk, 1.5, 11),
         );
         for job in 0..200 {
-            let m = b.execute(&bell(), None).unwrap_or_else(|e| {
-                panic!("job {job} failed under walk drift: {e}")
-            });
+            let m = b
+                .execute(&bell(), None)
+                .unwrap_or_else(|e| panic!("job {job} failed under walk drift: {e}"));
             assert!(
-                m.expectations.iter().all(|z| z.is_finite() && z.abs() <= 1.0 + 1e-9),
+                m.expectations
+                    .iter()
+                    .all(|z| z.is_finite() && z.abs() <= 1.0 + 1e-9),
                 "job {job}: {:?}",
                 m.expectations
             );

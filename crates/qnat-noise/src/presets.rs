@@ -57,11 +57,8 @@ fn build(anchor: Anchor, n: usize, edges: Vec<(usize, usize)>) -> DeviceModel {
             )
             .readout(
                 q,
-                ReadoutError::asymmetric(
-                    (anchor.ro.0 * s).min(0.45),
-                    (anchor.ro.1 * s).min(0.45),
-                )
-                .expect("preset readout valid"),
+                ReadoutError::asymmetric((anchor.ro.0 * s).min(0.45), (anchor.ro.1 * s).min(0.45))
+                    .expect("preset readout valid"),
             )
             .damping(q, (anchor.t1 * s).min(0.5), (anchor.t2 * s).min(0.5));
     }
@@ -271,8 +268,8 @@ mod tests {
             let full = dev.name().to_owned();
             let suffix = full.rsplit('-').next().unwrap_or(&full).to_owned();
             for query in [full.clone(), suffix.clone(), suffix.to_uppercase()] {
-                let found = by_name(&query)
-                    .unwrap_or_else(|| panic!("by_name({query:?}) lost {full}"));
+                let found =
+                    by_name(&query).unwrap_or_else(|| panic!("by_name({query:?}) lost {full}"));
                 assert_eq!(found.name(), full, "query {query:?}");
                 assert_eq!(
                     found.mean_single_qubit_error(),
@@ -309,7 +306,10 @@ mod tests {
         assert_eq!(worst_sq.name(), "ibmq-yorktown");
         let worst_tq = devs
             .iter()
-            .max_by(|a, b| a.mean_two_qubit_error().total_cmp(&b.mean_two_qubit_error()))
+            .max_by(|a, b| {
+                a.mean_two_qubit_error()
+                    .total_cmp(&b.mean_two_qubit_error())
+            })
             .unwrap();
         assert_eq!(worst_tq.name(), "ibmq-melbourne");
     }

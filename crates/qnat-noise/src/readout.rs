@@ -111,10 +111,7 @@ impl ReadoutError {
     pub fn to_json_value(&self) -> Json {
         Json::obj([(
             "matrix",
-            Json::Arr(vec![
-                Json::nums(self.matrix[0]),
-                Json::nums(self.matrix[1]),
-            ]),
+            Json::Arr(vec![Json::nums(self.matrix[0]), Json::nums(self.matrix[1])]),
         )])
     }
 

@@ -586,10 +586,7 @@ impl ServeEngine {
             match cfg.backpressure {
                 BackpressurePolicy::Block => {
                     while st.lanes[li].len() >= cap && !st.stopping {
-                        st = shared
-                            .space_cv
-                            .wait(st)
-                            .unwrap_or_else(|p| p.into_inner());
+                        st = shared.space_cv.wait(st).unwrap_or_else(|p| p.into_inner());
                     }
                     if st.stopping {
                         if admission == Some(Admission::Probe) {
@@ -654,7 +651,11 @@ impl ServeEngine {
         if st.running.contains(&ticket) {
             return Poll::Running;
         }
-        if st.lanes.iter().any(|q| q.iter().any(|j| j.ticket == ticket)) {
+        if st
+            .lanes
+            .iter()
+            .any(|q| q.iter().any(|j| j.ticket == ticket))
+        {
             return Poll::Queued;
         }
         Poll::Unknown
@@ -670,7 +671,10 @@ impl ServeEngine {
                 return Some(outcome);
             }
             let pending = st.running.contains(&ticket)
-                || st.lanes.iter().any(|q| q.iter().any(|j| j.ticket == ticket));
+                || st
+                    .lanes
+                    .iter()
+                    .any(|q| q.iter().any(|j| j.ticket == ticket));
             if !pending {
                 return None;
             }
@@ -700,7 +704,10 @@ impl ServeEngine {
                 return Ok(outcome);
             }
             let pending = st.running.contains(&ticket)
-                || st.lanes.iter().any(|q| q.iter().any(|j| j.ticket == ticket));
+                || st
+                    .lanes
+                    .iter()
+                    .any(|q| q.iter().any(|j| j.ticket == ticket));
             if !pending {
                 return Err(WaitError::Unknown);
             }
@@ -877,8 +884,7 @@ mod tests {
 
     fn faulty_factory(
         rate: f64,
-    ) -> impl Fn(u64, u64) -> Result<ResilientExecutor, BackendError> + Send + Sync + 'static
-    {
+    ) -> impl Fn(u64, u64) -> Result<ResilientExecutor, BackendError> + Send + Sync + 'static {
         move |_job, seed| {
             Ok(ResilientExecutor::new(
                 Box::new(FaultyBackend::new(
@@ -894,8 +900,7 @@ mod tests {
     /// `heal_at`; no per-executor fallback, so failures surface.
     fn outage_factory(
         heal_at: u64,
-    ) -> impl Fn(u64, u64) -> Result<ResilientExecutor, BackendError> + Send + Sync + 'static
-    {
+    ) -> impl Fn(u64, u64) -> Result<ResilientExecutor, BackendError> + Send + Sync + 'static {
         move |job, seed| {
             let rate = if job < heal_at { 1.0 } else { 0.0 };
             Ok(ResilientExecutor::new(
@@ -951,7 +956,11 @@ mod tests {
             }
         };
         assert!(outcome.result.is_ok());
-        assert_eq!(engine.poll(t), Poll::Unknown, "ready outcome was handed over");
+        assert_eq!(
+            engine.poll(t),
+            Poll::Unknown,
+            "ready outcome was handed over"
+        );
         assert!(engine.wait(t).is_none());
     }
 
@@ -1126,7 +1135,10 @@ mod tests {
 
     #[test]
     fn open_breaker_fast_fails_submissions() {
-        let engine = ServeEngine::new(admission_config(OpenAction::FastFail), outage_factory(u64::MAX));
+        let engine = ServeEngine::new(
+            admission_config(OpenAction::FastFail),
+            outage_factory(u64::MAX),
+        );
         let mut fast_failed = 0;
         for k in 0..6 {
             let t = engine.submit(job(k), Lane::Interactive).unwrap();
@@ -1141,7 +1153,10 @@ mod tests {
                 );
             }
         }
-        assert!(fast_failed >= 2, "breaker must trip and fast-fail: {fast_failed}");
+        assert!(
+            fast_failed >= 2,
+            "breaker must trip and fast-fail: {fast_failed}"
+        );
         assert_eq!(engine.stats().fast_failed, fast_failed);
     }
 
@@ -1264,9 +1279,15 @@ mod tests {
         assert_eq!(engine.wait_timeout(9999, 10), Err(WaitError::Unknown));
         engine.resume();
         // The timeout consumed nothing: the same ticket still delivers.
-        let outcome = engine.wait_timeout(t, 5_000).expect("completes after resume");
+        let outcome = engine
+            .wait_timeout(t, 5_000)
+            .expect("completes after resume");
         assert!(outcome.result.is_ok());
-        assert_eq!(engine.wait_timeout(t, 10), Err(WaitError::Unknown), "consumed");
+        assert_eq!(
+            engine.wait_timeout(t, 10),
+            Err(WaitError::Unknown),
+            "consumed"
+        );
     }
 
     #[test]
@@ -1296,7 +1317,11 @@ mod tests {
         let rx = engine.subscribe();
         engine.resume();
         let stats = engine.drain();
-        assert_eq!(stats.completed, tickets.len() as u64, "drain runs the queue dry");
+        assert_eq!(
+            stats.completed,
+            tickets.len() as u64,
+            "drain runs the queue dry"
+        );
         let streamed: Vec<_> = rx.try_iter().collect();
         assert_eq!(streamed.len(), tickets.len());
         assert!(streamed.iter().all(|(_, r)| r.is_ok()));

@@ -127,7 +127,10 @@ impl fmt::Display for MitigatedSubmitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MitigatedSubmitError::TooFewScales { got } => {
-                write!(f, "need at least two noise scales to extrapolate, got {got}")
+                write!(
+                    f,
+                    "need at least two noise scales to extrapolate, got {got}"
+                )
             }
             MitigatedSubmitError::DuplicateScale { scale } => {
                 write!(f, "noise scale {scale} appears more than once")
@@ -288,7 +291,8 @@ pub fn submit_mitigated(
             circuit,
             shots: job.shots,
         };
-        let ticket = engine.submit_routed(sub, Lane::Bulk, k as u64, sub_seed(sweep_seed, k as u64))?;
+        let ticket =
+            engine.submit_routed(sub, Lane::Bulk, k as u64, sub_seed(sweep_seed, k as u64))?;
         tickets.push(ticket);
     }
     Ok(MitigatedSweep {
@@ -364,12 +368,9 @@ impl MitigatedSweep {
             outcomes.iter().map(|o| o.result.clone()).collect();
         let mitigated =
             aggregate_sweep(&self.scales, &results, self.readout.as_deref(), self.method);
-        let raw = self.baseline_index().and_then(|i| {
-            results[i]
-                .as_ref()
-                .ok()
-                .map(|m| m.expectations.clone())
-        });
+        let raw = self
+            .baseline_index()
+            .and_then(|i| results[i].as_ref().ok().map(|m| m.expectations.clone()));
         let mut report = ExecutionReport::default();
         for o in &outcomes {
             report.merge(&o.report);
@@ -428,8 +429,7 @@ impl MitigatedSweep {
                 Ok(o) => outcomes.push(o),
                 Err(WaitError::Timeout { .. }) => {
                     return Err(WaitError::Timeout {
-                        waited_ms: u64::try_from(started.elapsed().as_millis())
-                            .unwrap_or(u64::MAX),
+                        waited_ms: u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX),
                     });
                 }
                 Err(e) => return Err(e),
@@ -546,8 +546,7 @@ mod tests {
         };
         let results = vec![Ok(m.clone()), Ok(m)];
         let coin: Confusion = [[0.5, 0.5], [0.5, 0.5]];
-        let err =
-            aggregate_sweep(&[1, 3], &results, Some(&[coin]), ZneMethod::Linear).unwrap_err();
+        let err = aggregate_sweep(&[1, 3], &results, Some(&[coin]), ZneMethod::Linear).unwrap_err();
         assert!(matches!(
             err,
             MitigationError::Math(MitigateError::SingularConfusion { .. })

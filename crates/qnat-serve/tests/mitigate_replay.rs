@@ -9,11 +9,13 @@
 //! pairs.
 
 use proptest::prelude::*;
+use qnat_compiler::folding::FoldStrategy;
 use qnat_core::executor::{splitmix64, ResilientExecutor, RetryPolicy};
 use qnat_core::mitigate::ZneMethod;
 use qnat_noise::backend::SimulatorBackend;
-use qnat_serve::{submit_mitigated, sub_seed, MitigatedJob, MitigatedOutcome, ServeConfig, ServeEngine};
-use qnat_compiler::folding::FoldStrategy;
+use qnat_serve::{
+    sub_seed, submit_mitigated, MitigatedJob, MitigatedOutcome, ServeConfig, ServeEngine,
+};
 use qnat_sim::circuit::Circuit;
 use qnat_sim::gate::Gate;
 use qnat_sim::measure::Confusion;

@@ -20,7 +20,11 @@ fn model() -> Qnn {
 
 fn features(n: usize) -> Vec<Vec<f64>> {
     (0..n)
-        .map(|k| (0..16).map(|j| ((k * 16 + j) as f64 * 0.017).cos()).collect())
+        .map(|k| {
+            (0..16)
+                .map(|j| ((k * 16 + j) as f64 * 0.017).cos())
+                .collect()
+        })
         .collect()
 }
 

@@ -23,7 +23,11 @@ fn model() -> Qnn {
 
 fn features(n: usize) -> Vec<Vec<f64>> {
     (0..n)
-        .map(|k| (0..16).map(|j| ((k * 16 + j) as f64 * 0.013).sin()).collect())
+        .map(|k| {
+            (0..16)
+                .map(|j| ((k * 16 + j) as f64 * 0.013).sin())
+                .collect()
+        })
         .collect()
 }
 
@@ -40,11 +44,24 @@ fn first_serving_inference_bitwise_matches_fresh_batch_deployment() {
     let opts = InferenceOptions::default();
 
     let pooled = qnn
-        .deploy_batch(&presets::santiago(), 2, RetryPolicy::default(), Some(spec), 4, 11)
+        .deploy_batch(
+            &presets::santiago(),
+            2,
+            RetryPolicy::default(),
+            Some(spec),
+            4,
+            11,
+        )
         .expect("batch deploy");
     let mut rng = StdRng::seed_from_u64(0);
-    let via_batch = infer(&qnn, &batch, &InferenceBackend::Deployed(&pooled), &opts, &mut rng)
-        .expect("batch inference");
+    let via_batch = infer(
+        &qnn,
+        &batch,
+        &InferenceBackend::Deployed(&pooled),
+        &opts,
+        &mut rng,
+    )
+    .expect("batch inference");
 
     let serving = qnn
         .deploy_serving(
@@ -60,8 +77,14 @@ fn first_serving_inference_bitwise_matches_fresh_batch_deployment() {
         )
         .expect("serving deploy");
     let mut rng = StdRng::seed_from_u64(0);
-    let via_serve = infer(&qnn, &batch, &InferenceBackend::Deployed(&serving), &opts, &mut rng)
-        .expect("served inference");
+    let via_serve = infer(
+        &qnn,
+        &batch,
+        &InferenceBackend::Deployed(&serving),
+        &opts,
+        &mut rng,
+    )
+    .expect("served inference");
 
     // Bitwise: f64 expectations compared by exact equality.
     assert_eq!(via_batch.block_outputs, via_serve.block_outputs);
@@ -72,7 +95,10 @@ fn first_serving_inference_bitwise_matches_fresh_batch_deployment() {
     for stats in serving.drain() {
         assert_eq!(stats.submitted, batch.len() as u64);
         assert_eq!(stats.completed, batch.len() as u64);
-        assert_eq!(stats.rejected_full + stats.shed_oldest + stats.shed_admission, 0);
+        assert_eq!(
+            stats.rejected_full + stats.shed_oldest + stats.shed_admission,
+            0
+        );
     }
 }
 
@@ -107,11 +133,23 @@ fn serving_admission_trips_per_block_breakers_and_cuts_attempts() {
             )
             .expect("serving deploy");
         let mut rng = StdRng::seed_from_u64(0);
-        let first = infer(&qnn, &batch, &InferenceBackend::Deployed(&serving), &opts, &mut rng)
-            .expect("served inference");
+        let first = infer(
+            &qnn,
+            &batch,
+            &InferenceBackend::Deployed(&serving),
+            &opts,
+            &mut rng,
+        )
+        .expect("served inference");
         let mut rng = StdRng::seed_from_u64(0);
-        let second = infer(&qnn, &batch, &InferenceBackend::Deployed(&serving), &opts, &mut rng)
-            .expect("served inference");
+        let second = infer(
+            &qnn,
+            &batch,
+            &InferenceBackend::Deployed(&serving),
+            &opts,
+            &mut rng,
+        )
+        .expect("served inference");
         ((first, second), serving)
     };
 
@@ -268,7 +306,10 @@ fn bulk_grid_sweep_reports_grid_order_and_caches_levels() {
     for stats in serving.stats() {
         // One ticket per sample per distinct level, nothing rejected.
         assert_eq!(stats.submitted, (batch.len() * distinct_levels) as u64);
-        assert_eq!(stats.rejected_full + stats.shed_oldest + stats.shed_admission, 0);
+        assert_eq!(
+            stats.rejected_full + stats.shed_oldest + stats.shed_admission,
+            0
+        );
     }
     serving.drain();
 }

@@ -5,7 +5,7 @@
 //! depolarizing, amplitude damping (T1 decay) and phase damping (T2
 //! dephasing). Every constructor validates completeness `Σ KᵏᵈKᵏ = I`.
 
-use crate::math::{mat2_dagger, mat2_mul, mat4_dagger, mat4_mul, C64, Mat2, Mat4};
+use crate::math::{mat2_dagger, mat2_mul, mat4_dagger, mat4_mul, Mat2, Mat4, C64};
 use std::error::Error;
 use std::fmt;
 
@@ -146,10 +146,7 @@ impl Channel1 {
             [C64::ONE, C64::ZERO],
             [C64::ZERO, C64::real((1.0 - gamma).sqrt())],
         ];
-        let k1 = [
-            [C64::ZERO, C64::real(gamma.sqrt())],
-            [C64::ZERO, C64::ZERO],
-        ];
+        let k1 = [[C64::ZERO, C64::real(gamma.sqrt())], [C64::ZERO, C64::ZERO]];
         Channel1::from_kraus(vec![k0, k1])
     }
 
@@ -238,11 +235,7 @@ impl Channel2 {
         let mut ops = Vec::with_capacity(16);
         for (a, pa) in paulis.iter().enumerate() {
             for (b, pb) in paulis.iter().enumerate() {
-                let w = if a == 0 && b == 0 {
-                    1.0 - p
-                } else {
-                    p / 15.0
-                };
+                let w = if a == 0 && b == 0 { 1.0 - p } else { p / 15.0 };
                 let s = w.sqrt();
                 let m = crate::math::kron2(pa, pb);
                 let mut scaled = [[C64::ZERO; 4]; 4];

@@ -293,11 +293,7 @@ pub fn invert_gate(g: &Gate) -> Gate {
         U2 => {
             // U2(φ,λ)† = U3(-π/2, -λ, -φ).
             out.kind = U3;
-            out.params = [
-                -std::f64::consts::FRAC_PI_2,
-                -g.params[1],
-                -g.params[0],
-            ];
+            out.params = [-std::f64::consts::FRAC_PI_2, -g.params[1], -g.params[0]];
         }
         U3 => {
             out.params = [-g.params[0], -g.params[2], -g.params[1]];
@@ -310,7 +306,10 @@ pub fn invert_gate(g: &Gate) -> Gate {
             // inverse of these apply three more copies (order 8 for √H is
             // false in general), so instead we signal via panic — the
             // transpiler never emits them and the ansätze never invert.
-            panic!("no closed-form inverse gate for {:?} in the gate set", g.kind)
+            panic!(
+                "no closed-form inverse gate for {:?} in the gate set",
+                g.kind
+            )
         }
     }
     out
@@ -430,10 +429,7 @@ mod tests {
         e.push(Gate::ry(1, 0.1));
         assert_ne!(c.fingerprint(), e.fingerprint());
         // Different register size alone → different key.
-        assert_ne!(
-            Circuit::new(2).fingerprint(),
-            Circuit::new(3).fingerprint()
-        );
+        assert_ne!(Circuit::new(2).fingerprint(), Circuit::new(3).fingerprint());
     }
 
     #[test]

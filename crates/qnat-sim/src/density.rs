@@ -196,7 +196,9 @@ impl DensityMatrix {
     /// Diagonal of ρ: the probability of each computational basis state.
     pub fn probabilities(&self) -> Vec<f64> {
         let dim = self.dim();
-        (0..dim).map(|i| self.data[i * dim + i].re.max(0.0)).collect()
+        (0..dim)
+            .map(|i| self.data[i * dim + i].re.max(0.0))
+            .collect()
     }
 
     /// Probability that qubit `q` reads `|1⟩`.
@@ -330,7 +332,9 @@ mod tests {
         rho_b.run(&c);
         for r in 0..4 {
             for cidx in 0..4 {
-                assert!(rho_a.element(r, cidx).approx_eq(rho_b.element(r, cidx), 1e-12));
+                assert!(rho_a
+                    .element(r, cidx)
+                    .approx_eq(rho_b.element(r, cidx), 1e-12));
             }
         }
     }

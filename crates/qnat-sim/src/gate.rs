@@ -10,7 +10,7 @@
 //! derivative of that matrix with respect to each of its parameters
 //! ([`Gate::d_matrix`]), which powers adjoint differentiation.
 
-use crate::math::{C64, Mat2, Mat4};
+use crate::math::{Mat2, Mat4, C64};
 use std::f64::consts::FRAC_1_SQRT_2;
 use std::fmt;
 
@@ -504,14 +504,8 @@ impl Gate {
             U2 => {
                 let s = FRAC_1_SQRT_2;
                 match slot {
-                    0 => GateMatrix::One([
-                        [o, o],
-                        [i * C64::cis(a) * s, i * C64::cis(a + b) * s],
-                    ]),
-                    _ => GateMatrix::One([
-                        [o, -i * C64::cis(b) * s],
-                        [o, i * C64::cis(a + b) * s],
-                    ]),
+                    0 => GateMatrix::One([[o, o], [i * C64::cis(a) * s, i * C64::cis(a + b) * s]]),
+                    _ => GateMatrix::One([[o, -i * C64::cis(b) * s], [o, i * C64::cis(a + b) * s]]),
                 }
             }
             U3 => {
@@ -521,14 +515,12 @@ impl Gate {
                         [C64::real(-sh * h), -C64::cis(c) * (ch * h)],
                         [C64::cis(b) * (ch * h), C64::cis(b + c) * (-sh * h)],
                     ]),
-                    1 => GateMatrix::One([
-                        [o, o],
-                        [i * C64::cis(b) * sh, i * C64::cis(b + c) * ch],
-                    ]),
-                    _ => GateMatrix::One([
-                        [o, -i * C64::cis(c) * sh],
-                        [o, i * C64::cis(b + c) * ch],
-                    ]),
+                    1 => {
+                        GateMatrix::One([[o, o], [i * C64::cis(b) * sh, i * C64::cis(b + c) * ch]])
+                    }
+                    _ => {
+                        GateMatrix::One([[o, -i * C64::cis(c) * sh], [o, i * C64::cis(b + c) * ch]])
+                    }
                 }
             }
             Crx | Cry | Crz | Cp | Cu3 => {
@@ -554,12 +546,7 @@ impl Gate {
             Rzz => {
                 let dm = C64::cis(-a / 2.0) * C64::new(0.0, -h);
                 let dp = C64::cis(a / 2.0) * C64::new(0.0, h);
-                GateMatrix::Two([
-                    [dm, o, o, o],
-                    [o, dp, o, o],
-                    [o, o, dp, o],
-                    [o, o, o, dm],
-                ])
+                GateMatrix::Two([[dm, o, o, o], [o, dp, o, o], [o, o, dp, o], [o, o, o, dm]])
             }
             Rxx => {
                 let ch = C64::real(-(a / 2.0).sin() * h);

@@ -25,7 +25,7 @@
 //! blocks, so one call applies the same matrix to every state, with the
 //! same arithmetic per amplitude as one call per state.
 
-use crate::math::{C64, Mat2, Mat4};
+use crate::math::{Mat2, Mat4, C64};
 
 /// Validates `q` against an amplitude slice of length `len` holding one
 /// state or several states laid end to end, and returns the bit mask

@@ -20,7 +20,10 @@ pub type Confusion = [[f64; 2]; 2];
 ///
 /// Panics if `probs.len()` is not a power of two or `q` is out of range.
 pub fn apply_confusion(probs: &mut [f64], q: usize, m: &Confusion) {
-    assert!(probs.len().is_power_of_two(), "length must be a power of two");
+    assert!(
+        probs.len().is_power_of_two(),
+        "length must be a power of two"
+    );
     let bit = 1usize << q;
     assert!(bit < probs.len(), "qubit {q} out of range");
     let n = probs.len();

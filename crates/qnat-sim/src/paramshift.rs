@@ -131,8 +131,7 @@ pub fn paramshift_gradients_with<E: Evaluator>(
                 let fp3 = shifted(3.0 * FRAC_PI_2);
                 let fm3 = shifted(-3.0 * FRAC_PI_2);
                 for o in 0..n_obs {
-                    gradients[o][k] =
-                        c_plus * (fp1[o] - fm1[o]) - c_minus * (fp3[o] - fm3[o]);
+                    gradients[o][k] = c_plus * (fp1[o] - fm1[o]) - c_minus * (fp3[o] - fm3[o]);
                 }
             }
         }

@@ -6,7 +6,7 @@
 
 use crate::circuit::Circuit;
 use crate::gate::{Gate, GateMatrix};
-use crate::math::{C64, Mat2, Mat4};
+use crate::math::{Mat2, Mat4, C64};
 
 /// A circuit addressed a register larger than the state it runs on.
 ///
@@ -73,7 +73,10 @@ impl StateVector {
     ///
     /// Panics if `amps.len()` is not a power of two.
     pub fn from_amplitudes(amps: Vec<C64>) -> Self {
-        assert!(amps.len().is_power_of_two(), "length must be a power of two");
+        assert!(
+            amps.len().is_power_of_two(),
+            "length must be a power of two"
+        );
         let n_qubits = amps.len().trailing_zeros() as usize;
         StateVector { n_qubits, amps }
     }

@@ -26,11 +26,19 @@ fn arb_gate() -> impl Strategy<Value = Gate> {
         (q.clone(), angle.clone()).prop_map(|(q, a)| Gate::rz(q, a)),
         (q.clone(), angle.clone(), angle.clone(), angle.clone())
             .prop_map(|(q, a, b, c)| Gate::u3(q, a, b, c)),
-        (0..N_QUBITS, 1..N_QUBITS)
-            .prop_map(|(a, d)| Gate::cx(a, (a + d) % N_QUBITS)),
-        (0..N_QUBITS, 1..N_QUBITS, angle.clone())
-            .prop_map(|(a, d, t)| Gate::crz(a, (a + d) % N_QUBITS, t)),
-        (0..N_QUBITS, 1..N_QUBITS, angle.clone(), angle.clone(), angle.clone())
+        (0..N_QUBITS, 1..N_QUBITS).prop_map(|(a, d)| Gate::cx(a, (a + d) % N_QUBITS)),
+        (0..N_QUBITS, 1..N_QUBITS, angle.clone()).prop_map(|(a, d, t)| Gate::crz(
+            a,
+            (a + d) % N_QUBITS,
+            t
+        )),
+        (
+            0..N_QUBITS,
+            1..N_QUBITS,
+            angle.clone(),
+            angle.clone(),
+            angle.clone()
+        )
             .prop_map(|(a, d, t, p, l)| Gate::cu3(a, (a + d) % N_QUBITS, t, p, l)),
         (0..N_QUBITS, 1..N_QUBITS, angle).prop_map(|(a, d, t)| Gate::rzz(a, (a + d) % N_QUBITS, t)),
     ]
@@ -136,12 +144,7 @@ proptest! {
 #[test]
 fn gate_kind_coverage_in_strategy() {
     // The strategy covers single-qubit, controlled and Ising gates.
-    let kinds = [
-        GateKind::X,
-        GateKind::Cu3,
-        GateKind::Rzz,
-        GateKind::Crz,
-    ];
+    let kinds = [GateKind::X, GateKind::Cu3, GateKind::Rzz, GateKind::Crz];
     for k in kinds {
         assert!(k.arity() >= 1);
     }

@@ -96,7 +96,9 @@ impl ChaosPlan {
                 delay_ms: 1 + p1 % 5,
                 max_bytes: 8 + (p2 % 32) as usize,
             },
-            3 => ChaosMode::StallAfterWrite { hold_ms: 10 + p1 % 40 },
+            3 => ChaosMode::StallAfterWrite {
+                hold_ms: 10 + p1 % 40,
+            },
             _ => ChaosMode::Corrupt {
                 rate_den: 3 + p1 % 6,
             },
@@ -186,7 +188,10 @@ impl<S: Read + Write> Write for ChaosStream<S> {
                 }
                 Ok(n)
             }
-            ChaosMode::SlowLoris { delay_ms, max_bytes } => {
+            ChaosMode::SlowLoris {
+                delay_ms,
+                max_bytes,
+            } => {
                 if self.written >= max_bytes as u64 {
                     self.tear_down();
                     return Err(Self::gone());
@@ -357,7 +362,8 @@ mod tests {
             mode: ChaosMode::StallAfterWrite { hold_ms: 1 },
         };
         let mut s = ChaosStream::new(Loopback::new(b"HTTP/1.1 200 OK\r\n\r\n"), plan);
-        s.write_all(b"GET / HTTP/1.1\r\n\r\n").expect("request goes out");
+        s.write_all(b"GET / HTTP/1.1\r\n\r\n")
+            .expect("request goes out");
         assert_eq!(
             s.read(&mut [0u8; 8]).expect("stall reads as EOF"),
             0,

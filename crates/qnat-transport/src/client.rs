@@ -240,16 +240,15 @@ impl TransportClient {
     }
 
     fn connect(&self) -> Result<PooledConn, ClientError> {
-        let stream =
-            TcpStream::connect_timeout(&self.addr, self.connect_timeout).map_err(|e| {
-                if io_is_timeout(&e) {
-                    ClientError::Timeout {
-                        phase: TimeoutPhase::Connect,
-                    }
-                } else {
-                    ClientError::Io(e)
+        let stream = TcpStream::connect_timeout(&self.addr, self.connect_timeout).map_err(|e| {
+            if io_is_timeout(&e) {
+                ClientError::Timeout {
+                    phase: TimeoutPhase::Connect,
                 }
-            })?;
+            } else {
+                ClientError::Io(e)
+            }
+        })?;
         stream.set_read_timeout(Some(self.timeout))?;
         stream.set_write_timeout(Some(self.timeout))?;
         // Request/response round trips on a reused connection must not
@@ -462,10 +461,7 @@ impl TransportClient {
                     .ok_or_else(|| WireError {
                         reason: "streamed verdict missing 'ticket' and 'status'".into(),
                     })? as u16;
-                let body = item
-                    .get("error")
-                    .map(Json::to_json)
-                    .unwrap_or_default();
+                let body = item.get("error").map(Json::to_json).unwrap_or_default();
                 Ok(StreamSubmit::Refused { status, body })
             })
             .collect()
@@ -506,11 +502,7 @@ impl TransportClient {
     /// preserved: 400 sweep-shape errors, 429/503 engine refusals,
     /// 500 mitigation-math failures (degenerate fit, singular
     /// confusion), 503/500 failed sub-runs, 504 budget exhaustion.
-    pub fn mitigate(
-        &self,
-        job: &MitigatedJob,
-        seed: u64,
-    ) -> Result<MitigatedResult, ClientError> {
+    pub fn mitigate(&self, job: &MitigatedJob, seed: u64) -> Result<MitigatedResult, ClientError> {
         let body = wire::mitigate_request_to_json(job, seed).to_json();
         let resp = self.call("POST", "/v1/mitigate", body.as_bytes())?;
         let v = Self::expect_json(&resp)?;

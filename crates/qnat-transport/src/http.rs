@@ -120,8 +120,8 @@ fn read_line(reader: &mut impl BufRead) -> Result<Option<String>, HttpError> {
             if line.last() == Some(&b'\r') {
                 line.pop();
             }
-            let text = String::from_utf8(line)
-                .map_err(|_| HttpError::new("header line is not UTF-8"))?;
+            let text =
+                String::from_utf8(line).map_err(|_| HttpError::new("header line is not UTF-8"))?;
             return Ok(Some(text));
         }
         line.push(byte[0]);
@@ -152,8 +152,8 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, HttpEr
 
     let mut headers = Vec::new();
     loop {
-        let line = read_line(reader)?
-            .ok_or_else(|| HttpError::new("connection closed in headers"))?;
+        let line =
+            read_line(reader)?.ok_or_else(|| HttpError::new("connection closed in headers"))?;
         if line.is_empty() {
             break;
         }
@@ -211,11 +211,7 @@ fn read_chunked_body(reader: &mut impl BufRead) -> Result<Vec<u8>, HttpError> {
             .ok_or_else(|| HttpError::new("connection closed before chunk terminator"))?;
         // Chunk extensions (";ext=val") are allowed by the RFC; strip
         // them rather than trusting them.
-        let size_token = size_line
-            .split(';')
-            .next()
-            .unwrap_or_default()
-            .trim();
+        let size_token = size_line.split(';').next().unwrap_or_default().trim();
         let size = usize::from_str_radix(size_token, 16)
             .map_err(|_| HttpError::new(format!("bad chunk size '{size_line}'")))?;
         if size == 0 {
@@ -287,11 +283,7 @@ pub fn write_response_conn(
 
 /// Writes a complete single-shot response (`Connection: close`,
 /// `Content-Type: application/json`).
-pub fn write_response(
-    writer: &mut impl Write,
-    status: u16,
-    body: &str,
-) -> Result<(), HttpError> {
+pub fn write_response(writer: &mut impl Write, status: u16, body: &str) -> Result<(), HttpError> {
     write_response_conn(writer, status, body, true)
 }
 
@@ -367,8 +359,8 @@ pub fn read_response(reader: &mut impl BufRead) -> Result<Response, HttpError> {
 
     let mut headers = Vec::new();
     loop {
-        let line = read_line(reader)?
-            .ok_or_else(|| HttpError::new("connection closed in headers"))?;
+        let line =
+            read_line(reader)?.ok_or_else(|| HttpError::new("connection closed in headers"))?;
         if line.is_empty() {
             break;
         }
@@ -486,7 +478,10 @@ mod tests {
 
     #[test]
     fn clean_eof_is_none_and_garbage_is_an_error() {
-        assert_eq!(read_request(&mut BufReader::new(&b""[..])).expect("eof"), None);
+        assert_eq!(
+            read_request(&mut BufReader::new(&b""[..])).expect("eof"),
+            None
+        );
         assert!(read_request(&mut BufReader::new(&b"NOT HTTP\r\n\r\n"[..])).is_err());
         let long = vec![b'a'; MAX_LINE_BYTES + 10];
         assert!(read_request(&mut BufReader::new(&long[..])).is_err());
@@ -539,8 +534,7 @@ mod tests {
         let e = parse(b"4\r\nabcd\r\n").expect_err("no terminator");
         assert!(e.reason.contains("terminator"), "{e}");
         // Oversized chunk.
-        let e = parse(format!("{:x}\r\n", MAX_BODY_BYTES + 1).as_bytes())
-            .expect_err("oversized");
+        let e = parse(format!("{:x}\r\n", MAX_BODY_BYTES + 1).as_bytes()).expect_err("oversized");
         assert!(e.reason.contains("over limit"), "{e}");
         // Chunk data not CRLF-terminated (size lies short).
         let e = parse(b"2\r\nabcd\r\n0\r\n\r\n").expect_err("bad terminator");
@@ -577,7 +571,10 @@ mod tests {
         let req = read_request(&mut BufReader::new(&out[..]))
             .expect("read")
             .expect("a request");
-        assert_eq!((req.method.as_str(), req.path.as_str()), ("GET", "/healthz"));
+        assert_eq!(
+            (req.method.as_str(), req.path.as_str()),
+            ("GET", "/healthz")
+        );
         assert!(req.body.is_empty());
     }
 }

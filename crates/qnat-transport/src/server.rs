@@ -329,14 +329,7 @@ impl TransportServer {
                     };
                     match conn {
                         Ok(stream) => {
-                            handle_connection(
-                                stream,
-                                &engine,
-                                &config,
-                                &stop,
-                                &sections,
-                                &metrics,
-                            );
+                            handle_connection(stream, &engine, &config, &stop, &sections, &metrics);
                             metrics.active_connections.fetch_sub(1, Ordering::SeqCst);
                         }
                         Err(_) => break, // accept loop gone and queue drained
@@ -508,9 +501,9 @@ impl Read for GuardedStream {
                         return Ok(0);
                     }
                     let left = deadline.saturating_duration_since(Instant::now());
-                    let slice = left.min(Duration::from_millis(READ_SLICE_MS)).max(
-                        Duration::from_millis(1),
-                    );
+                    let slice = left
+                        .min(Duration::from_millis(READ_SLICE_MS))
+                        .max(Duration::from_millis(1));
                     let _ = self.inner.set_read_timeout(Some(slice));
                     match self.inner.read(buf) {
                         Ok(0) => return Ok(0),
@@ -534,9 +527,9 @@ impl Read for GuardedStream {
                         ));
                     }
                     let left = deadline - elapsed;
-                    let slice = left.min(Duration::from_millis(READ_SLICE_MS)).max(
-                        Duration::from_millis(1),
-                    );
+                    let slice = left
+                        .min(Duration::from_millis(READ_SLICE_MS))
+                        .max(Duration::from_millis(1));
                     let _ = self.inner.set_read_timeout(Some(slice));
                     match self.inner.read(buf) {
                         Ok(n) => return Ok(n),
@@ -632,8 +625,7 @@ fn handle_connection(
 
         // The last allowed request and a draining server both advertise
         // the close so a well-behaved client reconnects cleanly.
-        let close =
-            request.wants_close() || served >= max_requests || stop.load(Ordering::SeqCst);
+        let close = request.wants_close() || served >= max_requests || stop.load(Ordering::SeqCst);
 
         match route(&request) {
             Route::Submit => handle_submit(&mut stream, engine, &request, metrics, close),
@@ -652,9 +644,7 @@ fn handle_connection(
                 handle_stream(&mut stream, engine, &request, &budget, stop, metrics);
                 return;
             }
-            Route::Health => {
-                handle_health(&mut stream, engine, stop, sections, metrics, close)
-            }
+            Route::Health => handle_health(&mut stream, engine, stop, sections, metrics, close),
             Route::MethodNotAllowed => respond(
                 &mut stream,
                 metrics,
@@ -760,7 +750,13 @@ fn handle_submit(
     let (job, lane) = match parsed {
         Ok(p) => p,
         Err(e) => {
-            respond(stream, metrics, 400, &error_body("bad_request", e.reason), close);
+            respond(
+                stream,
+                metrics,
+                400,
+                &error_body("bad_request", e.reason),
+                close,
+            );
             return;
         }
     };
@@ -816,8 +812,8 @@ fn handle_submit_stream(
     let mut accepted = 0u64;
     let mut refused = 0u64;
     for line in body.lines().filter(|l| !l.trim().is_empty()) {
-        let parsed = wire::parse_body(line.as_bytes())
-            .and_then(|v| wire::submit_request_from_json(&v));
+        let parsed =
+            wire::parse_body(line.as_bytes()).and_then(|v| wire::submit_request_from_json(&v));
         let item = match parsed {
             Ok((job, lane)) => match engine.submit(job, lane) {
                 Ok(ticket) => {
@@ -877,12 +873,17 @@ fn handle_mitigate(
     metrics: &TransportMetrics,
     close: bool,
 ) {
-    let parsed =
-        wire::parse_body(&req.body).and_then(|v| wire::mitigate_request_from_json(&v));
+    let parsed = wire::parse_body(&req.body).and_then(|v| wire::mitigate_request_from_json(&v));
     let (job, seed) = match parsed {
         Ok(p) => p,
         Err(e) => {
-            respond(stream, metrics, 400, &error_body("bad_request", e.reason), close);
+            respond(
+                stream,
+                metrics,
+                400,
+                &error_body("bad_request", e.reason),
+                close,
+            );
             return;
         }
     };
@@ -910,7 +911,13 @@ fn handle_mitigate(
                 Ok(_) => 200,
                 Err(e) => wire::mitigation_error_status(e),
             };
-            respond(stream, metrics, status, &wire::mitigated_outcome_to_json(&outcome), close);
+            respond(
+                stream,
+                metrics,
+                status,
+                &wire::mitigated_outcome_to_json(&outcome),
+                close,
+            );
         }
         Err(WaitError::Unknown) => {
             respond(
@@ -1048,9 +1055,7 @@ fn handle_stream(
     let rx = engine.subscribe();
     // The stream outlives the per-request deadline by design: its writes
     // should only fail when the client goes away, not mid-healthy-feed.
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(
-        budget.remaining_ms().max(1000),
-    )));
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(budget.remaining_ms().max(1000))));
     metrics.requests_served.fetch_add(1, Ordering::SeqCst);
     if write_chunked_head(stream, 200).is_err() {
         return;
@@ -1123,7 +1128,10 @@ fn handle_health(
         (
             "load",
             Json::obj([
-                ("queued_interactive", Json::Num(load.queued_interactive as f64)),
+                (
+                    "queued_interactive",
+                    Json::Num(load.queued_interactive as f64),
+                ),
                 ("queued_bulk", Json::Num(load.queued_bulk as f64)),
                 ("running", Json::Num(load.running as f64)),
             ]),
@@ -1141,7 +1149,10 @@ fn handle_health(
                 ("fast_failed", Json::Num(stats.fast_failed as f64)),
             ]),
         ),
-        ("transport", wire::transport_snapshot_to_json(&metrics.snapshot())),
+        (
+            "transport",
+            wire::transport_snapshot_to_json(&metrics.snapshot()),
+        ),
         ("breakers", breakers),
     ]);
     if let Json::Obj(map) = &mut body {

@@ -15,17 +15,15 @@
 //! produces.
 
 use qnat_compiler::folding::FoldStrategy;
+use qnat_core::batch::BatchJob;
 use qnat_core::executor::{BackendUsage, ExecutionReport, FailureRecord};
 use qnat_core::health::{BreakerSnapshot, BreakerState};
 use qnat_core::mitigate::{MitigateError, ZneMethod};
 use qnat_fleet::FleetHealth;
 use qnat_json::{Json, JsonError};
 use qnat_noise::backend::{BackendError, Measurements};
-use qnat_core::batch::BatchJob;
 use qnat_serve::engine::{JobOutcome, Lane, SubmitError, Ticket};
-use qnat_serve::mitigate::{
-    MitigatedJob, MitigatedOutcome, MitigatedSubmitError, MitigationError,
-};
+use qnat_serve::mitigate::{MitigatedJob, MitigatedOutcome, MitigatedSubmitError, MitigationError};
 use qnat_sim::circuit::Circuit;
 use qnat_sim::gate::{Gate, GateKind};
 use qnat_sim::measure::Confusion;
@@ -182,7 +180,10 @@ pub fn gate_from_json(v: &Json) -> Result<Gate, WireError> {
 pub fn circuit_to_json(c: &Circuit) -> Json {
     Json::obj([
         ("n_qubits", Json::Num(c.n_qubits() as f64)),
-        ("gates", Json::Arr(c.gates().iter().map(gate_to_json).collect())),
+        (
+            "gates",
+            Json::Arr(c.gates().iter().map(gate_to_json).collect()),
+        ),
     ])
 }
 
@@ -391,7 +392,10 @@ fn backend_usage_to_json(u: &BackendUsage) -> Json {
     Json::obj([
         ("attempts", Json::Num(u.attempts as f64)),
         ("retries", Json::Num(u.retries as f64)),
-        ("validation_failures", Json::Num(u.validation_failures as f64)),
+        (
+            "validation_failures",
+            Json::Num(u.validation_failures as f64),
+        ),
         ("fast_failed_jobs", Json::Num(u.fast_failed_jobs as f64)),
         ("fallback_jobs", Json::Num(u.fallback_jobs as f64)),
         ("backoff_ms", Json::Num(u.backoff_ms as f64)),
@@ -526,8 +530,8 @@ pub fn submit_request_from_json(v: &Json) -> Result<(BatchJob, Lane), WireError>
 
 /// Parses a request body held as raw bytes into a JSON value.
 pub fn parse_body(body: &[u8]) -> Result<Json, WireError> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| WireError::new("request body is not UTF-8"))?;
+    let text =
+        std::str::from_utf8(body).map_err(|_| WireError::new("request body is not UTF-8"))?;
     Ok(Json::parse(text)?)
 }
 
@@ -551,9 +555,7 @@ pub fn submit_error_to_json(e: &SubmitError) -> Json {
                 ("capacity", Json::Num(*capacity as f64)),
             ],
         ),
-        SubmitError::Shed { backend } => {
-            ("shed", vec![("backend", Json::Str(backend.clone()))])
-        }
+        SubmitError::Shed { backend } => ("shed", vec![("backend", Json::Str(backend.clone()))]),
         SubmitError::Stopping => ("stopping", vec![]),
     };
     let mut pairs = vec![
@@ -693,14 +695,12 @@ pub fn mitigated_submit_error_status(e: &MitigatedSubmitError) -> u16 {
 /// Encodes a refused mitigated submission.
 pub fn mitigated_submit_error_to_json(e: &MitigatedSubmitError) -> Json {
     let (kind, fields): (&str, Vec<(&'static str, Json)>) = match e {
-        MitigatedSubmitError::TooFewScales { got } => (
-            "too_few_scales",
-            vec![("got", Json::Num(*got as f64))],
-        ),
-        MitigatedSubmitError::DuplicateScale { scale } => (
-            "duplicate_scale",
-            vec![("scale", Json::Num(*scale as f64))],
-        ),
+        MitigatedSubmitError::TooFewScales { got } => {
+            ("too_few_scales", vec![("got", Json::Num(*got as f64))])
+        }
+        MitigatedSubmitError::DuplicateScale { scale } => {
+            ("duplicate_scale", vec![("scale", Json::Num(*scale as f64))])
+        }
         MitigatedSubmitError::Fold(_) => ("fold", vec![]),
         MitigatedSubmitError::ReadoutShape { expected, got } => (
             "readout_shape",
@@ -732,10 +732,7 @@ pub fn mitigate_error_to_json(e: &MitigateError) -> Json {
         ),
         MitigateError::ShapeMismatch { xs, ys } => (
             "shape_mismatch",
-            vec![
-                ("xs", Json::Num(*xs as f64)),
-                ("ys", Json::Num(*ys as f64)),
-            ],
+            vec![("xs", Json::Num(*xs as f64)), ("ys", Json::Num(*ys as f64))],
         ),
         MitigateError::RaggedRow {
             index,
@@ -834,21 +831,11 @@ pub fn mitigated_outcome_to_json(o: &MitigatedOutcome) -> Json {
         ),
         (
             "scales",
-            Json::Arr(
-                o.runs
-                    .iter()
-                    .map(|r| Json::Num(r.scale as f64))
-                    .collect(),
-            ),
+            Json::Arr(o.runs.iter().map(|r| Json::Num(r.scale as f64)).collect()),
         ),
         (
             "tickets",
-            Json::Arr(
-                o.runs
-                    .iter()
-                    .map(|r| Json::Num(r.ticket as f64))
-                    .collect(),
-            ),
+            Json::Arr(o.runs.iter().map(|r| Json::Num(r.ticket as f64)).collect()),
         ),
         ("report", report_to_json(&o.report)),
     ])
@@ -996,7 +983,10 @@ pub fn calibration_health_to_json(health: &qnat_fleet::CalibrationHealth) -> Jso
 /// must be added here too.
 pub fn transport_snapshot_to_json(snap: &crate::server::TransportSnapshot) -> Json {
     Json::obj([
-        ("active_connections", Json::Num(snap.active_connections as f64)),
+        (
+            "active_connections",
+            Json::Num(snap.active_connections as f64),
+        ),
         (
             "connections_accepted",
             Json::Num(snap.connections_accepted as f64),
@@ -1088,9 +1078,8 @@ mod tests {
             circuit: c,
             shots: Some(512),
         };
-        let back =
-            job_from_json(&Json::parse(&job_to_json(&job).to_json()).expect("parse"))
-                .expect("decode");
+        let back = job_from_json(&Json::parse(&job_to_json(&job).to_json()).expect("parse"))
+            .expect("decode");
         assert_eq!(back.circuit.gates(), job.circuit.gates());
         assert_eq!(back.circuit.n_qubits(), 3);
         assert_eq!(back.shots, Some(512));
@@ -1153,10 +1142,9 @@ mod tests {
                 )]),
             },
         };
-        let back = outcome_from_json(
-            &Json::parse(&outcome_to_json(&outcome).to_json()).expect("parse"),
-        )
-        .expect("decode");
+        let back =
+            outcome_from_json(&Json::parse(&outcome_to_json(&outcome).to_json()).expect("parse"))
+                .expect("decode");
         assert_eq!(back, outcome);
 
         let failed = JobOutcome {
@@ -1165,10 +1153,9 @@ mod tests {
             }),
             report: ExecutionReport::default(),
         };
-        let back = outcome_from_json(
-            &Json::parse(&outcome_to_json(&failed).to_json()).expect("parse"),
-        )
-        .expect("decode");
+        let back =
+            outcome_from_json(&Json::parse(&outcome_to_json(&failed).to_json()).expect("parse"))
+                .expect("decode");
         assert_eq!(back, failed);
     }
 
@@ -1241,9 +1228,14 @@ mod tests {
     fn mitigation_errors_keep_their_typed_fields_on_the_wire() {
         let math = MitigationError::Math(MitigateError::SingularConfusion { det: 1e-9 });
         let v = mitigation_error_to_json(&math);
-        assert_eq!(v.get("kind").and_then(Json::as_str), Some("mitigation_math"));
         assert_eq!(
-            v.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str),
+            v.get("kind").and_then(Json::as_str),
+            Some("mitigation_math")
+        );
+        assert_eq!(
+            v.get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(Json::as_str),
             Some("singular_confusion")
         );
         assert_eq!(mitigation_error_status(&math), 500);
@@ -1274,12 +1266,10 @@ mod tests {
             assert_eq!(mitigated_submit_error_status(&e), 400, "{e}");
         }
         assert_eq!(
-            mitigated_submit_error_status(&MitigatedSubmitError::Submit(
-                SubmitError::QueueFull {
-                    lane: Lane::Bulk,
-                    capacity: 4
-                }
-            )),
+            mitigated_submit_error_status(&MitigatedSubmitError::Submit(SubmitError::QueueFull {
+                lane: Lane::Bulk,
+                capacity: 4
+            })),
             429
         );
         assert_eq!(

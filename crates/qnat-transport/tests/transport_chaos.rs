@@ -25,8 +25,7 @@ fn simple_job(k: usize) -> BatchJob {
     BatchJob::exact(c)
 }
 
-fn clean_factory() -> impl Fn(u64, u64) -> Result<ResilientExecutor, BackendError> + Send + Sync
-{
+fn clean_factory() -> impl Fn(u64, u64) -> Result<ResilientExecutor, BackendError> + Send + Sync {
     |_job, seed| {
         Ok(ResilientExecutor::new(
             Box::new(SimulatorBackend::new(seed)),
@@ -150,13 +149,18 @@ fn chaos_storm_never_hangs_workers_or_leaks_slots() {
     // The server survived: a fresh client is answered promptly.
     let started = Instant::now();
     let client = TransportClient::new(addr).with_timeout(Duration::from_secs(3));
-    let health = client.healthz().expect("server is still alive after the storm");
+    let health = client
+        .healthz()
+        .expect("server is still alive after the storm");
     assert!(
         started.elapsed() < Duration::from_secs(3),
         "post-storm health check took {:?} — a worker is wedged",
         started.elapsed()
     );
-    assert!(health.get("transport").is_some(), "health has transport section");
+    assert!(
+        health.get("transport").is_some(),
+        "health has transport section"
+    );
     drop(client);
     // 32 storm connections + the post-storm health client.
     assert_connections_drain(&server, 33);
@@ -282,7 +286,9 @@ fn corrupted_bytes_get_typed_refusals_not_hangs() {
         let plan = ChaosPlan {
             seed: 3,
             conn,
-            mode: ChaosMode::Corrupt { rate_den: 3 + conn % 5 },
+            mode: ChaosMode::Corrupt {
+                rate_den: 3 + conn % 5,
+            },
         };
         let started = Instant::now();
         let response = run_chaos_conn(addr, plan);

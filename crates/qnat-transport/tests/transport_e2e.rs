@@ -30,8 +30,7 @@ fn simple_job(k: usize) -> BatchJob {
     BatchJob::exact(c)
 }
 
-fn clean_factory() -> impl Fn(u64, u64) -> Result<ResilientExecutor, BackendError> + Send + Sync
-{
+fn clean_factory() -> impl Fn(u64, u64) -> Result<ResilientExecutor, BackendError> + Send + Sync {
     |_job, seed| {
         Ok(ResilientExecutor::new(
             Box::new(SimulatorBackend::new(seed)),
@@ -62,7 +61,11 @@ fn served_workload_bitwise_matches_deploy_batch() {
     let qnn = Qnn::for_device(QnnConfig::standard(16, 4, 1, 2), &device, 7)
         .expect("santiago fits the single-block model");
     let batch: Vec<Vec<f64>> = (0..24)
-        .map(|k| (0..16).map(|j| ((k * 16 + j) as f64 * 0.013).sin()).collect())
+        .map(|k| {
+            (0..16)
+                .map(|j| ((k * 16 + j) as f64 * 0.013).sin())
+                .collect()
+        })
         .collect();
     let spec = FaultSpec::transient(0.5, 99);
     let policy = RetryPolicy::default();
@@ -140,7 +143,11 @@ fn served_workload_bitwise_matches_deploy_batch() {
 
     let tickets: Vec<u64> = jobs
         .iter()
-        .map(|job| client.submit(job, Lane::Interactive).expect("submit over TCP"))
+        .map(|job| {
+            client
+                .submit(job, Lane::Interactive)
+                .expect("submit over TCP")
+        })
         .collect();
     assert_eq!(
         tickets,
@@ -201,8 +208,12 @@ fn full_rejecting_lane_is_429() {
         TransportConfig::default(),
     );
     server.engine().pause();
-    client.submit(&simple_job(0), Lane::Interactive).expect("fits");
-    client.submit(&simple_job(1), Lane::Interactive).expect("fits");
+    client
+        .submit(&simple_job(0), Lane::Interactive)
+        .expect("fits");
+    client
+        .submit(&simple_job(1), Lane::Interactive)
+        .expect("fits");
     let refused = client.submit(&simple_job(2), Lane::Interactive);
     match refused {
         Err(ClientError::Status { status, body }) => {
@@ -232,9 +243,15 @@ fn shed_oldest_eviction_surfaces_as_503() {
         TransportConfig::default(),
     );
     server.engine().pause();
-    let t0 = client.submit(&simple_job(0), Lane::Interactive).expect("fits");
-    let t1 = client.submit(&simple_job(1), Lane::Interactive).expect("fits");
-    let t2 = client.submit(&simple_job(2), Lane::Interactive).expect("evicts t0");
+    let t0 = client
+        .submit(&simple_job(0), Lane::Interactive)
+        .expect("fits");
+    let t1 = client
+        .submit(&simple_job(1), Lane::Interactive)
+        .expect("fits");
+    let t2 = client
+        .submit(&simple_job(2), Lane::Interactive)
+        .expect("evicts t0");
 
     // On the wire, the evicted ticket's ready outcome is graded 503 with
     // the typed error in the body — for both poll and wait.
@@ -253,13 +270,17 @@ fn shed_oldest_eviction_surfaces_as_503() {
     assert_eq!(status, 503, "poll of an evicted ticket: {body}");
     assert!(body.contains("overloaded"), "typed body: {body}");
 
-    client.submit(&simple_job(3), Lane::Interactive).expect("evicts t1");
+    client
+        .submit(&simple_job(3), Lane::Interactive)
+        .expect("evicts t1");
     let (status, body) = raw_get(format!("/v1/jobs/{t1}/wait"));
     assert_eq!(status, 503, "wait on an evicted ticket: {body}");
     assert!(body.contains("overloaded"), "typed body: {body}");
 
     // Through the typed client, the outcome itself carries the error.
-    client.submit(&simple_job(4), Lane::Interactive).expect("evicts t2");
+    client
+        .submit(&simple_job(4), Lane::Interactive)
+        .expect("evicts t2");
     match client.poll(t2) {
         Ok(Some(TicketStatus::Ready(outcome))) => {
             assert!(matches!(
@@ -293,7 +314,9 @@ fn wait_past_the_deadline_budget_is_504() {
         },
     );
     server.engine().pause();
-    let t = client.submit(&simple_job(0), Lane::Interactive).expect("submit");
+    let t = client
+        .submit(&simple_job(0), Lane::Interactive)
+        .expect("submit");
     match client.wait(t) {
         Err(ClientError::Status { status, .. }) => assert_eq!(status, 504),
         other => panic!("expected a 504 wait, got {other:?}"),
@@ -333,7 +356,10 @@ fn protocol_errors_are_typed_statuses() {
         resp.status
     };
     assert_eq!(raw("POST", "/v1/jobs", b"{not json"), 400);
-    assert_eq!(raw("POST", "/v1/jobs", br#"{"job":1,"lane":"interactive"}"#), 400);
+    assert_eq!(
+        raw("POST", "/v1/jobs", br#"{"job":1,"lane":"interactive"}"#),
+        400
+    );
     assert_eq!(raw("GET", "/nope", b""), 404);
     assert_eq!(raw("DELETE", "/v1/jobs", b""), 405);
     assert_eq!(raw("POST", "/healthz", b""), 405);
@@ -397,7 +423,11 @@ fn stream_delivers_every_completion() {
         std::thread::spawn(move || client.stream(6))
     };
     let expected: Vec<u64> = (0..6)
-        .map(|k| client.submit(&simple_job(k), Lane::Interactive).expect("submit"))
+        .map(|k| {
+            client
+                .submit(&simple_job(k), Lane::Interactive)
+                .expect("submit")
+        })
         .collect();
     // Give the streamer a beat to be subscribed before work flows.
     std::thread::sleep(Duration::from_millis(100));
@@ -428,7 +458,9 @@ fn healthz_reports_lane_depths_and_stats() {
     );
     server.engine().pause();
     for k in 0..3 {
-        client.submit(&simple_job(k), Lane::Interactive).expect("submit");
+        client
+            .submit(&simple_job(k), Lane::Interactive)
+            .expect("submit");
     }
     client.submit(&simple_job(9), Lane::Bulk).expect("submit");
     let health = client.healthz().expect("healthz");
@@ -456,7 +488,9 @@ fn shutdown_drains_in_flight_tickets_and_stops_accepting() {
     );
     server.engine().pause();
     for k in 0..8 {
-        client.submit(&simple_job(k), Lane::Interactive).expect("submit");
+        client
+            .submit(&simple_job(k), Lane::Interactive)
+            .expect("submit");
     }
     server.engine().resume();
     let addr = server.local_addr();
@@ -675,19 +709,28 @@ fn healthz_serves_the_fleet_section() {
         .iter()
         .filter_map(|d| d.get("name").and_then(Json::as_str))
         .collect();
-    assert_eq!(names, vec![presets::santiago().name(), presets::lima().name()]);
+    assert_eq!(
+        names,
+        vec![presets::santiago().name(), presets::lima().name()]
+    );
     for d in devices {
         assert_eq!(d.get("quarantined"), Some(&Json::Bool(false)));
         assert!(d.get("load").and_then(|l| l.get("running")).is_some());
         assert!(
-            d.get("noise_estimate").and_then(Json::as_f64).expect("estimate") > 0.0
+            d.get("noise_estimate")
+                .and_then(Json::as_f64)
+                .expect("estimate")
+                > 0.0
         );
     }
     // The device that served traffic has a live breaker snapshot.
     let santiago = &devices[0];
     let breaker = santiago.get("breaker").expect("breaker field");
     assert_eq!(
-        breaker.get("state").and_then(|s| s.get("state")).and_then(Json::as_str),
+        breaker
+            .get("state")
+            .and_then(|s| s.get("state"))
+            .and_then(Json::as_str),
         Some("closed")
     );
     server.shutdown();
@@ -776,14 +819,16 @@ fn healthz_calibration_section_is_snapshot_exact() {
 
     // Snapshot exactness: no fleet traffic ran since the probe, so the
     // served section must equal a fresh render of the router's view.
-    let expected =
-        qnat_transport::wire::calibration_health_to_json(&router.calibration_health());
+    let expected = qnat_transport::wire::calibration_health_to_json(&router.calibration_health());
     assert_eq!(calibration, &expected);
 
     // And the view itself is live: all 12 tickets applied in order,
     // nothing stuck in the reorder buffer, per-device rows in fleet
     // order with the busier device past cold start.
-    assert_eq!(calibration.get("applied").and_then(Json::as_usize), Some(12));
+    assert_eq!(
+        calibration.get("applied").and_then(Json::as_usize),
+        Some(12)
+    );
     assert_eq!(calibration.get("pending").and_then(Json::as_usize), Some(0));
     let Some(Json::Arr(devices)) = calibration.get("devices") else {
         panic!("devices is an array");
@@ -793,14 +838,19 @@ fn healthz_calibration_section_is_snapshot_exact() {
         .iter()
         .filter_map(|d| d.get("name").and_then(Json::as_str))
         .collect();
-    assert_eq!(names, vec![presets::santiago().name(), presets::lima().name()]);
+    assert_eq!(
+        names,
+        vec![presets::santiago().name(), presets::lima().name()]
+    );
     let observations: usize = devices
         .iter()
         .filter_map(|d| d.get("observations").and_then(Json::as_usize))
         .sum();
     assert_eq!(observations, 12, "every delivered job is one observation");
     assert!(
-        devices.iter().any(|d| matches!(d.get("estimate"), Some(Json::Num(_)))),
+        devices
+            .iter()
+            .any(|d| matches!(d.get("estimate"), Some(Json::Num(_)))),
         "the busier device must be past cold start"
     );
     for d in devices {
@@ -833,7 +883,9 @@ fn healthz_transport_section_is_snapshot_exact() {
 
     // Traffic: one accepted submit, one 429 refusal, two 404 polls —
     // all on the pooled keep-alive connection.
-    client.submit(&simple_job(0), Lane::Interactive).expect("fits");
+    client
+        .submit(&simple_job(0), Lane::Interactive)
+        .expect("fits");
     match client.submit(&simple_job(1), Lane::Interactive) {
         Err(ClientError::Status { status, .. }) => assert_eq!(status, 429),
         other => panic!("expected 429, got {other:?}"),
@@ -844,8 +896,7 @@ fn healthz_transport_section_is_snapshot_exact() {
     // One malformed request on its own throwaway connection → 400.
     {
         use std::io::{Read, Write};
-        let mut stream =
-            std::net::TcpStream::connect(server.local_addr()).expect("connect");
+        let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
         stream
             .set_read_timeout(Some(Duration::from_secs(3)))
             .expect("timeout");
@@ -927,9 +978,7 @@ fn streaming_submit_batches_jobs_with_per_line_verdicts() {
     );
     server.engine().pause();
 
-    let jobs: Vec<(BatchJob, Lane)> = (0..6)
-        .map(|k| (simple_job(k), Lane::Interactive))
-        .collect();
+    let jobs: Vec<(BatchJob, Lane)> = (0..6).map(|k| (simple_job(k), Lane::Interactive)).collect();
     let verdicts = client.submit_stream(&jobs).expect("streamed submit");
     assert_eq!(verdicts.len(), 6, "one verdict per line, in order");
     for (k, v) in verdicts.iter().take(4).enumerate() {
@@ -990,7 +1039,9 @@ fn pooled_client_survives_connection_caps_and_idle_reaping() {
     // response on each connection advertises the close, so the client
     // rotates connections without a single failed call.
     for _ in 0..4 {
-        client.healthz().expect("healthz under the per-connection cap");
+        client
+            .healthz()
+            .expect("healthz under the per-connection cap");
     }
     assert_eq!(
         server.metrics().connections_accepted,

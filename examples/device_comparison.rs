@@ -18,12 +18,8 @@ use rand::SeedableRng;
 fn main() {
     let dataset = build(Task::Mnist2, &TaskConfig::small(3));
     // Train once with normalization, noise-free (device-agnostic model).
-    let mut qnn = Qnn::for_device(
-        QnnConfig::standard(16, 2, 2, 2),
-        &presets::santiago(),
-        5,
-    )
-    .expect("fits device");
+    let mut qnn = Qnn::for_device(QnnConfig::standard(16, 2, 2, 2), &presets::santiago(), 5)
+        .expect("fits device");
     train(
         &mut qnn,
         &dataset,

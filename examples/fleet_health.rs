@@ -21,7 +21,11 @@ fn main() {
     let device = presets::santiago();
     let qnn = Qnn::for_device(QnnConfig::standard(16, 4, 2, 2), &device, 7).expect("fits device");
     let batch: Vec<Vec<f64>> = (0..32)
-        .map(|k| (0..16).map(|j| ((k * 16 + j) as f64 * 0.017).sin()).collect())
+        .map(|k| {
+            (0..16)
+                .map(|j| ((k * 16 + j) as f64 * 0.017).sin())
+                .collect()
+        })
         .collect();
 
     // A primary in deep trouble: 95% transient failures plus a random-walk

@@ -78,7 +78,10 @@ fn main() {
     match client.poll(tickets[0]).expect("poll round trip") {
         Some(TicketStatus::Ready(outcome)) => {
             let m = outcome.result.expect("fallback absorbs exhausted retries");
-            println!("ticket 0 ready on first poll: {} expectations", m.expectations.len());
+            println!(
+                "ticket 0 ready on first poll: {} expectations",
+                m.expectations.len()
+            );
         }
         Some(status) => println!("ticket 0 still {status:?}"),
         None => unreachable!("ticket 0 was just submitted"),
@@ -104,8 +107,14 @@ fn main() {
     // Graceful drain: every submitted ticket was completed, none shed.
     let stats = server.shutdown();
     assert_eq!(stats.submitted, N as u64);
-    assert_eq!(stats.completed, N as u64, "graceful drain finishes everything");
-    assert_eq!(stats.rejected_full + stats.shed_oldest + stats.shed_admission, 0);
+    assert_eq!(
+        stats.completed, N as u64,
+        "graceful drain finishes everything"
+    );
+    assert_eq!(
+        stats.rejected_full + stats.shed_oldest + stats.shed_admission,
+        0
+    );
     println!(
         "drained: {} submitted, {} completed — front door down cleanly",
         stats.submitted, stats.completed

@@ -36,16 +36,19 @@ fn main() {
         device.name(),
         sweep.workers
     );
-    let outcome = select_hyperparameters(
-        QnnConfig::standard(16, 2, 2, 2),
-        &dataset,
-        &device,
-        &sweep,
-    )
-    .expect("sweep succeeds");
-    println!("{:>6} {:>7} {:>12} {:>11}", "T", "levels", "valid loss", "valid acc");
+    let outcome =
+        select_hyperparameters(QnnConfig::standard(16, 2, 2, 2), &dataset, &device, &sweep)
+            .expect("sweep succeeds");
+    println!(
+        "{:>6} {:>7} {:>12} {:>11}",
+        "T", "levels", "valid loss", "valid acc"
+    );
     for r in &outcome.records {
-        let marker = if r.point == outcome.best { "  <-- selected" } else { "" };
+        let marker = if r.point == outcome.best {
+            "  <-- selected"
+        } else {
+            ""
+        };
         println!(
             "{:>6} {:>7} {:>12.4} {:>11.3}{marker}",
             r.point.t_factor, r.point.levels, r.valid_loss, r.valid_acc

@@ -63,7 +63,11 @@ fn main() {
     // 1. Interactive traffic: whole inferences through the serving
     //    backend, exactly like the batch backend but against live engines.
     let batch: Vec<Vec<f64>> = (0..16)
-        .map(|k| (0..16).map(|j| ((k * 16 + j) as f64 * 0.017).sin()).collect())
+        .map(|k| {
+            (0..16)
+                .map(|j| ((k * 16 + j) as f64 * 0.017).sin())
+                .collect()
+        })
         .collect();
     let mut rng = StdRng::seed_from_u64(0);
     let result = infer(
@@ -104,14 +108,16 @@ fn main() {
     };
     println!(
         "burst: ticket {} polled ({} attempts), streaming the rest…",
-        tickets[0],
-        polled.report.attempts
+        tickets[0], polled.report.attempts
     );
     // The subscription started after phase 1 drained, so the stream
     // carries exactly the burst's completions.
     for _ in 0..tickets.len() {
         let (ticket, result) = stream.recv().expect("engine is alive");
-        println!("  ticket {ticket}: {}", if result.is_ok() { "ok" } else { "failed" });
+        println!(
+            "  ticket {ticket}: {}",
+            if result.is_ok() { "ok" } else { "failed" }
+        );
     }
 
     // 3. Background traffic: the §4.2 quantization grid on the bulk lane.
@@ -122,7 +128,10 @@ fn main() {
 
     // Breaker verdicts and the smoke-gate assertion.
     for key in serving.health_registry().keys() {
-        let snap = serving.health_registry().snapshot(&key).expect("listed key");
+        let snap = serving
+            .health_registry()
+            .snapshot(&key)
+            .expect("listed key");
         println!(
             "{key}: {:?}, trips {}, short-circuited {}",
             snap.state, snap.trips, snap.short_circuited
@@ -130,6 +139,9 @@ fn main() {
     }
     let stats = serving.drain();
     let completed: u64 = stats.iter().map(|s| s.completed).sum();
-    println!("drained: {completed} jobs completed across {} block engines", stats.len());
+    println!(
+        "drained: {completed} jobs completed across {} block engines",
+        stats.len()
+    );
     assert!(completed > 0, "serve smoke: engines must complete jobs");
 }

@@ -40,14 +40,12 @@ fn main() {
     println!("coupling map: {:?}", device.coupling());
 
     for level in 0..=3u8 {
-        let t = transpile(&block, &device, TranspileOptions::level(level))
-            .expect("transpiles");
+        let t = transpile(&block, &device, TranspileOptions::level(level)).expect("transpiles");
         println!(
             "opt level {level}: {} basis gates, depth {}, {} CX, window {:?}, layout {:?}",
             t.circuit.len(),
             t.circuit.depth(),
-            t.circuit
-                .count_kind(quantumnat::sim::GateKind::Cx),
+            t.circuit.count_kind(quantumnat::sim::GateKind::Cx),
             t.window,
             t.layout
         );

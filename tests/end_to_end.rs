@@ -197,7 +197,11 @@ fn batched_deployment_matches_direct_and_survives_faults() {
     let device = presets::santiago();
     let qnn = Qnn::for_device(QnnConfig::standard(16, 4, 1, 2), &device, 8).unwrap();
     let feats: Vec<Vec<f64>> = (0..8)
-        .map(|i| (0..16).map(|k| ((i * 16 + k) as f64 * 0.29).sin().abs()).collect())
+        .map(|i| {
+            (0..16)
+                .map(|k| ((i * 16 + k) as f64 * 0.29).sin().abs())
+                .collect()
+        })
         .collect();
     let mut rng = StdRng::seed_from_u64(7);
 
@@ -289,12 +293,7 @@ fn noise_model_serde_round_trips_through_deployment() {
 fn cross_device_deployment_uses_target_topology() {
     // A model routed for Santiago (line) deploys on Yorktown (bowtie):
     // the deployment path must re-route for the target device.
-    let qnn = Qnn::for_device(
-        QnnConfig::standard(16, 4, 1, 2),
-        &presets::santiago(),
-        6,
-    )
-    .unwrap();
+    let qnn = Qnn::for_device(QnnConfig::standard(16, 4, 1, 2), &presets::santiago(), 6).unwrap();
     for target in [presets::yorktown(), presets::belem(), presets::melbourne()] {
         let dep = qnn.deploy(&target, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(6);
