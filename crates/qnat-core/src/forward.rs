@@ -8,12 +8,15 @@
 //!
 //! Each quantum block runs in three parts:
 //!
-//! 1. Every sample's random draws (angle noise, error-gate plan) are made
+//! 1. Every sample's random draws (angle noise, error-gate plan from the
+//!    block's compiled [`qnat_noise::inject::ErrorSampler`]) are made
 //!    serially, in sample order, from the caller's RNG — exactly the
 //!    order a one-sample-at-a-time loop consumes them.
 //! 2. The batch runs forward through the block's template in one shared
-//!    walk ([`qnat_sim::adjoint::batch_forward`]), each worker taking a
-//!    contiguous chunk of samples. The final states stay with the tape's
+//!    walk ([`qnat_sim::adjoint::batch_forward`]), in contiguous chunks
+//!    of samples forked onto the process's parked block workers (the
+//!    caller runs the first chunk, and any chunk no worker has started).
+//!    Each chunk keeps its samples and final states for the tape's
 //!    quantum node. This part (`block_forward`) is also the forward of
 //!    inference's simulated backends and of `Qnn::eval_block` without
 //!    gradients.
@@ -30,14 +33,16 @@
 //! identical for any worker count.
 
 use crate::head::head_matrix;
-use crate::model::{BlockNoise, NoiseSource, PreparedSample, Qnn};
+use crate::model::{Block, BlockNoise, NoiseSource, PreparedSample, Qnn};
 use crate::normalize::NORM_EPS;
+use crate::pool;
 use qnat_autodiff::tape::{quantize_value, Tape, Var};
 use qnat_autodiff::tensor::Tensor;
 use qnat_noise::device::DeviceModel;
 use qnat_sim::adjoint::{batch_forward, batch_vjp, expect_z, BatchSample};
 use qnat_sim::math::C64;
 use rand::Rng;
+use std::sync::Arc;
 
 /// Post-measurement quantization settings (paper §3.3; Fig. 6 uses 5 levels
 /// on `[-2, 2]`).
@@ -138,104 +143,82 @@ fn tape_normalize(tape: &mut Tape, x: Var) -> Var {
     tape.div(centered, sdb)
 }
 
-/// Runs `f` on every chunk: the calling thread takes the first, one
-/// scoped thread each takes the rest.
-fn on_workers<T: Send>(mut chunks: impl Iterator<Item = T>, f: impl Fn(T) + Sync) {
-    let first = chunks.next();
-    std::thread::scope(|s| {
-        let f = &f;
-        let workers: Vec<_> = chunks.map(|c| s.spawn(move || f(c))).collect();
-        if let Some(c) = first {
-            f(c);
-        }
-        // Join explicitly: the scope's own wait returns as soon as each
-        // closure finishes, before its thread has handed its malloc arena
-        // back, so the next block's worker would start another arena.
-        for worker in workers {
-            if let Err(panic) = worker.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
-    });
+/// One worker's contiguous share of a block's batch: its prepared
+/// samples and, once run forward, their final states.
+struct Chunk {
+    samples: Vec<PreparedSample>,
+    /// Final states over the block's routing window, `[len, 2ⁿ]`.
+    states: Vec<C64>,
 }
 
 /// A block run forward on a batch of prepared samples.
 pub(crate) struct BlockForward {
-    /// Final states over the block's routing window, `[batch, 2ⁿ]`.
-    states: Vec<C64>,
+    /// The batch in sample order, one chunk per worker.
+    chunks: Vec<Chunk>,
     /// Each logical qubit's `⟨Z⟩` after readout, `[batch, n_qubits]`.
     pub(crate) outputs: Vec<f64>,
-    /// Samples per worker.
-    chunk: usize,
 }
 
 /// The forward run of training, inference and `eval_block`: prepared
 /// samples through block `block` in one shared walk
-/// ([`qnat_sim::adjoint::batch_forward`]) on up to `workers` threads,
-/// each taking a contiguous chunk, then each logical qubit's `⟨Z⟩`
-/// through `noise`'s readout map. A sample's outputs do not depend on
-/// the batch or the chunking.
+/// ([`qnat_sim::adjoint::batch_forward`]), split into up to `workers`
+/// contiguous chunks forked onto the parked block workers, then each
+/// logical qubit's `⟨Z⟩` through `noise`'s readout map. A sample's
+/// outputs do not depend on the batch or the chunking.
 pub(crate) fn block_forward(
     qnn: &Qnn,
     block: usize,
-    samples: &[PreparedSample],
+    samples: Vec<PreparedSample>,
     noise: &BlockNoise,
     workers: usize,
 ) -> BlockForward {
-    let b = &qnn.blocks()[block];
-    let dim = 1usize << b.lowered.circuit.n_qubits();
-    let (batch, n_q) = (samples.len(), b.obs.len());
+    let batch = samples.len();
     let chunk = batch.div_ceil(workers.clamp(1, batch.max(1))).max(1);
-    let mut states = vec![C64::ZERO; batch * dim];
-    let mut outputs = vec![0.0; batch * n_q];
-    let chunks = samples
-        .chunks(chunk)
-        .zip(states.chunks_mut(chunk * dim))
-        .zip(outputs.chunks_mut(chunk * n_q));
-    on_workers(chunks, |((samples, states), outputs)| {
-        let samples: Vec<BatchSample<'_>> =
-            samples.iter().map(PreparedSample::batch_sample).collect();
-        batch_forward(&b.lowered.circuit, &samples, states);
-        for (state, out) in states.chunks_exact(dim).zip(outputs.chunks_exact_mut(n_q)) {
-            for (o, &q) in out.iter_mut().zip(&b.obs) {
-                *o = expect_z(state, q);
-            }
-            noise.apply_readout(out);
+    let mut samples = samples.into_iter();
+    let jobs = (0..batch.div_ceil(chunk)).map(|_| {
+        let samples: Vec<PreparedSample> = samples.by_ref().take(chunk).collect();
+        let blocks = qnn.shared_blocks();
+        move || {
+            let b = &blocks[block];
+            let template = &b.lowered.circuit;
+            let dim = 1usize << template.n_qubits();
+            let mut states = vec![C64::ZERO; samples.len() * dim];
+            let batch: Vec<BatchSample<'_>> =
+                samples.iter().map(PreparedSample::batch_sample).collect();
+            batch_forward(template, &batch, &mut states);
+            let outputs: Vec<f64> = states
+                .chunks_exact(dim)
+                .flat_map(|state| b.obs.iter().map(move |&q| expect_z(state, q)))
+                .collect();
+            (Chunk { samples, states }, outputs)
         }
     });
-    BlockForward {
-        states,
-        outputs,
-        chunk,
+    let (chunks, outputs): (Vec<Chunk>, Vec<Vec<f64>>) = pool::fork(jobs).into_iter().unzip();
+    let mut outputs = outputs.concat();
+    for out in outputs.chunks_exact_mut(qnn.blocks()[block].obs.len()) {
+        noise.apply_readout(out);
     }
+    BlockForward { chunks, outputs }
 }
 
 /// One block run forward on a batch, kept for its vector-Jacobian
 /// product.
-struct BlockRun<'q> {
-    qnn: &'q Qnn,
+struct BlockRun {
+    blocks: Arc<[Block]>,
     block: usize,
-    samples: Vec<PreparedSample>,
-    /// Final states over the block's routing window, `[batch, 2ⁿ]`.
-    states: Vec<C64>,
+    chunks: Vec<Arc<Chunk>>,
     /// Readout slope γ per logical qubit.
-    slopes: Vec<f64>,
-    /// Samples per worker.
-    chunk: usize,
+    slopes: Arc<[f64]>,
 }
 
-impl BlockRun<'_> {
+impl BlockRun {
     /// The vector-Jacobian product for the upstream gradient `upstream`
     /// `[batch, n_qubits]`: the gradient of the block's inputs (`None`
     /// for block 0, whose inputs are the features) and of its trainable
     /// parameters.
     fn vjp(&self, upstream: &Tensor) -> (Option<Tensor>, Tensor) {
-        let b = &self.qnn.blocks()[self.block];
-        let template = &b.lowered.circuit;
-        let n_win = template.n_qubits();
-        let dim = 1usize << n_win;
-        let n_slots = template.n_params();
-        let (batch, n_q) = (self.samples.len(), b.obs.len());
+        let b = &self.blocks[self.block];
+        let n_q = b.obs.len();
         let (n_in, n_p) = (b.encoder.n_features(), b.n_train);
         let need_inputs = self.block > 0;
         let from = if need_inputs {
@@ -243,65 +226,92 @@ impl BlockRun<'_> {
         } else {
             b.first_trainable_slot()
         };
-        let scale = b.encoder.scale();
-        let chunk = self.chunk;
-        // Per sample: the input gradient, then the parameter gradient.
-        let width = n_in + n_p;
-        let mut rows = vec![0.0; batch * width];
-        let chunks = self
-            .samples
-            .chunks(chunk)
-            .zip(self.states.chunks(chunk * dim))
-            .zip(upstream.data().chunks(chunk * n_q))
-            .zip(rows.chunks_mut(chunk * width));
-        on_workers(chunks, |(((samples, states), up), rows)| {
-            let len = samples.len();
-            let mut seeds = vec![0.0; len * n_win];
-            for (w, up) in seeds.chunks_exact_mut(n_win).zip(up.chunks_exact(n_q)) {
-                for ((&q, &u), &gamma) in b.obs.iter().zip(up).zip(&self.slopes) {
-                    w[q] = u * gamma;
-                }
-            }
-            let mut compiled = vec![0.0; len * n_slots];
-            let samples: Vec<BatchSample<'_>> =
-                samples.iter().map(PreparedSample::batch_sample).collect();
-            batch_vjp(template, &samples, states, &seeds, 1, from, &mut compiled);
-            for (i, row) in rows.chunks_exact_mut(width).enumerate() {
-                let logical = b
-                    .lowered
-                    .chain_gradient(&compiled[i * n_slots..(i + 1) * n_slots]);
-                let (enc, train) = logical.split_at(b.n_enc);
-                let (gx, gp) = row.split_at_mut(n_in);
-                gp.copy_from_slice(train);
-                if need_inputs {
-                    for (dst, &c) in gx.iter_mut().zip(enc) {
-                        *dst = c * scale;
-                    }
-                }
-            }
+        let mut up = upstream.data().chunks_exact(n_q);
+        let jobs = self.chunks.iter().map(|chunk| {
+            let up: Vec<f64> = up
+                .by_ref()
+                .take(chunk.samples.len())
+                .flatten()
+                .copied()
+                .collect();
+            let (blocks, block) = (Arc::clone(&self.blocks), self.block);
+            let (chunk, slopes) = (Arc::clone(chunk), Arc::clone(&self.slopes));
+            move || chunk_vjp(&blocks[block], &chunk, &up, &slopes, from, need_inputs)
         });
+        let rows = pool::fork(jobs);
         // Per-sample parameter gradients, summed in sample order.
+        let width = n_in + n_p;
+        let rows = || rows.iter().flat_map(|rows| rows.chunks_exact(width));
         let mut gp = vec![0.0; n_p];
-        for row in rows.chunks_exact(width) {
+        for row in rows() {
             for (acc, &v) in gp.iter_mut().zip(&row[n_in..]) {
                 *acc += v;
             }
         }
         let gx = need_inputs.then(|| {
-            let gx = rows
-                .chunks_exact(width)
-                .flat_map(|row| &row[..n_in])
-                .copied();
-            Tensor::new(gx.collect(), vec![batch, n_in])
+            let gx = rows().flat_map(|row| &row[..n_in]).copied().collect();
+            Tensor::new(gx, vec![upstream.shape()[0], n_in])
         });
         (gx, Tensor::vector(gp))
     }
 }
 
-/// Threads a block's forward and backward runs use: the machine's
-/// available parallelism.
-pub(crate) fn default_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+/// One chunk's share of a block's vector-Jacobian product: per sample,
+/// the input gradient (left zero unless `need_inputs`), then the
+/// parameter gradient. `up` is the chunk's upstream gradient
+/// `[len, n_qubits]`; the sweep stops at slot `from`.
+fn chunk_vjp(
+    b: &Block,
+    chunk: &Chunk,
+    up: &[f64],
+    slopes: &[f64],
+    from: usize,
+    need_inputs: bool,
+) -> Vec<f64> {
+    let template = &b.lowered.circuit;
+    let n_win = template.n_qubits();
+    let n_slots = template.n_params();
+    let (len, n_q) = (chunk.samples.len(), b.obs.len());
+    let (n_in, n_p) = (b.encoder.n_features(), b.n_train);
+    let mut seeds = vec![0.0; len * n_win];
+    for (w, up) in seeds.chunks_exact_mut(n_win).zip(up.chunks_exact(n_q)) {
+        for ((&q, &u), &gamma) in b.obs.iter().zip(up).zip(slopes) {
+            w[q] = u * gamma;
+        }
+    }
+    let mut compiled = vec![0.0; len * n_slots];
+    let samples: Vec<BatchSample<'_>> = chunk
+        .samples
+        .iter()
+        .map(PreparedSample::batch_sample)
+        .collect();
+    batch_vjp(
+        template,
+        &samples,
+        &chunk.states,
+        &seeds,
+        1,
+        from,
+        &mut compiled,
+    );
+    let scale = b.encoder.scale();
+    let width = n_in + n_p;
+    let mut rows = vec![0.0; len * width];
+    for (row, compiled) in rows
+        .chunks_exact_mut(width)
+        .zip(compiled.chunks_exact(n_slots.max(1)))
+    {
+        let logical = b.lowered.chain_gradient(compiled);
+        let (enc, train) = logical.split_at(b.n_enc);
+        let (gx, gp) = row.split_at_mut(n_in);
+        gp.copy_from_slice(train);
+        if need_inputs {
+            for (dst, &c) in gx.iter_mut().zip(enc) {
+                *dst = c * scale;
+            }
+        }
+    }
+    rows
 }
 
 /// Runs the full differentiable pipeline on one batch and returns loss,
@@ -321,7 +331,7 @@ pub fn train_forward<R: Rng>(
     opts: &PipelineOptions<'_>,
     rng: &mut R,
 ) -> TrainStep {
-    train_forward_on(qnn, features, labels, opts, rng, default_workers())
+    train_forward_on(qnn, features, labels, opts, rng, pool::threads())
 }
 
 /// [`train_forward`] with an explicit worker count.
@@ -358,15 +368,13 @@ fn train_forward_on<R: Rng>(
             .collect();
         // The shared forward walk, on all cores; the VJP runs on the
         // backward pass.
-        let fwd = block_forward(qnn, bi, &prepared, &noise, workers);
+        let fwd = block_forward(qnn, bi, prepared, &noise, workers);
         let out = Tensor::new(fwd.outputs, vec![batch, n_q]);
         let run = BlockRun {
-            qnn,
+            blocks: qnn.shared_blocks(),
             block: bi,
-            samples: prepared,
-            states: fwd.states,
-            slopes: noise.readout_slopes(n_q),
-            chunk: fwd.chunk,
+            chunks: fwd.chunks.into_iter().map(Arc::new).collect(),
+            slopes: noise.readout_slopes(n_q).into(),
         };
         x = tape.quantum(x, pv, out, Box::new(move |g| run.vjp(g)));
 

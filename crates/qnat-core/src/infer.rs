@@ -35,7 +35,7 @@
 
 use crate::batch::{BatchExecutor, BatchJob};
 use crate::executor::{splitmix64, ExecutionReport, ResilientExecutor, RetryPolicy};
-use crate::forward::{block_forward, default_workers, QuantizeSpec};
+use crate::forward::{block_forward, QuantizeSpec};
 use crate::head::apply_head;
 use crate::health::{HealthPolicy, HealthRegistry};
 use crate::model::{Block, BlockNoise, NoiseSource, Qnn};
@@ -736,7 +736,7 @@ fn simulate_rows<R: Rng>(
         }
     }
     let n_q = qnn.config().n_qubits;
-    let outputs = block_forward(qnn, bi, &samples, noise, workers).outputs;
+    let outputs = block_forward(qnn, bi, samples, noise, workers).outputs;
     outputs
         .chunks_exact(reps * n_q)
         .map(|row| {
@@ -769,7 +769,7 @@ pub fn infer<R: Rng>(
     opts: &InferenceOptions,
     rng: &mut R,
 ) -> Result<InferenceResult, InferError> {
-    infer_on(qnn, features, backend, opts, rng, default_workers())
+    infer_on(qnn, features, backend, opts, rng, crate::pool::threads())
 }
 
 /// [`infer`] with an explicit worker count.

@@ -56,6 +56,7 @@ pub mod metrics;
 pub mod mitigate;
 pub mod model;
 pub mod normalize;
+mod pool;
 pub mod sweep;
 pub mod time;
 pub mod train;

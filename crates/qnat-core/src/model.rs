@@ -19,11 +19,12 @@ use qnat_compiler::mapping::Layout;
 use qnat_compiler::symbolic::{lower_symbolic, SymbolicLowered};
 use qnat_compiler::transpile::route_and_window;
 use qnat_noise::device::{DeviceModel, InvalidDeviceError};
-use qnat_noise::inject::{sample_error_plan, splice, ErrorPlan};
+use qnat_noise::inject::{splice, ErrorPlan, ErrorSampler};
 use qnat_noise::readout::ReadoutError;
 use qnat_sim::adjoint::{adjoint_gradients, BatchSample};
 use qnat_sim::circuit::Circuit;
 use rand::Rng;
+use std::sync::Arc;
 
 /// Architecture hyper-parameters of a QNN.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,7 +110,9 @@ impl Block {
 #[derive(Debug, Clone)]
 pub struct Qnn {
     config: QnnConfig,
-    blocks: Vec<Block>,
+    /// Shared, so block workers can reach a block without borrowing the
+    /// model (see [`crate::forward`]).
+    blocks: Arc<[Block]>,
     params: Vec<f64>,
     offsets: Vec<usize>,
 }
@@ -184,9 +187,9 @@ impl PreparedSample {
 /// the window-local qubits of its lowered circuit.
 #[derive(Debug, Clone)]
 pub struct BlockNoise {
-    /// Gate insertion: the sub-device over the window and the noise
-    /// factor.
-    gates: Option<(DeviceModel, f64)>,
+    /// Gate insertion: the block template's error events, compiled
+    /// against the sub-device over the window and the noise factor.
+    gates: Option<ErrorSampler>,
     /// Angle perturbation: the standard deviation.
     angle_sigma: Option<f64>,
     /// Readout error of each logical qubit's measured physical qubit.
@@ -312,7 +315,7 @@ impl Qnn {
             .collect();
         Ok(Qnn {
             config,
-            blocks,
+            blocks: blocks.into(),
             params,
             offsets,
         })
@@ -326,6 +329,11 @@ impl Qnn {
     /// The blocks.
     pub fn blocks(&self) -> &[Block] {
         &self.blocks
+    }
+
+    /// The blocks, shared.
+    pub(crate) fn shared_blocks(&self) -> Arc<[Block]> {
+        Arc::clone(&self.blocks)
     }
 
     /// All trainable parameters, blocks concatenated.
@@ -382,7 +390,7 @@ impl Qnn {
         let noise = self.block_noise(block_idx, noise, readout);
         let prepared = self.prepare(block_idx, inputs, &noise, rng);
         if !with_grads {
-            let run = block_forward(self, block_idx, std::slice::from_ref(&prepared), &noise, 1);
+            let run = block_forward(self, block_idx, vec![prepared], &noise, 1);
             return BlockEval {
                 outputs: run.outputs,
                 jac_inputs: Vec::new(),
@@ -438,7 +446,11 @@ impl Qnn {
         };
         BlockNoise {
             gates: match noise {
-                NoiseSource::GateInsertion { model, factor } => Some((view(model), *factor)),
+                NoiseSource::GateInsertion { model, factor } => Some(ErrorSampler::new(
+                    &block.lowered.circuit,
+                    &view(model),
+                    *factor,
+                )),
                 _ => None,
             },
             angle_sigma: match noise {
@@ -474,7 +486,7 @@ impl Qnn {
             }
         }
         let plan = match &noise.gates {
-            Some((model, factor)) => sample_error_plan(&block.lowered.circuit, model, *factor, rng),
+            Some(sampler) => sampler.sample(rng),
             None => ErrorPlan::default(),
         };
         PreparedSample {

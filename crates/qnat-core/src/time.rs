@@ -9,7 +9,7 @@
 //! * [`VirtualSleeper`] records backoff without stalling (tests, benches).
 //! * [`ThreadSleeper`] really sleeps on the OS clock (deployments).
 //! * [`DeadlineSleeper`] decorates another sleeper with a
-//!   [`DeadlineBudget`](crate::health::DeadlineBudget), refusing any sleep
+//!   [`DeadlineBudget`], refusing any sleep
 //!   the budget cannot cover.
 
 use crate::health::DeadlineBudget;

@@ -7,7 +7,6 @@
 //! sampled for every training step.
 
 use crate::device::DeviceModel;
-use crate::error_spec::PauliError;
 use qnat_sim::circuit::Circuit;
 use qnat_sim::gate::Gate;
 use rand::Rng;
@@ -30,15 +29,6 @@ impl InjectionStats {
         } else {
             self.inserted_gates as f64 / self.original_gates as f64
         }
-    }
-}
-
-fn error_gate(e: PauliError, q: usize) -> Option<Gate> {
-    match e {
-        PauliError::None => None,
-        PauliError::X => Some(Gate::x(q)),
-        PauliError::Y => Some(Gate::y(q)),
-        PauliError::Z => Some(Gate::z(q)),
     }
 }
 
@@ -68,24 +58,86 @@ impl ErrorPlan {
     }
 }
 
+/// A circuit's error events compiled once against a device model and a
+/// noise factor: `(gate index, qubit, [pₓ, pₓ + p_y, pₓ + p_y + p_z])`
+/// per event of [`DeviceModel::gate_errors`], in circuit order, with the
+/// probabilities already [scaled](crate::error_spec::PauliErrorSpec::scaled).
+/// [`ErrorSampler::sample`] then draws a plan without touching the
+/// model, exactly as [`PauliErrorSpec::sample`] draws each event.
+///
+/// [`PauliErrorSpec::sample`]: crate::error_spec::PauliErrorSpec::sample
+#[derive(Debug, Clone)]
+pub struct ErrorSampler {
+    events: Vec<(usize, usize, [f64; 3])>,
+}
+
+impl ErrorSampler {
+    /// Compiles the error events of `circuit` under `model`, error
+    /// probabilities scaled by `noise_factor`. Reads only gate kinds and
+    /// qubits, so a sampler built on a symbolic template serves every
+    /// binding of it.
+    pub fn new(circuit: &Circuit, model: &DeviceModel, noise_factor: f64) -> ErrorSampler {
+        let events = circuit
+            .gates()
+            .iter()
+            .enumerate()
+            .flat_map(|(i, g)| {
+                model.gate_errors(g).map(move |(q, spec)| {
+                    let s = spec.scaled(noise_factor);
+                    (i, q, [s.p_x, s.p_x + s.p_y, s.total()])
+                })
+            })
+            .collect();
+        ErrorSampler { events }
+    }
+
+    /// Number of error events: the `f64` draws one [`ErrorSampler::sample`]
+    /// makes, zero-probability events included.
+    pub fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    /// `true` when the circuit has no error event.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
+    /// Samples one plan: one uniform draw per event, in circuit order.
+    pub fn sample<R: Rng>(&self, rng: &mut R) -> ErrorPlan {
+        let mut entries = Vec::new();
+        for &(i, q, [x, xy, total]) in &self.events {
+            let u: f64 = rng.gen();
+            let error = if u < x {
+                Gate::x(q)
+            } else if u < xy {
+                Gate::y(q)
+            } else if u < total {
+                Gate::z(q)
+            } else {
+                continue;
+            };
+            entries.push((i, error));
+        }
+        ErrorPlan { entries }
+    }
+
+    /// Expected number of error gates in one plan.
+    fn expected_errors(&self) -> f64 {
+        self.events.iter().map(|&(_, _, [.., total])| total).sum()
+    }
+}
+
 /// Samples Pauli error gates for `circuit` from `model`, error
 /// probabilities scaled by `noise_factor`: one draw per error event of
-/// every gate, in circuit order.
+/// every gate, in circuit order. Compiles an [`ErrorSampler`] and samples
+/// it once; build the sampler directly to draw many plans.
 pub fn sample_error_plan<R: Rng>(
     circuit: &Circuit,
     model: &DeviceModel,
     noise_factor: f64,
     rng: &mut R,
 ) -> ErrorPlan {
-    let mut entries = Vec::new();
-    for (i, g) in circuit.gates().iter().enumerate() {
-        for (q, spec) in model.gate_errors(g) {
-            if let Some(eg) = error_gate(spec.scaled(noise_factor).sample(rng), q) {
-                entries.push((i, eg));
-            }
-        }
-    }
-    ErrorPlan { entries }
+    ErrorSampler::new(circuit, model, noise_factor).sample(rng)
 }
 
 /// Returns `circuit` with the plan's error gates inserted after their
@@ -151,13 +203,7 @@ pub fn expected_overhead(circuit: &Circuit, model: &DeviceModel, noise_factor: f
     if circuit.is_empty() {
         return 0.0;
     }
-    let expected: f64 = circuit
-        .gates()
-        .iter()
-        .flat_map(|g| model.gate_errors(g))
-        .map(|(_, spec)| spec.scaled(noise_factor).total())
-        .sum();
-    expected / circuit.len() as f64
+    ErrorSampler::new(circuit, model, noise_factor).expected_errors() / circuit.len() as f64
 }
 
 #[cfg(test)]

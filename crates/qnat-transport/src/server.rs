@@ -28,12 +28,12 @@
 //!
 //! Per-read socket timeouts alone cannot bound a byte-at-a-time client
 //! — every byte arrives "in time" while the worker is held forever.
-//! [`GuardedStream`] bounds the **total** header+body read time per
-//! request: once the first byte of a request arrives, a wall-clock
-//! deadline of `request_deadline_ms` covers every subsequent read, and
-//! exhausting it surfaces as a timeout → 408 → close. Between requests
-//! the same wrapper enforces `idle_timeout_ms` (expiry closes the
-//! connection silently — no response is owed for a request never
+//! A private `GuardedStream` wrapper bounds the **total** header+body
+//! read time per request: once the first byte of a request arrives, a
+//! wall-clock deadline of `request_deadline_ms` covers every subsequent
+//! read, and exhausting it surfaces as a timeout → 408 → close. Between
+//! requests the same wrapper enforces `idle_timeout_ms` (expiry closes
+//! the connection silently — no response is owed for a request never
 //! started) and polls in short slices so a draining server reclaims
 //! idle workers promptly.
 //!

@@ -21,10 +21,12 @@
 #   5. lint:   clippy -D warnings (scripts/lint.sh; the workspace sweep
 #              includes qnat-serve's, qnat-transport's and qnat-fleet's
 #              unwrap_used walls)
-#   6. docs:   rustdoc over the workspace with broken intra-doc links
-#              denied, so a doc link left pointing at a renamed or
-#              deleted item fails the build
-#   7. sim-bench: the simulator hot-path gate — the kernel bounds-check
+#   6. fmt:    cargo fmt --all -- --check, so formatting drift fails CI
+#              instead of piling up unnoticed
+#   7. docs:   rustdoc over the workspace with every warning denied
+#              (RUSTDOCFLAGS="-D warnings"): a doc link left pointing at
+#              a renamed, deleted or private item fails the build
+#   8. sim-bench: the simulator hot-path gate — the kernel bounds-check
 #              regression tests re-run under --release (the checks must
 #              survive optimized builds, not just debug_assert), the
 #              batch adjoint oracle (batch_vjp_oracle: batch forward +
@@ -38,7 +40,9 @@
 #              contracts Jacobians after it — bitwise until the batch
 #              VJP replaced the Jacobians; and eval_block without
 #              gradients, the forward inference shares, bitwise equal to
-#              the gradient path), both re-run under --release
+#              the gradient path), and concurrent_steps (four threads
+#              training at once on the shared parked block workers each
+#              match a lone step bitwise), all re-run under --release
 #              (thread-chunking bugs show under optimized timing), then
 #              the gradients bench, which asserts one batch forward +
 #              VJP beats 48 per-sample adjoint calls by >= 2x on the
@@ -48,7 +52,7 @@
 #              rate; it writes both to results/BENCH_gradients.json.
 #              The per-qubit mat2/mat4 kernel timings live in
 #              `cargo bench -p qnat-bench --bench sim_kernels`
-#   8. load:   the overload-robustness gate — the socket-level chaos
+#   9. load:   the overload-robustness gate — the socket-level chaos
 #              suite (resets, slow-loris, stalls, corruption against a
 #              live server; no hung workers, no leaked connection
 #              slots), then the open-loop load harness (Poisson +
@@ -58,7 +62,7 @@
 #              the overload SLO: p99 stays flat under 429/503 shedding
 #              and the pooled keep-alive client sustains >= 2x the
 #              connection-per-call request rate
-#   9. perf:   the batch-, serve-, transport- and fleet-throughput
+#  10. perf:   the batch-, serve-, transport- and fleet-throughput
 #              acceptance benches, which assert the 4-worker pool /
 #              serving engine / HTTP front door / routed fleet beats
 #              single-threaded submission by >= 2x on a 64-job workload
@@ -70,13 +74,13 @@
 #              the §4.2 submit body must take <= 32x as long as the 1x
 #              body (linear ≈ 16x, the old quadratic parser 179x); it writes
 #              encode/decode µs and ns/byte to results/BENCH_codec.json
-#  10. calib-bench: the calibration acceptance gate — drifting-fleet
+#  11. calib-bench: the calibration acceptance gate — drifting-fleet
 #              scenarios (RandomWalk and StepRecalibration heavy drift)
 #              asserting ScorePolicy::Predicted beats Static on
 #              accuracy-per-attempt and the learned tracker beats a
 #              frozen-preset baseline on attempt-weighted prequential
 #              Brier score; writes results/BENCH_calib.json
-#  11. mitigate: the ZNE acceptance bench, which asserts the served
+#  12. mitigate: the ZNE acceptance bench, which asserts the served
 #              gate-folding sweep beats the raw noisy expectation error
 #              on the §4.2 block under Santiago emulator noise and
 #              writes arm-by-arm errors plus sweep latency percentiles
@@ -105,15 +109,19 @@ timeout 120 cargo run --release --example fleet_routing
 echo "== lint: scripts/lint.sh =="
 ./scripts/lint.sh
 
-echo "== docs: cargo doc, broken intra-doc links denied =="
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
+echo "== fmt: cargo fmt --check =="
+cargo fmt --all -- --check
+
+echo "== docs: cargo doc, warnings denied =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== sim-bench: release-mode kernel bounds regression =="
 cargo test -q --release -p qnat-sim --test kernel_bounds
 
-echo "== sim-bench: release-mode batch adjoint and training-step oracles =="
+echo "== sim-bench: release-mode batch adjoint and training-step oracles, concurrent steps =="
 cargo test -q --release -p qnat-sim --test batch_vjp_oracle
 cargo test -q --release -p qnat-core --test forward_oracle
+cargo test -q --release -p qnat-core --test concurrent_steps
 
 echo "== sim-bench: batch VJP (>= 2x per-sample adjoint) and batch inference forward (>= 1.3x per-row) gates =="
 cargo bench -p qnat-bench --bench gradients
