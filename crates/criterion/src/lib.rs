@@ -3,7 +3,7 @@
 //! The build environment has no crates.io access, so this minimal harness
 //! supports the API subset the workspace benches use: [`Criterion`] with
 //! `bench_function` / `bench_with_input` / `benchmark_group`,
-//! [`BenchmarkId`], [`Bencher::iter`], [`black_box`], and the
+//! [`BenchmarkId`], [`Throughput`], [`Bencher::iter`], [`black_box`], and the
 //! `criterion_group!` / `criterion_main!` macros. Instead of rigorous
 //! statistics it reports the median of a small fixed number of timed
 //! batches — enough to compare orders of magnitude, not to detect
@@ -41,6 +41,14 @@ impl BenchmarkId {
     }
 }
 
+/// Work done per iteration, set on a group with
+/// [`BenchmarkGroup::throughput`]; reports then add the time per element.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Throughput {
+    /// Elements (amplitudes, rows, …) processed per iteration.
+    Elements(u64),
+}
+
 /// Passed to bench closures; times the workload.
 pub struct Bencher {
     elapsed: Duration,
@@ -71,13 +79,20 @@ impl Bencher {
         self.iters = BATCHES * per_batch;
     }
 
-    fn report(&self, label: &str) {
+    fn report(&self, label: &str, throughput: Option<Throughput>) {
         if self.iters == 0 {
             println!("{label:50} (no measurement)");
             return;
         }
         let per_iter = self.elapsed.as_nanos() as f64 / self.iters as f64;
-        println!("{label:50} {:>12.2} ns/iter", per_iter);
+        match throughput {
+            Some(Throughput::Elements(n)) => println!(
+                "{label:50} {:>12.2} ns/iter {:>10.3} ns/elem",
+                per_iter,
+                per_iter / n.max(1) as f64
+            ),
+            None => println!("{label:50} {:>12.2} ns/iter", per_iter),
+        }
     }
 }
 
@@ -93,7 +108,7 @@ impl Criterion {
             iters: 0,
         };
         f(&mut b);
-        b.report(name);
+        b.report(name, None);
         self
     }
 
@@ -109,7 +124,7 @@ impl Criterion {
             iters: 0,
         };
         f(&mut b, input);
-        b.report(&id.label);
+        b.report(&id.label, None);
         self
     }
 
@@ -120,6 +135,7 @@ impl Criterion {
         BenchmarkGroup {
             _parent: self,
             name,
+            throughput: None,
         }
     }
 }
@@ -128,9 +144,17 @@ impl Criterion {
 pub struct BenchmarkGroup<'a> {
     _parent: &'a mut Criterion,
     name: String,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
+    /// Sets the work per iteration of the benches that follow in the
+    /// group, so their reports add the time per element.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        self.throughput = Some(throughput);
+        self
+    }
+
     /// Benches a named function within the group.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
         let mut b = Bencher {
@@ -138,7 +162,7 @@ impl BenchmarkGroup<'_> {
             iters: 0,
         };
         f(&mut b);
-        b.report(&format!("{}/{name}", self.name));
+        b.report(&format!("{}/{name}", self.name), self.throughput);
         self
     }
 
@@ -154,7 +178,7 @@ impl BenchmarkGroup<'_> {
             iters: 0,
         };
         f(&mut b, input);
-        b.report(&format!("{}/{}", self.name, id.label));
+        b.report(&format!("{}/{}", self.name, id.label), self.throughput);
         self
     }
 
@@ -198,6 +222,7 @@ mod tests {
         let mut c = Criterion::default();
         let mut g = c.benchmark_group("g");
         g.bench_function("f", |b| b.iter(|| black_box(2 * 2)));
+        g.throughput(Throughput::Elements(4));
         g.bench_with_input(BenchmarkId::from_parameter(4), &4, |b, &n| {
             b.iter(|| black_box(n * n))
         });

@@ -1,8 +1,9 @@
 //! Criterion benches for the simulator kernels: statevector gate
 //! application, the raw `apply_mat2`/`apply_mat4` kernels per register
-//! size, density-matrix channel application and shot sampling.
+//! size (with ns per amplitude-op), density-matrix channel application
+//! and shot sampling.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qnat_noise::presets;
 use qnat_sim::channel::Channel1;
 use qnat_sim::circuit::Circuit;
@@ -48,22 +49,35 @@ fn bench_statevector(c: &mut Criterion) {
 
 /// Raw kernel microbench: one U3 (Mat2 path) and one CU3 (Mat4 path)
 /// swept across register sizes, isolating the branch-free strided
-/// kernels from circuit overhead. Kernel codegen is layout-sensitive, so
-/// compare these against the parent after any `qnat-sim` edit.
+/// kernels from circuit overhead. `mat2/n` targets qubit n/2 and
+/// `mat4/n` qubits (0, n−1); n = 4 is one training row. `mat2_low/10`
+/// (qubit 0) and `mat4_low/10` (qubits (0, 1)) take the small-block
+/// loops over 1024 amplitudes, the 64 rows × 16 amplitudes of a training
+/// batch. Each case also reports ns per amplitude-op: the time per
+/// amplitude the gate updates, all 2ⁿ of them. Kernel codegen is
+/// layout-sensitive, so compare these against the parent after any
+/// `qnat-sim` edit.
 fn bench_gate_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("gate_kernels");
-    for &n in &[8usize, 12, 16] {
-        let mut one_q = Circuit::new(n);
-        one_q.push(Gate::u3(n / 2, 0.3, -0.2, 0.7));
-        let mut two_q = Circuit::new(n);
-        two_q.push(Gate::cu3(0, n - 1, 0.3, -0.2, 0.7));
-        group.bench_with_input(BenchmarkId::new("mat2", n), &n, |b, &n| {
+    let cases = [4usize, 8, 12, 16]
+        .into_iter()
+        .flat_map(|n| {
+            [
+                ("mat2", n, Gate::u3(n / 2, 0.3, -0.2, 0.7)),
+                ("mat4", n, Gate::cu3(0, n - 1, 0.3, -0.2, 0.7)),
+            ]
+        })
+        .chain([
+            ("mat2_low", 10, Gate::u3(0, 0.3, -0.2, 0.7)),
+            ("mat4_low", 10, Gate::cu3(0, 1, 0.3, -0.2, 0.7)),
+        ]);
+    for (name, n, gate) in cases {
+        let mut circuit = Circuit::new(n);
+        circuit.push(gate);
+        group.throughput(Throughput::Elements(1 << n));
+        group.bench_with_input(BenchmarkId::new(name, n), &n, |b, &n| {
             let mut psi = StateVector::zero_state(n);
-            b.iter(|| psi.run(&one_q))
-        });
-        group.bench_with_input(BenchmarkId::new("mat4", n), &n, |b, &n| {
-            let mut psi = StateVector::zero_state(n);
-            b.iter(|| psi.run(&two_q))
+            b.iter(|| psi.run(&circuit))
         });
     }
     group.finish();

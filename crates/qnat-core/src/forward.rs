@@ -14,7 +14,7 @@
 //!    order a one-sample-at-a-time loop consumes them.
 //! 2. The batch runs forward through the block's template in one shared
 //!    walk ([`qnat_sim::adjoint::batch_forward`]), in contiguous chunks
-//!    of samples forked onto the process's parked block workers (the
+//!    of samples forked onto the process's block workers (the
 //!    caller runs the first chunk, and any chunk no worker has started).
 //!    Each chunk keeps its samples and final states for the tape's
 //!    quantum node. This part (`block_forward`) is also the forward of
@@ -162,7 +162,7 @@ pub(crate) struct BlockForward {
 /// The forward run of training, inference and `eval_block`: prepared
 /// samples through block `block` in one shared walk
 /// ([`qnat_sim::adjoint::batch_forward`]), split into up to `workers`
-/// contiguous chunks forked onto the parked block workers, then each
+/// contiguous chunks forked onto the block workers, then each
 /// logical qubit's `⟨Z⟩` through `noise`'s readout map. A sample's
 /// outputs do not depend on the batch or the chunking.
 pub(crate) fn block_forward(

@@ -46,6 +46,7 @@ use qnat_noise::backend::{BackendError, Measurements};
 use qnat_noise::seed::derive;
 use qnat_sim::circuit::Circuit;
 use qnat_sim::measure::Confusion;
+use std::cmp::Reverse;
 use std::error::Error;
 use std::fmt;
 
@@ -248,7 +249,10 @@ pub struct MitigatedOutcome {
 /// Validates and fans a [`MitigatedJob`] out: one folded circuit per
 /// scale, each submitted to the **bulk lane** via
 /// [`ServeEngine::submit_routed`] with the sweep's pinned
-/// `(global, seed)` schedule (see the module docs).
+/// `(global, seed)` schedule (see the module docs). The sub-runs are
+/// submitted longest first (most folded gates; ties in scale order), so
+/// the deepest run never waits for a worker behind the shallow ones; the
+/// returned tickets are still in `scales` order.
 ///
 /// # Errors
 ///
@@ -285,15 +289,20 @@ pub fn submit_mitigated(
         .iter()
         .map(|&s| fold_circuit(&job.circuit, s, job.strategy))
         .collect::<Result<_, _>>()?;
-    let mut tickets = Vec::with_capacity(folded.len());
-    for (k, circuit) in folded.into_iter().enumerate() {
+    // Longest first: the deepest fold starts while the shallow ones fill
+    // the other workers, instead of queueing behind them. Each sub-run
+    // keeps its scale-order `(global, seed)` pin, so the order changes
+    // only which ticket numbers the runs get.
+    let mut runs: Vec<(usize, Circuit)> = folded.into_iter().enumerate().collect();
+    runs.sort_by_key(|(_, circuit)| Reverse(circuit.len()));
+    let mut tickets = vec![0; runs.len()];
+    for (k, circuit) in runs {
         let sub = BatchJob {
             circuit,
             shots: job.shots,
         };
-        let ticket =
+        tickets[k] =
             engine.submit_routed(sub, Lane::Bulk, k as u64, sub_seed(sweep_seed, k as u64))?;
-        tickets.push(ticket);
     }
     Ok(MitigatedSweep {
         tickets,
@@ -520,6 +529,68 @@ mod tests {
             assert!((m - r).abs() < 1e-12);
         }
         engine.drain();
+    }
+
+    #[test]
+    fn sweep_fans_out_longest_first_and_replays_the_scale_order_fan_out() {
+        let job = MitigatedJob::zne(test_circuit(), Some(128)).with_readout(vec![
+            [
+                [0.97, 0.03],
+                [0.05, 0.95]
+            ];
+            2
+        ]);
+        let sweep_seed = 0x5EED;
+        // On a paused engine nothing runs, so the tickets show the order
+        // the sub-runs were queued in.
+        let paused = engine(3);
+        paused.pause();
+        let sweep = submit_mitigated(&paused, &job, sweep_seed).expect("submit");
+        assert_eq!(sweep.scales, [1, 3, 5]);
+        let t = &sweep.tickets;
+        assert!(t[2] < t[1] && t[1] < t[0], "scale 5 is queued first: {t:?}");
+        paused.resume();
+        let longest_first = sweep.wait(&paused).expect("tickets live");
+        paused.drain();
+
+        // The same sub-runs queued in scale order.
+        let plain = engine(3);
+        let mut tickets = Vec::new();
+        for (k, &scale) in job.scales.iter().enumerate() {
+            let circuit = fold_circuit(&job.circuit, scale, job.strategy).expect("fold");
+            let sub = BatchJob {
+                circuit,
+                shots: job.shots,
+            };
+            let k = k as u64;
+            tickets.push(
+                plain
+                    .submit_routed(sub, Lane::Bulk, k, sub_seed(sweep_seed, k))
+                    .expect("submit"),
+            );
+        }
+        let scale_order = MitigatedSweep {
+            tickets,
+            scales: job.scales.clone(),
+            sweep_seed,
+            method: job.method,
+            readout: job.readout.clone(),
+        }
+        .wait(&plain)
+        .expect("tickets live");
+        plain.drain();
+
+        let bits = |o: &MitigatedOutcome| {
+            let m = o.mitigated.as_ref().expect("aggregation succeeds");
+            let mut bits: Vec<u64> = m.expectations.iter().map(|v| v.to_bits()).collect();
+            for run in &o.runs {
+                let r = run.outcome.result.as_ref().expect("sub-run succeeds");
+                bits.push(run.scale as u64);
+                bits.extend(r.expectations.iter().map(|v| v.to_bits()));
+            }
+            bits
+        };
+        assert_eq!(bits(&longest_first), bits(&scale_order));
     }
 
     #[test]

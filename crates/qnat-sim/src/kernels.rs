@@ -7,7 +7,7 @@
 //! `ρ → UρU†` becomes `(U ⊗ U*)·vec(ρ)`, so a ket-side update targets bit
 //! `q + n` and a bra-side update targets bit `q` with the conjugated matrix.
 //!
-//! ## Layout for auto-vectorization
+//! ## Loop layout
 //!
 //! Qubit bounds are validated **once** at the (cold) dispatch boundary —
 //! real `assert!`s, active in release builds, because an out-of-range
@@ -19,6 +19,28 @@
 //! `len/4` block-base indices via nested chunking instead of scanning all
 //! `len` indices and discarding three quarters of them.
 //!
+//! That layout pays per block, so blocks of a few amplitudes change the
+//! loop order: on the 16-amplitude rows of a training batch a low-bit
+//! block holds one to four quads or a single pair, and building its
+//! sub-slices costs more than mixing it.
+//!
+//! * [`apply_mat4`] on two bits whose block is at most `SMALL_BLOCK` (16)
+//!   amplitudes takes each in-block base offset on the outside and the
+//!   blocks on the inside, one `TILE` (16 KiB) of the slice at a time, so
+//!   the inner loop runs over many blocks and a large state still passes
+//!   through the cache once per tile.
+//! * [`apply_mat2`] on bit 0 walks the adjacent pairs directly. On bits
+//!   1–3 the nested loop is as fast (bit 1) or faster (its inner runs of
+//!   4 and 8 pairs unroll well), so it stays.
+//! * The cross matrix keeps its loop: its sums must add up in block
+//!   order, and indexing the pairs in place measured no faster.
+//!
+//! Each loop order is a kernel of its own, out of line, so one cannot
+//! shift the other's codegen. Only independent updates change order, so
+//! every amplitude gets exactly the same arithmetic on either layout
+//! (pinned bit for bit by the `oracle` tests against the nested-chunk
+//! loops).
+//!
 //! The public kernels take one power-of-two state. The crate-internal
 //! `*_rows` variants take a `[batch, 2ⁿ]` buffer of states laid end to
 //! end: every kernel only pairs amplitudes inside `2^(q+1)`-aligned
@@ -26,6 +48,15 @@
 //! same arithmetic per amplitude as one call per state.
 
 use crate::math::{Mat2, Mat4, C64};
+
+/// The largest block, in amplitudes, the small-block 4×4 loop handles:
+/// a block of bits 0–3, one 16-amplitude state of a 4-qubit register.
+const SMALL_BLOCK: usize = 16;
+
+/// Amplitudes the small-block 4×4 loop finishes before moving on
+/// (16 KiB): each offset pass re-reads its tile, which then still sits in
+/// L1.
+const TILE: usize = 1024;
 
 /// Validates `q` against an amplitude slice of length `len` holding one
 /// state or several states laid end to end, and returns the bit mask
@@ -80,7 +111,11 @@ pub fn apply_mat2(amps: &mut [C64], q: usize, m: &Mat2) {
 pub(crate) fn apply_mat2_rows(amps: &mut [C64], q: usize, m: &Mat2) {
     let bit = checked_bit(amps.len(), q);
     let [[m00, m01], [m10, m11]] = *m;
-    mix_pairs(amps, bit, m00, m01, m10, m11);
+    if bit == 1 {
+        mix_adjacent_pairs(amps, m00, m01, m10, m11);
+    } else {
+        mix_pairs(amps, bit, m00, m01, m10, m11);
+    }
 }
 
 /// The hot loop of [`apply_mat2`]. The matrix entries arrive as by-value
@@ -106,6 +141,19 @@ fn mix_pairs(amps: &mut [C64], bit: usize, m00: C64, m01: C64, m10: C64, m11: C6
     }
 }
 
+/// [`mix_pairs`] on bit 0, where every block is one adjacent pair: the
+/// pairs are walked directly instead of split into two one-amplitude
+/// halves each.
+#[inline(never)]
+fn mix_adjacent_pairs(amps: &mut [C64], m00: C64, m01: C64, m10: C64, m11: C64) {
+    for [a0, a1] in amps.as_chunks_mut::<2>().0 {
+        let x0 = *a0;
+        let x1 = *a1;
+        *a0 = m00 * x0 + m01 * x1;
+        *a1 = m10 * x0 + m11 * x1;
+    }
+}
+
 /// Applies a 4×4 matrix to bits `(qa, qb)` of every index of `amps`, with
 /// the matrix given in the basis `index = 2·bit(qa) + bit(qb)`.
 ///
@@ -128,17 +176,12 @@ pub(crate) fn apply_mat4_rows(amps: &mut [C64], qa: usize, qb: usize, m: &Mat4) 
     let ba = checked_bit(amps.len(), qa);
     let bb = checked_bit(amps.len(), qb);
     assert!(qa != qb, "two-qubit kernel addresses qubit {qa} twice");
-    let [[m00, m01, m02, m03], [m10, m11, m12, m13], [m20, m21, m22, m23], [m30, m31, m32, m33]] =
-        *m;
-    mix_quads(
-        amps,
-        ba,
-        bb,
-        [m00, m01, m02, m03],
-        [m10, m11, m12, m13],
-        [m20, m21, m22, m23],
-        [m30, m31, m32, m33],
-    );
+    let [r0, r1, r2, r3] = *m;
+    if ba.max(bb) << 1 <= SMALL_BLOCK {
+        mix_small_quads(amps, ba, bb, r0, r1, r2, r3);
+    } else {
+        mix_quads(amps, ba, bb, r0, r1, r2, r3);
+    }
 }
 
 /// The hot loop of [`apply_mat4`], never inlined and handed the matrix
@@ -184,6 +227,40 @@ fn mix_quads(
                 *a1 = m10 * v0 + m11 * v1 + m12 * v2 + m13 * v3;
                 *a2 = m20 * v0 + m21 * v1 + m22 * v2 + m23 * v3;
                 *a3 = m30 * v0 + m31 * v1 + m32 * v2 + m33 * v3;
+            }
+        }
+    }
+}
+
+/// [`mix_quads`] for two bits whose block is at most `SMALL_BLOCK`
+/// amplitudes, offset-major: each base offset with both bits clear, then
+/// its quad in every block of a tile.
+#[inline(never)]
+fn mix_small_quads(
+    amps: &mut [C64],
+    ba: usize,
+    bb: usize,
+    [m00, m01, m02, m03]: [C64; 4],
+    [m10, m11, m12, m13]: [C64; 4],
+    [m20, m21, m22, m23]: [C64; 4],
+    [m30, m31, m32, m33]: [C64; 4],
+) {
+    let (lo, hi) = if ba < bb { (ba, bb) } else { (bb, ba) };
+    let block_len = hi << 1;
+    // `TILE` is a multiple of every small block, so tiles hold whole
+    // blocks. Matrix basis index 1 is "bb set only", index 2 "ba set
+    // only", index 3 both.
+    for tile in amps.chunks_mut(TILE) {
+        for j in (0..hi).filter(|j| j & lo == 0) {
+            for block in tile.chunks_exact_mut(block_len) {
+                let v0 = block[j];
+                let v1 = block[j + bb];
+                let v2 = block[j + ba];
+                let v3 = block[j + ba + bb];
+                block[j] = m00 * v0 + m01 * v1 + m02 * v2 + m03 * v3;
+                block[j + bb] = m10 * v0 + m11 * v1 + m12 * v2 + m13 * v3;
+                block[j + ba] = m20 * v0 + m21 * v1 + m22 * v2 + m23 * v3;
+                block[j + ba + bb] = m30 * v0 + m31 * v1 + m32 * v2 + m33 * v3;
             }
         }
     }
@@ -254,6 +331,9 @@ pub fn conj4(m: &Mat4) -> Mat4 {
     }
     c
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

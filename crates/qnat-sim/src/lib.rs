@@ -49,7 +49,6 @@ pub mod math;
 pub mod measure;
 pub mod paramshift;
 pub mod pauli;
-pub mod qasm;
 pub mod statevector;
 
 pub use circuit::Circuit;

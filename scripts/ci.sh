@@ -29,6 +29,10 @@
 #   8. sim-bench: the simulator hot-path gate — the kernel bounds-check
 #              regression tests re-run under --release (the checks must
 #              survive optimized builds, not just debug_assert), the
+#              kernel oracle (kernels::oracle: the small-block loop
+#              orders of the 2×2 and 4×4 mixes, and the cross matrix,
+#              equal the nested-chunk loops bit for bit on 1–6-qubit
+#              states and 3/48/80-row batches), the
 #              batch adjoint oracle (batch_vjp_oracle: batch forward +
 #              VJP equal the gate-by-gate sweep to 1e-12, and a sample is
 #              bitwise the same in any batch or chunking) and the
@@ -115,8 +119,9 @@ cargo fmt --all -- --check
 echo "== docs: cargo doc, warnings denied =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "== sim-bench: release-mode kernel bounds regression =="
+echo "== sim-bench: release-mode kernel bounds regression and kernel loop-order oracle =="
 cargo test -q --release -p qnat-sim --test kernel_bounds
+cargo test -q --release -p qnat-sim --lib kernels::oracle
 
 echo "== sim-bench: release-mode batch adjoint and training-step oracles, concurrent steps =="
 cargo test -q --release -p qnat-sim --test batch_vjp_oracle
