@@ -50,16 +50,37 @@ pub enum Throughput {
 }
 
 /// Passed to bench closures; times the workload.
+#[derive(Default)]
 pub struct Bencher {
-    elapsed: Duration,
-    iters: u64,
+    /// Median batch time per iteration, once [`Bencher::iter`] ran.
+    per_iter_ns: Option<f64>,
+}
+
+/// Timed batches per measurement; the report is their median.
+const BATCHES: usize = 5;
+
+/// The median of `batches` (each `iters_per_batch` iterations long), in
+/// nanoseconds per iteration. One batch slowed by preemption moves the
+/// median by at most one rank, where it would drag a mean by its whole
+/// excess.
+fn median_per_iter_ns(batches: &[Duration], iters_per_batch: u64) -> f64 {
+    let mut sorted = batches.to_vec();
+    sorted.sort_unstable();
+    let mid = sorted.len() / 2;
+    let median = if sorted.len() % 2 == 1 {
+        sorted[mid]
+    } else {
+        (sorted[mid - 1] + sorted[mid]) / 2
+    };
+    median.as_nanos() as f64 / iters_per_batch.max(1) as f64
 }
 
 impl Bencher {
-    /// Runs `f` repeatedly and records the total time and iteration count.
+    /// Runs `f` in a few equal timed batches and records the median
+    /// batch's time per iteration.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
-        // One warmup, then a few timed batches sized so the fastest
-        // workloads still accumulate measurable time.
+        // One warmup, then timed batches sized so the fastest workloads
+        // still accumulate measurable time per batch.
         black_box(f());
         let probe = Instant::now();
         black_box(f());
@@ -70,21 +91,22 @@ impl Bencher {
             1
         }
         .max(1);
-        const BATCHES: u64 = 5;
-        let start = Instant::now();
-        for _ in 0..BATCHES * per_batch {
-            black_box(f());
+        let mut batches = [Duration::ZERO; BATCHES];
+        for batch in &mut batches {
+            let start = Instant::now();
+            for _ in 0..per_batch {
+                black_box(f());
+            }
+            *batch = start.elapsed();
         }
-        self.elapsed = start.elapsed();
-        self.iters = BATCHES * per_batch;
+        self.per_iter_ns = Some(median_per_iter_ns(&batches, per_batch));
     }
 
     fn report(&self, label: &str, throughput: Option<Throughput>) {
-        if self.iters == 0 {
+        let Some(per_iter) = self.per_iter_ns else {
             println!("{label:50} (no measurement)");
             return;
-        }
-        let per_iter = self.elapsed.as_nanos() as f64 / self.iters as f64;
+        };
         match throughput {
             Some(Throughput::Elements(n)) => println!(
                 "{label:50} {:>12.2} ns/iter {:>10.3} ns/elem",
@@ -103,10 +125,7 @@ pub struct Criterion {}
 impl Criterion {
     /// Benches a single named function.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
-        let mut b = Bencher {
-            elapsed: Duration::ZERO,
-            iters: 0,
-        };
+        let mut b = Bencher::default();
         f(&mut b);
         b.report(name, None);
         self
@@ -119,10 +138,7 @@ impl Criterion {
         input: &I,
         mut f: F,
     ) -> &mut Self {
-        let mut b = Bencher {
-            elapsed: Duration::ZERO,
-            iters: 0,
-        };
+        let mut b = Bencher::default();
         f(&mut b, input);
         b.report(&id.label, None);
         self
@@ -157,10 +173,7 @@ impl BenchmarkGroup<'_> {
 
     /// Benches a named function within the group.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
-        let mut b = Bencher {
-            elapsed: Duration::ZERO,
-            iters: 0,
-        };
+        let mut b = Bencher::default();
         f(&mut b);
         b.report(&format!("{}/{name}", self.name), self.throughput);
         self
@@ -173,10 +186,7 @@ impl BenchmarkGroup<'_> {
         input: &I,
         mut f: F,
     ) -> &mut Self {
-        let mut b = Bencher {
-            elapsed: Duration::ZERO,
-            iters: 0,
-        };
+        let mut b = Bencher::default();
         f(&mut b, input);
         b.report(&format!("{}/{}", self.name, id.label), self.throughput);
         self
@@ -210,6 +220,22 @@ macro_rules! criterion_main {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn one_slow_batch_does_not_move_the_median() {
+        let ms = Duration::from_millis;
+        // Four ~10 ms batches of 10 iterations and one preempted 100 ms
+        // batch: the mean would read 2.8 ms per iteration.
+        let batches = [ms(10), ms(11), ms(100), ms(9), ms(10)];
+        assert_eq!(median_per_iter_ns(&batches, 10), 1_000_000.0);
+        let fast_outlier = [ms(10), ms(1), ms(12), ms(11), ms(13)];
+        assert_eq!(median_per_iter_ns(&fast_outlier, 10), 1_100_000.0);
+        // An even count averages the middle pair.
+        assert_eq!(
+            median_per_iter_ns(&[ms(4), ms(2), ms(40), ms(6)], 2),
+            2_500_000.0
+        );
+    }
 
     #[test]
     fn bench_function_reports_and_returns() {

@@ -1,11 +1,20 @@
-//! Dependency-free JSON for device-model serialization.
+//! Dependency-free JSON: the value tree, its parser and writers, and
+//! typed leaf decoding.
 //!
-//! The build environment has no crates.io access, so noise models
-//! serialize through this small hand-rolled JSON library instead of
-//! serde. [`Json`] is a value tree with a recursive-descent parser and
-//! compact/pretty writers. Numbers round-trip exactly: Rust's `{}`
-//! formatting of `f64` emits the shortest decimal that parses back to the
-//! same bits.
+//! The build environment has no crates.io access, so device models and
+//! every HTTP document serialize through this small hand-rolled library
+//! instead of serde. [`Json`] is a value tree with a recursive-descent
+//! parser and compact/pretty writers. Numbers round-trip exactly: Rust's
+//! `{}` formatting of `f64` emits the shortest decimal that parses back
+//! to the same bits.
+//!
+//! Leaves decode through [`FromJson`]: [`Json::field`] reads a required
+//! field (present, `null` only for an `Option`), [`Json::opt_field`]
+//! reads absent or `null` as `None`. Every unsigned integer obeys one
+//! rule — a non-negative integral number no larger than 2⁵³, the range
+//! an `f64` holds exactly — and `From` impls turn the same leaves back
+//! into values. Decode errors are plain messages naming the field; each
+//! caller wraps them in its own error type.
 
 #![warn(missing_docs)]
 
@@ -192,6 +201,196 @@ impl Json {
                 out.push('}');
             }
         }
+    }
+}
+
+/// A Rust value read out of a [`Json`] leaf (or borrowed from it).
+///
+/// The error is a message naming what was expected and what was found;
+/// [`Json::field`] prefixes it with the field name.
+pub trait FromJson<'a>: Sized {
+    /// Decodes `v`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when `v` has the wrong type or range.
+    fn from_json(v: &'a Json) -> Result<Self, String>;
+}
+
+/// Largest integer [`FromJson`] accepts: 2⁵³, the last one past which
+/// `f64` skips integers.
+const MAX_EXACT_INT: u64 = 1 << 53;
+
+fn describe(v: &Json) -> String {
+    match v {
+        Json::Null => "null".into(),
+        Json::Bool(b) => b.to_string(),
+        Json::Num(n) => n.to_string(),
+        Json::Str(_) => "a string".into(),
+        Json::Arr(_) => "an array".into(),
+        Json::Obj(_) => "an object".into(),
+    }
+}
+
+fn expected<T>(what: &str, v: &Json) -> Result<T, String> {
+    Err(format!("expected {what}, found {}", describe(v)))
+}
+
+impl<'a> FromJson<'a> for &'a Json {
+    fn from_json(v: &'a Json) -> Result<Self, String> {
+        Ok(v)
+    }
+}
+
+/// Leaves that are one [`Json`] variant, copied or borrowed out.
+macro_rules! variant_from_json {
+    ($($t:ty => $variant:ident($x:ident) => $value:expr, $what:literal;)*) => {$(
+        impl<'a> FromJson<'a> for $t {
+            fn from_json(v: &'a Json) -> Result<Self, String> {
+                match v {
+                    Json::$variant($x) => Ok($value),
+                    _ => expected($what, v),
+                }
+            }
+        }
+    )*};
+}
+
+variant_from_json! {
+    f64 => Num(n) => *n, "a number";
+    bool => Bool(b) => *b, "a bool";
+    &'a str => Str(s) => s, "a string";
+    &'a [Json] => Arr(items) => items, "an array";
+}
+
+impl FromJson<'_> for String {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        <&str>::from_json(v).map(str::to_owned)
+    }
+}
+
+impl FromJson<'_> for u64 {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT_INT as f64 => {
+                Ok(*n as u64)
+            }
+            _ => expected("a non-negative integer no larger than 2^53", v),
+        }
+    }
+}
+
+macro_rules! narrow_uint {
+    ($($t:ty),*) => {$(
+        impl FromJson<'_> for $t {
+            fn from_json(v: &Json) -> Result<Self, String> {
+                <$t>::try_from(u64::from_json(v)?).or_else(|_| {
+                    expected(concat!("an integer in ", stringify!($t), "'s range"), v)
+                })
+            }
+        }
+    )*};
+}
+
+narrow_uint!(usize, u32, u16);
+
+impl<'a, T: FromJson<'a>> FromJson<'a> for Option<T> {
+    fn from_json(v: &'a Json) -> Result<Self, String> {
+        match v {
+            Json::Null => Ok(None),
+            other => T::from_json(other).map(Some),
+        }
+    }
+}
+
+impl<'a, T: FromJson<'a>> FromJson<'a> for Vec<T> {
+    fn from_json(v: &'a Json) -> Result<Self, String> {
+        <&[Json]>::from_json(v)?.iter().map(T::from_json).collect()
+    }
+}
+
+impl<'a, T: FromJson<'a> + Copy + Default, const N: usize> FromJson<'a> for [T; N] {
+    fn from_json(v: &'a Json) -> Result<Self, String> {
+        let items = <&[Json]>::from_json(v)?;
+        if items.len() != N {
+            return Err(format!("expected {N} entries, found {}", items.len()));
+        }
+        let mut out = [T::default(); N];
+        for (slot, item) in out.iter_mut().zip(items) {
+            *slot = T::from_json(item)?;
+        }
+        Ok(out)
+    }
+}
+
+impl Json {
+    /// Decodes the required field `key`: it must be present, and may be
+    /// `null` only when `T` is an `Option`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming `key` when it is missing (or `self` is
+    /// not an object) or its value does not decode as `T`.
+    pub fn field<'a, T: FromJson<'a>>(&'a self, key: &str) -> Result<T, String> {
+        match self.get(key) {
+            Some(v) => T::from_json(v).map_err(|e| format!("field '{key}': {e}")),
+            None => Err(format!("missing field '{key}'")),
+        }
+    }
+
+    /// Decodes the optional field `key`, reading absent and `null` alike
+    /// as `None`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming `key` when a non-null value does not
+    /// decode as `T`.
+    pub fn opt_field<'a, T: FromJson<'a>>(&'a self, key: &str) -> Result<Option<T>, String> {
+        match self.get(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(v) => T::from_json(v)
+                .map(Some)
+                .map_err(|e| format!("field '{key}': {e}")),
+        }
+    }
+}
+
+macro_rules! into_json {
+    ($($t:ty => |$x:ident| $value:expr;)*) => {$(
+        impl From<$t> for Json {
+            fn from($x: $t) -> Json {
+                $value
+            }
+        }
+    )*};
+}
+
+into_json! {
+    f64 => |n| Json::Num(n);
+    u64 => |n| Json::Num(n as f64);
+    usize => |n| Json::Num(n as f64);
+    u32 => |n| Json::Num(f64::from(n));
+    u16 => |n| Json::Num(f64::from(n));
+    bool => |b| Json::Bool(b);
+    String => |s| Json::Str(s);
+    &str => |s| Json::Str(s.to_owned());
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(items: Vec<T>) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
+impl<T: Into<Json>, const N: usize> From<[T; N]> for Json {
+    fn from(items: [T; N]) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
     }
 }
 
@@ -641,5 +840,98 @@ mod tests {
         for bad in [r#""\u+041""#, r#""\u00g1""#, r#""\u00""#, r#""\u00é1""#] {
             assert!(Json::parse(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn integers_obey_one_rule() {
+        let max = MAX_EXACT_INT as f64;
+        for (n, ok) in [
+            (0.0, true),
+            (7.0, true),
+            (max, true),
+            (max + 2.0, false),
+            (1e300, false),
+            (-1.0, false),
+            (-0.5, false),
+            (1.5, false),
+            (f64::INFINITY, false),
+        ] {
+            let v = Json::Num(n);
+            assert_eq!(u64::from_json(&v).is_ok(), ok, "u64 {n}");
+            assert_eq!(usize::from_json(&v).is_ok(), ok, "usize {n}");
+        }
+        assert_eq!(u64::from_json(&Json::Num(max)), Ok(MAX_EXACT_INT));
+        assert_eq!(u32::from_json(&Json::Num(4_294_967_295.0)), Ok(u32::MAX));
+        assert!(u32::from_json(&Json::Num(4_294_967_296.0)).is_err());
+        assert!(u16::from_json(&Json::Num(65_536.0)).is_err());
+        for wrong in [Json::Null, Json::Bool(true), Json::Str("3".into())] {
+            assert!(u64::from_json(&wrong).is_err(), "{wrong:?}");
+        }
+    }
+
+    #[test]
+    fn field_is_required_and_opt_field_reads_absent_or_null_as_none() {
+        let v = Json::parse(r#"{"n": 3, "none": null, "s": "x", "b": true}"#).unwrap();
+        assert_eq!(v.field::<u64>("n"), Ok(3));
+        assert_eq!(v.field::<Option<u64>>("none"), Ok(None));
+        assert_eq!(v.field::<Option<u64>>("n"), Ok(Some(3)));
+        assert_eq!(v.field::<&str>("s"), Ok("x"));
+        assert_eq!(v.field::<bool>("b"), Ok(true));
+        let missing = v.field::<Option<u64>>("gone").unwrap_err();
+        assert!(missing.contains("missing field 'gone'"), "{missing}");
+        assert!(v.field::<u64>("none").is_err());
+        let wrong = v.field::<f64>("s").unwrap_err();
+        assert!(
+            wrong.contains("'s'") && wrong.contains("a number"),
+            "{wrong}"
+        );
+
+        assert_eq!(v.opt_field::<u64>("gone"), Ok(None));
+        assert_eq!(v.opt_field::<u64>("none"), Ok(None));
+        assert_eq!(v.opt_field::<u64>("n"), Ok(Some(3)));
+        assert!(v.opt_field::<u64>("s").is_err());
+        assert!(Json::Null.field::<u64>("n").is_err());
+    }
+
+    #[test]
+    fn arrays_decode_by_length_and_entry() {
+        let m = Json::parse("[[0.9, 0.1], [0.2, 0.8]]").unwrap();
+        assert_eq!(<[[f64; 2]; 2]>::from_json(&m), Ok([[0.9, 0.1], [0.2, 0.8]]));
+        for bad in [
+            "[[0.9, 0.1]]",
+            "[[0.9, 0.1], [0.2]]",
+            "[[0.9, 0.1], [0.2, null]]",
+            "{}",
+        ] {
+            let v = Json::parse(bad).unwrap();
+            assert!(<[[f64; 2]; 2]>::from_json(&v).is_err(), "{bad}");
+        }
+        let v = Json::parse("[1, 2, 3]").unwrap();
+        assert_eq!(Vec::<usize>::from_json(&v), Ok(vec![1, 2, 3]));
+        assert!(Vec::<usize>::from_json(&Json::parse("[1, -2]").unwrap()).is_err());
+        assert_eq!(Vec::<f64>::from_json(&Json::Arr(vec![])), Ok(vec![]));
+        assert_eq!(<&[Json]>::from_json(&v).map(<[Json]>::len), Ok(3));
+    }
+
+    #[test]
+    fn leaves_encode_as_they_decode() {
+        let v = Json::obj([
+            ("n", 5usize.into()),
+            ("x", 0.25.into()),
+            ("s", "a".into()),
+            ("b", false.into()),
+            ("none", Option::<u64>::None.into()),
+            ("some", Some(2u32).into()),
+            ("list", vec![1.5, 2.5].into()),
+            ("m", [[1.0, 0.0], [0.0, 1.0]].into()),
+        ]);
+        assert_eq!(
+            v.to_json(),
+            r#"{"b":false,"list":[1.5,2.5],"m":[[1,0],[0,1]],"n":5,"none":null,"s":"a","some":2,"x":0.25}"#
+        );
+        assert_eq!(v.field::<usize>("n"), Ok(5));
+        assert_eq!(v.field::<Option<u32>>("some"), Ok(Some(2)));
+        assert_eq!(v.field::<[[f64; 2]; 2]>("m"), Ok([[1.0, 0.0], [0.0, 1.0]]));
+        assert_eq!(Json::nums([1.5, 2.5]), vec![1.5, 2.5].into());
     }
 }

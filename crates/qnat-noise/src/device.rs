@@ -410,17 +410,12 @@ impl DeviceModel {
     /// download).
     pub fn to_json(&self) -> String {
         Json::obj([
-            ("name", Json::Str(self.name.clone())),
-            ("n_qubits", Json::Num(self.n_qubits as f64)),
-            ("quantum_volume", Json::Num(f64::from(self.quantum_volume))),
+            ("name", self.name.as_str().into()),
+            ("n_qubits", self.n_qubits.into()),
+            ("quantum_volume", self.quantum_volume.into()),
             (
                 "coupling",
-                Json::Arr(
-                    self.coupling
-                        .iter()
-                        .map(|&(a, b)| Json::nums([a as f64, b as f64]))
-                        .collect(),
-                ),
+                Json::Arr(self.coupling.iter().map(|&(a, b)| [a, b].into()).collect()),
             ),
             (
                 "sq_errors",
@@ -433,8 +428,8 @@ impl DeviceModel {
                         .iter()
                         .map(|e| {
                             Json::obj([
-                                ("a", Json::Num(e.a as f64)),
-                                ("b", Json::Num(e.b as f64)),
+                                ("a", e.a.into()),
+                                ("b", e.b.into()),
                                 ("spec", e.spec.to_json_value()),
                             ])
                         })
@@ -450,7 +445,7 @@ impl DeviceModel {
                 "phase_damping",
                 Json::nums(self.phase_damping.iter().copied()),
             ),
-            ("tq_duration_factor", Json::Num(self.tq_duration_factor)),
+            ("tq_duration_factor", self.tq_duration_factor.into()),
         ])
         .to_json_pretty()
     }
@@ -484,79 +479,42 @@ impl DeviceModel {
     pub fn from_json(json: &str) -> Result<DeviceModel, InvalidDeviceError> {
         let bad = |reason: String| InvalidDeviceError { reason };
         let v = Json::parse(json).map_err(|e| bad(format!("JSON parse error: {e}")))?;
-        let usize_field = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_usize)
-                .ok_or_else(|| bad(format!("missing or invalid field '{k}'")))
-        };
-        let arr_field = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_array)
-                .ok_or_else(|| bad(format!("missing or invalid array '{k}'")))
-        };
-        let f64_list = |k: &str| -> Result<Vec<f64>, InvalidDeviceError> {
-            arr_field(k)?
-                .iter()
-                .map(|x| {
-                    x.as_f64()
-                        .ok_or_else(|| bad(format!("non-numeric entry in '{k}'")))
-                })
-                .collect()
-        };
-        let name = v
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("missing or invalid field 'name'".into()))?
-            .to_string();
-        let mut coupling = Vec::new();
-        for pair in arr_field("coupling")? {
-            match pair.as_array() {
-                Some([a, b]) => match (a.as_usize(), b.as_usize()) {
-                    (Some(a), Some(b)) => coupling.push((a, b)),
-                    _ => return Err(bad("non-integer coupling endpoint".into())),
-                },
-                _ => return Err(bad("coupling entry is not a pair".into())),
-            }
-        }
-        let sq_errors = arr_field("sq_errors")?
+        let sq_errors = v
+            .field::<&[Json]>("sq_errors")
+            .map_err(bad)?
             .iter()
             .map(PauliErrorSpec::from_json_value)
             .collect::<Result<Vec<_>, _>>()?;
         let mut tq_errors = Vec::new();
-        for e in arr_field("tq_errors")? {
-            let endpoint = |k: &str| {
-                e.get(k)
-                    .and_then(Json::as_usize)
-                    .ok_or_else(|| bad(format!("missing edge endpoint '{k}'")))
-            };
-            let spec = e
-                .get("spec")
-                .ok_or_else(|| bad("missing edge 'spec'".into()))?;
+        for e in v.field::<&[Json]>("tq_errors").map_err(bad)? {
             tq_errors.push(EdgeError {
-                a: endpoint("a")?,
-                b: endpoint("b")?,
-                spec: PauliErrorSpec::from_json_value(spec)?,
+                a: e.field("a").map_err(bad)?,
+                b: e.field("b").map_err(bad)?,
+                spec: PauliErrorSpec::from_json_value(e.field("spec").map_err(bad)?)?,
             });
         }
-        let readout = arr_field("readout")?
+        let readout = v
+            .field::<&[Json]>("readout")
+            .map_err(bad)?
             .iter()
             .map(ReadoutError::from_json_value)
             .collect::<Result<Vec<_>, _>>()?;
         let model = DeviceModel {
-            name,
-            n_qubits: usize_field("n_qubits")?,
-            quantum_volume: u32::try_from(usize_field("quantum_volume")?)
-                .map_err(|_| bad("quantum_volume out of range".into()))?,
-            coupling,
+            name: v.field("name").map_err(bad)?,
+            n_qubits: v.field("n_qubits").map_err(bad)?,
+            quantum_volume: v.field("quantum_volume").map_err(bad)?,
+            coupling: v
+                .field::<Vec<[usize; 2]>>("coupling")
+                .map_err(bad)?
+                .into_iter()
+                .map(|[a, b]| (a, b))
+                .collect(),
             sq_errors,
             tq_errors,
             readout,
-            amp_damping: f64_list("amp_damping")?,
-            phase_damping: f64_list("phase_damping")?,
-            tq_duration_factor: v
-                .get("tq_duration_factor")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| bad("missing 'tq_duration_factor'".into()))?,
+            amp_damping: v.field("amp_damping").map_err(bad)?,
+            phase_damping: v.field("phase_damping").map_err(bad)?,
+            tq_duration_factor: v.field("tq_duration_factor").map_err(bad)?,
         };
         model.validate()?;
         Ok(model)

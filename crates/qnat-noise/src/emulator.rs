@@ -16,8 +16,48 @@ use crate::device::DeviceModel;
 use qnat_sim::channel::Channel1;
 use qnat_sim::circuit::Circuit;
 use qnat_sim::density::DensityMatrix;
+use qnat_sim::gate::Gate;
 use qnat_sim::measure::sampled_expect_all_z;
 use rand::Rng;
+
+/// Applies the noise that follows gate `g` on `model`, in order: the
+/// Pauli (twirled) channel of each [`DeviceModel::gate_errors`] entry,
+/// then amplitude and phase damping on each of the gate's qubits over
+/// the gate's duration (scaled by `tq_duration_factor` for a two-qubit
+/// gate). Zero-rate channels are skipped. Both emulators place noise
+/// through this one rule; `apply` runs one channel on one qubit.
+///
+/// # Errors
+///
+/// Returns [`BackendError::InvalidChannel`] if the model yields an
+/// invalid channel; the channels before it have been applied.
+pub(crate) fn gate_noise(
+    model: &DeviceModel,
+    g: &Gate,
+    mut apply: impl FnMut(usize, &Channel1),
+) -> Result<(), BackendError> {
+    for (q, spec) in model.gate_errors(g) {
+        if spec.total() > 0.0 {
+            apply(q, &Channel1::pauli(spec.p_x, spec.p_y, spec.p_z)?);
+        }
+    }
+    let dur = if g.arity() == 2 {
+        model.tq_duration_factor()
+    } else {
+        1.0
+    };
+    for &q in &g.qubits[..g.arity()] {
+        let ad = (model.amp_damping(q) * dur).min(1.0);
+        let pd = (model.phase_damping(q) * dur).min(1.0);
+        if ad > 0.0 {
+            apply(q, &Channel1::amplitude_damping(ad)?);
+        }
+        if pd > 0.0 {
+            apply(q, &Channel1::phase_damping(pd)?);
+        }
+    }
+    Ok(())
+}
 
 /// A hardware emulator bound to a device model.
 #[derive(Debug, Clone)]
@@ -65,31 +105,7 @@ impl HardwareEmulator {
         let mut rho = DensityMatrix::zero_state(circuit.n_qubits());
         for g in circuit.gates() {
             rho.apply_gate(g);
-            // Pauli (twirled) gate error on each affected qubit.
-            for (q, spec) in self.model.gate_errors(g) {
-                if spec.total() > 0.0 {
-                    let ch = Channel1::pauli(spec.p_x, spec.p_y, spec.p_z)?;
-                    rho.apply_channel1(q, &ch);
-                }
-            }
-            // Decoherence over the gate duration (both qubits of a 2q gate,
-            // scaled by the longer duration).
-            let dur = if g.arity() == 2 {
-                self.model.tq_duration_factor()
-            } else {
-                1.0
-            };
-            for k in 0..g.arity() {
-                let q = g.qubits[k];
-                let ad = (self.model.amp_damping(q) * dur).min(1.0);
-                let pd = (self.model.phase_damping(q) * dur).min(1.0);
-                if ad > 0.0 {
-                    rho.apply_channel1(q, &Channel1::amplitude_damping(ad)?);
-                }
-                if pd > 0.0 {
-                    rho.apply_channel1(q, &Channel1::phase_damping(pd)?);
-                }
-            }
+            gate_noise(&self.model, g, |q, ch| rho.apply_channel1(q, ch))?;
         }
         Ok(rho)
     }

@@ -144,9 +144,9 @@ impl PauliErrorSpec {
     /// Serializes to a JSON value `{"p_x": …, "p_y": …, "p_z": …}`.
     pub fn to_json_value(&self) -> Json {
         Json::obj([
-            ("p_x", Json::Num(self.p_x)),
-            ("p_y", Json::Num(self.p_y)),
-            ("p_z", Json::Num(self.p_z)),
+            ("p_x", self.p_x.into()),
+            ("p_y", self.p_y.into()),
+            ("p_z", self.p_z.into()),
         ])
     }
 
@@ -158,14 +158,12 @@ impl PauliErrorSpec {
     /// Returns [`InvalidProbabilityError`] on missing/non-numeric fields or
     /// out-of-range probabilities.
     pub fn from_json_value(v: &Json) -> Result<Self, InvalidProbabilityError> {
-        let field = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| InvalidProbabilityError {
-                    reason: format!("missing or non-numeric field '{k}'"),
-                })
-        };
-        PauliErrorSpec::new(field("p_x")?, field("p_y")?, field("p_z")?)
+        let bad = |reason: String| InvalidProbabilityError { reason };
+        PauliErrorSpec::new(
+            v.field("p_x").map_err(bad)?,
+            v.field("p_y").map_err(bad)?,
+            v.field("p_z").map_err(bad)?,
+        )
     }
 
     /// Samples one error event from the distribution

@@ -109,10 +109,7 @@ impl ReadoutError {
 
     /// Serializes to a JSON value `{"matrix": [[…,…],[…,…]]}`.
     pub fn to_json_value(&self) -> Json {
-        Json::obj([(
-            "matrix",
-            Json::Arr(vec![Json::nums(self.matrix[0]), Json::nums(self.matrix[1])]),
-        )])
+        Json::obj([("matrix", self.matrix.into())])
     }
 
     /// Parses a readout error from a JSON value produced by
@@ -123,33 +120,9 @@ impl ReadoutError {
     /// Returns [`InvalidReadoutError`] on malformed JSON shape or a
     /// non-row-stochastic matrix.
     pub fn from_json_value(v: &Json) -> Result<Self, InvalidReadoutError> {
-        let rows = v
-            .get("matrix")
-            .and_then(Json::as_array)
-            .ok_or_else(|| InvalidReadoutError {
-                reason: "missing 'matrix' array".into(),
-            })?;
-        let mut matrix: Confusion = [[0.0; 2]; 2];
-        if rows.len() != 2 {
-            return Err(InvalidReadoutError {
-                reason: format!("expected 2 rows, got {}", rows.len()),
-            });
-        }
-        for (t, row) in rows.iter().enumerate() {
-            let cells = row.as_array().ok_or_else(|| InvalidReadoutError {
-                reason: format!("row {t} is not an array"),
-            })?;
-            if cells.len() != 2 {
-                return Err(InvalidReadoutError {
-                    reason: format!("row {t} has {} entries, expected 2", cells.len()),
-                });
-            }
-            for (o, cell) in cells.iter().enumerate() {
-                matrix[t][o] = cell.as_f64().ok_or_else(|| InvalidReadoutError {
-                    reason: format!("entry ({t},{o}) is not a number"),
-                })?;
-            }
-        }
+        let matrix = v
+            .field("matrix")
+            .map_err(|reason| InvalidReadoutError { reason })?;
         ReadoutError::new(matrix)
     }
 

@@ -12,7 +12,7 @@
 
 use crate::backend::BackendError;
 use crate::device::DeviceModel;
-use qnat_sim::channel::Channel1;
+use crate::emulator::gate_noise;
 use qnat_sim::circuit::Circuit;
 use qnat_sim::statevector::StateVector;
 use rand::Rng;
@@ -74,28 +74,9 @@ impl TrajectoryEmulator {
         let mut psi = StateVector::zero_state(circuit.n_qubits());
         for g in circuit.gates() {
             psi.apply(g);
-            for (q, spec) in self.model.gate_errors(g) {
-                if spec.total() > 0.0 {
-                    let ch = Channel1::pauli(spec.p_x, spec.p_y, spec.p_z)?;
-                    psi.apply_channel1_sampled(q, &ch, rng);
-                }
-            }
-            let dur = if g.arity() == 2 {
-                self.model.tq_duration_factor()
-            } else {
-                1.0
-            };
-            for k in 0..g.arity() {
-                let q = g.qubits[k];
-                let ad = (self.model.amp_damping(q) * dur).min(1.0);
-                let pd = (self.model.phase_damping(q) * dur).min(1.0);
-                if ad > 0.0 {
-                    psi.apply_channel1_sampled(q, &Channel1::amplitude_damping(ad)?, rng);
-                }
-                if pd > 0.0 {
-                    psi.apply_channel1_sampled(q, &Channel1::phase_damping(pd)?, rng);
-                }
-            }
+            gate_noise(&self.model, g, |q, ch| {
+                psi.apply_channel1_sampled(q, ch, rng)
+            })?;
         }
         Ok(psi)
     }

@@ -5,7 +5,7 @@
 //! depolarizing, amplitude damping (T1 decay) and phase damping (T2
 //! dephasing). Every constructor validates completeness `Σ KᵏᵈKᵏ = I`.
 
-use crate::math::{mat2_dagger, mat2_mul, mat4_dagger, mat4_mul, Mat2, Mat4, C64};
+use crate::math::{mat2_dagger, mat2_mul, Mat2, C64};
 use std::error::Error;
 use std::fmt;
 
@@ -173,84 +173,6 @@ impl Channel1 {
     }
 }
 
-/// A two-qubit channel described by its Kraus operators (basis
-/// `index = 2·bit(qa) + bit(qb)`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Channel2 {
-    ops: Vec<Mat4>,
-}
-
-impl Channel2 {
-    /// Builds a channel from raw Kraus operators, validating completeness.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidChannelError`] if `Σ KᵏᵈKᵏ ≠ I` within `1e-9`.
-    pub fn from_kraus(ops: Vec<Mat4>) -> Result<Self, InvalidChannelError> {
-        let mut sum = [[C64::ZERO; 4]; 4];
-        for k in &ops {
-            let kdk = mat4_mul(&mat4_dagger(k), k);
-            for i in 0..4 {
-                for j in 0..4 {
-                    sum[i][j] += kdk[i][j];
-                }
-            }
-        }
-        for (i, row) in sum.iter().enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                let want = if i == j { C64::ONE } else { C64::ZERO };
-                if !v.approx_eq(want, 1e-9) {
-                    return Err(InvalidChannelError {
-                        reason: format!("completeness violated at ({i},{j}): {v}"),
-                    });
-                }
-            }
-        }
-        Ok(Channel2 { ops })
-    }
-
-    /// The Kraus operators.
-    pub fn kraus(&self) -> &[Mat4] {
-        &self.ops
-    }
-
-    /// Two-qubit depolarizing channel: with probability `p` one of the 15
-    /// non-identity Pauli pairs is applied uniformly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidChannelError`] if `p ∉ [0, 1]`.
-    pub fn depolarizing(p: f64) -> Result<Self, InvalidChannelError> {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(InvalidChannelError {
-                reason: format!("depolarizing probability out of range: {p}"),
-            });
-        }
-        let paulis: [Mat2; 4] = [
-            [[C64::ONE, C64::ZERO], [C64::ZERO, C64::ONE]],
-            [[C64::ZERO, C64::ONE], [C64::ONE, C64::ZERO]],
-            [[C64::ZERO, -C64::I], [C64::I, C64::ZERO]],
-            [[C64::ONE, C64::ZERO], [C64::ZERO, -C64::ONE]],
-        ];
-        let mut ops = Vec::with_capacity(16);
-        for (a, pa) in paulis.iter().enumerate() {
-            for (b, pb) in paulis.iter().enumerate() {
-                let w = if a == 0 && b == 0 { 1.0 - p } else { p / 15.0 };
-                let s = w.sqrt();
-                let m = crate::math::kron2(pa, pb);
-                let mut scaled = [[C64::ZERO; 4]; 4];
-                for i in 0..4 {
-                    for j in 0..4 {
-                        scaled[i][j] = m[i][j].scale(s);
-                    }
-                }
-                ops.push(scaled);
-            }
-        }
-        Channel2::from_kraus(ops)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,13 +191,6 @@ mod tests {
             assert!(Channel1::phase_damping(g).is_ok());
         }
         assert!(Channel1::amplitude_damping(1.5).is_err());
-    }
-
-    #[test]
-    fn depolarizing_two_qubit_has_16_kraus() {
-        let ch = Channel2::depolarizing(0.05).unwrap();
-        assert_eq!(ch.kraus().len(), 16);
-        assert!(Channel2::depolarizing(-0.1).is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! kernels are reused: a ket-side operator acts on bit `q + n`, a bra-side
 //! (conjugated) operator on bit `q`.
 
-use crate::channel::{Channel1, Channel2};
+use crate::channel::Channel1;
 use crate::circuit::Circuit;
 use crate::gate::{Gate, GateMatrix};
 use crate::kernels::{apply_mat2, apply_mat4, conj2, conj4};
@@ -177,22 +177,6 @@ impl DensityMatrix {
         self.data = acc;
     }
 
-    /// Applies a two-qubit Kraus channel on `(qa, qb)`.
-    pub fn apply_channel2(&mut self, qa: usize, qb: usize, ch: &Channel2) {
-        let n = self.n_qubits;
-        let mut acc = vec![C64::ZERO; self.data.len()];
-        let mut scratch = vec![C64::ZERO; self.data.len()];
-        for k in ch.kraus() {
-            scratch.copy_from_slice(&self.data);
-            apply_mat4(&mut scratch, qa + n, qb + n, k);
-            apply_mat4(&mut scratch, qa, qb, &conj4(k));
-            for (a, s) in acc.iter_mut().zip(&scratch) {
-                *a += *s;
-            }
-        }
-        self.data = acc;
-    }
-
     /// Diagonal of ρ: the probability of each computational basis state.
     pub fn probabilities(&self) -> Vec<f64> {
         let dim = self.dim();
@@ -295,19 +279,6 @@ mod tests {
         rho.apply_gate(&Gate::h(0));
         rho.apply_channel1(0, &Channel1::phase_flip(0.25).unwrap());
         assert!((rho.element(0, 1).re - 0.5 * 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn two_qubit_channel_preserves_trace() {
-        let mut c = Circuit::new(2);
-        c.push(Gate::h(0));
-        c.push(Gate::cx(0, 1));
-        let mut rho = DensityMatrix::zero_state(2);
-        rho.run(&c);
-        rho.apply_channel2(0, 1, &Channel2::depolarizing(0.1).unwrap());
-        assert!((rho.trace() - 1.0).abs() < 1e-12);
-        assert!(rho.hermiticity_error() < 1e-12);
-        assert!(rho.purity() < 1.0);
     }
 
     #[test]

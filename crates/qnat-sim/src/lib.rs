@@ -48,7 +48,6 @@ pub mod kernels;
 pub mod math;
 pub mod measure;
 pub mod paramshift;
-pub mod pauli;
 pub mod statevector;
 
 pub use circuit::Circuit;

@@ -17,9 +17,9 @@ use crate::http::{
     HttpError, Response,
 };
 use crate::wire::{self, MitigatedResult, WireError};
+pub use crate::wire::{StreamEvent, StreamSubmit, TicketStatus};
 use qnat_core::batch::BatchJob;
 use qnat_json::Json;
-use qnat_noise::backend::{BackendError, Measurements};
 use qnat_serve::engine::{JobOutcome, Lane, Ticket};
 use qnat_serve::mitigate::MitigatedJob;
 use std::error::Error;
@@ -130,43 +130,6 @@ impl From<WireError> for ClientError {
     fn from(e: WireError) -> Self {
         ClientError::Wire(e)
     }
-}
-
-/// Non-blocking view of a ticket, as `GET /v1/jobs/{ticket}` reports it.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TicketStatus {
-    /// Still waiting in a lane.
-    Queued,
-    /// A worker is executing it.
-    Running,
-    /// Finished — outcome handed over (and consumed server-side).
-    Ready(JobOutcome),
-}
-
-/// One event off `GET /v1/stream`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamEvent {
-    /// Which ticket completed.
-    pub ticket: Ticket,
-    /// Its result (evictions and fast-fails included).
-    pub result: Result<Measurements, BackendError>,
-}
-
-/// One line's verdict from the streaming batch submit
-/// (`POST /v1/jobs/stream`): the ticket, or the refusal the line would
-/// have earned as a lone request.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StreamSubmit {
-    /// The job was admitted under this ticket.
-    Accepted(Ticket),
-    /// The job was refused (429 queue-full, 503 shed/stopping, 400
-    /// malformed line).
-    Refused {
-        /// The per-item HTTP-equivalent status.
-        status: u16,
-        /// The typed refusal body, as JSON text.
-        body: String,
-    },
 }
 
 /// A pooled keep-alive connection: the buffered read half plus a write
@@ -383,14 +346,7 @@ impl TransportClient {
     pub fn submit(&self, job: &BatchJob, lane: Lane) -> Result<Ticket, ClientError> {
         let body = wire::submit_request_to_json(job, lane).to_json();
         let resp = self.call("POST", "/v1/jobs", body.as_bytes())?;
-        let v = Self::expect_json(&resp)?;
-        let ticket = v
-            .get("ticket")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| WireError {
-                reason: "submit response missing 'ticket'".into(),
-            })?;
-        Ok(ticket as Ticket)
+        Ok(wire::submit_ack_from_json(&Self::expect_json(&resp)?)?)
     }
 
     /// `POST /v1/jobs/stream`: the streaming submit — ships every job
@@ -443,28 +399,7 @@ impl TransportClient {
     }
 
     fn decode_stream_submit(resp: &Response) -> Result<Vec<StreamSubmit>, ClientError> {
-        let v = Self::expect_json(resp)?;
-        let Some(Json::Arr(results)) = v.get("results") else {
-            return Err(ClientError::Wire(WireError {
-                reason: "streaming submit response missing 'results'".into(),
-            }));
-        };
-        results
-            .iter()
-            .map(|item| {
-                if let Some(ticket) = item.get("ticket").and_then(Json::as_f64) {
-                    return Ok(StreamSubmit::Accepted(ticket as Ticket));
-                }
-                let status = item
-                    .get("status")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| WireError {
-                        reason: "streamed verdict missing 'ticket' and 'status'".into(),
-                    })? as u16;
-                let body = item.get("error").map(Json::to_json).unwrap_or_default();
-                Ok(StreamSubmit::Refused { status, body })
-            })
-            .collect()
+        Ok(wire::stream_submit_from_json(&Self::expect_json(resp)?)?)
     }
 
     /// `GET /v1/jobs/{ticket}`: non-blocking poll. `Ok(None)` for a
@@ -515,35 +450,14 @@ impl TransportClient {
         }
         let text = resp.text()?;
         let v = Json::parse(text).map_err(WireError::from)?;
-        let Some(status) = v.get("status").and_then(Json::as_str) else {
+        match wire::ticket_status_from_json(&v) {
+            Ok(status) => Ok(Some(status)),
             // Not a ticket-status document — a timeout or error body.
-            return Err(if resp.status >= 400 {
-                ClientError::Status {
-                    status: resp.status,
-                    body: text.to_owned(),
-                }
-            } else {
-                ClientError::Wire(WireError {
-                    reason: "missing 'status'".into(),
-                })
-            });
-        };
-        match status {
-            "queued" => Ok(Some(TicketStatus::Queued)),
-            "running" => Ok(Some(TicketStatus::Running)),
-            "ready" => {
-                let outcome = v.get("outcome").ok_or_else(|| WireError {
-                    reason: "ready without 'outcome'".into(),
-                })?;
-                Ok(Some(TicketStatus::Ready(wire::outcome_from_json(outcome)?)))
-            }
-            _ if resp.status >= 400 => Err(ClientError::Status {
+            Err(_) if resp.status >= 400 => Err(ClientError::Status {
                 status: resp.status,
                 body: text.to_owned(),
             }),
-            other => Err(ClientError::Wire(WireError {
-                reason: format!("unknown status '{other}'"),
-            })),
+            Err(e) => Err(e.into()),
         }
     }
 
@@ -557,21 +471,15 @@ impl TransportClient {
                 body: resp.text().unwrap_or("").to_owned(),
             });
         }
-        let mut events = Vec::new();
-        for line in resp.text()?.lines().filter(|l| !l.trim().is_empty()) {
-            let v = Json::parse(line).map_err(WireError::from)?;
-            let ticket = v
-                .get("ticket")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| WireError {
-                    reason: "stream event missing 'ticket'".into(),
-                })? as Ticket;
-            let result = wire::result_from_json(v.get("result").ok_or_else(|| WireError {
-                reason: "stream event missing 'result'".into(),
-            })?)?;
-            events.push(StreamEvent { ticket, result });
-        }
-        Ok(events)
+        resp.text()?
+            .lines()
+            .filter(|l| !l.trim().is_empty())
+            .map(|line| {
+                Ok(wire::stream_event_from_json(&wire::parse_body(
+                    line.as_bytes(),
+                )?)?)
+            })
+            .collect()
     }
 
     /// `GET /healthz`: the raw health document (lane depths, engine

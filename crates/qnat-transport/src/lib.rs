@@ -7,10 +7,12 @@
 //!
 //! Layering:
 //!
-//! * [`wire`] — the `qnat-json` wire format. Lossless by construction:
-//!   full gate arrays, exact `f64`s, all eleven typed error variants —
-//!   which is what lets `tests/transport_e2e.rs` demand bitwise replay
-//!   parity between a served workload and the same jobs through
+//! * [`wire`] — the `qnat-json` wire format, owner of every document
+//!   the server and client exchange (one encoder each, one decoder for
+//!   each the client reads). Lossless by construction: full gate
+//!   arrays, exact `f64`s, all eleven typed error variants — which is
+//!   what lets `tests/transport_e2e.rs` demand bitwise replay parity
+//!   between a served workload and the same jobs through
 //!   `deploy_batch`.
 //! * [`http`] — a minimal request/response/chunked codec over
 //!   `BufRead`/`Write`, with hard size limits; keep-alive framing and

@@ -57,7 +57,7 @@ use crate::http::{
 use crate::wire;
 use qnat_core::health::DeadlineBudget;
 use qnat_json::Json;
-use qnat_serve::engine::{Lane, Poll, ServeEngine, Ticket, WaitError};
+use qnat_serve::engine::{Poll, ServeEngine, Ticket, WaitError};
 use std::io::{self, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -412,7 +412,7 @@ fn shed_connection(mut stream: TcpStream, metrics: &TransportMetrics) {
     metrics.connections_shed.fetch_add(1, Ordering::SeqCst);
     metrics.count_status(503);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let body = error_body("overloaded", "connection limit reached").to_json();
+    let body = wire::error_body("overloaded", "connection limit reached", vec![]).to_json();
     let _ = write_response_conn(&mut stream, 503, &body, true);
 }
 
@@ -562,13 +562,6 @@ fn respond(
     let _ = write_response_conn(stream, status, &body.to_json(), close);
 }
 
-fn error_body(kind: &str, message: impl Into<String>) -> Json {
-    Json::obj([
-        ("kind", Json::Str(kind.into())),
-        ("message", Json::Str(message.into())),
-    ])
-}
-
 fn handle_connection(
     stream: TcpStream,
     engine: &ServeEngine,
@@ -605,7 +598,7 @@ fn handle_connection(
                     &mut stream,
                     metrics,
                     status,
-                    &error_body("bad_request", e.reason),
+                    &wire::error_body("bad_request", e.reason, vec![]),
                     true,
                 );
                 return;
@@ -649,9 +642,10 @@ fn handle_connection(
                 &mut stream,
                 metrics,
                 405,
-                &error_body(
+                &wire::error_body(
                     "method_not_allowed",
                     format!("{} {}", request.method, request.path),
+                    vec![],
                 ),
                 close,
             ),
@@ -659,7 +653,7 @@ fn handle_connection(
                 &mut stream,
                 metrics,
                 404,
-                &error_body("not_found", request.path.clone()),
+                &wire::error_body("not_found", request.path.clone(), vec![]),
                 close,
             ),
         }
@@ -754,7 +748,7 @@ fn handle_submit(
                 stream,
                 metrics,
                 400,
-                &error_body("bad_request", e.reason),
+                &wire::error_body("bad_request", e.reason, vec![]),
                 close,
             );
             return;
@@ -765,10 +759,7 @@ fn handle_submit(
             stream,
             metrics,
             200,
-            &Json::obj([
-                ("ticket", Json::Num(ticket as f64)),
-                ("lane", Json::Str(wire::lane_to_str(lane).into())),
-            ]),
+            &wire::submit_ack_to_json(ticket, lane),
             close,
         ),
         Err(e) => respond(
@@ -783,9 +774,9 @@ fn handle_submit(
 
 /// The streaming batch submit: the (typically chunked) body carries one
 /// JSON submit request per line; every line is answered in order inside
-/// one `{results: [...]}` document — accepted lines with their ticket,
-/// refused lines with the typed refusal and the status it would have
-/// earned as a lone request. Per-item refusals bump the transport's
+/// one [`wire::stream_submit_to_json`] document — accepted lines with
+/// their ticket, refused lines with the typed refusal and the status it
+/// would have earned as a lone request. Per-item refusals bump the transport's
 /// 400/429/503 counters so overload stays observable even when it
 /// arrives in bulk.
 fn handle_submit_stream(
@@ -802,57 +793,41 @@ fn handle_submit_stream(
                 stream,
                 metrics,
                 400,
-                &error_body("bad_request", "streamed submit body is not UTF-8"),
+                &wire::error_body("bad_request", "streamed submit body is not UTF-8", vec![]),
                 close,
             );
             return;
         }
     };
-    let mut results = Vec::new();
-    let mut accepted = 0u64;
-    let mut refused = 0u64;
-    for line in body.lines().filter(|l| !l.trim().is_empty()) {
-        let parsed =
-            wire::parse_body(line.as_bytes()).and_then(|v| wire::submit_request_from_json(&v));
-        let item = match parsed {
-            Ok((job, lane)) => match engine.submit(job, lane) {
-                Ok(ticket) => {
-                    accepted += 1;
-                    Json::obj([
-                        ("ticket", Json::Num(ticket as f64)),
-                        ("lane", Json::Str(wire::lane_to_str(lane).into())),
-                    ])
-                }
-                Err(e) => {
-                    refused += 1;
-                    let status = wire::submit_error_status(&e);
-                    metrics.count_status(status);
-                    Json::obj([
-                        ("status", Json::Num(status as f64)),
-                        ("error", wire::submit_error_to_json(&e)),
-                    ])
-                }
-            },
-            Err(e) => {
-                refused += 1;
-                metrics.count_status(400);
-                Json::obj([
-                    ("status", Json::Num(400.0)),
-                    ("error", error_body("bad_request", e.reason)),
-                ])
+    let verdicts = body
+        .lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(|line| {
+            let parsed =
+                wire::parse_body(line.as_bytes()).and_then(|v| wire::submit_request_from_json(&v));
+            let verdict = match parsed {
+                Ok((job, lane)) => engine
+                    .submit(job, lane)
+                    .map(|ticket| (ticket, lane))
+                    .map_err(|e| {
+                        (
+                            wire::submit_error_status(&e),
+                            wire::submit_error_to_json(&e),
+                        )
+                    }),
+                Err(e) => Err((400, wire::error_body("bad_request", e.reason, vec![]))),
+            };
+            if let Err((status, _)) = &verdict {
+                metrics.count_status(*status);
             }
-        };
-        results.push(item);
-    }
+            verdict
+        })
+        .collect();
     respond(
         stream,
         metrics,
         200,
-        &Json::obj([
-            ("results", Json::Arr(results)),
-            ("accepted", Json::Num(accepted as f64)),
-            ("refused", Json::Num(refused as f64)),
-        ]),
+        &wire::stream_submit_to_json(verdicts),
         close,
     );
 }
@@ -881,7 +856,7 @@ fn handle_mitigate(
                 stream,
                 metrics,
                 400,
-                &error_body("bad_request", e.reason),
+                &wire::error_body("bad_request", e.reason, vec![]),
                 close,
             );
             return;
@@ -920,13 +895,8 @@ fn handle_mitigate(
             );
         }
         Err(WaitError::Unknown) => {
-            respond(
-                stream,
-                metrics,
-                404,
-                &Json::obj([("status", Json::Str("unknown".into()))]),
-                close,
-            );
+            let (status, body) = wire::poll_to_json(&Poll::Unknown);
+            respond(stream, metrics, status, &body, close);
         }
         Err(WaitError::Timeout { waited_ms }) => {
             let _ = budget.try_consume(waited_ms.min(budget.remaining_ms()));
@@ -934,26 +904,11 @@ fn handle_mitigate(
                 stream,
                 metrics,
                 504,
-                &error_body("deadline", "mitigated sweep not ready in budget"),
+                &wire::error_body("deadline", "mitigated sweep not ready in budget", vec![]),
                 close,
             );
         }
     }
-}
-
-/// The `{status, outcome}` body and status code for a ready outcome:
-/// 200 for success, 503/500 by error class (see
-/// [`wire::backend_error_status`]).
-fn ready_response(outcome: &qnat_serve::engine::JobOutcome) -> (u16, Json) {
-    let status = match &outcome.result {
-        Ok(_) => 200,
-        Err(e) => wire::backend_error_status(e),
-    };
-    let body = Json::obj([
-        ("status", Json::Str("ready".into())),
-        ("outcome", wire::outcome_to_json(outcome)),
-    ]);
-    (status, body)
 }
 
 fn handle_poll(
@@ -963,33 +918,8 @@ fn handle_poll(
     metrics: &TransportMetrics,
     close: bool,
 ) {
-    match engine.poll(ticket) {
-        Poll::Ready(outcome) => {
-            let (status, body) = ready_response(&outcome);
-            respond(stream, metrics, status, &body, close);
-        }
-        Poll::Queued => respond(
-            stream,
-            metrics,
-            202,
-            &Json::obj([("status", Json::Str("queued".into()))]),
-            close,
-        ),
-        Poll::Running => respond(
-            stream,
-            metrics,
-            202,
-            &Json::obj([("status", Json::Str("running".into()))]),
-            close,
-        ),
-        Poll::Unknown => respond(
-            stream,
-            metrics,
-            404,
-            &Json::obj([("status", Json::Str("unknown".into()))]),
-            close,
-        ),
-    }
+    let (status, body) = wire::poll_to_json(&engine.poll(ticket));
+    respond(stream, metrics, status, &body, close);
 }
 
 /// Blocks until the ticket is ready through the engine's own condvar
@@ -1013,17 +943,12 @@ fn handle_wait(
             let elapsed = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
             let _ = budget.try_consume(elapsed.min(budget.remaining_ms()));
             arm_write(stream, budget);
-            let (status, body) = ready_response(&outcome);
+            let (status, body) = wire::poll_to_json(&Poll::Ready(outcome));
             respond(stream, metrics, status, &body, close);
         }
         Err(WaitError::Unknown) => {
-            respond(
-                stream,
-                metrics,
-                404,
-                &Json::obj([("status", Json::Str("unknown".into()))]),
-                close,
-            );
+            let (status, body) = wire::poll_to_json(&Poll::Unknown);
+            respond(stream, metrics, status, &body, close);
         }
         Err(WaitError::Timeout { waited_ms }) => {
             let _ = budget.try_consume(waited_ms.min(budget.remaining_ms()));
@@ -1031,7 +956,11 @@ fn handle_wait(
                 stream,
                 metrics,
                 504,
-                &error_body("deadline", format!("ticket {ticket} not ready in budget")),
+                &wire::error_body(
+                    "deadline",
+                    format!("ticket {ticket} not ready in budget"),
+                    vec![],
+                ),
                 close,
             );
         }
@@ -1067,11 +996,7 @@ fn handle_stream(
         }
         match rx.recv_timeout(Duration::from_millis(50)) {
             Ok((ticket, result)) => {
-                let line = Json::obj([
-                    ("ticket", Json::Num(ticket as f64)),
-                    ("result", wire::result_to_json(&result)),
-                ])
-                .to_json();
+                let line = wire::stream_event_to_json(ticket, &result).to_json();
                 if write_chunk(stream, &format!("{line}\n")).is_err() {
                     return; // client hung up
                 }
@@ -1096,69 +1021,13 @@ fn handle_health(
     metrics: &TransportMetrics,
     close: bool,
 ) {
-    let stats = engine.stats();
-    let load = engine.load();
-    let registry = engine.health_registry();
-    // One registry pass: every registered breaker appears, atomically.
-    let breakers = wire::obj_from(
-        registry
-            .snapshots()
-            .into_iter()
-            .map(|(key, snap)| (key, wire::breaker_snapshot_to_json(&snap))),
+    let body = wire::health_to_json(
+        engine,
+        stop.load(Ordering::SeqCst),
+        &metrics.snapshot(),
+        sections
+            .iter()
+            .map(|(key, section)| (key.clone(), section())),
     );
-    let mut body = Json::obj([
-        (
-            "status",
-            Json::Str(if stop.load(Ordering::SeqCst) {
-                "draining".into()
-            } else {
-                "ok".into()
-            }),
-        ),
-        (
-            "lanes",
-            Json::obj([
-                (
-                    "interactive",
-                    Json::Num(engine.queue_depth(Lane::Interactive) as f64),
-                ),
-                ("bulk", Json::Num(engine.queue_depth(Lane::Bulk) as f64)),
-            ]),
-        ),
-        (
-            "load",
-            Json::obj([
-                (
-                    "queued_interactive",
-                    Json::Num(load.queued_interactive as f64),
-                ),
-                ("queued_bulk", Json::Num(load.queued_bulk as f64)),
-                ("running", Json::Num(load.running as f64)),
-            ]),
-        ),
-        (
-            "stats",
-            Json::obj([
-                ("submitted", Json::Num(stats.submitted as f64)),
-                ("completed", Json::Num(stats.completed as f64)),
-                ("completed_ok", Json::Num(stats.completed_ok as f64)),
-                ("completed_err", Json::Num(stats.completed_err as f64)),
-                ("rejected_full", Json::Num(stats.rejected_full as f64)),
-                ("shed_oldest", Json::Num(stats.shed_oldest as f64)),
-                ("shed_admission", Json::Num(stats.shed_admission as f64)),
-                ("fast_failed", Json::Num(stats.fast_failed as f64)),
-            ]),
-        ),
-        (
-            "transport",
-            wire::transport_snapshot_to_json(&metrics.snapshot()),
-        ),
-        ("breakers", breakers),
-    ]);
-    if let Json::Obj(map) = &mut body {
-        for (key, section) in sections {
-            map.insert(key.clone(), section());
-        }
-    }
     respond(stream, metrics, 200, &body, close);
 }

@@ -1,4 +1,6 @@
-//! JSON wire format for the HTTP front door.
+//! JSON wire format for the HTTP front door: every document the server
+//! sends or reads, and every one the client sends or reads, is encoded
+//! and decoded here.
 //!
 //! Every payload that crosses the socket — jobs in, outcomes out — is
 //! encoded with `qnat-json`, whose exact `f64` round-trip is what lets
@@ -10,9 +12,12 @@
 //! decode), and all eleven [`BackendError`] variants keep their typed
 //! fields.
 //!
-//! Integers ride in JSON numbers (`f64`), which is exact up to 2⁵³ —
-//! far beyond any ticket, job index or backoff tally this stack
-//! produces.
+//! Leaves (numbers, strings, options, arrays) decode through
+//! [`qnat_json::FromJson`]; the domain types live in other crates, so
+//! their codecs are the functions below rather than trait impls.
+//! Integers ride in JSON numbers (`f64`) and must be non-negative
+//! integers no larger than 2⁵³ — far beyond any ticket, job index or
+//! backoff tally this stack produces.
 
 use qnat_compiler::folding::FoldStrategy;
 use qnat_core::batch::BatchJob;
@@ -22,11 +27,10 @@ use qnat_core::mitigate::{MitigateError, ZneMethod};
 use qnat_fleet::FleetHealth;
 use qnat_json::{Json, JsonError};
 use qnat_noise::backend::{BackendError, Measurements};
-use qnat_serve::engine::{JobOutcome, Lane, SubmitError, Ticket};
+use qnat_serve::engine::{EngineLoad, JobOutcome, Lane, Poll, ServeEngine, SubmitError, Ticket};
 use qnat_serve::mitigate::{MitigatedJob, MitigatedOutcome, MitigatedSubmitError, MitigationError};
 use qnat_sim::circuit::Circuit;
 use qnat_sim::gate::{Gate, GateKind};
-use qnat_sim::measure::Confusion;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -62,60 +66,10 @@ impl From<JsonError> for WireError {
     }
 }
 
-// ---- field accessors -------------------------------------------------
-
-fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, WireError> {
-    v.get(key)
-        .ok_or_else(|| WireError::new(format!("missing field '{key}'")))
-}
-
-fn num_of(v: &Json, what: &str) -> Result<f64, WireError> {
-    v.as_f64()
-        .ok_or_else(|| WireError::new(format!("'{what}' is not a number")))
-}
-
-fn uint_of(v: &Json, what: &str) -> Result<u64, WireError> {
-    let n = num_of(v, what)?;
-    if n < 0.0 || n.fract() != 0.0 || n > (1u64 << 53) as f64 {
-        return Err(WireError::new(format!(
-            "'{what}' is not a non-negative integer: {n}"
-        )));
-    }
-    Ok(n as u64)
-}
-
-fn uint(v: &Json, key: &str) -> Result<u64, WireError> {
-    uint_of(field(v, key)?, key)
-}
-
-fn usize_field(v: &Json, key: &str) -> Result<usize, WireError> {
-    Ok(uint(v, key)? as usize)
-}
-
-fn str_field<'a>(v: &'a Json, key: &str) -> Result<&'a str, WireError> {
-    match field(v, key)? {
-        Json::Str(s) => Ok(s),
-        _ => Err(WireError::new(format!("'{key}' is not a string"))),
-    }
-}
-
-fn boolean(v: &Json, key: &str) -> Result<bool, WireError> {
-    match field(v, key)? {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(WireError::new(format!("'{key}' is not a bool"))),
-    }
-}
-
-fn array<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], WireError> {
-    field(v, key)?
-        .as_array()
-        .ok_or_else(|| WireError::new(format!("'{key}' is not an array")))
-}
-
-fn opt_usize(v: &Json, key: &str) -> Result<Option<usize>, WireError> {
-    match field(v, key)? {
-        Json::Null => Ok(None),
-        other => Ok(Some(uint_of(other, key)? as usize)),
+/// A [`qnat_json::FromJson`] decode message.
+impl From<String> for WireError {
+    fn from(reason: String) -> Self {
+        WireError { reason }
     }
 }
 
@@ -127,59 +81,39 @@ fn opt_usize(v: &Json, key: &str) -> Result<Option<usize>, WireError> {
 /// it, so constructor-built gates round-trip bit-for-bit.
 pub fn gate_to_json(g: &Gate) -> Json {
     Json::obj([
-        ("kind", Json::Str(g.kind.name().into())),
+        ("kind", g.kind.name().into()),
         (
             "qubits",
-            Json::Arr(
-                g.qubits
-                    .iter()
-                    .take(g.arity())
-                    .map(|&q| Json::Num(q as f64))
-                    .collect(),
-            ),
+            Json::Arr(g.qubits[..g.arity()].iter().map(|&q| q.into()).collect()),
         ),
-        ("params", Json::nums(g.params)),
+        ("params", g.params.into()),
     ])
 }
 
 /// Decodes a gate; the kind tag must be a known OpenQASM mnemonic and
 /// the qubit array must match the kind's arity.
 pub fn gate_from_json(v: &Json) -> Result<Gate, WireError> {
-    let name = str_field(v, "kind")?;
+    let name: &str = v.field("kind")?;
     let kind = GateKind::from_name(name)
         .ok_or_else(|| WireError::new(format!("unknown gate kind '{name}'")))?;
-    let qs = array(v, "qubits")?;
-    let ps = array(v, "params")?;
-    if qs.len() != kind.arity() {
-        return Err(WireError::new(format!(
-            "gate '{name}' needs {} qubits, got {}",
-            kind.arity(),
-            qs.len()
-        )));
-    }
-    if ps.len() != 3 {
-        return Err(WireError::new("gate params must have 3 slots"));
-    }
-    // Same padding the Gate constructors use for single-qubit gates.
-    let mut qubits = [usize::MAX; 2];
-    for (slot, q) in qs.iter().enumerate() {
-        qubits[slot] = uint_of(q, "qubits")? as usize;
-    }
-    let mut params = [0f64; 3];
-    for (slot, p) in ps.iter().enumerate() {
-        params[slot] = num_of(p, "params")?;
-    }
+    let qubits = if kind.arity() == 1 {
+        // Same padding the Gate constructors use for single-qubit gates.
+        let [q]: [usize; 1] = v.field("qubits")?;
+        [q, usize::MAX]
+    } else {
+        v.field("qubits")?
+    };
     Ok(Gate {
         kind,
         qubits,
-        params,
+        params: v.field("params")?,
     })
 }
 
 /// Encodes a circuit.
 pub fn circuit_to_json(c: &Circuit) -> Json {
     Json::obj([
-        ("n_qubits", Json::Num(c.n_qubits() as f64)),
+        ("n_qubits", c.n_qubits().into()),
         (
             "gates",
             Json::Arr(c.gates().iter().map(gate_to_json).collect()),
@@ -189,11 +123,9 @@ pub fn circuit_to_json(c: &Circuit) -> Json {
 
 /// Decodes a circuit, re-validating every gate against the register.
 pub fn circuit_from_json(v: &Json) -> Result<Circuit, WireError> {
-    let n = usize_field(v, "n_qubits")?;
-    let mut c = Circuit::new(n);
-    for g in array(v, "gates")? {
-        let gate = gate_from_json(g)?;
-        c.try_push(gate)
+    let mut c = Circuit::new(v.field("n_qubits")?);
+    for g in v.field::<&[Json]>("gates")? {
+        c.try_push(gate_from_json(g)?)
             .map_err(|e| WireError::new(e.to_string()))?;
     }
     Ok(c)
@@ -203,18 +135,15 @@ pub fn circuit_from_json(v: &Json) -> Result<Circuit, WireError> {
 pub fn job_to_json(job: &BatchJob) -> Json {
     Json::obj([
         ("circuit", circuit_to_json(&job.circuit)),
-        (
-            "shots",
-            job.shots.map_or(Json::Null, |s| Json::Num(s as f64)),
-        ),
+        ("shots", job.shots.into()),
     ])
 }
 
 /// Decodes a batch job.
 pub fn job_from_json(v: &Json) -> Result<BatchJob, WireError> {
     Ok(BatchJob {
-        circuit: circuit_from_json(field(v, "circuit")?)?,
-        shots: opt_usize(v, "shots")?,
+        circuit: circuit_from_json(v.field("circuit")?)?,
+        shots: v.field("shots")?,
     })
 }
 
@@ -242,206 +171,190 @@ pub fn lane_from_str(s: &str) -> Result<Lane, WireError> {
 pub fn measurements_to_json(m: &Measurements) -> Json {
     Json::obj([
         ("expectations", Json::nums(m.expectations.iter().copied())),
-        (
-            "shots_used",
-            m.shots_used.map_or(Json::Null, |s| Json::Num(s as f64)),
-        ),
+        ("shots_used", m.shots_used.into()),
     ])
 }
 
 /// Decodes measurements.
 pub fn measurements_from_json(v: &Json) -> Result<Measurements, WireError> {
-    let mut expectations = Vec::new();
-    for e in array(v, "expectations")? {
-        expectations.push(num_of(e, "expectations")?);
-    }
     Ok(Measurements {
-        expectations,
-        shots_used: opt_usize(v, "shots_used")?,
+        expectations: v.field("expectations")?,
+        shots_used: v.field("shots_used")?,
     })
 }
 
 /// Encodes a typed backend error, preserving every field of all eleven
 /// variants.
 pub fn error_to_json(e: &BackendError) -> Json {
-    match e {
+    let (kind, fields): (&str, Vec<(&'static str, Json)>) = match e {
         BackendError::QubitCount {
             needed,
             available,
             backend,
-        } => Json::obj([
-            ("kind", Json::Str("qubit_count".into())),
-            ("needed", Json::Num(*needed as f64)),
-            ("available", Json::Num(*available as f64)),
-            ("backend", Json::Str(backend.clone())),
-        ]),
-        BackendError::UnmappedTwoQubitGate { gate_index, a, b } => Json::obj([
-            ("kind", Json::Str("unmapped_two_qubit_gate".into())),
-            ("gate_index", Json::Num(*gate_index as f64)),
-            ("a", Json::Num(*a as f64)),
-            ("b", Json::Num(*b as f64)),
-        ]),
-        BackendError::NonFiniteParameter { gate_index, slot } => Json::obj([
-            ("kind", Json::Str("non_finite_parameter".into())),
-            ("gate_index", Json::Num(*gate_index as f64)),
-            ("slot", Json::Num(*slot as f64)),
-        ]),
-        BackendError::ShotBudget { requested } => Json::obj([
-            ("kind", Json::Str("shot_budget".into())),
-            ("requested", Json::Num(*requested as f64)),
-        ]),
-        BackendError::InvalidChannel { reason } => Json::obj([
-            ("kind", Json::Str("invalid_channel".into())),
-            ("reason", Json::Str(reason.clone())),
-        ]),
-        BackendError::InvalidConfig { reason } => Json::obj([
-            ("kind", Json::Str("invalid_config".into())),
-            ("reason", Json::Str(reason.clone())),
-        ]),
-        BackendError::TransientFailure { job, reason } => Json::obj([
-            ("kind", Json::Str("transient_failure".into())),
-            ("job", Json::Num(*job as f64)),
-            ("reason", Json::Str(reason.clone())),
-        ]),
-        BackendError::QueueTimeout { job, waited_ms } => Json::obj([
-            ("kind", Json::Str("queue_timeout".into())),
-            ("job", Json::Num(*job as f64)),
-            ("waited_ms", Json::Num(*waited_ms as f64)),
-        ]),
-        BackendError::DeadlineExceeded { job, needed_ms } => Json::obj([
-            ("kind", Json::Str("deadline_exceeded".into())),
-            ("job", Json::Num(*job as f64)),
-            ("needed_ms", Json::Num(*needed_ms as f64)),
-        ]),
-        BackendError::CircuitOpen { backend } => Json::obj([
-            ("kind", Json::Str("circuit_open".into())),
-            ("backend", Json::Str(backend.clone())),
-        ]),
-        BackendError::Overloaded { reason } => Json::obj([
-            ("kind", Json::Str("overloaded".into())),
-            ("reason", Json::Str(reason.clone())),
-        ]),
-    }
+        } => (
+            "qubit_count",
+            vec![
+                ("needed", (*needed).into()),
+                ("available", (*available).into()),
+                ("backend", backend.as_str().into()),
+            ],
+        ),
+        BackendError::UnmappedTwoQubitGate { gate_index, a, b } => (
+            "unmapped_two_qubit_gate",
+            vec![
+                ("gate_index", (*gate_index).into()),
+                ("a", (*a).into()),
+                ("b", (*b).into()),
+            ],
+        ),
+        BackendError::NonFiniteParameter { gate_index, slot } => (
+            "non_finite_parameter",
+            vec![
+                ("gate_index", (*gate_index).into()),
+                ("slot", (*slot).into()),
+            ],
+        ),
+        BackendError::ShotBudget { requested } => {
+            ("shot_budget", vec![("requested", (*requested).into())])
+        }
+        BackendError::InvalidChannel { reason } => {
+            ("invalid_channel", vec![("reason", reason.as_str().into())])
+        }
+        BackendError::InvalidConfig { reason } => {
+            ("invalid_config", vec![("reason", reason.as_str().into())])
+        }
+        BackendError::TransientFailure { job, reason } => (
+            "transient_failure",
+            vec![("job", (*job).into()), ("reason", reason.as_str().into())],
+        ),
+        BackendError::QueueTimeout { job, waited_ms } => (
+            "queue_timeout",
+            vec![("job", (*job).into()), ("waited_ms", (*waited_ms).into())],
+        ),
+        BackendError::DeadlineExceeded { job, needed_ms } => (
+            "deadline_exceeded",
+            vec![("job", (*job).into()), ("needed_ms", (*needed_ms).into())],
+        ),
+        BackendError::CircuitOpen { backend } => {
+            ("circuit_open", vec![("backend", backend.as_str().into())])
+        }
+        BackendError::Overloaded { reason } => {
+            ("overloaded", vec![("reason", reason.as_str().into())])
+        }
+    };
+    tagged(kind, fields)
 }
 
 /// Decodes a typed backend error.
 pub fn error_from_json(v: &Json) -> Result<BackendError, WireError> {
-    match str_field(v, "kind")? {
-        "qubit_count" => Ok(BackendError::QubitCount {
-            needed: usize_field(v, "needed")?,
-            available: usize_field(v, "available")?,
-            backend: str_field(v, "backend")?.to_owned(),
-        }),
-        "unmapped_two_qubit_gate" => Ok(BackendError::UnmappedTwoQubitGate {
-            gate_index: usize_field(v, "gate_index")?,
-            a: usize_field(v, "a")?,
-            b: usize_field(v, "b")?,
-        }),
-        "non_finite_parameter" => Ok(BackendError::NonFiniteParameter {
-            gate_index: usize_field(v, "gate_index")?,
-            slot: usize_field(v, "slot")?,
-        }),
-        "shot_budget" => Ok(BackendError::ShotBudget {
-            requested: usize_field(v, "requested")?,
-        }),
-        "invalid_channel" => Ok(BackendError::InvalidChannel {
-            reason: str_field(v, "reason")?.to_owned(),
-        }),
-        "invalid_config" => Ok(BackendError::InvalidConfig {
-            reason: str_field(v, "reason")?.to_owned(),
-        }),
-        "transient_failure" => Ok(BackendError::TransientFailure {
-            job: uint(v, "job")?,
-            reason: str_field(v, "reason")?.to_owned(),
-        }),
-        "queue_timeout" => Ok(BackendError::QueueTimeout {
-            job: uint(v, "job")?,
-            waited_ms: uint(v, "waited_ms")?,
-        }),
-        "deadline_exceeded" => Ok(BackendError::DeadlineExceeded {
-            job: uint(v, "job")?,
-            needed_ms: uint(v, "needed_ms")?,
-        }),
-        "circuit_open" => Ok(BackendError::CircuitOpen {
-            backend: str_field(v, "backend")?.to_owned(),
-        }),
-        "overloaded" => Ok(BackendError::Overloaded {
-            reason: str_field(v, "reason")?.to_owned(),
-        }),
-        other => Err(WireError::new(format!("unknown error kind '{other}'"))),
-    }
+    Ok(match v.field::<&str>("kind")? {
+        "qubit_count" => BackendError::QubitCount {
+            needed: v.field("needed")?,
+            available: v.field("available")?,
+            backend: v.field("backend")?,
+        },
+        "unmapped_two_qubit_gate" => BackendError::UnmappedTwoQubitGate {
+            gate_index: v.field("gate_index")?,
+            a: v.field("a")?,
+            b: v.field("b")?,
+        },
+        "non_finite_parameter" => BackendError::NonFiniteParameter {
+            gate_index: v.field("gate_index")?,
+            slot: v.field("slot")?,
+        },
+        "shot_budget" => BackendError::ShotBudget {
+            requested: v.field("requested")?,
+        },
+        "invalid_channel" => BackendError::InvalidChannel {
+            reason: v.field("reason")?,
+        },
+        "invalid_config" => BackendError::InvalidConfig {
+            reason: v.field("reason")?,
+        },
+        "transient_failure" => BackendError::TransientFailure {
+            job: v.field("job")?,
+            reason: v.field("reason")?,
+        },
+        "queue_timeout" => BackendError::QueueTimeout {
+            job: v.field("job")?,
+            waited_ms: v.field("waited_ms")?,
+        },
+        "deadline_exceeded" => BackendError::DeadlineExceeded {
+            job: v.field("job")?,
+            needed_ms: v.field("needed_ms")?,
+        },
+        "circuit_open" => BackendError::CircuitOpen {
+            backend: v.field("backend")?,
+        },
+        "overloaded" => BackendError::Overloaded {
+            reason: v.field("reason")?,
+        },
+        other => return Err(WireError::new(format!("unknown error kind '{other}'"))),
+    })
 }
 
 fn failure_to_json(f: &FailureRecord) -> Json {
     Json::obj([
-        ("job", Json::Num(f.job as f64)),
-        ("attempt", Json::Num(f.attempt as f64)),
+        ("job", f.job.into()),
+        ("attempt", f.attempt.into()),
         ("error", error_to_json(&f.error)),
     ])
 }
 
 fn failure_from_json(v: &Json) -> Result<FailureRecord, WireError> {
     Ok(FailureRecord {
-        job: uint(v, "job")?,
-        attempt: usize_field(v, "attempt")?,
-        error: error_from_json(field(v, "error")?)?,
+        job: v.field("job")?,
+        attempt: v.field("attempt")?,
+        error: error_from_json(v.field("error")?)?,
     })
 }
 
 fn backend_usage_to_json(u: &BackendUsage) -> Json {
     Json::obj([
-        ("attempts", Json::Num(u.attempts as f64)),
-        ("retries", Json::Num(u.retries as f64)),
-        (
-            "validation_failures",
-            Json::Num(u.validation_failures as f64),
-        ),
-        ("fast_failed_jobs", Json::Num(u.fast_failed_jobs as f64)),
-        ("fallback_jobs", Json::Num(u.fallback_jobs as f64)),
-        ("backoff_ms", Json::Num(u.backoff_ms as f64)),
+        ("attempts", u.attempts.into()),
+        ("retries", u.retries.into()),
+        ("validation_failures", u.validation_failures.into()),
+        ("fast_failed_jobs", u.fast_failed_jobs.into()),
+        ("fallback_jobs", u.fallback_jobs.into()),
+        ("backoff_ms", u.backoff_ms.into()),
     ])
 }
 
 fn backend_usage_from_json(v: &Json) -> Result<BackendUsage, WireError> {
     Ok(BackendUsage {
-        attempts: usize_field(v, "attempts")?,
-        retries: usize_field(v, "retries")?,
-        validation_failures: usize_field(v, "validation_failures")?,
-        fast_failed_jobs: usize_field(v, "fast_failed_jobs")?,
-        fallback_jobs: usize_field(v, "fallback_jobs")?,
-        backoff_ms: uint(v, "backoff_ms")?,
+        attempts: v.field("attempts")?,
+        retries: v.field("retries")?,
+        validation_failures: v.field("validation_failures")?,
+        fast_failed_jobs: v.field("fast_failed_jobs")?,
+        fallback_jobs: v.field("fallback_jobs")?,
+        backoff_ms: v.field("backoff_ms")?,
     })
 }
 
 /// Encodes an execution report, every counter and failure record intact.
 pub fn report_to_json(r: &ExecutionReport) -> Json {
     Json::obj([
-        ("jobs", Json::Num(r.jobs as f64)),
-        ("attempts", Json::Num(r.attempts as f64)),
-        ("retries", Json::Num(r.retries as f64)),
-        ("fallback_jobs", Json::Num(r.fallback_jobs as f64)),
-        (
-            "short_circuited_jobs",
-            Json::Num(r.short_circuited_jobs as f64),
-        ),
-        ("fast_failed_jobs", Json::Num(r.fast_failed_jobs as f64)),
-        (
-            "deadline_exceeded_jobs",
-            Json::Num(r.deadline_exceeded_jobs as f64),
-        ),
-        ("degraded", Json::Bool(r.degraded)),
-        ("total_backoff_ms", Json::Num(r.total_backoff_ms as f64)),
-        ("shot_shortfall", Json::Num(r.shot_shortfall as f64)),
+        ("jobs", r.jobs.into()),
+        ("attempts", r.attempts.into()),
+        ("retries", r.retries.into()),
+        ("fallback_jobs", r.fallback_jobs.into()),
+        ("short_circuited_jobs", r.short_circuited_jobs.into()),
+        ("fast_failed_jobs", r.fast_failed_jobs.into()),
+        ("deadline_exceeded_jobs", r.deadline_exceeded_jobs.into()),
+        ("degraded", r.degraded.into()),
+        ("total_backoff_ms", r.total_backoff_ms.into()),
+        ("shot_shortfall", r.shot_shortfall.into()),
         (
             "failures",
             Json::Arr(r.failures.iter().map(failure_to_json).collect()),
         ),
         (
             "by_backend",
-            obj_from(
+            Json::Obj(
                 r.by_backend
                     .iter()
-                    .map(|(name, usage)| (name.clone(), backend_usage_to_json(usage))),
+                    .map(|(name, usage)| (name.clone(), backend_usage_to_json(usage)))
+                    .collect(),
             ),
         ),
     ])
@@ -449,28 +362,31 @@ pub fn report_to_json(r: &ExecutionReport) -> Json {
 
 /// Decodes an execution report.
 pub fn report_from_json(v: &Json) -> Result<ExecutionReport, WireError> {
-    let mut failures = Vec::new();
-    for f in array(v, "failures")? {
-        failures.push(failure_from_json(f)?);
-    }
-    // Lenient: peers predating per-backend attribution omit the field.
-    let mut by_backend = BTreeMap::new();
-    if let Some(Json::Obj(map)) = v.get("by_backend") {
-        for (name, usage) in map {
-            by_backend.insert(name.clone(), backend_usage_from_json(usage)?);
-        }
-    }
+    let failures = v
+        .field::<&[Json]>("failures")?
+        .iter()
+        .map(failure_from_json)
+        .collect::<Result<_, _>>()?;
+    // Lenient: peers predating per-backend attribution omit the field,
+    // and anything but an object reads as no attribution.
+    let by_backend = match v.get("by_backend") {
+        Some(Json::Obj(map)) => map
+            .iter()
+            .map(|(name, usage)| Ok((name.clone(), backend_usage_from_json(usage)?)))
+            .collect::<Result<_, WireError>>()?,
+        _ => BTreeMap::new(),
+    };
     Ok(ExecutionReport {
-        jobs: usize_field(v, "jobs")?,
-        attempts: usize_field(v, "attempts")?,
-        retries: usize_field(v, "retries")?,
-        fallback_jobs: usize_field(v, "fallback_jobs")?,
-        short_circuited_jobs: usize_field(v, "short_circuited_jobs")?,
-        fast_failed_jobs: usize_field(v, "fast_failed_jobs")?,
-        deadline_exceeded_jobs: usize_field(v, "deadline_exceeded_jobs")?,
-        degraded: boolean(v, "degraded")?,
-        total_backoff_ms: uint(v, "total_backoff_ms")?,
-        shot_shortfall: usize_field(v, "shot_shortfall")?,
+        jobs: v.field("jobs")?,
+        attempts: v.field("attempts")?,
+        retries: v.field("retries")?,
+        fallback_jobs: v.field("fallback_jobs")?,
+        short_circuited_jobs: v.field("short_circuited_jobs")?,
+        fast_failed_jobs: v.field("fast_failed_jobs")?,
+        deadline_exceeded_jobs: v.field("deadline_exceeded_jobs")?,
+        degraded: v.field("degraded")?,
+        total_backoff_ms: v.field("total_backoff_ms")?,
+        shot_shortfall: v.field("shot_shortfall")?,
         failures,
         by_backend,
     })
@@ -484,7 +400,7 @@ pub fn result_to_json(r: &Result<Measurements, BackendError>) -> Json {
     }
 }
 
-/// Decodes a job result.
+/// Decodes a job result; a present `ok` wins over `err`.
 pub fn result_from_json(v: &Json) -> Result<Result<Measurements, BackendError>, WireError> {
     if let Some(ok) = v.get("ok") {
         return Ok(Ok(measurements_from_json(ok)?));
@@ -506,26 +422,40 @@ pub fn outcome_to_json(o: &JobOutcome) -> Json {
 /// Decodes a finished job's full outcome.
 pub fn outcome_from_json(v: &Json) -> Result<JobOutcome, WireError> {
     Ok(JobOutcome {
-        result: result_from_json(field(v, "result")?)?,
-        report: report_from_json(field(v, "report")?)?,
+        result: result_from_json(v.field("result")?)?,
+        report: report_from_json(v.field("report")?)?,
     })
 }
 
-// ---- requests and status mapping -------------------------------------
+// ---- requests, acks and status mapping -------------------------------
 
 /// Builds the `POST /v1/jobs` request body.
 pub fn submit_request_to_json(job: &BatchJob, lane: Lane) -> Json {
     Json::obj([
         ("job", job_to_json(job)),
-        ("lane", Json::Str(lane_to_str(lane).into())),
+        ("lane", lane_to_str(lane).into()),
     ])
 }
 
 /// Decodes the `POST /v1/jobs` request body.
 pub fn submit_request_from_json(v: &Json) -> Result<(BatchJob, Lane), WireError> {
-    let job = job_from_json(field(v, "job")?)?;
-    let lane = lane_from_str(str_field(v, "lane")?)?;
+    let job = job_from_json(v.field("job")?)?;
+    let lane = lane_from_str(v.field("lane")?)?;
     Ok((job, lane))
+}
+
+/// Encodes the `POST /v1/jobs` acknowledgement `{ticket, lane}` (also a
+/// streamed submit's accepted entry).
+pub fn submit_ack_to_json(ticket: Ticket, lane: Lane) -> Json {
+    Json::obj([
+        ("ticket", ticket.into()),
+        ("lane", lane_to_str(lane).into()),
+    ])
+}
+
+/// Decodes the `POST /v1/jobs` acknowledgement: the ticket.
+pub fn submit_ack_from_json(v: &Json) -> Result<Ticket, WireError> {
+    Ok(v.field("ticket")?)
 }
 
 /// Parses a request body held as raw bytes into a JSON value.
@@ -533,6 +463,23 @@ pub fn parse_body(body: &[u8]) -> Result<Json, WireError> {
     let text =
         std::str::from_utf8(body).map_err(|_| WireError::new("request body is not UTF-8"))?;
     Ok(Json::parse(text)?)
+}
+
+/// `{kind, …fields}`: the tag every typed error document carries.
+fn tagged(kind: &str, fields: Vec<(&'static str, Json)>) -> Json {
+    Json::obj([("kind", kind.into())].into_iter().chain(fields))
+}
+
+/// A typed error document `{kind, message, …fields}` — the body of
+/// every refusal and protocol error the front door answers.
+pub fn error_body(
+    kind: &str,
+    message: impl Into<String>,
+    fields: Vec<(&'static str, Json)>,
+) -> Json {
+    let mut fields = fields;
+    fields.push(("message", message.into().into()));
+    tagged(kind, fields)
 }
 
 /// HTTP status a refused submission maps to:
@@ -547,23 +494,18 @@ pub fn submit_error_status(e: &SubmitError) -> u16 {
 
 /// Encodes a refused submission.
 pub fn submit_error_to_json(e: &SubmitError) -> Json {
-    let (kind, fields): (&str, Vec<(&'static str, Json)>) = match e {
+    let (kind, fields) = match e {
         SubmitError::QueueFull { lane, capacity } => (
             "queue_full",
             vec![
-                ("lane", Json::Str(lane_to_str(*lane).into())),
-                ("capacity", Json::Num(*capacity as f64)),
+                ("lane", lane_to_str(*lane).into()),
+                ("capacity", (*capacity).into()),
             ],
         ),
-        SubmitError::Shed { backend } => ("shed", vec![("backend", Json::Str(backend.clone()))]),
+        SubmitError::Shed { backend } => ("shed", vec![("backend", backend.as_str().into())]),
         SubmitError::Stopping => ("stopping", vec![]),
     };
-    let mut pairs = vec![
-        ("kind", Json::Str(kind.into())),
-        ("message", Json::Str(e.to_string())),
-    ];
-    pairs.extend(fields);
-    Json::obj(pairs)
+    error_body(kind, e.to_string(), fields)
 }
 
 /// HTTP status a *completed-but-failed* job maps to when its outcome is
@@ -577,108 +519,172 @@ pub fn backend_error_status(e: &BackendError) -> u16 {
     }
 }
 
-// ---- mitigation sweeps -----------------------------------------------
-
-/// Encodes a 2×2 readout confusion matrix as two number rows
-/// (`m[true][observed]`, row-stochastic).
-pub fn confusion_to_json(m: &Confusion) -> Json {
-    Json::Arr(vec![Json::nums(m[0]), Json::nums(m[1])])
+/// Non-blocking view of a ticket, as `GET /v1/jobs/{ticket}` reports it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TicketStatus {
+    /// Still waiting in a lane.
+    Queued,
+    /// A worker is executing it.
+    Running,
+    /// Finished — outcome handed over (and consumed server-side).
+    Ready(JobOutcome),
 }
 
-/// Decodes a 2×2 readout confusion matrix.
-pub fn confusion_from_json(v: &Json) -> Result<Confusion, WireError> {
-    let rows = v
-        .as_array()
-        .ok_or_else(|| WireError::new("confusion matrix is not an array"))?;
-    if rows.len() != 2 {
-        return Err(WireError::new("confusion matrix needs exactly 2 rows"));
+/// The HTTP status and `{status, …}` document answering a ticket poll
+/// or wait: `{status: "ready", outcome}` with 200 (or the failed job's
+/// [`backend_error_status`]), `queued`/`running` with 202, `unknown`
+/// with 404.
+pub fn poll_to_json(p: &Poll) -> (u16, Json) {
+    let state = |s: &str| Json::obj([("status", s.into())]);
+    match p {
+        Poll::Ready(outcome) => (
+            outcome
+                .result
+                .as_ref()
+                .map_or_else(backend_error_status, |_| 200),
+            Json::obj([
+                ("status", "ready".into()),
+                ("outcome", outcome_to_json(outcome)),
+            ]),
+        ),
+        Poll::Queued => (202, state("queued")),
+        Poll::Running => (202, state("running")),
+        Poll::Unknown => (404, state("unknown")),
     }
-    let mut m: Confusion = [[0.0; 2]; 2];
-    for (r, row) in rows.iter().enumerate() {
-        let cells = row
-            .as_array()
-            .ok_or_else(|| WireError::new("confusion row is not an array"))?;
-        if cells.len() != 2 {
-            return Err(WireError::new("confusion row needs exactly 2 entries"));
-        }
-        for (c, cell) in cells.iter().enumerate() {
-            m[r][c] = num_of(cell, "confusion entry")?;
-        }
-    }
-    Ok(m)
 }
 
-/// Builds the `POST /v1/mitigate` request body: the unfolded circuit
-/// plus the full mitigation recipe (scales, fold strategy, ZNE method,
-/// optional per-qubit readout confusions) and the sweep's replay seed.
-pub fn mitigate_request_to_json(job: &MitigatedJob, seed: u64) -> Json {
+/// Decodes a `queued`/`running`/`ready` ticket-status document.
+pub fn ticket_status_from_json(v: &Json) -> Result<TicketStatus, WireError> {
+    match v.field::<&str>("status")? {
+        "queued" => Ok(TicketStatus::Queued),
+        "running" => Ok(TicketStatus::Running),
+        "ready" => Ok(TicketStatus::Ready(outcome_from_json(v.field("outcome")?)?)),
+        other => Err(WireError::new(format!("unknown status '{other}'"))),
+    }
+}
+
+// ---- streams ---------------------------------------------------------
+
+/// One event off `GET /v1/stream`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StreamEvent {
+    /// Which ticket completed.
+    pub ticket: Ticket,
+    /// Its result (evictions and fast-fails included).
+    pub result: Result<Measurements, BackendError>,
+}
+
+/// Encodes one completion line of `GET /v1/stream`.
+pub fn stream_event_to_json(ticket: Ticket, result: &Result<Measurements, BackendError>) -> Json {
     Json::obj([
-        ("circuit", circuit_to_json(&job.circuit)),
-        (
-            "shots",
-            job.shots.map_or(Json::Null, |s| Json::Num(s as f64)),
-        ),
-        (
-            "scales",
-            Json::Arr(job.scales.iter().map(|&s| Json::Num(s as f64)).collect()),
-        ),
-        ("strategy", Json::Str(job.strategy.name().into())),
-        ("method", Json::Str(job.method.name().into())),
-        (
-            "readout",
-            match &job.readout {
-                None => Json::Null,
-                Some(r) => Json::Arr(r.iter().map(confusion_to_json).collect()),
-            },
-        ),
-        ("seed", Json::Num(seed as f64)),
+        ("ticket", ticket.into()),
+        ("result", result_to_json(result)),
     ])
 }
 
-/// Decodes the `POST /v1/mitigate` request body. `seed` is optional on
-/// the wire and defaults to 0 — the sweep still replays bitwise, just
-/// from the default seed.
+/// Decodes one completion line of `GET /v1/stream`.
+pub fn stream_event_from_json(v: &Json) -> Result<StreamEvent, WireError> {
+    Ok(StreamEvent {
+        ticket: v.field("ticket")?,
+        result: result_from_json(v.field("result")?)?,
+    })
+}
+
+/// One line's verdict from the streaming batch submit
+/// (`POST /v1/jobs/stream`): the ticket, or the refusal the line would
+/// have earned as a lone request.
+#[derive(Debug, Clone, PartialEq)]
+pub enum StreamSubmit {
+    /// The job was admitted under this ticket.
+    Accepted(Ticket),
+    /// The job was refused (429 queue-full, 503 shed/stopping, 400
+    /// malformed line).
+    Refused {
+        /// The per-item HTTP-equivalent status.
+        status: u16,
+        /// The typed refusal body, as JSON text.
+        body: String,
+    },
+}
+
+/// Encodes the streaming submit's answer `{results, accepted, refused}`:
+/// per line in order, the [`submit_ack_to_json`] of an admitted job or
+/// `{status, error}` for a refusal with its HTTP-equivalent status and
+/// typed body.
+pub fn stream_submit_to_json(verdicts: Vec<Result<(Ticket, Lane), (u16, Json)>>) -> Json {
+    let accepted = verdicts.iter().filter(|v| v.is_ok()).count();
+    let refused = verdicts.len() - accepted;
+    let results = verdicts
+        .into_iter()
+        .map(|verdict| match verdict {
+            Ok((ticket, lane)) => submit_ack_to_json(ticket, lane),
+            Err((status, error)) => Json::obj([("status", status.into()), ("error", error)]),
+        })
+        .collect();
+    Json::obj([
+        ("results", Json::Arr(results)),
+        ("accepted", accepted.into()),
+        ("refused", refused.into()),
+    ])
+}
+
+/// Decodes the streaming submit's per-line verdicts: an entry with a
+/// ticket was accepted, any other must carry its refusal status.
+pub fn stream_submit_from_json(v: &Json) -> Result<Vec<StreamSubmit>, WireError> {
+    v.field::<&[Json]>("results")?
+        .iter()
+        .map(stream_verdict_from_json)
+        .collect()
+}
+
+fn stream_verdict_from_json(item: &Json) -> Result<StreamSubmit, WireError> {
+    Ok(match item.opt_field("ticket")? {
+        Some(ticket) => StreamSubmit::Accepted(ticket),
+        None => StreamSubmit::Refused {
+            status: item.field("status")?,
+            body: item.get("error").map(Json::to_json).unwrap_or_default(),
+        },
+    })
+}
+
+// ---- mitigation sweeps -----------------------------------------------
+
+/// Builds the `POST /v1/mitigate` request body: the unfolded circuit
+/// plus the full mitigation recipe (scales, fold strategy, ZNE method,
+/// optional per-qubit readout confusions, each two number rows
+/// `m[true][observed]`) and the sweep's replay seed.
+pub fn mitigate_request_to_json(job: &MitigatedJob, seed: u64) -> Json {
+    Json::obj([
+        ("circuit", circuit_to_json(&job.circuit)),
+        ("shots", job.shots.into()),
+        ("scales", job.scales.clone().into()),
+        ("strategy", job.strategy.name().into()),
+        ("method", job.method.name().into()),
+        ("readout", job.readout.clone().into()),
+        ("seed", seed.into()),
+    ])
+}
+
+/// Decodes the `POST /v1/mitigate` request body. `readout` and `seed`
+/// may be absent or null; `seed` then defaults to 0 — the sweep still
+/// replays bitwise, just from the default seed.
 pub fn mitigate_request_from_json(v: &Json) -> Result<(MitigatedJob, u64), WireError> {
-    let circuit = circuit_from_json(field(v, "circuit")?)?;
-    let shots = opt_usize(v, "shots")?;
-    let mut scales = Vec::new();
-    for s in array(v, "scales")? {
-        scales.push(uint_of(s, "scales")? as usize);
-    }
-    let strategy_name = str_field(v, "strategy")?;
+    let circuit = circuit_from_json(v.field("circuit")?)?;
+    let strategy_name: &str = v.field("strategy")?;
     let strategy = FoldStrategy::from_name(strategy_name)
         .ok_or_else(|| WireError::new(format!("unknown fold strategy '{strategy_name}'")))?;
-    let method_name = str_field(v, "method")?;
+    let method_name: &str = v.field("method")?;
     let method = ZneMethod::from_name(method_name)
         .ok_or_else(|| WireError::new(format!("unknown ZNE method '{method_name}'")))?;
-    let readout = match v.get("readout") {
-        None | Some(Json::Null) => None,
-        Some(r) => {
-            let rows = r
-                .as_array()
-                .ok_or_else(|| WireError::new("'readout' is not an array"))?;
-            Some(
-                rows.iter()
-                    .map(confusion_from_json)
-                    .collect::<Result<Vec<_>, _>>()?,
-            )
-        }
+    let job = MitigatedJob {
+        circuit,
+        shots: v.field("shots")?,
+        scales: v.field("scales")?,
+        strategy,
+        method,
+        readout: v.opt_field("readout")?,
     };
-    let seed = match v.get("seed") {
-        None | Some(Json::Null) => 0,
-        Some(other) => uint_of(other, "seed")?,
-    };
-    Ok((
-        MitigatedJob {
-            circuit,
-            shots,
-            scales,
-            strategy,
-            method,
-            readout,
-        },
-        seed,
-    ))
+    Ok((job, v.opt_field("seed")?.unwrap_or(0)))
 }
 
 /// HTTP status a refused mitigated submission maps to: every sweep-shape
@@ -694,45 +700,36 @@ pub fn mitigated_submit_error_status(e: &MitigatedSubmitError) -> u16 {
 
 /// Encodes a refused mitigated submission.
 pub fn mitigated_submit_error_to_json(e: &MitigatedSubmitError) -> Json {
-    let (kind, fields): (&str, Vec<(&'static str, Json)>) = match e {
+    let (kind, fields) = match e {
         MitigatedSubmitError::TooFewScales { got } => {
-            ("too_few_scales", vec![("got", Json::Num(*got as f64))])
+            ("too_few_scales", vec![("got", (*got).into())])
         }
         MitigatedSubmitError::DuplicateScale { scale } => {
-            ("duplicate_scale", vec![("scale", Json::Num(*scale as f64))])
+            ("duplicate_scale", vec![("scale", (*scale).into())])
         }
         MitigatedSubmitError::Fold(_) => ("fold", vec![]),
         MitigatedSubmitError::ReadoutShape { expected, got } => (
             "readout_shape",
-            vec![
-                ("expected", Json::Num(*expected as f64)),
-                ("got", Json::Num(*got as f64)),
-            ],
+            vec![("expected", (*expected).into()), ("got", (*got).into())],
         ),
         MitigatedSubmitError::Submit(inner) => {
             ("submit", vec![("error", submit_error_to_json(inner))])
         }
     };
-    let mut pairs = vec![
-        ("kind", Json::Str(kind.into())),
-        ("message", Json::Str(e.to_string())),
-    ];
-    pairs.extend(fields);
-    Json::obj(pairs)
+    error_body(kind, e.to_string(), fields)
 }
 
 /// Encodes a typed mitigation-math error, preserving every variant's
 /// fields so degenerate fits and singular confusions stay diagnosable
 /// on the wire.
 pub fn mitigate_error_to_json(e: &MitigateError) -> Json {
-    let (kind, fields): (&str, Vec<(&'static str, Json)>) = match e {
-        MitigateError::NotEnoughPoints { points } => (
-            "not_enough_points",
-            vec![("points", Json::Num(*points as f64))],
-        ),
+    let (kind, fields) = match e {
+        MitigateError::NotEnoughPoints { points } => {
+            ("not_enough_points", vec![("points", (*points).into())])
+        }
         MitigateError::ShapeMismatch { xs, ys } => (
             "shape_mismatch",
-            vec![("xs", Json::Num(*xs as f64)), ("ys", Json::Num(*ys as f64))],
+            vec![("xs", (*xs).into()), ("ys", (*ys).into())],
         ),
         MitigateError::RaggedRow {
             index,
@@ -741,27 +738,20 @@ pub fn mitigate_error_to_json(e: &MitigateError) -> Json {
         } => (
             "ragged_row",
             vec![
-                ("index", Json::Num(*index as f64)),
-                ("expected", Json::Num(*expected as f64)),
-                ("got", Json::Num(*got as f64)),
+                ("index", (*index).into()),
+                ("expected", (*expected).into()),
+                ("got", (*got).into()),
             ],
         ),
         MitigateError::DegenerateFit { denom } => {
-            ("degenerate_fit", vec![("denom", Json::Num(*denom))])
+            ("degenerate_fit", vec![("denom", (*denom).into())])
         }
-        MitigateError::NonFinite { what } => {
-            ("non_finite", vec![("what", Json::Str((*what).into()))])
-        }
+        MitigateError::NonFinite { what } => ("non_finite", vec![("what", (*what).into())]),
         MitigateError::SingularConfusion { det } => {
-            ("singular_confusion", vec![("det", Json::Num(*det))])
+            ("singular_confusion", vec![("det", (*det).into())])
         }
     };
-    let mut pairs = vec![
-        ("kind", Json::Str(kind.into())),
-        ("message", Json::Str(e.to_string())),
-    ];
-    pairs.extend(fields);
-    Json::obj(pairs)
+    error_body(kind, e.to_string(), fields)
 }
 
 /// HTTP status a completed-but-unaggregatable sweep maps to: a failed
@@ -778,19 +768,17 @@ pub fn mitigation_error_status(e: &MitigationError) -> u16 {
 
 /// Encodes the typed reason a completed sweep failed to aggregate.
 pub fn mitigation_error_to_json(e: &MitigationError) -> Json {
-    match e {
-        MitigationError::SubRun { scale, error } => Json::obj([
-            ("kind", Json::Str("sub_run".into())),
-            ("message", Json::Str(e.to_string())),
-            ("scale", Json::Num(*scale as f64)),
-            ("error", error_to_json(error)),
-        ]),
-        MitigationError::Math(inner) => Json::obj([
-            ("kind", Json::Str("mitigation_math".into())),
-            ("message", Json::Str(e.to_string())),
-            ("error", mitigate_error_to_json(inner)),
-        ]),
-    }
+    let (kind, fields) = match e {
+        MitigationError::SubRun { scale, error } => (
+            "sub_run",
+            vec![("scale", (*scale).into()), ("error", error_to_json(error))],
+        ),
+        MitigationError::Math(inner) => (
+            "mitigation_math",
+            vec![("error", mitigate_error_to_json(inner))],
+        ),
+    };
+    error_body(kind, e.to_string(), fields)
 }
 
 /// The client-side view of a mitigated sweep's 200 response: the single
@@ -822,20 +810,14 @@ pub fn mitigated_outcome_to_json(o: &MitigatedOutcome) -> Json {
                 Err(e) => Json::obj([("err", mitigation_error_to_json(e))]),
             },
         ),
-        (
-            "raw",
-            match &o.raw {
-                None => Json::Null,
-                Some(zs) => Json::nums(zs.iter().copied()),
-            },
-        ),
+        ("raw", o.raw.clone().into()),
         (
             "scales",
-            Json::Arr(o.runs.iter().map(|r| Json::Num(r.scale as f64)).collect()),
+            Json::Arr(o.runs.iter().map(|r| r.scale.into()).collect()),
         ),
         (
             "tickets",
-            Json::Arr(o.runs.iter().map(|r| Json::Num(r.ticket as f64)).collect()),
+            Json::Arr(o.runs.iter().map(|r| r.ticket.into()).collect()),
         ),
         ("report", report_to_json(&o.report)),
     ])
@@ -846,51 +828,32 @@ pub fn mitigated_outcome_to_json(o: &MitigatedOutcome) -> Json {
 /// travel with a non-2xx status and surface client-side as
 /// `ClientError::Status` with the typed body preserved.
 pub fn mitigated_result_from_json(v: &Json) -> Result<MitigatedResult, WireError> {
-    let mitigated = field(v, "mitigated")?;
+    let mitigated: &Json = v.field("mitigated")?;
     let Some(ok) = mitigated.get("ok") else {
         return Err(WireError::new(
             "mitigated sweep response carries 'err', not 'ok'",
         ));
     };
-    let raw = match field(v, "raw")? {
-        Json::Null => None,
-        other => {
-            let mut zs = Vec::new();
-            for z in other
-                .as_array()
-                .ok_or_else(|| WireError::new("'raw' is not an array"))?
-            {
-                zs.push(num_of(z, "raw")?);
-            }
-            Some(zs)
-        }
-    };
-    let mut scales = Vec::new();
-    for s in array(v, "scales")? {
-        scales.push(uint_of(s, "scales")? as usize);
-    }
-    let mut tickets = Vec::new();
-    for t in array(v, "tickets")? {
-        tickets.push(uint_of(t, "tickets")? as Ticket);
-    }
     Ok(MitigatedResult {
+        raw: v.field("raw")?,
+        scales: v.field("scales")?,
+        tickets: v.field("tickets")?,
         mitigated: measurements_from_json(ok)?,
-        raw,
-        scales,
-        tickets,
-        report: report_from_json(field(v, "report")?)?,
+        report: report_from_json(v.field("report")?)?,
     })
 }
+
+// ---- /healthz --------------------------------------------------------
 
 /// Renders a breaker state for `/healthz`.
 pub fn breaker_state_to_json(state: &BreakerState) -> Json {
     match state {
-        BreakerState::Closed => Json::obj([("state", Json::Str("closed".into()))]),
+        BreakerState::Closed => Json::obj([("state", "closed".into())]),
         BreakerState::Open { cooldown_left } => Json::obj([
-            ("state", Json::Str("open".into())),
-            ("cooldown_left", Json::Num(*cooldown_left as f64)),
+            ("state", "open".into()),
+            ("cooldown_left", (*cooldown_left).into()),
         ]),
-        BreakerState::HalfOpen => Json::obj([("state", Json::Str("half_open".into()))]),
+        BreakerState::HalfOpen => Json::obj([("state", "half_open".into())]),
     }
 }
 
@@ -899,10 +862,71 @@ pub fn breaker_state_to_json(state: &BreakerState) -> Json {
 pub fn breaker_snapshot_to_json(snap: &BreakerSnapshot) -> Json {
     Json::obj([
         ("state", breaker_state_to_json(&snap.state)),
-        ("trips", Json::Num(snap.trips as f64)),
-        ("recoveries", Json::Num(snap.recoveries as f64)),
-        ("short_circuited", Json::Num(snap.short_circuited as f64)),
+        ("trips", snap.trips.into()),
+        ("recoveries", snap.recoveries.into()),
+        ("short_circuited", snap.short_circuited.into()),
     ])
+}
+
+/// Renders an engine's queued and running job counts (the `/healthz`
+/// `load` section and each fleet device's `load`).
+pub fn engine_load_to_json(load: &EngineLoad) -> Json {
+    Json::obj([
+        ("queued_interactive", load.queued_interactive.into()),
+        ("queued_bulk", load.queued_bulk.into()),
+        ("running", load.running.into()),
+    ])
+}
+
+/// Renders the `/healthz` body: liveness (`ok` or `draining`), lane
+/// depths, engine load and counters, the transport section, every
+/// registered breaker, then each extra section under its key.
+pub fn health_to_json(
+    engine: &ServeEngine,
+    draining: bool,
+    transport: &crate::server::TransportSnapshot,
+    sections: impl IntoIterator<Item = (String, Json)>,
+) -> Json {
+    let stats = engine.stats();
+    let load = engine.load();
+    // One registry pass: every registered breaker appears, atomically.
+    let breakers = engine
+        .health_registry()
+        .snapshots()
+        .into_iter()
+        .map(|(key, snap)| (key, breaker_snapshot_to_json(&snap)))
+        .collect();
+    let mut body: BTreeMap<String, Json> = [
+        ("status", if draining { "draining" } else { "ok" }.into()),
+        (
+            "lanes",
+            Json::obj([
+                ("interactive", engine.queue_depth(Lane::Interactive).into()),
+                ("bulk", engine.queue_depth(Lane::Bulk).into()),
+            ]),
+        ),
+        ("load", engine_load_to_json(&load)),
+        (
+            "stats",
+            Json::obj([
+                ("submitted", stats.submitted.into()),
+                ("completed", stats.completed.into()),
+                ("completed_ok", stats.completed_ok.into()),
+                ("completed_err", stats.completed_err.into()),
+                ("rejected_full", stats.rejected_full.into()),
+                ("shed_oldest", stats.shed_oldest.into()),
+                ("shed_admission", stats.shed_admission.into()),
+                ("fast_failed", stats.fast_failed.into()),
+            ]),
+        ),
+        ("transport", transport_snapshot_to_json(transport)),
+        ("breakers", Json::Obj(breakers)),
+    ]
+    .into_iter()
+    .map(|(key, value)| (key.to_owned(), value))
+    .collect();
+    body.extend(sections);
+    Json::Obj(body)
 }
 
 /// Renders the fleet router's health view as the `/healthz` `fleet`
@@ -915,27 +939,14 @@ pub fn fleet_health_to_json(health: &FleetHealth) -> Json {
             .iter()
             .map(|d| {
                 Json::obj([
-                    ("name", Json::Str(d.name.clone())),
-                    ("quarantined", Json::Bool(d.quarantined)),
-                    (
-                        "load",
-                        Json::obj([
-                            (
-                                "queued_interactive",
-                                Json::Num(d.load.queued_interactive as f64),
-                            ),
-                            ("queued_bulk", Json::Num(d.load.queued_bulk as f64)),
-                            ("running", Json::Num(d.load.running as f64)),
-                        ]),
-                    ),
+                    ("name", d.name.as_str().into()),
+                    ("quarantined", d.quarantined.into()),
+                    ("load", engine_load_to_json(&d.load)),
                     (
                         "breaker",
-                        match &d.breaker {
-                            Some(snap) => breaker_snapshot_to_json(snap),
-                            None => Json::Null,
-                        },
+                        d.breaker.as_ref().map(breaker_snapshot_to_json).into(),
                     ),
-                    ("noise_estimate", Json::Num(d.noise_estimate)),
+                    ("noise_estimate", d.noise_estimate.into()),
                 ])
             })
             .collect(),
@@ -950,7 +961,6 @@ pub fn fleet_health_to_json(health: &FleetHealth) -> Json {
 /// pins every field, so a field added to
 /// [`qnat_fleet::DeviceCalibrationView`] must be added here too.
 pub fn calibration_health_to_json(health: &qnat_fleet::CalibrationHealth) -> Json {
-    let opt = |v: Option<f64>| v.map_or(Json::Null, Json::Num);
     Json::obj([
         (
             "devices",
@@ -960,50 +970,39 @@ pub fn calibration_health_to_json(health: &qnat_fleet::CalibrationHealth) -> Jso
                     .iter()
                     .map(|d| {
                         Json::obj([
-                            ("name", Json::Str(d.name.clone())),
-                            ("estimate", opt(d.estimate)),
-                            ("routing_estimate", opt(d.routing_estimate)),
-                            ("residual", Json::Num(d.residual)),
-                            ("window_fill", Json::Num(d.window_fill)),
-                            ("observations", Json::Num(d.observations as f64)),
+                            ("name", d.name.as_str().into()),
+                            ("estimate", d.estimate.into()),
+                            ("routing_estimate", d.routing_estimate.into()),
+                            ("residual", d.residual.into()),
+                            ("window_fill", d.window_fill.into()),
+                            ("observations", d.observations.into()),
                         ])
                     })
                     .collect(),
             ),
         ),
-        ("applied", Json::Num(health.applied as f64)),
-        ("pending", Json::Num(health.pending as f64)),
+        ("applied", health.applied.into()),
+        ("pending", health.pending.into()),
     ])
 }
 
 /// Renders the transport-level overload counters as the `/healthz`
 /// `transport` section — the observable half of the keep-alive /
-/// shedding contract (ISSUE 8). The snapshot-exactness test pins every
-/// field, so a counter added to [`crate::server::TransportSnapshot`]
-/// must be added here too.
+/// shedding contract. The snapshot-exactness test pins every field, so
+/// a counter added to [`crate::server::TransportSnapshot`] must be added
+/// here too.
 pub fn transport_snapshot_to_json(snap: &crate::server::TransportSnapshot) -> Json {
     Json::obj([
-        (
-            "active_connections",
-            Json::Num(snap.active_connections as f64),
-        ),
-        (
-            "connections_accepted",
-            Json::Num(snap.connections_accepted as f64),
-        ),
-        ("connections_shed", Json::Num(snap.connections_shed as f64)),
-        ("keepalive_reuses", Json::Num(snap.keepalive_reuses as f64)),
-        ("requests_served", Json::Num(snap.requests_served as f64)),
-        ("timeouts_408", Json::Num(snap.timeouts_408 as f64)),
-        ("bad_requests_400", Json::Num(snap.bad_requests_400 as f64)),
-        ("rejected_429", Json::Num(snap.rejected_429 as f64)),
-        ("unavailable_503", Json::Num(snap.unavailable_503 as f64)),
+        ("active_connections", snap.active_connections.into()),
+        ("connections_accepted", snap.connections_accepted.into()),
+        ("connections_shed", snap.connections_shed.into()),
+        ("keepalive_reuses", snap.keepalive_reuses.into()),
+        ("requests_served", snap.requests_served.into()),
+        ("timeouts_408", snap.timeouts_408.into()),
+        ("bad_requests_400", snap.bad_requests_400.into()),
+        ("rejected_429", snap.rejected_429.into()),
+        ("unavailable_503", snap.unavailable_503.into()),
     ])
-}
-
-/// Convenience: an object from owned-key pairs (healthz breaker maps).
-pub fn obj_from(pairs: impl IntoIterator<Item = (String, Json)>) -> Json {
-    Json::Obj(pairs.into_iter().collect::<BTreeMap<_, _>>())
 }
 
 #[cfg(test)]

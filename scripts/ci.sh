@@ -26,7 +26,11 @@
 #   7. docs:   rustdoc over the workspace with every warning denied
 #              (RUSTDOCFLAGS="-D warnings"): a doc link left pointing at
 #              a renamed, deleted or private item fails the build
-#   8. sim-bench: the simulator hot-path gate — the kernel bounds-check
+#   8. perfbench: build the end-to-end benchmark (its own manifest
+#              under perfbench/, outside the workspace) and run its unit
+#              tests, so a library API change that breaks the benchmark
+#              fails here rather than in a refused benchmark run
+#   9. sim-bench: the simulator hot-path gate — the kernel bounds-check
 #              regression tests re-run under --release (the checks must
 #              survive optimized builds, not just debug_assert), the
 #              kernel oracle (kernels::oracle: the small-block loop
@@ -56,7 +60,7 @@
 #              rate; it writes both to results/BENCH_gradients.json.
 #              The per-qubit mat2/mat4 kernel timings live in
 #              `cargo bench -p qnat-bench --bench sim_kernels`
-#   9. load:   the overload-robustness gate — the socket-level chaos
+#  10. load:   the overload-robustness gate — the socket-level chaos
 #              suite (resets, slow-loris, stalls, corruption against a
 #              live server; no hung workers, no leaked connection
 #              slots), then the open-loop load harness (Poisson +
@@ -66,7 +70,7 @@
 #              the overload SLO: p99 stays flat under 429/503 shedding
 #              and the pooled keep-alive client sustains >= 2x the
 #              connection-per-call request rate
-#  10. perf:   the batch-, serve-, transport- and fleet-throughput
+#  11. perf:   the batch-, serve-, transport- and fleet-throughput
 #              acceptance benches, which assert the 4-worker pool /
 #              serving engine / HTTP front door / routed fleet beats
 #              single-threaded submission by >= 2x on a 64-job workload
@@ -78,13 +82,13 @@
 #              the §4.2 submit body must take <= 32x as long as the 1x
 #              body (linear ≈ 16x, the old quadratic parser 179x); it writes
 #              encode/decode µs and ns/byte to results/BENCH_codec.json
-#  11. calib-bench: the calibration acceptance gate — drifting-fleet
+#  12. calib-bench: the calibration acceptance gate — drifting-fleet
 #              scenarios (RandomWalk and StepRecalibration heavy drift)
 #              asserting ScorePolicy::Predicted beats Static on
 #              accuracy-per-attempt and the learned tracker beats a
 #              frozen-preset baseline on attempt-weighted prequential
 #              Brier score; writes results/BENCH_calib.json
-#  12. mitigate: the ZNE acceptance bench, which asserts the served
+#  13. mitigate: the ZNE acceptance bench, which asserts the served
 #              gate-folding sweep beats the raw noisy expectation error
 #              on the §4.2 block under Santiago emulator noise and
 #              writes arm-by-arm errors plus sweep latency percentiles
@@ -118,6 +122,9 @@ cargo fmt --all -- --check
 
 echo "== docs: cargo doc, warnings denied =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
+echo "== perfbench: build the end-to-end benchmark and run its tests =="
+cargo test --offline --manifest-path perfbench/Cargo.toml
 
 echo "== sim-bench: release-mode kernel bounds regression and kernel loop-order oracle =="
 cargo test -q --release -p qnat-sim --test kernel_bounds
