@@ -35,9 +35,7 @@
 //! worker counts.
 
 use crate::executor::{ExecutionReport, ResilientExecutor};
-use crate::health::{
-    Admission, DeadlineBudget, DeadlinePolicy, HealthPolicy, HealthRegistry, JobSignal,
-};
+use crate::health::{Admission, DeadlineBudget, HealthPolicy, HealthRegistry, JobSignal};
 use qnat_noise::backend::{BackendError, Measurements};
 use qnat_noise::seed::derive;
 use qnat_sim::circuit::Circuit;
@@ -94,22 +92,13 @@ impl BatchOutcome {
     }
 }
 
-/// How a deadline budget is handed to per-job executors — shared by the
-/// batch pool and the `qnat-serve` serving engine.
-#[derive(Debug, Clone)]
-pub enum JobDeadline {
-    /// A fresh budget of this many ms per job.
-    PerJob(u64),
-    /// One shared budget across all jobs (batch-wide deadline).
-    Shared(DeadlineBudget),
-}
-
 /// Runs one job of a fleet — the worker-loop core shared by
 /// [`BatchExecutor`] and the long-lived workers of the `qnat-serve`
 /// engine. Builds the job's executor from `factory` at the global index
-/// and seed, attaches the `deadline` budget, applies the health layer's
-/// `short_circuit` verdict, executes, and remaps the report's failure
-/// records and any surfaced error to the global job index.
+/// and seed, attaches a fresh `deadline_ms` backoff budget, applies the
+/// health layer's `short_circuit` verdict, executes, and remaps the
+/// report's failure records and any surfaced error to the global job
+/// index.
 ///
 /// Determinism contract: for a fixed `(global, seed, job)` the outcome is
 /// a pure function of the factory — which worker (or which serving lane)
@@ -120,21 +109,15 @@ pub fn run_job<F>(
     seed: u64,
     job: &BatchJob,
     short_circuit: bool,
-    deadline: Option<&JobDeadline>,
+    deadline_ms: Option<u64>,
 ) -> (Result<Measurements, BackendError>, ExecutionReport)
 where
     F: Fn(u64, u64) -> Result<ResilientExecutor, BackendError> + ?Sized,
 {
     let (result, mut report) = match factory(global, seed) {
         Ok(mut ex) => {
-            match deadline {
-                Some(JobDeadline::PerJob(ms)) => {
-                    ex = ex.with_deadline(DeadlineBudget::new(*ms));
-                }
-                Some(JobDeadline::Shared(budget)) => {
-                    ex = ex.with_deadline(budget.clone());
-                }
-                None => {}
+            if let Some(ms) = deadline_ms {
+                ex = ex.with_deadline(DeadlineBudget::new(ms));
             }
             if short_circuit {
                 ex.short_circuit_primary();
@@ -207,8 +190,8 @@ where
 
     /// Like [`BatchExecutor::execute`], but under `policy`'s health layer:
     /// fleet-wide circuit breaking over the primary backend (the breaker
-    /// registered in `registry` under `breaker_key`) and/or deadline
-    /// budgets.
+    /// registered in `registry` under `breaker_key`) and/or per-job
+    /// deadline budgets.
     ///
     /// With a breaker, jobs run in epochs of
     /// [`crate::health::BreakerPolicy::decision_interval`]: admissions are
@@ -222,12 +205,8 @@ where
         registry: &HealthRegistry,
         breaker_key: &str,
     ) -> BatchOutcome {
-        let deadline = policy.deadline.map(|d| match d {
-            DeadlinePolicy::PerJob(ms) => JobDeadline::PerJob(ms),
-            DeadlinePolicy::Batch(ms) => JobDeadline::Shared(DeadlineBudget::new(ms)),
-        });
         let Some(breaker_policy) = &policy.breaker else {
-            let finished = self.run_slice(jobs, 0, None, deadline.as_ref());
+            let finished = self.run_slice(jobs, 0, None, policy.deadline_ms);
             return Self::collect(finished, jobs.len());
         };
         let epoch_len = breaker_policy.decision_interval.max(1);
@@ -236,7 +215,7 @@ where
         for chunk in jobs.chunks(epoch_len) {
             let admissions =
                 registry.with_breaker(breaker_key, breaker_policy, |b| b.plan_epoch(chunk.len()));
-            let mut part = self.run_slice(chunk, base, Some(&admissions), deadline.as_ref());
+            let mut part = self.run_slice(chunk, base, Some(&admissions), policy.deadline_ms);
             part.sort_by_key(|(i, _, _)| *i);
             registry.with_breaker(breaker_key, breaker_policy, |b| {
                 for (i, result, report) in &part {
@@ -252,14 +231,14 @@ where
 
     /// Fans `jobs` (batch-global indices `base..base + jobs.len()`) across
     /// the pool. `admissions`, when given, is index-aligned with `jobs`
-    /// and marks breaker-short-circuited jobs; `deadline` attaches backoff
-    /// budgets.
+    /// and marks breaker-short-circuited jobs; `deadline_ms` gives each job
+    /// a backoff budget.
     fn run_slice(
         &self,
         jobs: &[BatchJob],
         base: usize,
         admissions: Option<&[Admission]>,
-        deadline: Option<&JobDeadline>,
+        deadline_ms: Option<u64>,
     ) -> Vec<(usize, Result<Measurements, BackendError>, ExecutionReport)> {
         let n = jobs.len();
         let workers = self.workers.min(n.max(1));
@@ -280,7 +259,7 @@ where
                     self.job_seed(g),
                     &jobs[i],
                     short,
-                    deadline,
+                    deadline_ms,
                 );
                 done.push((base + i, result, report));
             }

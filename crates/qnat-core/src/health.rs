@@ -1,13 +1,13 @@
 //! Fleet-wide backend health: shared circuit breakers, half-open recovery
-//! probes, and deadline budgets.
+//! probes, and per-job deadline budgets.
 //!
 //! [`crate::executor::ResilientExecutor`] degrades *per executor*: in a
 //! [`crate::batch::BatchExecutor`] pool, where every job gets a fresh
 //! executor, a dying backend is rediscovered from scratch by every job —
 //! each one pays the full retry/backoff tax before giving up. This module
 //! is the layer that remembers: a [`CircuitBreaker`] per backend, held in
-//! a [`HealthRegistry`] shared across the pool, so the first few failures
-//! trip the breaker for the whole fleet and later jobs skip straight to
+//! a [`HealthRegistry`] owned by the deployment, so the first few failures
+//! trip the breaker for the whole batch and later jobs skip straight to
 //! the fallback.
 //!
 //! ## State machine
@@ -33,20 +33,14 @@
 //! breaker plans every admission of an epoch up front
 //! ([`CircuitBreaker::plan_epoch`]), the pool runs the epoch, and the
 //! outcomes are observed in job-index order
-//! ([`CircuitBreaker::observe`]). Workers never touch the breaker, so
-//! breaker-enabled batches remain **bitwise invariant in the worker
-//! count** — the same contract the plain batch path offers, pinned by
+//! ([`CircuitBreaker::observe`]). Workers never touch the breaker, and
+//! every job gets its own deadline budget
+//! ([`HealthPolicy::deadline_ms`]), so health-enabled batches remain
+//! **bitwise invariant in the worker count** in every configuration — the
+//! same contract the plain batch path offers, pinned by
 //! `qnat-core/tests/health_e2e.rs`. The price is reaction latency: a
 //! failure burst inside an epoch trips the breaker for the *next* epoch,
 //! not mid-epoch.
-//!
-//! Two configurations relax the contract (documented, not accidental):
-//! sharing one [`HealthRegistry`] across concurrently-running deployments
-//! interleaves their epoch observations nondeterministically, and a
-//! batch-wide [`DeadlinePolicy::Batch`] budget is consumed in completion
-//! order, so *which* jobs exceed the deadline can vary with the worker
-//! count even though the total cap always holds. Per-job budgets
-//! ([`DeadlinePolicy::PerJob`]) are fully invariant.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -308,10 +302,8 @@ pub struct BreakerSnapshot {
     pub short_circuited: u64,
 }
 
-/// The fleet's shared breaker table, keyed by backend name. One registry
-/// per deployment keeps batches deterministic; sharing a registry across
-/// concurrently-running deployments pools their health signal at the cost
-/// of deterministic trip points (see the module docs).
+/// A breaker table keyed by backend name, one per deployment (a batch
+/// deployment, a serving model or a fleet router).
 #[derive(Debug, Default)]
 pub struct HealthRegistry {
     breakers: Mutex<HashMap<String, CircuitBreaker>>,
@@ -407,18 +399,6 @@ impl HealthRegistry {
     }
 }
 
-/// Wall-clock deadline for batch execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeadlinePolicy {
-    /// Every job gets its own backoff budget of this many milliseconds —
-    /// fully worker-count invariant.
-    PerJob(u64),
-    /// The whole batch shares one backoff budget, consumed in completion
-    /// order. The cap always holds, but *which* jobs run out of budget
-    /// can vary with the worker count (see the module docs).
-    Batch(u64),
-}
-
 /// A shareable, thread-safe backoff budget in milliseconds.
 #[derive(Debug, Clone)]
 pub struct DeadlineBudget {
@@ -455,8 +435,9 @@ impl DeadlineBudget {
 pub struct HealthPolicy {
     /// Fleet-wide circuit breaking over the primary backend.
     pub breaker: Option<BreakerPolicy>,
-    /// Wall-clock backoff budgets.
-    pub deadline: Option<DeadlinePolicy>,
+    /// Per-job backoff budget in milliseconds: every job's executor gets
+    /// a fresh budget of this size.
+    pub deadline_ms: Option<u64>,
 }
 
 impl HealthPolicy {
@@ -464,7 +445,7 @@ impl HealthPolicy {
     pub fn breaker_only() -> Self {
         HealthPolicy {
             breaker: Some(BreakerPolicy::default()),
-            deadline: None,
+            deadline_ms: None,
         }
     }
 }

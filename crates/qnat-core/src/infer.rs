@@ -22,7 +22,9 @@
 //! * [`Qnn::deploy_batch`] — each block's whole batch fanned across a
 //!   [`BatchExecutor`] worker pool, every job behind a fresh executor from
 //!   [`BlockPlan::job_factory`]. Per-job seeding keeps results bitwise
-//!   identical to the single-worker path regardless of pool size.
+//!   identical to the single-worker path regardless of pool size, also
+//!   with the health layer on ([`BatchedQnn::with_health`]: a private
+//!   breaker per block plus per-job deadline budgets).
 //! * `qnat-serve`'s `ServingQnn` — blocks submitted to long-lived serving
 //!   engines built over the same job factory and per-block seeds
 //!   ([`block_seed`]), so a first served batch replays the pooled one.
@@ -398,12 +400,10 @@ pub struct BatchedQnn<'a> {
     faults: Option<FaultSpec>,
     workers: usize,
     seed: u64,
-    /// Opt-in fleet health: circuit breaking and/or deadline budgets
-    /// ([`BatchedQnn::with_health`]).
+    /// Opt-in fleet health: circuit breaking and/or per-job deadline
+    /// budgets ([`BatchedQnn::with_health`]).
     health: Option<HealthPolicy>,
-    /// Shared breaker table. Defaults to a private registry per
-    /// deployment (deterministic); [`BatchedQnn::with_health_registry`]
-    /// swaps in a shared one to pool health signal across deployments.
+    /// This deployment's breaker table, one breaker per block.
     registry: Arc<HealthRegistry>,
     // `infer` holds the deployment by shared reference while batch runs
     // accumulate into the report — hence interior mutability. A deployment
@@ -424,20 +424,12 @@ impl BatchedQnn<'_> {
     }
 
     /// Enables the fleet health layer (builder style): circuit breaking
-    /// and/or deadline budgets per [`HealthPolicy`]. Breakers live in this
-    /// deployment's registry, keyed per block
-    /// ([`BatchedQnn::breaker_key`]).
+    /// and/or per-job deadline budgets per [`HealthPolicy`]. Breakers live
+    /// in this deployment's registry, keyed per block
+    /// ([`BatchedQnn::breaker_key`]); results stay bitwise independent of
+    /// `workers`.
     pub fn with_health(mut self, health: HealthPolicy) -> Self {
         self.health = Some(health);
-        self
-    }
-
-    /// Swaps in a shared breaker registry (builder style) so several
-    /// deployments pool their health signal. Note the determinism caveat
-    /// in [`crate::health`]: trips driven by another deployment's traffic
-    /// arrive at nondeterministic points.
-    pub fn with_health_registry(mut self, registry: Arc<HealthRegistry>) -> Self {
-        self.registry = registry;
         self
     }
 

@@ -62,7 +62,7 @@ pub mod time;
 pub mod train;
 
 pub use ansatz::DesignSpace;
-pub use batch::{BatchExecutor, BatchJob, BatchOutcome, JobDeadline};
+pub use batch::{BatchExecutor, BatchJob, BatchOutcome};
 pub use compile_cache::{CacheStats, PlanCache, PlanKey};
 pub use executor::{
     ExecutionReport, ResilientExecutor, RetryPolicy, Sleeper, ThreadSleeper, VirtualSleeper,
@@ -70,7 +70,7 @@ pub use executor::{
 pub use forward::{PipelineOptions, QuantizeSpec};
 pub use health::{
     Admission, BreakerPolicy, BreakerSnapshot, BreakerState, CircuitBreaker, DeadlineBudget,
-    DeadlinePolicy, DeadlineSleeper, HealthPolicy, HealthRegistry, JobSignal,
+    DeadlineSleeper, HealthPolicy, HealthRegistry, JobSignal,
 };
 pub use infer::{
     infer, BlockPlan, Deployment, InferError, InferenceBackend, InferenceOptions, NormMode,

@@ -1,9 +1,9 @@
-//! Evaluation metrics: accuracy, SNR, MSE and error maps.
+//! Evaluation metrics: accuracy, SNR and MSE.
 //!
 //! The paper quantifies the normalization/quantization benefit with the
 //! signal-to-noise ratio `SNR = ‖A‖² / ‖A − Ã‖²` between noise-free (`A`)
 //! and noisy (`Ã`) measurement-outcome matrices (§3.1, Fig. 4, Table 5),
-//! and the per-entry error map / MSE for quantization (Fig. 6).
+//! and the per-entry MSE for quantization (Fig. 6).
 
 /// Classification accuracy from logits and labels.
 ///
@@ -59,15 +59,6 @@ pub fn mse(clean: &[Vec<f64>], noisy: &[Vec<f64>]) -> f64 {
     acc / n as f64
 }
 
-/// Element-wise error map `Ã − A` (Fig. 6).
-pub fn error_map(clean: &[Vec<f64>], noisy: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    clean
-        .iter()
-        .zip(noisy)
-        .map(|(a, b)| a.iter().zip(b).map(|(&x, &y)| y - x).collect())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,12 +95,5 @@ mod tests {
         let a = vec![vec![0.0, 1.0]];
         let b = vec![vec![0.3, 0.6]];
         assert!((mse(&a, &b) - (0.09 + 0.16) / 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn error_map_signs() {
-        let a = vec![vec![0.2]];
-        let b = vec![vec![0.5]];
-        assert!((error_map(&a, &b)[0][0] - 0.3).abs() < 1e-12);
     }
 }

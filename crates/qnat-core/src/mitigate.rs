@@ -10,9 +10,8 @@
 //!   trained block's layers are repeated (3 → 6 → 9 → 12 layers — each
 //!   repetition multiplies the noise while leaving the ideal
 //!   distribution's spread comparable), the per-qubit std is measured at
-//!   each depth, and a linear fit is extrapolated back to depth 0.
-//!   Outcomes are then rescaled so their std matches the extrapolated
-//!   noise-free value before the usual normalization.
+//!   each depth ([`batch_std`]), and a linear fit is extrapolated back to
+//!   depth 0 ([`extrapolate_std`]).
 //!
 //! * **ZNE + readout inversion for served sweeps.** The gate-folding
 //!   workload (`qnat-compiler::folding`, `qnat-serve::mitigate`) runs the
@@ -20,7 +19,7 @@
 //!   qubit's *expectation value* back to scale 0
 //!   ([`extrapolate_expectation`], linear or Richardson), optionally
 //!   after inverting the per-qubit readout confusion matrix
-//!   ([`unconfuse_expectation`], [`unconfuse_distribution`]).
+//!   ([`unconfuse_expectations`]).
 //!
 //! Everything here returns a typed [`MitigateError`] on degenerate input
 //! — no `assert!` on the public API, per the repo's no-panic library
@@ -127,8 +126,8 @@ fn check_finite(vals: &[f64], what: &'static str) -> Result<(), MitigateError> {
     Ok(())
 }
 
-/// Validates the `(scales, rows)` layout shared by [`extrapolate_std`]
-/// and [`extrapolate_expectations`]; returns the per-qubit width.
+/// Validates [`extrapolate_std`]'s `(scales, rows)` layout; returns the
+/// per-qubit width.
 fn check_rows(scales: &[f64], rows: &[Vec<f64>]) -> Result<usize, MitigateError> {
     if scales.len() != rows.len() {
         return Err(MitigateError::ShapeMismatch {
@@ -204,8 +203,8 @@ pub fn batch_std(outputs: &[Vec<f64>]) -> Vec<f64> {
 /// Returns the linear extrapolation to scale 0.
 ///
 /// A steeply-shrinking std can extrapolate to a *negative* intercept —
-/// non-physical, and feeding it to [`rescale_to_std`] would invert the
-/// sign of every outcome (the old code clamped it to `1e-6`, which made
+/// non-physical, and rescaling outcomes to it would invert the sign of
+/// every outcome (the old code clamped it to `1e-6`, which made
 /// the subsequent rescale silently *amplify* by ~10⁶ instead). Such a
 /// qubit now falls back to its smallest **observed** std — the least
 /// noise-inflated measurement actually in hand — which biases that qubit
@@ -324,46 +323,12 @@ pub fn extrapolate_expectation(
     }
 }
 
-/// Extrapolates every qubit's expectation to zero noise:
-/// `values[k][q]` is qubit `q`'s expectation at `scales[k]`.
-///
-/// # Errors
-///
-/// As in [`extrapolate_expectation`], plus
-/// [`MitigateError::RaggedRow`] when rows disagree on qubit count.
-pub fn extrapolate_expectations(
-    scales: &[f64],
-    values: &[Vec<f64>],
-    method: ZneMethod,
-) -> Result<Vec<f64>, MitigateError> {
-    let n_q = check_rows(scales, values)?;
-    (0..n_q)
-        .map(|q| {
-            let ys: Vec<f64> = values.iter().map(|v| v[q]).collect();
-            extrapolate_expectation(scales, &ys, method)
-        })
-        .collect()
-}
-
-/// Rescales a batch so each qubit's std equals `target_std` (keeping the
-/// mean), then applies standard post-measurement normalization. This is the
-/// "Normalization + Extrapolation" arm of Table 4.
-pub fn rescale_to_std(outputs: &mut [Vec<f64>], target_std: &[f64]) {
-    let stats = crate::normalize::NormStats::from_batch(outputs);
-    for row in outputs.iter_mut() {
-        for (j, v) in row.iter_mut().enumerate() {
-            *v = (*v - stats.mean[j]) / stats.std[j] * target_std[j] + stats.mean[j];
-        }
-    }
-}
-
 // ---- readout-confusion inversion --------------------------------------
 
 /// Inverts a per-qubit readout confusion matrix.
 ///
-/// The inverse generally has negative entries — applying it produces
-/// *quasi*-probabilities that downstream code must project back to the
-/// simplex (see [`unconfuse_distribution`]).
+/// The inverse generally has negative entries — applying it to a
+/// distribution produces *quasi*-probabilities.
 ///
 /// # Errors
 ///
@@ -436,82 +401,10 @@ pub fn unconfuse_expectations(
         .collect()
 }
 
-/// Projects a quasi-probability vector back onto the probability simplex
-/// (in place): negative entries are clipped to 0 and the rest is
-/// renormalized to total mass 1. Returns the clipped mass — a direct
-/// observability hook for how non-physical the inversion was (0.0 means
-/// the inverse was already a distribution).
-///
-/// **Bias:** clipping is a projection, not an unbiased correction — mass
-/// that the inversion pushed negative is redistributed proportionally
-/// over the remaining outcomes. If every entry clips to zero (possible
-/// only for pathological quasi-distributions) the result is uniform.
-pub fn clamp_to_simplex(probs: &mut [f64]) -> f64 {
-    let mut clipped = 0.0;
-    for p in probs.iter_mut() {
-        if *p < 0.0 {
-            clipped -= *p;
-            *p = 0.0;
-        }
-    }
-    let total: f64 = probs.iter().sum();
-    if total > 0.0 {
-        for p in probs.iter_mut() {
-            *p /= total;
-        }
-    } else if !probs.is_empty() {
-        let uniform = 1.0 / probs.len() as f64;
-        for p in probs.iter_mut() {
-            *p = uniform;
-        }
-    }
-    clipped
-}
-
-/// Inverts a readout confusion matrix for qubit `q` on a joint
-/// distribution over basis states (in place), then projects the result
-/// back onto the simplex. Returns the clipped quasi-probability mass
-/// (see [`clamp_to_simplex`] for the bias this introduces).
-///
-/// The forward map ([`qnat_sim::measure::apply_confusion`]) applies
-/// `Mᵀ` per qubit; this applies `(M⁻¹)ᵀ` with the same stride walk.
-///
-/// # Errors
-///
-/// [`MitigateError::ShapeMismatch`] unless `probs.len()` is a power of
-/// two with `q` in range, otherwise as in [`invert_confusion`].
-pub fn unconfuse_distribution(
-    probs: &mut [f64],
-    q: usize,
-    m: &Confusion,
-) -> Result<f64, MitigateError> {
-    if !probs.len().is_power_of_two() || (1usize << q) >= probs.len() {
-        return Err(MitigateError::ShapeMismatch {
-            xs: probs.len(),
-            ys: 1 << q,
-        });
-    }
-    check_finite(probs, "probability")?;
-    let inv = invert_confusion(m)?;
-    let bit = 1usize << q;
-    let n = probs.len();
-    let mut base = 0usize;
-    while base < n {
-        for low in base..base + bit {
-            let p0 = probs[low];
-            let p1 = probs[low | bit];
-            probs[low] = inv[0][0] * p0 + inv[1][0] * p1;
-            probs[low | bit] = inv[0][1] * p0 + inv[1][1] * p1;
-        }
-        base += bit << 1;
-    }
-    Ok(clamp_to_simplex(probs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qnat_sim::measure::{apply_confusion, confuse_expectation};
+    use qnat_sim::measure::confuse_expectation;
 
     #[test]
     fn linear_fit_exact_line() {
@@ -601,24 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn rescale_changes_std_not_mean() {
-        let mut batch = vec![
-            vec![0.1, 0.5],
-            vec![0.3, 0.1],
-            vec![-0.2, 0.9],
-            vec![0.6, -0.3],
-        ];
-        let before = crate::normalize::NormStats::from_batch(&batch);
-        rescale_to_std(&mut batch, &[1.0, 2.0]);
-        let after = crate::normalize::NormStats::from_batch(&batch);
-        for j in 0..2 {
-            assert!((after.mean[j] - before.mean[j]).abs() < 1e-10);
-        }
-        assert!((after.std[0] - 1.0).abs() < 1e-6);
-        assert!((after.std[1] - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn richardson_is_exact_on_polynomials() {
         // y = 0.7 − 0.2x + 0.05x²: three points determine it exactly, so
         // Richardson recovers the intercept 0.7 while linear does not.
@@ -643,39 +518,12 @@ mod tests {
     }
 
     #[test]
-    fn extrapolate_expectations_per_qubit() {
-        let scales = [1.0, 3.0, 5.0];
-        let values: Vec<Vec<f64>> = scales
-            .iter()
-            .map(|&s| vec![0.9 - 0.1 * s, -0.4 + 0.05 * s])
-            .collect();
-        let z = extrapolate_expectations(&scales, &values, ZneMethod::Linear).expect("zne");
-        assert!((z[0] - 0.9).abs() < 1e-10);
-        assert!((z[1] + 0.4).abs() < 1e-10);
-    }
-
-    #[test]
     fn confusion_inversion_round_trips() {
         let m: Confusion = [[0.984, 0.016], [0.022, 0.978]];
         for z in [-0.9, -0.3, 0.0, 0.4, 0.85] {
             let observed = confuse_expectation(z, &m);
             let recovered = unconfuse_expectation(observed, &m).expect("invert");
             assert!((recovered - z).abs() < 1e-12, "z={z} → {recovered}");
-        }
-    }
-
-    #[test]
-    fn distribution_inversion_round_trips() {
-        let m: Confusion = [[0.95, 0.05], [0.08, 0.92]];
-        let ideal = vec![0.05, 0.15, 0.35, 0.45];
-        let mut p = ideal.clone();
-        apply_confusion(&mut p, 0, &m);
-        apply_confusion(&mut p, 1, &m);
-        let c1 = unconfuse_distribution(&mut p, 1, &m).expect("invert q1");
-        let c0 = unconfuse_distribution(&mut p, 0, &m).expect("invert q0");
-        assert_eq!((c0, c1), (0.0, 0.0), "exact inverse clips nothing");
-        for (a, b) in p.iter().zip(&ideal) {
-            assert!((a - b).abs() < 1e-12);
         }
     }
 
@@ -691,28 +539,10 @@ mod tests {
             unconfuse_expectation(0.2, &coin),
             Err(MitigateError::SingularConfusion { .. })
         ));
-        let mut p = vec![0.5, 0.5];
-        assert!(matches!(
-            unconfuse_distribution(&mut p, 0, &coin),
-            Err(MitigateError::SingularConfusion { .. })
-        ));
         // Just above the threshold still inverts to finite values.
         let near: Confusion = [[0.51, 0.49], [0.49, 0.51]];
         let inv = invert_confusion(&near).expect("invertible");
         assert!(inv.iter().flatten().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn quasi_probabilities_are_clamped_to_simplex() {
-        // Shot noise pushes an observed distribution outside the image of
-        // the confusion map; the inverse then has a negative entry.
-        let m: Confusion = [[0.9, 0.1], [0.2, 0.8]];
-        let mut p = vec![0.05, 0.95]; // more |1⟩ than the map can produce from a simplex point
-        let clipped = unconfuse_distribution(&mut p, 0, &m).expect("invert");
-        assert!(clipped > 0.0, "this case must clip");
-        assert!(p.iter().all(|&v| (0.0..=1.0).contains(&v)));
-        let total: f64 = p.iter().sum();
-        assert!((total - 1.0).abs() < 1e-12);
     }
 
     #[test]

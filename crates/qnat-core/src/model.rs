@@ -494,17 +494,6 @@ impl Qnn {
             plan,
         }
     }
-
-    /// Binds one block's logical circuit for the given inputs (used by the
-    /// deployment path which re-transpiles for a target device).
-    pub fn bind_logical(&self, block_idx: usize, inputs: &[f64]) -> Circuit {
-        let block = &self.blocks[block_idx];
-        let mut c = block.logical.clone();
-        let mut params = block.encoder.angles(inputs);
-        params.extend_from_slice(self.block_params(block_idx));
-        c.set_parameters(&params);
-        c
-    }
 }
 
 #[cfg(test)]

@@ -4,9 +4,7 @@
 
 use qnat_core::batch::{BatchExecutor, BatchJob};
 use qnat_core::executor::{ResilientExecutor, RetryPolicy};
-use qnat_core::health::{
-    BreakerPolicy, BreakerState, DeadlinePolicy, HealthPolicy, HealthRegistry,
-};
+use qnat_core::health::{BreakerPolicy, BreakerState, HealthPolicy, HealthRegistry};
 use qnat_core::infer::{infer, InferenceBackend, InferenceOptions};
 use qnat_core::model::{Qnn, QnnConfig};
 use qnat_noise::backend::{BackendError, SimulatorBackend};
@@ -107,58 +105,21 @@ fn breaker_cuts_attempts_and_backoff_at_equal_success() {
     assert!(snap.recoveries == 0, "the primary never comes back");
 }
 
-/// A batch-wide backoff budget caps the total backoff spend; jobs that run
-/// out of budget fail with `DeadlineExceeded` without sinking the batch.
-#[test]
-fn batch_deadline_budget_is_enforced_without_sinking_the_batch() {
-    let n = 32;
-    let budget_ms = 120;
-    let pool = BatchExecutor::new(4, 0xDEAD, no_fallback_factory(0.7));
-    let policy = HealthPolicy {
-        breaker: None,
-        deadline: Some(DeadlinePolicy::Batch(budget_ms)),
-    };
-    let out = pool.execute_with_health(&jobs(n), &policy, &HealthRegistry::new(), "primary");
-
-    assert_eq!(out.results.len(), n, "every job reports a result");
-    assert!(
-        out.report.total_backoff_ms <= budget_ms,
-        "spent {} ms of a {budget_ms} ms budget",
-        out.report.total_backoff_ms
-    );
-    let deadline_errors = out
-        .results
-        .iter()
-        .filter(|r| matches!(r, Err(BackendError::DeadlineExceeded { .. })))
-        .count();
-    assert_eq!(out.report.deadline_exceeded_jobs, deadline_errors);
-    assert!(
-        deadline_errors > 0,
-        "a 70% fault rate over 32 jobs must exhaust a {budget_ms} ms budget"
-    );
-    assert!(
-        out.results.iter().any(|r| r.is_ok()),
-        "the budget must not starve the whole batch"
-    );
-    // No unbudgeted run needed for comparison: the cap plus surviving
-    // successes is the whole claim.
-}
-
 /// Per-job deadline budgets are fully deterministic: every job gets the
 /// same budget regardless of completion order.
 #[test]
 fn per_job_deadline_flags_exactly_the_over_budget_jobs() {
     let n = 24;
     let pool = BatchExecutor::new(3, 0x0DD5, no_fallback_factory(0.8));
-    let run = |deadline: Option<DeadlinePolicy>| {
+    let run = |deadline_ms: Option<u64>| {
         let policy = HealthPolicy {
             breaker: None,
-            deadline,
+            deadline_ms,
         };
         pool.execute_with_health(&jobs(n), &policy, &HealthRegistry::new(), "primary")
     };
     let unbounded = run(None);
-    let bounded = run(Some(DeadlinePolicy::PerJob(25)));
+    let bounded = run(Some(25));
 
     assert_eq!(bounded.results.len(), n);
     assert!(
@@ -191,7 +152,7 @@ fn breaker_and_per_job_deadline_are_worker_count_invariant() {
         let registry = HealthRegistry::new();
         let policy = HealthPolicy {
             breaker: Some(BreakerPolicy::default()),
-            deadline: Some(DeadlinePolicy::PerJob(40)),
+            deadline_ms: Some(40),
         };
         let out = pool.execute_with_health(&jobs(n), &policy, &registry, "primary");
         let snap = registry.snapshot("primary").expect("breaker created");
@@ -234,7 +195,7 @@ fn breaker_recovers_via_probes_when_the_primary_heals() {
             probe_budget: 2,
             decision_interval: 4,
         }),
-        deadline: None,
+        deadline_ms: None,
     };
     let registry = HealthRegistry::new();
     let out = BatchExecutor::new(4, 0x7EA1, factory).execute_with_health(
@@ -273,7 +234,7 @@ fn breaker_trip_smoke() {
                 probe_budget: 1,
                 decision_interval: 4,
             }),
-            deadline: None,
+            deadline_ms: None,
         };
         let out = BatchExecutor::new(2, 5, flaky_factory(1.0)).execute_with_health(
             &jobs(12),
@@ -366,5 +327,67 @@ fn deployed_batch_with_breaker_matches_results_and_cuts_attempts() {
         assert!(key.starts_with("emulator("), "key: {key}");
         let snap = on_registry.snapshot(key).expect("key listed");
         assert!(snap.trips >= 1, "every block's primary is dead: {key}");
+    }
+}
+
+/// Determinism contract pin at the deployment level: `deploy_batch` with
+/// a breaker and a per-job deadline gives bitwise identical block
+/// outputs, merged report and breaker snapshots at 1, 2 and 4 workers.
+#[test]
+fn deployed_batch_with_breaker_and_deadline_is_worker_count_invariant() {
+    let cfg = QnnConfig::standard(16, 4, 2, 2);
+    let device = presets::santiago();
+    let qnn = Qnn::for_device(cfg, &device, 7).unwrap();
+    let batch: Vec<Vec<f64>> = (0..24)
+        .map(|k| {
+            (0..16)
+                .map(|j| ((k * 16 + j) as f64 * 0.017).sin())
+                .collect()
+        })
+        .collect();
+    let policy = HealthPolicy {
+        breaker: Some(BreakerPolicy::default()),
+        deadline_ms: Some(200),
+    };
+    let run = |workers: usize| {
+        let pooled = qnn
+            .deploy_batch(
+                &device,
+                2,
+                RetryPolicy::default(),
+                Some(FaultSpec::transient(0.8, 41)),
+                workers,
+                11,
+            )
+            .unwrap()
+            .with_health(policy.clone());
+        let mut rng = StdRng::seed_from_u64(0);
+        let out = infer(
+            &qnn,
+            &batch,
+            &InferenceBackend::Deployed(&pooled),
+            &InferenceOptions::baseline(),
+            &mut rng,
+        )
+        .unwrap();
+        let bits: Vec<u64> = out
+            .block_outputs
+            .iter()
+            .flatten()
+            .flatten()
+            .map(|v| v.to_bits())
+            .collect();
+        let snaps = pooled.health_registry().snapshots();
+        (bits, out.report.expect("batch run carries a report"), snaps)
+    };
+    let (bits1, report1, snaps1) = run(1);
+    assert!(report1.deadline_exceeded_jobs > 0, "the deadline must bite");
+    assert!(report1.short_circuited_jobs > 0, "the breaker must trip");
+    assert_eq!(snaps1.len(), 2, "one breaker per block");
+    for workers in [2usize, 4] {
+        let (bits, report, snaps) = run(workers);
+        assert_eq!(bits1, bits, "outputs diverge at {workers} workers");
+        assert_eq!(report1, report, "report diverges at {workers} workers");
+        assert_eq!(snaps1, snaps, "breakers diverge at {workers} workers");
     }
 }

@@ -21,10 +21,6 @@
 //!   its recorded [`RoutingTrace`], because per-job seeds stay
 //!   `splitmix64(seed ^ splitmix64(job))` no matter which device ran the
 //!   job (property-pinned in `tests/fleet_props.rs`).
-//! * [`plan_fleet`] — fleet-wide plan precompilation through one shared
-//!   [`qnat_core::compile_cache::PlanCache`]: devices sharing a
-//!   calibration fingerprint share compiled block plans, and redeploying
-//!   against unchanged calibration compiles nothing.
 //! * [`ScorePolicy`] — the routing score's noise source: `Static`
 //!   (declared calibration, drifted along the declared cursor) or
 //!   `Predicted` (the `qnat-calib` [`qnat_calib::CalibrationTracker`]'s
@@ -38,11 +34,9 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod device;
-pub mod plan;
 pub mod router;
 
 pub use device::{DeviceFactory, FleetDevice};
-pub use plan::{plan_fleet, DevicePlan};
 pub use qnat_calib::{
     replay_decision, CalibConfig, CalibDecision, CalibTrace, CalibrationHealth, CandidateScore,
     DeviceCalibrationView, NoiseSource,
@@ -50,5 +44,5 @@ pub use qnat_calib::{
 pub use router::{
     replay_job, AttemptKind, AttemptTrace, DeviceHealthView, Disposition, FleetConfig, FleetError,
     FleetHealth, FleetOutcome, FleetPoll, FleetRouter, FleetStats, FleetTicket, HedgePolicy,
-    JobTrace, QuarantinePolicy, RoutingTrace, ScorePolicy, ScoreWeights,
+    JobTrace, QuarantinePolicy, RoutingTrace, ScorePolicy,
 };

@@ -16,9 +16,9 @@
 //! Lower is better:
 //!
 //! ```text
-//! score(d) = w.depth · load(d)            // queued + running jobs
-//!          + w.noise · noise(d, job)      // drifted mean error estimate
-//!          + breaker_penalty(d)           // 0 / half-open / open
+//! score(d) = 0.01 · load(d)               // queued + running jobs
+//!          + 1.0 · noise(d, job)          // drifted mean error estimate
+//!          + breaker_penalty(d)           // 0 / 0.05 half-open / 10³ open
 //! ```
 //!
 //! `noise(d, job)` evaluates the device's declared [`DriftCursor`] at the
@@ -67,7 +67,7 @@ use qnat_calib::{
     CalibConfig, CalibDecision, CalibTrace, CalibrationHealth, CalibrationTracker, CandidateScore,
     NoiseSource,
 };
-use qnat_core::batch::{run_job, BatchJob, JobDeadline};
+use qnat_core::batch::{run_job, BatchJob};
 use qnat_core::executor::ExecutionReport;
 use qnat_core::health::{BreakerPolicy, BreakerSnapshot, BreakerState, HealthRegistry};
 use qnat_noise::backend::{BackendError, Measurements};
@@ -90,32 +90,22 @@ use std::time::Instant;
 /// derived from, independent of which device ends up running the job.
 pub type FleetTicket = u64;
 
-/// Relative weights of the routing score's components (lower score
-/// wins).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScoreWeights {
-    /// Per queued-or-running job on the device's engine.
-    pub depth: f64,
-    /// Per unit of estimated mean error (single + two-qubit + readout).
-    pub noise: f64,
-    /// Flat penalty while the device's breaker is half-open.
-    pub half_open_penalty: f64,
-    /// Flat penalty while the device's breaker is open — large enough to
-    /// lose to any healthy device, small enough to still order multiple
-    /// open devices by noise.
-    pub open_penalty: f64,
-}
-
-impl Default for ScoreWeights {
-    fn default() -> Self {
-        ScoreWeights {
-            depth: 0.01,
-            noise: 1.0,
-            half_open_penalty: 0.05,
-            open_penalty: 1e3,
-        }
-    }
-}
+/// Routing-score weight per queued-or-running job on the device's engine
+/// (lower score wins).
+const DEPTH_WEIGHT: f64 = 0.01;
+/// Routing-score weight per unit of estimated mean error (single +
+/// two-qubit + readout).
+const NOISE_WEIGHT: f64 = 1.0;
+/// Flat routing-score penalty while the device's breaker is half-open.
+const HALF_OPEN_PENALTY: f64 = 0.05;
+/// Flat routing-score penalty while the device's breaker is open — large
+/// enough to lose to any healthy device, small enough to still order
+/// several open devices by noise.
+const OPEN_PENALTY: f64 = 1e3;
+/// Bounded fleet queue capacity; producers block when full.
+const QUEUE_CAPACITY: usize = 256;
+/// Per-device engine lane capacity (both lanes).
+const LANE_CAPACITY: usize = 64;
 
 /// Where the routing score's noise term comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -191,20 +181,13 @@ pub struct FleetConfig {
     /// Pilot threads routing jobs concurrently (clamped to ≥ 1). Each
     /// pilot shepherds one fleet job at a time end-to-end.
     pub pilots: usize,
-    /// Bounded fleet queue capacity; producers block when full (clamped
-    /// to ≥ 1).
-    pub queue_capacity: usize,
     /// Worker threads per device engine (clamped to ≥ 1).
     pub engine_workers: usize,
-    /// Per-device lane capacity (clamped to ≥ 1).
-    pub lane_capacity: usize,
     /// Optional per-job backoff budget in milliseconds, applied on every
     /// device.
     pub deadline_ms: Option<u64>,
     /// Breaker thresholds for every device's admission control.
     pub breaker: BreakerPolicy,
-    /// Routing-score weights.
-    pub weights: ScoreWeights,
     /// Hedged-retry policy (`None` disables hedging).
     pub hedge: Option<HedgePolicy>,
     /// Quarantine policy.
@@ -223,12 +206,9 @@ impl Default for FleetConfig {
         FleetConfig {
             seed: 0,
             pilots: 4,
-            queue_capacity: 256,
             engine_workers: 2,
-            lane_capacity: 64,
             deadline_ms: None,
             breaker: BreakerPolicy::default(),
-            weights: ScoreWeights::default(),
             hedge: Some(HedgePolicy::default()),
             quarantine: QuarantinePolicy::default(),
             score_policy: ScorePolicy::default(),
@@ -577,12 +557,11 @@ impl Shared {
                     ),
                 };
                 let penalty = match snaps[i].map(|s| s.state) {
-                    Some(BreakerState::Open { .. }) => self.config.weights.open_penalty,
-                    Some(BreakerState::HalfOpen) => self.config.weights.half_open_penalty,
+                    Some(BreakerState::Open { .. }) => OPEN_PENALTY,
+                    Some(BreakerState::HalfOpen) => HALF_OPEN_PENALTY,
                     _ => 0.0,
                 };
-                let score =
-                    self.config.weights.depth * depth + self.config.weights.noise * noise + penalty;
+                let score = DEPTH_WEIGHT * depth + NOISE_WEIGHT * noise + penalty;
                 if predicted {
                     rows.push(CandidateScore {
                         device: self.slots[i].device.name().to_owned(),
@@ -602,8 +581,8 @@ impl Shared {
                 if let Some((i, _)) = best {
                     st.calib_decisions.push(CalibDecision {
                         job,
-                        depth_weight: self.config.weights.depth,
-                        noise_weight: self.config.weights.noise,
+                        depth_weight: DEPTH_WEIGHT,
+                        noise_weight: NOISE_WEIGHT,
                         candidates: rows,
                         chosen: i,
                     });
@@ -699,8 +678,8 @@ impl FleetRouter {
                     ServeConfig {
                         workers: config.engine_workers.max(1),
                         seed: config.seed,
-                        interactive: LaneConfig::blocking(config.lane_capacity.max(1)),
-                        bulk: LaneConfig::blocking(config.lane_capacity.max(1)),
+                        interactive: LaneConfig::blocking(LANE_CAPACITY),
+                        bulk: LaneConfig::blocking(LANE_CAPACITY),
                         deadline_ms: config.deadline_ms,
                         admission: Some(AdmissionControl {
                             key: device.name().to_owned(),
@@ -816,8 +795,7 @@ impl FleetRouter {
                 devices: shared.slots.len(),
             });
         }
-        let capacity = shared.config.queue_capacity.max(1);
-        while st.queue.len() >= capacity && !st.stopping {
+        while st.queue.len() >= QUEUE_CAPACITY && !st.stopping {
             st = shared.space_cv.wait(st).unwrap_or_else(|p| p.into_inner());
         }
         if st.stopping {
@@ -1258,14 +1236,13 @@ pub fn replay_job(
         _ => return None,
     }
     let device = devices.iter().find(|d| d.name() == attempt.device)?;
-    let deadline = deadline_ms.map(JobDeadline::PerJob);
     Some(run_job(
         device.factory_ref(),
         trace.job,
         trace.seed,
         job,
         false,
-        deadline.as_ref(),
+        deadline_ms,
     ))
 }
 

@@ -87,17 +87,6 @@ impl Json {
         }
     }
 
-    /// The value as `usize`, if it is a non-negative integer number.
-    pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            // `usize::MAX as f64` rounds up to 2^64, so the bound is strict.
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < usize::MAX as f64 => {
-                Some(*n as usize)
-            }
-            _ => None,
-        }
-    }
-
     /// The value as `&str`, if it is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -261,6 +250,7 @@ variant_from_json! {
     bool => Bool(b) => *b, "a bool";
     &'a str => Str(s) => s, "a string";
     &'a [Json] => Arr(items) => items, "an array";
+    &'a BTreeMap<String, Json> => Obj(map) => map, "an object";
 }
 
 impl FromJson<'_> for String {
@@ -786,22 +776,13 @@ mod tests {
     #[test]
     fn accessors_reject_wrong_types() {
         let v = Json::parse(r#"{"n": 2.5, "i": 3}"#).unwrap();
-        assert_eq!(v.get("n").unwrap().as_usize(), None);
-        assert_eq!(v.get("i").unwrap().as_usize(), Some(3));
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::Null.as_f64(), None);
-    }
-
-    #[test]
-    fn as_usize_rejects_two_to_the_64() {
-        // 2^64 and up used to pass the bound and saturate to usize::MAX.
-        for big in ["18446744073709551616", "18446744073709551615", "1e20"] {
-            assert_eq!(Json::parse(big).unwrap().as_usize(), None, "{big}");
-        }
-        // The largest f64 below 2^64 still converts exactly.
-        let below = 2f64.powi(64) - 2048.0;
-        assert_eq!(Json::Num(below).as_usize(), Some(below as usize));
-        assert_eq!(Json::Num(-1.0).as_usize(), None);
+        assert_eq!(
+            <&BTreeMap<String, Json>>::from_json(&v).map(BTreeMap::len),
+            Ok(2)
+        );
+        assert!(<&BTreeMap<String, Json>>::from_json(&Json::Arr(vec![])).is_err());
     }
 
     #[test]

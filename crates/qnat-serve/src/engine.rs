@@ -40,7 +40,7 @@
 //! reject the submission, or shed the oldest queued job (which completes
 //! with [`BackendError::Overloaded`]).
 
-use qnat_core::batch::{job_signal, run_job, BatchJob, JobDeadline};
+use qnat_core::batch::{job_signal, run_job, BatchJob};
 use qnat_core::executor::{ExecutionReport, ResilientExecutor};
 use qnat_core::health::{Admission, BreakerPolicy, HealthRegistry};
 use qnat_noise::backend::{BackendError, Measurements};
@@ -160,8 +160,8 @@ pub struct ServeConfig {
     pub interactive: LaneConfig,
     /// The bulk (background) lane.
     pub bulk: LaneConfig,
-    /// Optional per-job backoff budget in milliseconds
-    /// ([`JobDeadline::PerJob`]).
+    /// Optional per-job backoff budget in milliseconds: each job's
+    /// executor gets a fresh budget of this size.
     pub deadline_ms: Option<u64>,
     /// Optional enqueue-time admission control.
     pub admission: Option<AdmissionControl>,
@@ -835,7 +835,6 @@ fn worker_loop(shared: &Shared) {
                 st = shared.jobs_cv.wait(st).unwrap_or_else(|p| p.into_inner());
             }
         };
-        let deadline = shared.config.deadline_ms.map(JobDeadline::PerJob);
         let short = queued.admission == Some(Admission::ShortCircuit);
         let (result, report) = run_job(
             &*shared.factory,
@@ -843,7 +842,7 @@ fn worker_loop(shared: &Shared) {
             queued.seed,
             &queued.job,
             short,
-            deadline.as_ref(),
+            shared.config.deadline_ms,
         );
         // Feed the breaker *without* the state lock (lock order: state →
         // registry on the submit path; never registry → state here).

@@ -281,12 +281,6 @@ pub fn write_response_conn(
         .map_err(|e| HttpError::from_io(&e))
 }
 
-/// Writes a complete single-shot response (`Connection: close`,
-/// `Content-Type: application/json`).
-pub fn write_response(writer: &mut impl Write, status: u16, body: &str) -> Result<(), HttpError> {
-    write_response_conn(writer, status, body, true)
-}
-
 /// Starts a chunked (streaming) response; follow with [`write_chunk`]
 /// and [`finish_chunks`].
 pub fn write_chunked_head(writer: &mut impl Write, status: u16) -> Result<(), HttpError> {
@@ -490,7 +484,7 @@ mod tests {
     #[test]
     fn response_round_trips_fixed_and_chunked() {
         let mut out = Vec::new();
-        write_response(&mut out, 429, r#"{"kind":"queue_full"}"#).expect("write");
+        write_response_conn(&mut out, 429, r#"{"kind":"queue_full"}"#, true).expect("write");
         let resp = read_response(&mut BufReader::new(&out[..])).expect("read");
         assert_eq!(resp.status, 429);
         assert_eq!(resp.text().expect("utf8"), r#"{"kind":"queue_full"}"#);

@@ -10,7 +10,7 @@
 //! | `/v1/jobs/{ticket}` | GET | non-blocking poll; 200 ready, 202 queued/running, 404 unknown, 503 breaker/eviction |
 //! | `/v1/jobs/{ticket}/wait` | GET | block until ready via `ServeEngine::wait_timeout` over the budget; 504 on deadline |
 //! | `/v1/stream` | GET | chunked feed of every completion, from `subscribe` |
-//! | `/healthz` | GET | lane depths, engine counters + load, breaker states, transport overload counters; plus a `fleet` section when bound with one |
+//! | `/healthz` | GET | lane depths, engine counters + load, breaker states, transport overload counters; plus the named sections given to `bind_with_sections` |
 //!
 //! ## Connection lifecycle
 //!
@@ -42,7 +42,7 @@
 //! One accept thread feeds a **bounded** channel of connections drained
 //! by a fixed pool of HTTP workers. The accept thread never blocks:
 //! when the global connection gauge (queued + in-service) reaches
-//! `max_connections`, or the hand-off queue is full, the excess
+//! 256 connections, or the 64-deep hand-off queue is full, the excess
 //! connection is answered `503` inline and closed — counted in
 //! [`TransportMetrics`] so `/healthz` shows overload as it happens.
 //!
@@ -74,9 +74,6 @@ pub struct TransportConfig {
     /// lifetime, so this is also the concurrent-connection service
     /// capacity.
     pub http_workers: usize,
-    /// Bounded accept-queue depth (clamped to ≥ 1); a full queue sheds
-    /// the connection with 503 instead of blocking the accept thread.
-    pub accept_queue: usize,
     /// Per-request deadline budget in milliseconds: bounds the total
     /// header+body read time (slow-loris guard → 408), the handler's
     /// blocking window (`/wait` → 504) and the response write.
@@ -87,20 +84,22 @@ pub struct TransportConfig {
     /// Requests served per connection before the server closes it (the
     /// final response advertises `Connection: close`). Clamped to ≥ 1.
     pub max_requests_per_connection: u64,
-    /// Global connection slots (queued + in-service). An accept beyond
-    /// this is answered 503 and closed immediately.
-    pub max_connections: usize,
 }
+
+/// Bounded accept-queue depth: a full queue sheds the connection with 503
+/// instead of blocking the accept thread.
+const ACCEPT_QUEUE: usize = 64;
+/// Global connection slots (queued + in-service). An accept beyond this
+/// is answered 503 and closed immediately.
+const MAX_CONNECTIONS: u64 = 256;
 
 impl Default for TransportConfig {
     fn default() -> Self {
         TransportConfig {
             http_workers: 4,
-            accept_queue: 64,
             request_deadline_ms: 10_000,
             idle_timeout_ms: 5_000,
             max_requests_per_connection: 1_024,
-            max_connections: 256,
         }
     }
 }
@@ -210,29 +209,6 @@ impl TransportServer {
         Self::bind_with_sections(addr, config, engine, Vec::new())
     }
 
-    /// [`TransportServer::bind`] plus an extra `/healthz` section: the
-    /// provider's document is merged into the health body under the
-    /// `"fleet"` key. Pair it with
-    /// [`wire::fleet_health_to_json`] over a shared `FleetRouter` to
-    /// expose quarantine flags, per-device load, breakers and noise
-    /// estimates through the front door.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind failure.
-    pub fn bind_with_health(
-        addr: &str,
-        config: TransportConfig,
-        engine: ServeEngine,
-        health_section: Option<HealthSection>,
-    ) -> io::Result<TransportServer> {
-        let sections = health_section
-            .into_iter()
-            .map(|s| ("fleet".to_owned(), s))
-            .collect();
-        Self::bind_with_sections(addr, config, engine, sections)
-    }
-
     /// [`TransportServer::bind`] plus any number of named `/healthz`
     /// sections: each provider's document is merged into the health body
     /// under its key, in the order given. The fleet front door pairs a
@@ -257,12 +233,11 @@ impl TransportServer {
         let metrics = Arc::new(TransportMetrics::default());
         let sections: Arc<[(String, HealthSection)]> = sections.into();
 
-        let (tx, rx) = sync_channel::<TcpStream>(config.accept_queue.max(1));
+        let (tx, rx) = sync_channel::<TcpStream>(ACCEPT_QUEUE);
         let rx = Arc::new(Mutex::new(rx));
 
         let accept_stop = Arc::clone(&stop);
         let accept_metrics = Arc::clone(&metrics);
-        let max_connections = config.max_connections.max(1) as u64;
         let accept_handle = std::thread::spawn(move || {
             for stream in listener.incoming() {
                 if accept_stop.load(Ordering::SeqCst) {
@@ -275,7 +250,7 @@ impl TransportServer {
                 // Single accept thread: the load check cannot race
                 // another admission, only early worker decrements —
                 // which err on the side of admitting.
-                if accept_metrics.active_connections.load(Ordering::SeqCst) >= max_connections {
+                if accept_metrics.active_connections.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
                     shed_connection(stream, &accept_metrics);
                     continue;
                 }

@@ -367,14 +367,14 @@ pub fn report_from_json(v: &Json) -> Result<ExecutionReport, WireError> {
         .iter()
         .map(failure_from_json)
         .collect::<Result<_, _>>()?;
-    // Lenient: peers predating per-backend attribution omit the field,
-    // and anything but an object reads as no attribution.
-    let by_backend = match v.get("by_backend") {
-        Some(Json::Obj(map)) => map
+    // Peers predating per-backend attribution omit the field (or send
+    // null); any other non-object is a broken report.
+    let by_backend = match v.opt_field::<&BTreeMap<String, Json>>("by_backend")? {
+        Some(map) => map
             .iter()
             .map(|(name, usage)| Ok((name.clone(), backend_usage_from_json(usage)?)))
             .collect::<Result<_, WireError>>()?,
-        _ => BTreeMap::new(),
+        None => BTreeMap::new(),
     };
     Ok(ExecutionReport {
         jobs: v.field("jobs")?,

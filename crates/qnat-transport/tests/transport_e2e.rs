@@ -466,10 +466,10 @@ fn healthz_reports_lane_depths_and_stats() {
     let health = client.healthz().expect("healthz");
     assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
     let lanes = health.get("lanes").expect("lanes");
-    assert_eq!(lanes.get("interactive").and_then(Json::as_usize), Some(3));
-    assert_eq!(lanes.get("bulk").and_then(Json::as_usize), Some(1));
+    assert_eq!(lanes.field::<usize>("interactive").ok(), Some(3));
+    assert_eq!(lanes.field::<usize>("bulk").ok(), Some(1));
     let stats = health.get("stats").expect("stats");
-    assert_eq!(stats.get("submitted").and_then(Json::as_usize), Some(4));
+    assert_eq!(stats.field::<usize>("submitted").ok(), Some(4));
     server.engine().resume();
     server.shutdown();
 }
@@ -611,11 +611,11 @@ fn healthz_exposes_every_breaker_snapshot_exactly() {
             "state encoding for '{key}'"
         );
         assert_eq!(
-            entry.get("trips").and_then(Json::as_usize),
+            entry.field::<usize>("trips").ok(),
             Some(snap.trips as usize)
         );
         assert_eq!(
-            entry.get("recoveries").and_then(Json::as_usize),
+            entry.field::<usize>("recoveries").ok(),
             Some(snap.recoveries as usize)
         );
     }
@@ -635,8 +635,7 @@ fn healthz_exposes_every_breaker_snapshot_exactly() {
         breakers
             .get("tripped")
             .and_then(|e| e.get("state"))
-            .and_then(|s| s.get("cooldown_left"))
-            .and_then(Json::as_usize),
+            .and_then(|s| s.field::<usize>("cooldown_left").ok()),
         Some(7),
         "open state carries its cooldown counter"
     );
@@ -690,11 +689,11 @@ fn healthz_serves_the_fleet_section() {
         Arc::new(move || qnat_transport::wire::fleet_health_to_json(&router.health()))
             as Arc<dyn Fn() -> Json + Send + Sync>
     };
-    let server = TransportServer::bind_with_health(
+    let server = TransportServer::bind_with_sections(
         "127.0.0.1:0",
         TransportConfig::default(),
         engine,
-        Some(section),
+        vec![("fleet".to_owned(), section)],
     )
     .expect("bind");
     let client = TransportClient::new(server.local_addr());
@@ -825,11 +824,8 @@ fn healthz_calibration_section_is_snapshot_exact() {
     // And the view itself is live: all 12 tickets applied in order,
     // nothing stuck in the reorder buffer, per-device rows in fleet
     // order with the busier device past cold start.
-    assert_eq!(
-        calibration.get("applied").and_then(Json::as_usize),
-        Some(12)
-    );
-    assert_eq!(calibration.get("pending").and_then(Json::as_usize), Some(0));
+    assert_eq!(calibration.field::<usize>("applied").ok(), Some(12));
+    assert_eq!(calibration.field::<usize>("pending").ok(), Some(0));
     let Some(Json::Arr(devices)) = calibration.get("devices") else {
         panic!("devices is an array");
     };
@@ -844,7 +840,7 @@ fn healthz_calibration_section_is_snapshot_exact() {
     );
     let observations: usize = devices
         .iter()
-        .filter_map(|d| d.get("observations").and_then(Json::as_usize))
+        .filter_map(|d| d.field::<usize>("observations").ok())
         .sum();
     assert_eq!(observations, 12, "every delivered job is one observation");
     assert!(

@@ -367,7 +367,9 @@ fn malformed_documents_keep_their_verdicts() {
         ("outcome: by_backend absent", outcome_ok, &outcome, report(&["by_backend"]), "<absent>", true),
         ("outcome: by_backend null", outcome_ok, &outcome, report(&["by_backend"]), "null", true),
         ("outcome: by_backend empty", outcome_ok, &outcome, report(&["by_backend"]), "{}", true),
-        ("outcome: by_backend not an object", outcome_ok, &outcome, report(&["by_backend"]), "[1]", true),
+        ("outcome: by_backend not an object", outcome_ok, &outcome, report(&["by_backend"]), "[1]", false),
+        ("outcome: by_backend number", outcome_ok, &outcome, report(&["by_backend"]), "5", false),
+        ("outcome: by_backend string", outcome_ok, &outcome, report(&["by_backend"]), r#""x""#, false),
         ("outcome: by_backend usage fraction", outcome_ok, &outcome, report(&["by_backend", "emulator", "attempts"]), "1.5", false),
         ("outcome: by_backend usage absent", outcome_ok, &outcome, report(&["by_backend", "emulator", "backoff_ms"]), "<absent>", false),
 

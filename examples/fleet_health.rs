@@ -9,7 +9,7 @@
 //! ```
 
 use quantumnat::core::executor::RetryPolicy;
-use quantumnat::core::health::{BreakerPolicy, DeadlinePolicy, HealthPolicy};
+use quantumnat::core::health::{BreakerPolicy, HealthPolicy};
 use quantumnat::core::infer::{infer, InferenceBackend, InferenceOptions};
 use quantumnat::core::model::{Qnn, QnnConfig};
 use quantumnat::noise::fault::{DriftModel, FaultSpec};
@@ -41,7 +41,7 @@ fn main() {
 
     let policy = HealthPolicy {
         breaker: Some(BreakerPolicy::default()),
-        deadline: Some(DeadlinePolicy::PerJob(200)),
+        deadline_ms: Some(200),
     };
 
     for (label, health) in [("health off", None), ("health on ", Some(policy))] {

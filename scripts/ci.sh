@@ -18,19 +18,23 @@
 #              (three devices, the preferred one goes terminally dark
 #              mid-run; the example asserts failover keeps the
 #              completed-job count at 100% with zero refusals)
-#   5. lint:   clippy -D warnings (scripts/lint.sh; the workspace sweep
+#   5. health: a deadlock-guarded smoke run of the fleet_health example
+#              (a batch deployment with a circuit breaker and a per-job
+#              deadline over a dying primary; the example panics if the
+#              fallback fails to keep the batch alive)
+#   6. lint:   clippy -D warnings (scripts/lint.sh; the workspace sweep
 #              includes qnat-serve's, qnat-transport's and qnat-fleet's
 #              unwrap_used walls)
-#   6. fmt:    cargo fmt --all -- --check, so formatting drift fails CI
+#   7. fmt:    cargo fmt --all -- --check, so formatting drift fails CI
 #              instead of piling up unnoticed
-#   7. docs:   rustdoc over the workspace with every warning denied
+#   8. docs:   rustdoc over the workspace with every warning denied
 #              (RUSTDOCFLAGS="-D warnings"): a doc link left pointing at
 #              a renamed, deleted or private item fails the build
-#   8. perfbench: build the end-to-end benchmark (its own manifest
+#   9. perfbench: build the end-to-end benchmark (its own manifest
 #              under perfbench/, outside the workspace) and run its unit
 #              tests, so a library API change that breaks the benchmark
 #              fails here rather than in a refused benchmark run
-#   9. sim-bench: the simulator hot-path gate — the kernel bounds-check
+#  10. sim-bench: the simulator hot-path gate — the kernel bounds-check
 #              regression tests re-run under --release (the checks must
 #              survive optimized builds, not just debug_assert), the
 #              kernel oracle (kernels::oracle: the small-block loop
@@ -60,7 +64,7 @@
 #              rate; it writes both to results/BENCH_gradients.json.
 #              The per-qubit mat2/mat4 kernel timings live in
 #              `cargo bench -p qnat-bench --bench sim_kernels`
-#  10. load:   the overload-robustness gate — the socket-level chaos
+#  11. load:   the overload-robustness gate — the socket-level chaos
 #              suite (resets, slow-loris, stalls, corruption against a
 #              live server; no hung workers, no leaked connection
 #              slots), then the open-loop load harness (Poisson +
@@ -70,7 +74,7 @@
 #              the overload SLO: p99 stays flat under 429/503 shedding
 #              and the pooled keep-alive client sustains >= 2x the
 #              connection-per-call request rate
-#  11. perf:   the batch-, serve-, transport- and fleet-throughput
+#  12. perf:   the batch-, serve-, transport- and fleet-throughput
 #              acceptance benches, which assert the 4-worker pool /
 #              serving engine / HTTP front door / routed fleet beats
 #              single-threaded submission by >= 2x on a 64-job workload
@@ -82,13 +86,13 @@
 #              the §4.2 submit body must take <= 32x as long as the 1x
 #              body (linear ≈ 16x, the old quadratic parser 179x); it writes
 #              encode/decode µs and ns/byte to results/BENCH_codec.json
-#  12. calib-bench: the calibration acceptance gate — drifting-fleet
+#  13. calib-bench: the calibration acceptance gate — drifting-fleet
 #              scenarios (RandomWalk and StepRecalibration heavy drift)
 #              asserting ScorePolicy::Predicted beats Static on
 #              accuracy-per-attempt and the learned tracker beats a
 #              frozen-preset baseline on attempt-weighted prequential
 #              Brier score; writes results/BENCH_calib.json
-#  13. mitigate: the ZNE acceptance bench, which asserts the served
+#  14. mitigate: the ZNE acceptance bench, which asserts the served
 #              gate-folding sweep beats the raw noisy expectation error
 #              on the §4.2 block under Santiago emulator noise and
 #              writes arm-by-arm errors plus sweep latency percentiles
@@ -113,6 +117,10 @@ timeout 120 cargo run --release --example http_serving
 echo "== fleet: example smoke gate (deadlock-guarded) =="
 cargo build --release --example fleet_routing
 timeout 120 cargo run --release --example fleet_routing
+
+echo "== health: example smoke gate (deadlock-guarded) =="
+cargo build --release --example fleet_health
+timeout 120 cargo run --release --example fleet_health
 
 echo "== lint: scripts/lint.sh =="
 ./scripts/lint.sh
