@@ -56,7 +56,6 @@ use rand::{Rng, RngCore};
 use std::cell::RefCell;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 
 pub use qnat_noise::backend::{DEFAULT_TRAJECTORIES, DENSITY_MATRIX_LIMIT};
 
@@ -404,7 +403,7 @@ pub struct BatchedQnn<'a> {
     /// budgets ([`BatchedQnn::with_health`]).
     health: Option<HealthPolicy>,
     /// This deployment's breaker table, one breaker per block.
-    registry: Arc<HealthRegistry>,
+    registry: HealthRegistry,
     // `infer` holds the deployment by shared reference while batch runs
     // accumulate into the report — hence interior mutability. A deployment
     // is driven from one thread; the pool lives inside `run_block`.
@@ -434,7 +433,7 @@ impl BatchedQnn<'_> {
     }
 
     /// The registry holding this deployment's circuit breakers.
-    pub fn health_registry(&self) -> &Arc<HealthRegistry> {
+    pub fn health_registry(&self) -> &HealthRegistry {
         &self.registry
     }
 
@@ -679,7 +678,7 @@ impl Qnn {
             workers: workers.max(1),
             seed,
             health: None,
-            registry: Arc::new(HealthRegistry::new()),
+            registry: HealthRegistry::new(),
             report: RefCell::new(ExecutionReport::default()),
         })
     }

@@ -325,28 +325,6 @@ pub fn extrapolate_expectation(
 
 // ---- readout-confusion inversion --------------------------------------
 
-/// Inverts a per-qubit readout confusion matrix.
-///
-/// The inverse generally has negative entries — applying it to a
-/// distribution produces *quasi*-probabilities.
-///
-/// # Errors
-///
-/// [`MitigateError::SingularConfusion`] when `|det|` is below
-/// [`MIN_CONFUSION_DET`] (e.g. a symmetric flip `p ≈ 0.5`), and
-/// [`MitigateError::NonFinite`] on NaN/∞ entries.
-pub fn invert_confusion(m: &Confusion) -> Result<Confusion, MitigateError> {
-    check_finite(&[m[0][0], m[0][1], m[1][0], m[1][1]], "confusion entry")?;
-    let det = m[0][0] * m[1][1] - m[0][1] * m[1][0];
-    if det.abs() < MIN_CONFUSION_DET {
-        return Err(MitigateError::SingularConfusion { det });
-    }
-    Ok([
-        [m[1][1] / det, -m[0][1] / det],
-        [-m[1][0] / det, m[0][0] / det],
-    ])
-}
-
 /// Inverts the readout confusion on a single qubit's observed Z
 /// expectation.
 ///
@@ -532,17 +510,31 @@ mod tests {
         // Symmetric flip p = 0.5: readout is a coin toss, det = 0.
         let coin: Confusion = [[0.5, 0.5], [0.5, 0.5]];
         assert!(matches!(
-            invert_confusion(&coin),
-            Err(MitigateError::SingularConfusion { .. })
-        ));
-        assert!(matches!(
             unconfuse_expectation(0.2, &coin),
             Err(MitigateError::SingularConfusion { .. })
         ));
-        // Just above the threshold still inverts to finite values.
+        // Just above the threshold still inverts to a finite value.
         let near: Confusion = [[0.51, 0.49], [0.49, 0.51]];
-        let inv = invert_confusion(&near).expect("invertible");
-        assert!(inv.iter().flatten().all(|v| v.is_finite()));
+        let z = unconfuse_expectation(0.01, &near).expect("invertible");
+        assert!(z.is_finite());
+    }
+
+    #[test]
+    fn non_finite_readout_input_rejected() {
+        let m: Confusion = [[0.9, 0.1], [0.2, 0.8]];
+        assert_eq!(
+            unconfuse_expectation(f64::NAN, &m),
+            Err(MitigateError::NonFinite {
+                what: "observed expectation"
+            })
+        );
+        let bad: Confusion = [[0.9, 0.1], [f64::INFINITY, 0.8]];
+        assert_eq!(
+            unconfuse_expectation(0.2, &bad),
+            Err(MitigateError::NonFinite {
+                what: "confusion entry"
+            })
+        );
     }
 
     #[test]

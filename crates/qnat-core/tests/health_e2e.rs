@@ -14,6 +14,7 @@ use qnat_sim::circuit::Circuit;
 use qnat_sim::gate::Gate;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Barrier;
 
 fn jobs(n: usize) -> Vec<BatchJob> {
     (0..n)
@@ -167,6 +168,75 @@ fn breaker_and_per_job_deadline_are_worker_count_invariant() {
     }
 }
 
+/// Verdicts reach the breaker in job order, not in the order jobs finish.
+/// One epoch of four jobs whose primaries fail, succeed, fail, succeed,
+/// under a breaker that trips on two failures in a row: in job order the
+/// verdicts alternate, so it must stay closed. Barriers force the two
+/// workers to split the epoch as `[0, 2]` and `[1, 3]`: jobs 0 and 1 meet
+/// (so they run on different workers), job 1 then waits for job 2 to
+/// start (so job 0's worker takes job 2), and job 2 waits for job 3 to
+/// start (so job 1's worker takes job 3). Gathered worker by worker, the
+/// two failures sit next to each other whichever worker is first.
+#[test]
+fn breaker_observes_verdicts_in_job_order_not_completion_order() {
+    let meet: [Barrier; 3] = std::array::from_fn(|_| Barrier::new(2));
+    let factory = |job: u64, seed: u64| -> Result<ResilientExecutor, BackendError> {
+        match job {
+            0 => {
+                meet[0].wait();
+            }
+            1 => {
+                meet[0].wait();
+                meet[1].wait();
+            }
+            2 => {
+                meet[1].wait();
+                meet[2].wait();
+            }
+            _ => {
+                meet[2].wait();
+            }
+        }
+        let rate = if job.is_multiple_of(2) { 1.0 } else { 0.0 };
+        Ok(ResilientExecutor::with_fallback(
+            Box::new(FaultyBackend::new(
+                SimulatorBackend::new(seed),
+                FaultSpec::transient(rate, seed),
+            )),
+            Box::new(SimulatorBackend::new(seed ^ 0x5eed)),
+            RetryPolicy {
+                jitter_seed: seed,
+                ..RetryPolicy::default()
+            },
+        ))
+    };
+    let policy = HealthPolicy {
+        breaker: Some(BreakerPolicy {
+            window: 2,
+            failure_threshold: 1.0,
+            min_samples: 2,
+            decision_interval: 4,
+            ..BreakerPolicy::default()
+        }),
+        deadline_ms: None,
+    };
+    let registry = HealthRegistry::new();
+    let out = BatchExecutor::new(2, 0x0DD, factory).execute_with_health(
+        &jobs(4),
+        &policy,
+        &registry,
+        "primary",
+    );
+    assert_eq!(out.failed_jobs(), 0, "the fallback serves the failing jobs");
+    assert_eq!(out.report.fallback_jobs, 2, "jobs 0 and 2 fail over");
+    let snap = registry.snapshot("primary").expect("breaker created");
+    assert_eq!(
+        snap.trips, 0,
+        "alternating verdicts must not trip: {snap:?}"
+    );
+    assert_eq!(snap.state, BreakerState::Closed);
+}
+
 /// The breaker recovers through half-open probes when the primary heals:
 /// jobs past the recovery point stop short-circuiting.
 #[test]
@@ -297,16 +367,15 @@ fn deployed_batch_with_breaker_matches_results_and_cuts_attempts() {
             &mut rng,
         )
         .unwrap();
-        let registry = std::sync::Arc::clone(pooled.health_registry());
-        let keys = registry.keys();
-        (out, keys, registry)
+        let snaps = pooled.health_registry().snapshots();
+        (out, snaps)
     };
-    let (off, off_keys, _) = run(None);
-    let (on, on_keys, on_registry) = run(Some(HealthPolicy::breaker_only()));
+    let (off, off_snaps) = run(None);
+    let (on, on_snaps) = run(Some(HealthPolicy::breaker_only()));
 
     // The total outage means every job is served by the (deterministic)
     // fallback either way — outputs agree bit-for-bit.
-    assert!(off_keys.is_empty(), "no breaker registered without health");
+    assert!(off_snaps.is_empty(), "no breaker registered without health");
     for (a, b) in off
         .block_outputs
         .iter()
@@ -322,10 +391,9 @@ fn deployed_batch_with_breaker_matches_results_and_cuts_attempts() {
     assert!(on_report.total_backoff_ms < off_report.total_backoff_ms);
 
     // One breaker per block, keyed by the routed device window.
-    assert!(!on_keys.is_empty());
-    for key in &on_keys {
+    assert!(!on_snaps.is_empty());
+    for (key, snap) in &on_snaps {
         assert!(key.starts_with("emulator("), "key: {key}");
-        let snap = on_registry.snapshot(key).expect("key listed");
         assert!(snap.trips >= 1, "every block's primary is dead: {key}");
     }
 }

@@ -9,7 +9,7 @@
 use crate::channel::Channel1;
 use crate::circuit::Circuit;
 use crate::gate::{Gate, GateMatrix};
-use crate::kernels::{apply_mat2, apply_mat4, conj2, conj4};
+use crate::kernels::{accumulate, apply_mat2, apply_mat4, conj2, conj4};
 use crate::math::C64;
 use crate::statevector::{RegisterMismatchError, StateVector};
 
@@ -170,9 +170,7 @@ impl DensityMatrix {
             scratch.copy_from_slice(&self.data);
             apply_mat2(&mut scratch, q + n, k);
             apply_mat2(&mut scratch, q, &conj2(k));
-            for (a, s) in acc.iter_mut().zip(&scratch) {
-                *a += *s;
-            }
+            accumulate(&mut acc, &scratch);
         }
         self.data = acc;
     }

@@ -46,8 +46,40 @@
 //! end: every kernel only pairs amplitudes inside `2^(q+1)`-aligned
 //! blocks, so one call applies the same matrix to every state, with the
 //! same arithmetic per amplitude as one call per state.
+//!
+//! ## Instruction sets
+//!
+//! The crate is built for baseline x86-64 (SSE2: two `f64` lanes), but
+//! most hosts run AVX2 (four) or AVX-512 (eight). Each hot loop — the
+//! four mixing loops, the cross matrix, and the sum of Kraus terms in
+//! [`DensityMatrix::apply_channel1`](crate::density::DensityMatrix::apply_channel1)
+//! — is written once, as an `#[inline(always)]` body, and the `per_isa!`
+//! macro compiles that one body three times: inlined into the loop's
+//! `#[inline(never)]` entry (the baseline copy), and into one out-of-line
+//! `#[target_feature(enable = "avx2")]` and one `"avx512f"` copy. The
+//! widest level this CPU runs is detected once per process, and every
+//! entry runs that level's copy. Other targets compile the body alone.
+//! [`prob_one_mass`] keeps one loop: it adds its terms into one running
+//! sum, so wider lanes would have to reorder the additions.
+//!
+//! The copies compute the same bits. Rust never contracts `a*b + c` into
+//! a fused multiply-add (not even where the enabled features include
+//! FMA), and wider registers only run more independent amplitudes side
+//! by side: each amplitude, and each cross-matrix sum, keeps its
+//! operation order. The `oracle` tests pin every copy the host runs to
+//! the nested-chunk loops bit for bit, and `qnat-core`'s `bit_pins`
+//! test pins a noisy training run and the emulator's ⟨Z⟩ to hashes
+//! recorded before the copies existed.
+//!
+//! The only `unsafe` in the crate is the call from an entry into a wide
+//! copy, in the arm of a `match` whose guard has just detected that
+//! copy's feature on this CPU (`is_x86_feature_detected!` reads a cache
+//! the standard library fills once per process). The bounds checks stay
+//! at the dispatch boundary, before the entry, so every copy runs on
+//! validated arguments.
 
 use crate::math::{Mat2, Mat4, C64};
+use std::sync::OnceLock;
 
 /// The largest block, in amplitudes, the small-block 4×4 loop handles:
 /// a block of bits 0–3, one 16-amplitude state of a 4-qubit register.
@@ -57,6 +89,169 @@ const SMALL_BLOCK: usize = 16;
 /// (16 KiB): each offset pass re-reads its tile, which then still sits in
 /// L1.
 const TILE: usize = 1024;
+
+/// An instruction-set level the hot loops are compiled for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Isa {
+    /// The target's baseline (SSE2 on x86-64): the body inlined into
+    /// each entry.
+    Baseline,
+    /// The `#[target_feature(enable = "avx2")]` copies.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// The `#[target_feature(enable = "avx512f")]` copies.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Isa {
+    /// Every level, narrowest first.
+    const ALL: &'static [Isa] = &[
+        Isa::Baseline,
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2,
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512,
+    ];
+
+    /// Whether this CPU runs the level's instructions.
+    fn runs_here(self) -> bool {
+        match self {
+            Isa::Baseline => true,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => is_x86_feature_detected!("avx512f"),
+        }
+    }
+
+    /// The widest level this CPU runs, detected once per process.
+    fn widest() -> Isa {
+        static WIDEST: OnceLock<Isa> = OnceLock::new();
+        *WIDEST.get_or_init(|| {
+            Isa::ALL
+                .iter()
+                .rev()
+                .copied()
+                .find(|isa| isa.runs_here())
+                .unwrap_or(Isa::Baseline)
+        })
+    }
+
+    /// Every level this CPU runs, narrowest first.
+    #[cfg(test)]
+    fn supported() -> Vec<Isa> {
+        Isa::ALL
+            .iter()
+            .copied()
+            .filter(|isa| isa.runs_here())
+            .collect()
+    }
+}
+
+/// Defines each hot loop's `#[inline(never)]` entry from its
+/// `#[inline(always)]` body: `fn name(args) -> ret = body;` becomes
+/// `fn name(isa: Isa, args) -> ret`, which runs the copy of `body`
+/// compiled for `isa`. The baseline copy is `body` inlined into the
+/// entry; the wide copies live in the `avx2` and `avx512` modules. An
+/// entry asked for a level this CPU lacks runs the baseline copy.
+macro_rules! per_isa {
+    ($(
+        $(#[$attr:meta])*
+        fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? = $body:ident;
+    )+) => {
+        $(
+            $(#[$attr])*
+            #[inline(never)]
+            fn $name(isa: Isa, $($arg: $ty),*) $(-> $ret)? {
+                match isa {
+                    #[cfg(target_arch = "x86_64")]
+                    Isa::Avx512 if is_x86_feature_detected!("avx512f") => {
+                        // SAFETY: the guard just detected avx512f, the
+                        // only feature the copy enables.
+                        unsafe { avx512::$name($($arg),*) }
+                    }
+                    #[cfg(target_arch = "x86_64")]
+                    Isa::Avx2 if is_x86_feature_detected!("avx2") => {
+                        // SAFETY: the guard just detected avx2, the only
+                        // feature the copy enables.
+                        unsafe { avx2::$name($($arg),*) }
+                    }
+                    _ => $body($($arg),*),
+                }
+            }
+        )+
+
+        /// The hot loops compiled for AVX2.
+        #[cfg(target_arch = "x86_64")]
+        mod avx2 {
+            use super::*;
+            $(
+                #[target_feature(enable = "avx2")]
+                pub(super) fn $name($($arg: $ty),*) $(-> $ret)? {
+                    $body($($arg),*)
+                }
+            )+
+        }
+
+        /// The hot loops compiled for AVX-512.
+        #[cfg(target_arch = "x86_64")]
+        mod avx512 {
+            use super::*;
+            $(
+                #[target_feature(enable = "avx512f")]
+                pub(super) fn $name($($arg: $ty),*) $(-> $ret)? {
+                    $body($($arg),*)
+                }
+            )+
+        }
+    };
+}
+
+per_isa! {
+    /// The hot loop of [`apply_mat2`]. The matrix entries arrive as
+    /// by-value arguments of a function that is never inlined, so they
+    /// stay in registers for the whole loop. Compiled inline, whether LLVM
+    /// kept re-loading them through the `&Mat2` (and guarded the vector
+    /// loop with run-time overlap checks) depended on which other
+    /// functions shared the codegen unit, so unrelated edits elsewhere in
+    /// the crate could swing `apply_mat2`'s speed by ~1.5×.
+    fn mix_pairs(
+        amps: &mut [C64],
+        bit: usize,
+        m00: C64,
+        m01: C64,
+        m10: C64,
+        m11: C64,
+    ) = mix_pairs_body;
+
+    /// [`mix_pairs`] on bit 0, where every block is one adjacent pair: the
+    /// pairs are walked directly instead of split into two one-amplitude
+    /// halves each.
+    fn mix_adjacent_pairs(
+        amps: &mut [C64],
+        m00: C64,
+        m01: C64,
+        m10: C64,
+        m11: C64,
+    ) = mix_adjacent_pairs_body;
+
+    /// The hot loop of [`apply_mat4`], never inlined and handed the matrix
+    /// by value for the same reason as [`mix_pairs`]: its speed must
+    /// not depend on which callers share its codegen unit.
+    fn mix_quads(amps: &mut [C64], ba: usize, bb: usize, m: Mat4) = mix_quads_body;
+
+    /// [`mix_quads`] for two bits whose block is at most `SMALL_BLOCK`
+    /// amplitudes, offset-major: each base offset with both bits clear,
+    /// then its quad in every block of a tile.
+    fn mix_small_quads(amps: &mut [C64], ba: usize, bb: usize, m: Mat4) = mix_small_quads_body;
+
+    /// The loop of [`cross_mat2`] on bit mask `bit`.
+    fn cross_pairs(psi: &[C64], lam: &[C64], bit: usize) -> Mat2 = cross_pairs_body;
+
+    /// The loop of [`accumulate`].
+    fn add_into(acc: &mut [C64], terms: &[C64]) = add_into_body;
+}
 
 /// Validates `q` against an amplitude slice of length `len` holding one
 /// state or several states laid end to end, and returns the bit mask
@@ -109,24 +304,22 @@ pub fn apply_mat2(amps: &mut [C64], q: usize, m: &Mat2) {
 /// Panics if `amps.len()` is not a multiple of the `2^(q+1)` amplitudes
 /// bit `q` pairs up.
 pub(crate) fn apply_mat2_rows(amps: &mut [C64], q: usize, m: &Mat2) {
+    mat2_rows_on(Isa::widest(), amps, q, m);
+}
+
+/// [`apply_mat2_rows`] on the copies compiled for `isa`.
+fn mat2_rows_on(isa: Isa, amps: &mut [C64], q: usize, m: &Mat2) {
     let bit = checked_bit(amps.len(), q);
     let [[m00, m01], [m10, m11]] = *m;
     if bit == 1 {
-        mix_adjacent_pairs(amps, m00, m01, m10, m11);
+        mix_adjacent_pairs(isa, amps, m00, m01, m10, m11);
     } else {
-        mix_pairs(amps, bit, m00, m01, m10, m11);
+        mix_pairs(isa, amps, bit, m00, m01, m10, m11);
     }
 }
 
-/// The hot loop of [`apply_mat2`]. The matrix entries arrive as by-value
-/// arguments of a function that is never inlined, so they stay in
-/// registers for the whole loop. Compiled inline, whether LLVM kept
-/// re-loading them through the `&Mat2` (and guarded the vector loop with
-/// run-time overlap checks) depended on which other functions shared the
-/// codegen unit, so unrelated edits elsewhere in the crate could swing
-/// `apply_mat2`'s speed by ~1.5×.
-#[inline(never)]
-fn mix_pairs(amps: &mut [C64], bit: usize, m00: C64, m01: C64, m10: C64, m11: C64) {
+#[inline(always)]
+fn mix_pairs_body(amps: &mut [C64], bit: usize, m00: C64, m01: C64, m10: C64, m11: C64) {
     // Each 2·bit block splits into a low half (bit clear) and a high half
     // (bit set); zipping the halves pairs partner amplitudes with no index
     // arithmetic or bounds checks in the loop body.
@@ -141,11 +334,8 @@ fn mix_pairs(amps: &mut [C64], bit: usize, m00: C64, m01: C64, m10: C64, m11: C6
     }
 }
 
-/// [`mix_pairs`] on bit 0, where every block is one adjacent pair: the
-/// pairs are walked directly instead of split into two one-amplitude
-/// halves each.
-#[inline(never)]
-fn mix_adjacent_pairs(amps: &mut [C64], m00: C64, m01: C64, m10: C64, m11: C64) {
+#[inline(always)]
+fn mix_adjacent_pairs_body(amps: &mut [C64], m00: C64, m01: C64, m10: C64, m11: C64) {
     for [a0, a1] in amps.as_chunks_mut::<2>().0 {
         let x0 = *a0;
         let x1 = *a1;
@@ -173,30 +363,25 @@ pub fn apply_mat4(amps: &mut [C64], qa: usize, qb: usize, m: &Mat4) {
 /// Panics if `amps.len()` is not a multiple of the block either qubit
 /// addresses, or `qa == qb`.
 pub(crate) fn apply_mat4_rows(amps: &mut [C64], qa: usize, qb: usize, m: &Mat4) {
+    mat4_rows_on(Isa::widest(), amps, qa, qb, m);
+}
+
+/// [`apply_mat4_rows`] on the copies compiled for `isa`.
+fn mat4_rows_on(isa: Isa, amps: &mut [C64], qa: usize, qb: usize, m: &Mat4) {
     let ba = checked_bit(amps.len(), qa);
     let bb = checked_bit(amps.len(), qb);
     assert!(qa != qb, "two-qubit kernel addresses qubit {qa} twice");
-    let [r0, r1, r2, r3] = *m;
     if ba.max(bb) << 1 <= SMALL_BLOCK {
-        mix_small_quads(amps, ba, bb, r0, r1, r2, r3);
+        mix_small_quads(isa, amps, ba, bb, *m);
     } else {
-        mix_quads(amps, ba, bb, r0, r1, r2, r3);
+        mix_quads(isa, amps, ba, bb, *m);
     }
 }
 
-/// The hot loop of [`apply_mat4`], never inlined and handed the matrix
-/// rows by value for the same reason as [`mix_pairs`]: its speed must
-/// not depend on which callers share its codegen unit.
-#[inline(never)]
-fn mix_quads(
-    amps: &mut [C64],
-    ba: usize,
-    bb: usize,
-    [m00, m01, m02, m03]: [C64; 4],
-    [m10, m11, m12, m13]: [C64; 4],
-    [m20, m21, m22, m23]: [C64; 4],
-    [m30, m31, m32, m33]: [C64; 4],
-) {
+#[inline(always)]
+fn mix_quads_body(amps: &mut [C64], ba: usize, bb: usize, m: Mat4) {
+    let [[m00, m01, m02, m03], [m10, m11, m12, m13], [m20, m21, m22, m23], [m30, m31, m32, m33]] =
+        m;
     let (lo, hi) = if ba < bb { (ba, bb) } else { (bb, ba) };
     // Nested chunking enumerates exactly the len/4 base indices with both
     // bits clear: outer blocks of 2·hi split on the high bit, inner blocks
@@ -232,19 +417,10 @@ fn mix_quads(
     }
 }
 
-/// [`mix_quads`] for two bits whose block is at most `SMALL_BLOCK`
-/// amplitudes, offset-major: each base offset with both bits clear, then
-/// its quad in every block of a tile.
-#[inline(never)]
-fn mix_small_quads(
-    amps: &mut [C64],
-    ba: usize,
-    bb: usize,
-    [m00, m01, m02, m03]: [C64; 4],
-    [m10, m11, m12, m13]: [C64; 4],
-    [m20, m21, m22, m23]: [C64; 4],
-    [m30, m31, m32, m33]: [C64; 4],
-) {
+#[inline(always)]
+fn mix_small_quads_body(amps: &mut [C64], ba: usize, bb: usize, m: Mat4) {
+    let [[m00, m01, m02, m03], [m10, m11, m12, m13], [m20, m21, m22, m23], [m30, m31, m32, m33]] =
+        m;
     let (lo, hi) = if ba < bb { (ba, bb) } else { (bb, ba) };
     let block_len = hi << 1;
     // `TILE` is a multiple of every small block, so tiles hold whole
@@ -292,9 +468,19 @@ pub fn prob_one_mass(amps: &[C64], q: usize) -> f64 {
 /// Panics if the slices differ in length, the length is not a power of
 /// two, or `q` is out of range.
 pub(crate) fn cross_mat2(psi: &[C64], lam: &[C64], q: usize) -> Mat2 {
+    cross_mat2_on(Isa::widest(), psi, lam, q)
+}
+
+/// [`cross_mat2`] on the copy compiled for `isa`.
+fn cross_mat2_on(isa: Isa, psi: &[C64], lam: &[C64], q: usize) -> Mat2 {
     assert_eq!(psi.len(), lam.len(), "cross of states of unequal length");
     checked_state(psi.len());
     let bit = checked_bit(psi.len(), q);
+    cross_pairs(isa, psi, lam, bit)
+}
+
+#[inline(always)]
+fn cross_pairs_body(psi: &[C64], lam: &[C64], bit: usize) -> Mat2 {
     let (mut c00, mut c01, mut c10, mut c11) = (C64::ZERO, C64::ZERO, C64::ZERO, C64::ZERO);
     for (pb, lb) in psi.chunks_exact(bit << 1).zip(lam.chunks_exact(bit << 1)) {
         let (p0, p1) = pb.split_at(bit);
@@ -308,6 +494,27 @@ pub(crate) fn cross_mat2(psi: &[C64], lam: &[C64], q: usize) -> Mat2 {
         }
     }
     [[c00, c01], [c10, c11]]
+}
+
+/// Adds `terms` into `acc` amplitude by amplitude: `acc[i] += terms[i]`.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub(crate) fn accumulate(acc: &mut [C64], terms: &[C64]) {
+    assert_eq!(
+        acc.len(),
+        terms.len(),
+        "accumulating slices of unequal length"
+    );
+    add_into(Isa::widest(), acc, terms);
+}
+
+#[inline(always)]
+fn add_into_body(acc: &mut [C64], terms: &[C64]) {
+    for (a, t) in acc.iter_mut().zip(terms) {
+        *a += *t;
+    }
 }
 
 /// Element-wise conjugate of a 2×2 matrix (not the transpose).

@@ -1,10 +1,12 @@
 //! The mixing and cross-matrix kernels against the nested-chunk loops,
 //! kept here as the reference. Every amplitude and every cross-matrix
-//! entry must match **bit for bit**: the small-block loops only reorder
-//! independent updates, and the cross matrix must add its terms in block
-//! order whatever loop computes it.
+//! entry must match **bit for bit**, on every instruction-set copy this
+//! CPU runs: the small-block loops only reorder independent updates, the
+//! wide copies only run independent amplitudes side by side, and the
+//! cross matrix must add its terms in block order whatever loop computes
+//! it.
 
-use super::{apply_mat2_rows, apply_mat4_rows, cross_mat2};
+use super::{add_into, cross_mat2_on, mat2_rows_on, mat4_rows_on, Isa};
 use crate::math::{Mat2, Mat4, C64};
 
 /// Nested-chunk 2×2 mix on bit mask `bit`.
@@ -114,13 +116,15 @@ fn buffers() -> Vec<(String, usize, usize)> {
 #[test]
 fn mix_pairs_matches_the_nested_chunk_loop_bitwise() {
     let m = matrix::<2>(0.5);
-    for (label, len, n) in buffers() {
-        for q in 0..n {
-            let mut got = amplitudes(len, q as f64);
-            let mut want = got.clone();
-            apply_mat2_rows(&mut got, q, &m);
-            reference_pairs(&mut want, 1 << q, &m);
-            assert_bits_eq(&got, &want, &format!("{label}, qubit {q}"));
+    for isa in Isa::supported() {
+        for (label, len, n) in buffers() {
+            for q in 0..n {
+                let mut got = amplitudes(len, q as f64);
+                let mut want = got.clone();
+                mat2_rows_on(isa, &mut got, q, &m);
+                reference_pairs(&mut want, 1 << q, &m);
+                assert_bits_eq(&got, &want, &format!("{isa:?}, {label}, qubit {q}"));
+            }
         }
     }
 }
@@ -128,14 +132,17 @@ fn mix_pairs_matches_the_nested_chunk_loop_bitwise() {
 #[test]
 fn mix_quads_matches_the_nested_chunk_loop_bitwise() {
     let m = matrix::<4>(1.5);
-    for (label, len, n) in buffers() {
-        for qa in 0..n {
-            for qb in (0..n).filter(|&qb| qb != qa) {
-                let mut got = amplitudes(len, (qa * 8 + qb) as f64);
-                let mut want = got.clone();
-                apply_mat4_rows(&mut got, qa, qb, &m);
-                reference_quads(&mut want, 1 << qa, 1 << qb, &m);
-                assert_bits_eq(&got, &want, &format!("{label}, qubits ({qa}, {qb})"));
+    for isa in Isa::supported() {
+        for (label, len, n) in buffers() {
+            for qa in 0..n {
+                for qb in (0..n).filter(|&qb| qb != qa) {
+                    let mut got = amplitudes(len, (qa * 8 + qb) as f64);
+                    let mut want = got.clone();
+                    mat4_rows_on(isa, &mut got, qa, qb, &m);
+                    reference_quads(&mut want, 1 << qa, 1 << qb, &m);
+                    let what = format!("{isa:?}, {label}, qubits ({qa}, {qb})");
+                    assert_bits_eq(&got, &want, &what);
+                }
             }
         }
     }
@@ -143,16 +150,43 @@ fn mix_quads_matches_the_nested_chunk_loop_bitwise() {
 
 #[test]
 fn cross_mat2_matches_the_nested_chunk_loop_bitwise() {
-    for n in 1..=6 {
-        let (psi, lam) = (amplitudes(1 << n, 0.25), amplitudes(1 << n, 7.75));
-        for q in 0..n {
-            let got = cross_mat2(&psi, &lam, q);
-            let want = reference_cross(&psi, &lam, 1 << q);
-            assert_bits_eq(
-                got.as_flattened(),
-                want.as_flattened(),
-                &format!("{n} qubits, qubit {q}"),
-            );
+    for isa in Isa::supported() {
+        for n in 1..=6 {
+            let (psi, lam) = (amplitudes(1 << n, 0.25), amplitudes(1 << n, 7.75));
+            for q in 0..n {
+                let got = cross_mat2_on(isa, &psi, &lam, q);
+                let want = reference_cross(&psi, &lam, 1 << q);
+                assert_bits_eq(
+                    got.as_flattened(),
+                    want.as_flattened(),
+                    &format!("{isa:?}, {n} qubits, qubit {q}"),
+                );
+            }
         }
     }
+}
+
+#[test]
+fn accumulate_matches_the_scalar_sum_bitwise() {
+    for isa in Isa::supported() {
+        for len in [1usize, 3, 16, 255, 1024] {
+            let terms = amplitudes(len, 3.5);
+            let mut got = amplitudes(len, 0.5);
+            let mut want = got.clone();
+            add_into(isa, &mut got, &terms);
+            for (w, t) in want.iter_mut().zip(&terms) {
+                *w += *t;
+            }
+            assert_bits_eq(&got, &want, &format!("{isa:?}, {len} amplitudes"));
+        }
+    }
+}
+
+/// The entries run the widest copy this CPU has, and the copies above
+/// include the baseline one.
+#[test]
+fn dispatch_takes_the_widest_supported_copy() {
+    let supported = Isa::supported();
+    assert_eq!(supported.first(), Some(&Isa::Baseline));
+    assert_eq!(supported.last(), Some(&Isa::widest()));
 }

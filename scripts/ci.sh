@@ -40,7 +40,11 @@
 #              kernel oracle (kernels::oracle: the small-block loop
 #              orders of the 2×2 and 4×4 mixes, and the cross matrix,
 #              equal the nested-chunk loops bit for bit on 1–6-qubit
-#              states and 3/48/80-row batches), the
+#              states and 3/48/80-row batches, in the baseline, AVX2 and
+#              AVX-512 copy the host runs), the bit pins (bit_pins: a
+#              32-step noisy-training hash and the emulator's ⟨Z⟩ bits
+#              on every preset, unfolded and folded at scales 3 and 5,
+#              equal the hashes recorded before the wide copies), the
 #              batch adjoint oracle (batch_vjp_oracle: batch forward +
 #              VJP equal the gate-by-gate sweep to 1e-12, and a sample is
 #              bitwise the same in any batch or chunking) and the
@@ -134,9 +138,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "== perfbench: build the end-to-end benchmark and run its tests =="
 cargo test --offline --manifest-path perfbench/Cargo.toml
 
-echo "== sim-bench: release-mode kernel bounds regression and kernel loop-order oracle =="
+echo "== sim-bench: release-mode kernel bounds regression, kernel copy oracle and bit pins =="
 cargo test -q --release -p qnat-sim --test kernel_bounds
 cargo test -q --release -p qnat-sim --lib kernels::oracle
+cargo test -q --release -p qnat-core --test bit_pins
 
 echo "== sim-bench: release-mode batch adjoint and training-step oracles, concurrent steps =="
 cargo test -q --release -p qnat-sim --test batch_vjp_oracle
