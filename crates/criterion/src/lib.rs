@@ -8,6 +8,12 @@
 //! statistics it reports the median of a small fixed number of timed
 //! batches — enough to compare orders of magnitude, not to detect
 //! single-digit-percent regressions.
+//!
+//! Like criterion, it takes a name filter: `cargo bench --bench <b> --
+//! <filter>` runs only the cases whose id (`group/case`, or the bare
+//! name outside a group) contains `<filter>`. A bench's own acceptance
+//! gate asks [`Criterion::selects`] with its group's name. With no
+//! filter everything runs.
 
 #![warn(missing_docs)]
 
@@ -119,15 +125,41 @@ impl Bencher {
 }
 
 /// Top-level benchmark registry (stand-in for `criterion::Criterion`).
-#[derive(Debug, Default)]
-pub struct Criterion {}
+#[derive(Debug)]
+pub struct Criterion {
+    /// Only ids containing this run; `None` runs everything.
+    filter: Option<String>,
+}
+
+impl Default for Criterion {
+    /// Takes the name filter from the command line.
+    fn default() -> Criterion {
+        Criterion {
+            filter: filter_from_args(std::env::args().skip(1)),
+        }
+    }
+}
+
+/// The name filter among a bench binary's arguments: the first one that
+/// is not a flag (`cargo bench` adds `--bench`).
+fn filter_from_args(mut args: impl Iterator<Item = String>) -> Option<String> {
+    args.find(|a| !a.starts_with('-'))
+}
 
 impl Criterion {
+    /// Whether the case or gate `id` runs: there is no filter, or `id`
+    /// contains it.
+    pub fn selects(&self, id: &str) -> bool {
+        self.filter.as_deref().is_none_or(|f| id.contains(f))
+    }
+
     /// Benches a single named function.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
-        let mut b = Bencher::default();
-        f(&mut b);
-        b.report(name, None);
+        if self.selects(name) {
+            let mut b = Bencher::default();
+            f(&mut b);
+            b.report(name, None);
+        }
         self
     }
 
@@ -138,29 +170,33 @@ impl Criterion {
         input: &I,
         mut f: F,
     ) -> &mut Self {
-        let mut b = Bencher::default();
-        f(&mut b, input);
-        b.report(&id.label, None);
+        if self.selects(&id.label) {
+            let mut b = Bencher::default();
+            f(&mut b, input);
+            b.report(&id.label, None);
+        }
         self
     }
 
     /// Opens a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        let name = name.into();
-        println!("group: {name}");
         BenchmarkGroup {
-            _parent: self,
-            name,
+            parent: self,
+            name: name.into(),
             throughput: None,
+            announced: false,
         }
     }
 }
 
 /// A named group of benchmarks.
 pub struct BenchmarkGroup<'a> {
-    _parent: &'a mut Criterion,
+    parent: &'a mut Criterion,
     name: String,
     throughput: Option<Throughput>,
+    /// Whether the group's header is printed: before its first case that
+    /// runs.
+    announced: bool,
 }
 
 impl BenchmarkGroup<'_> {
@@ -171,11 +207,25 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Benches a named function within the group.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
+    /// Runs one case of the group, `f` timing it, if the filter selects
+    /// its id.
+    fn run(&mut self, case: &str, f: impl FnOnce(&mut Bencher)) {
+        let id = format!("{}/{case}", self.name);
+        if !self.parent.selects(&id) {
+            return;
+        }
+        if !self.announced {
+            println!("group: {}", self.name);
+            self.announced = true;
+        }
         let mut b = Bencher::default();
         f(&mut b);
-        b.report(&format!("{}/{name}", self.name), self.throughput);
+        b.report(&id, self.throughput);
+    }
+
+    /// Benches a named function within the group.
+    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
+        self.run(name, |b| f(b));
         self
     }
 
@@ -186,9 +236,7 @@ impl BenchmarkGroup<'_> {
         input: &I,
         mut f: F,
     ) -> &mut Self {
-        let mut b = Bencher::default();
-        f(&mut b, input);
-        b.report(&format!("{}/{}", self.name, id.label), self.throughput);
+        self.run(&id.label, |b| f(b, input));
         self
     }
 
@@ -238,14 +286,64 @@ mod tests {
     }
 
     #[test]
+    fn the_filter_is_the_first_argument_that_is_not_a_flag() {
+        let args = |a: &[&str]| filter_from_args(a.iter().map(|s| s.to_string()));
+        assert_eq!(args(&[]), None);
+        assert_eq!(args(&["--bench"]), None);
+        assert_eq!(
+            args(&["gate_kernels", "--bench"]).as_deref(),
+            Some("gate_kernels")
+        );
+        assert_eq!(args(&["--bench", "mat4"]).as_deref(), Some("mat4"));
+    }
+
+    #[test]
+    fn only_ids_containing_the_filter_run() {
+        let mut c = Criterion {
+            filter: Some("gate_kernels".into()),
+        };
+        let mut ran = Vec::new();
+        c.bench_function("gate_kernels_alone", |_| ran.push("bare"));
+        c.bench_function("statevector_run", |_| ran.push("skipped bare"));
+        let mut g = c.benchmark_group("gate_kernels");
+        g.bench_function("mat2", |_| ran.push("case"));
+        g.bench_with_input(BenchmarkId::new("mat4", 4), &4, |_, _| ran.push("input"));
+        g.finish();
+        let mut g = c.benchmark_group("density_channel");
+        g.bench_function("mat2", |_| ran.push("other group"));
+        g.finish();
+        assert_eq!(ran, ["bare", "case", "input"]);
+        assert!(c.selects("gate_kernels"));
+        assert!(!c.selects("gradients_train_batch"));
+        // A filter may pick one case of a group, and not the group's gate.
+        let c = Criterion {
+            filter: Some("gate_kernels/mat4".into()),
+        };
+        assert!(c.selects("gate_kernels/mat4/4"));
+        assert!(!c.selects("gate_kernels"));
+    }
+
+    #[test]
+    fn without_a_filter_everything_runs() {
+        let mut c = Criterion { filter: None };
+        let mut ran = 0;
+        c.bench_function("a", |_| ran += 1);
+        let mut g = c.benchmark_group("g");
+        g.bench_function("b", |_| ran += 1);
+        g.finish();
+        assert_eq!(ran, 2);
+        assert!(c.selects("anything"));
+    }
+
+    #[test]
     fn bench_function_reports_and_returns() {
-        let mut c = Criterion::default();
+        let mut c = Criterion { filter: None };
         c.bench_function("noop", |b| b.iter(|| black_box(1 + 1)));
     }
 
     #[test]
     fn group_api_compiles_and_runs() {
-        let mut c = Criterion::default();
+        let mut c = Criterion { filter: None };
         let mut g = c.benchmark_group("g");
         g.bench_function("f", |b| b.iter(|| black_box(2 * 2)));
         g.throughput(Throughput::Elements(4));

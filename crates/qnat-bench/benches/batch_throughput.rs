@@ -77,6 +77,9 @@ fn bench_batch_throughput(c: &mut Criterion) {
         );
     }
     group.finish();
+    if !c.selects("batch_throughput") {
+        return;
+    }
 
     // Acceptance gate: ≥ 2× wall-clock speedup at 4 workers on the 64-job
     // batch. Median of 3 to shrug off scheduler hiccups.

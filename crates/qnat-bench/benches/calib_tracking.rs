@@ -330,6 +330,9 @@ fn bench_calib_tracking(c: &mut Criterion) {
         b.iter(|| black_box(update_latencies(256)))
     });
     group.finish();
+    if !c.selects("calib_tracking") {
+        return;
+    }
 
     let scenarios = [
         ("random_walk", DriftModel::RandomWalk, RW_DRIFT_PER_JOB),

@@ -149,6 +149,9 @@ fn bench_fleet_routing(c: &mut Criterion) {
     group.bench_function("sequential_fallback", |b| b.iter(run_sequential));
     group.bench_function("routed_fleet", |b| b.iter(|| run_fleet().elapsed));
     group.finish();
+    if !c.selects("fleet_routing") {
+        return;
+    }
 
     // Acceptance gate: median of 3 to shrug off scheduler hiccups.
     let median_of_3 = |mut runs: Vec<Duration>| {

@@ -8,7 +8,8 @@
 //!
 //! * training: one shared batch forward plus VJP over 48 prepared
 //!   samples must beat 48 per-sample `adjoint_gradients` calls by ≥ 2×
-//!   on the §4.2 blocks;
+//!   on the §4.2 blocks (the forward and the VJP sweep are also timed
+//!   apart, and reported next to their sum);
 //! * inference: one noise-free `batch_forward` over 48 distinct §4.2 rows
 //!   must agree with 48 per-row bind + `StateVector::run` calls to 1e-12
 //!   on every ⟨Z⟩ and sustain ≥ 1.3× their rate.
@@ -185,16 +186,25 @@ fn per_sample_adjoint(block: &TrainBlock) {
     }
 }
 
-fn batch_vjp_pass(block: &TrainBlock, states: &mut [C64], grads: &mut [f64]) {
-    let samples: Vec<BatchSample<'_>> = block
+fn batch_samples(block: &TrainBlock) -> Vec<BatchSample<'_>> {
+    block
         .prepared
         .iter()
         .map(PreparedSample::batch_sample)
-        .collect();
-    batch_forward(&block.template, &samples, states);
+        .collect()
+}
+
+/// The block's batch forward: every sample's final state into `states`.
+fn batch_forward_pass(block: &TrainBlock, states: &mut [C64]) {
+    batch_forward(&block.template, &batch_samples(block), states);
+    black_box(states);
+}
+
+/// The block's VJP sweep back from the final states in `states`.
+fn batch_vjp_sweep(block: &TrainBlock, states: &[C64], grads: &mut [f64]) {
     batch_vjp(
         &block.template,
-        &samples,
+        &batch_samples(block),
         states,
         &block.seeds,
         1,
@@ -202,6 +212,12 @@ fn batch_vjp_pass(block: &TrainBlock, states: &mut [C64], grads: &mut [f64]) {
         grads,
     );
     black_box(grads);
+}
+
+/// Forward then VJP: what one training step runs per block.
+fn batch_vjp_pass(block: &TrainBlock, states: &mut [C64], grads: &mut [f64]) {
+    batch_forward_pass(block, states);
+    batch_vjp_sweep(block, states, grads);
 }
 
 /// The noise-free inference forward of block 0 of the §4.2 model (2
@@ -297,55 +313,70 @@ fn bench_train_batch(c: &mut Criterion) {
         b.iter(|| blocks.iter().for_each(per_sample_adjoint))
     });
     let mut bufs: Vec<_> = blocks.iter().map(buffers).collect();
-    group.bench_function("batch_vjp", |b| {
-        b.iter(|| {
-            for (block, (states, grads)) in blocks.iter().zip(&mut bufs) {
-                batch_vjp_pass(block, states, grads);
-            }
-        })
-    });
+    let both = |bufs: &mut [(Vec<C64>, Vec<f64>)]| {
+        for (block, (states, grads)) in blocks.iter().zip(bufs) {
+            batch_vjp_pass(block, states, grads);
+        }
+    };
+    let forward = |bufs: &mut [(Vec<C64>, Vec<f64>)]| {
+        for (block, (states, _)) in blocks.iter().zip(bufs) {
+            batch_forward_pass(block, states);
+        }
+    };
+    // Run after a forward pass, so the states are the blocks' own.
+    let sweep = |bufs: &mut [(Vec<C64>, Vec<f64>)]| {
+        for (block, (states, grads)) in blocks.iter().zip(bufs) {
+            batch_vjp_sweep(block, states, grads);
+        }
+    };
+    group.bench_function("batch_vjp", |b| b.iter(|| both(&mut bufs)));
+    group.bench_function("batch_forward", |b| b.iter(|| forward(&mut bufs)));
+    group.bench_function("batch_vjp_sweep", |b| b.iter(|| sweep(&mut bufs)));
     group.finish();
+    if !c.selects("gradients_train_batch") {
+        return;
+    }
 
     // Acceptance gate: both ways over both blocks, interleaved passes.
     let per_sample = time_per_call(|| blocks.iter().for_each(per_sample_adjoint), 40, 7);
-    let batch = time_per_call(
-        || {
-            for (block, (states, grads)) in blocks.iter().zip(&mut bufs) {
-                batch_vjp_pass(block, states, grads);
-            }
-        },
-        40,
-        7,
-    );
+    let batch = time_per_call(|| both(&mut bufs), 40, 7);
+    let batch_forward = time_per_call(|| forward(&mut bufs), 40, 7);
+    let batch_sweep = time_per_call(|| sweep(&mut bufs), 40, 7);
     let sample_blocks = (BATCH * blocks.len()) as f64;
     let us_per = |t: Duration| t.as_secs_f64() * 1e6 / sample_blocks;
     // Absolute cost unit: one amplitude touched by one gate in a plain
-    // gate-by-gate sweep (ψ forward, then ψ and every co-state backward);
-    // a Jacobian carries one co-state per observable, a VJP one.
-    let amp_ops = |co_states: usize| -> f64 {
+    // gate-by-gate sweep: `states` of them per gate, ψ forward (1), then ψ
+    // and every co-state backward; a Jacobian carries one co-state per
+    // observable, a VJP one.
+    let amp_ops = |states: usize| -> f64 {
         blocks
             .iter()
             .flat_map(|b| {
                 b.runs
                     .iter()
-                    .map(move |r| r.len() * (1 << r.n_qubits()) * (2 + co_states))
+                    .map(move |r| r.len() * (1 << r.n_qubits()) * states)
             })
             .sum::<usize>() as f64
     };
     let ns_per_op = |t: Duration, ops: f64| t.as_secs_f64() * 1e9 / ops;
     let n_obs = blocks[0].obs.len();
-    let (per_sample_ns, batch_ns) = (
-        ns_per_op(per_sample, amp_ops(n_obs)),
-        ns_per_op(batch, amp_ops(1)),
+    let (per_sample_ns, batch_ns, forward_ns, sweep_ns) = (
+        ns_per_op(per_sample, amp_ops(2 + n_obs)),
+        ns_per_op(batch, amp_ops(3)),
+        ns_per_op(batch_forward, amp_ops(1)),
+        ns_per_op(batch_sweep, amp_ops(2)),
     );
     let ratio = per_sample.as_secs_f64() / batch.as_secs_f64();
     println!(
         "gradients_train_batch: {BATCH} samples x {} blocks; per-sample adjoint {:.2} us \
          per sample-block ({per_sample_ns:.2} ns/amp-op) vs batch forward+VJP {:.2} us \
-         ({batch_ns:.2} ns/amp-op) -> {ratio:.2}x",
+         ({batch_ns:.2} ns/amp-op) -> {ratio:.2}x; forward {:.2} us ({forward_ns:.2} \
+         ns/amp-op), VJP {:.2} us ({sweep_ns:.2} ns/amp-op)",
         blocks.len(),
         us_per(per_sample),
         us_per(batch),
+        us_per(batch_forward),
+        us_per(batch_sweep),
     );
 
     // Inference gate: the batch forward against per-row runs.
@@ -389,6 +420,16 @@ fn bench_train_batch(c: &mut Criterion) {
         ("batch_vjp_us_per_sample_block", Json::Num(us_per(batch))),
         ("per_sample_adjoint_ns_per_amp_op", Json::Num(per_sample_ns)),
         ("batch_vjp_ns_per_amp_op", Json::Num(batch_ns)),
+        (
+            "batch_forward_us_per_sample_block",
+            Json::Num(us_per(batch_forward)),
+        ),
+        ("batch_forward_ns_per_amp_op", Json::Num(forward_ns)),
+        (
+            "batch_vjp_sweep_us_per_sample_block",
+            Json::Num(us_per(batch_sweep)),
+        ),
+        ("batch_vjp_sweep_ns_per_amp_op", Json::Num(sweep_ns)),
         ("speedup", Json::Num(ratio)),
         (
             "infer_workload",

@@ -122,6 +122,9 @@ fn bench_serve_throughput(c: &mut Criterion) {
         );
     }
     group.finish();
+    if !c.selects("serve_throughput") {
+        return;
+    }
 
     // Acceptance gate: the 4-worker engine sustains ≥ 2× the sequential
     // jobs/sec on the standard 64-job / 50%-fault workload. Median of 3

@@ -213,6 +213,9 @@ fn bench_wire_codec(c: &mut Criterion) {
     group.bench_function("decode_4_2_body", |b| b.iter(|| decode(&body)));
     group.bench_function("decode_16x_body", |b| b.iter(|| decode(&long_body)));
     group.finish();
+    if !c.selects("wire_codec") {
+        return;
+    }
 
     let encode_us = median_us(201, || encode(&job));
     let decode_us = median_us(201, || decode(&body));
@@ -283,6 +286,9 @@ fn bench_transport_throughput(c: &mut Criterion) {
         );
     }
     group.finish();
+    if !c.selects("transport_throughput") {
+        return;
+    }
 
     // Acceptance gate: 4 engine workers behind the HTTP front door
     // sustain ≥ 2× the sequential jobs/sec on the standard 64-job /

@@ -72,8 +72,9 @@ fn bench_sweep(c: &mut Criterion) {
     });
     group.finish();
     engine.drain();
-
-    acceptance_gate();
+    if c.selects("zne_mitigation") {
+        acceptance_gate();
+    }
 }
 
 /// Acceptance gate + `results/BENCH_zne.json`: the served ZNE sweep's

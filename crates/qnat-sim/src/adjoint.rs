@@ -26,7 +26,32 @@
 //! its own pending product on that qubit until the next two-qubit gate on
 //! it consumes the product. So a sample's results are bitwise the same
 //! in any batch, and [`adjoint_gradients`] is the batch-of-one case with
-//! one seed per observable.
+//! one seed per observable. The events are indexed by the gate they
+//! follow once per call, so each gate finds its own.
+//!
+//! ## Sample lanes
+//!
+//! The per-sample algebra runs in sample lanes. Each qubit's own pending
+//! products are stored struct-of-arrays in blocks of eight samples: for
+//! every matrix entry one `[f64; 8]` of real parts and one of imaginary
+//! parts, sample `i` in lane `i % 8` of block `i / 8`, with one bit per
+//! sample marking those that hold a product of their own. The products
+//! with a gate (`U·P`), the 4×4 folds at a two-qubit gate (`U·(P_a⊗P_b)`),
+//! the generator conjugations (`P†·G·P`) and the contractions with the
+//! cross matrices (one lane per sample and seed) are loops over lanes in
+//! [`crate::kernels`], compiled for each instruction set the crate
+//! dispatches on. A block with no lane that needs a result is skipped;
+//! the other blocks compute every lane, and the lanes that need no result
+//! are never read (the multiply needs no select).
+//!
+//! Every lane runs the same `f64` operations, in the same order, as the
+//! scalar [`mat2_mul`], [`kron2`], [`mat4_mul`] and [`mat2_dagger`] do
+//! for that sample alone (a 4×4 entry starts from `0.0`, as `mat4_mul`'s
+//! does), Rust never fuses `a*b + c`, and lanes never mix. So the lanes
+//! change no bit, and a sample's results still do not depend on its
+//! batch. The identity stays implicit as before: a gate on a sample whose
+//! product is the identity yields the gate's matrix itself, not its
+//! product with `I`, which could flip the sign of a zero.
 //!
 //! ## Run fusion
 //!
@@ -62,7 +87,10 @@
 use crate::circuit::Circuit;
 use crate::gate::{Gate, GateKind, GateMatrix};
 use crate::kernels::{
-    apply_mat2, apply_mat2_rows, apply_mat4, apply_mat4_rows, cross_mat2, prob_one_mass,
+    apply_mat2, apply_mat2_rows, apply_mat4, apply_mat4_lanes, apply_mat4_rows, conjugate2_lanes,
+    cross_mat2_lanes, fold4_lanes, lane_blocks, lane_get, lane_set, premul_lanes, prob_one_mass,
+    re_contract_lanes, re_contract_shared_lanes, select, splat, Lane, LaneMask, Mat2Lanes,
+    Mat4Lanes, MatLanes, LANES,
 };
 use crate::math::{kron2, mat2_dagger, mat2_mul, mat4_dagger, mat4_mul, Mat2, Mat4, C64};
 use std::ops::Range;
@@ -141,17 +169,6 @@ fn kron_pending(pa: Option<Mat2>, pb: Option<Mat2>) -> Option<Mat4> {
 /// `M·P` for a pending two-qubit product `P` (`None` is the identity).
 fn fold4(m: &Mat4, p: Option<Mat4>) -> Mat4 {
     p.map_or(*m, |p| mat4_mul(m, &p))
-}
-
-/// `Re Σ_ab A[a][b]·C[a][b]`.
-fn re_contract(a: &Mat2, c: &Mat2) -> f64 {
-    let mut acc = 0.0;
-    for (ra, rc) in a.iter().zip(c) {
-        for (x, y) in ra.iter().zip(rc) {
-            acc += x.re * y.re - x.im * y.im;
-        }
-    }
-    acc
 }
 
 /// `Re⟨l|m⟩`.
@@ -237,51 +254,184 @@ fn check_batch(template: &Circuit, samples: &[BatchSample<'_>]) {
     }
 }
 
+/// Every sample's error events, grouped by the template gate they follow.
+struct EventIndex {
+    /// `events[start[g]..start[g + 1]]` follow template gate `g`.
+    start: Vec<usize>,
+    /// `(gate index, sample, event)`, by gate index, then sample, then
+    /// circuit order.
+    events: Vec<(usize, usize, Gate)>,
+}
+
+impl EventIndex {
+    fn new(n_gates: usize, samples: &[BatchSample<'_>]) -> EventIndex {
+        let mut events: Vec<(usize, usize, Gate)> = samples
+            .iter()
+            .enumerate()
+            .flat_map(|(i, s)| s.events.iter().map(move |&(at, e)| (at, i, e)))
+            .collect();
+        // A stable sort keeps sample order, and each sample's circuit
+        // order, within a gate.
+        events.sort_by_key(|&(at, _, _)| at);
+        let mut start = vec![0usize; n_gates + 1];
+        for &(at, _, _) in &events {
+            start[at + 1] += 1;
+        }
+        for g in 0..n_gates {
+            start[g + 1] += start[g];
+        }
+        EventIndex { start, events }
+    }
+
+    /// The events that run right after template gate `g`.
+    fn at(&self, g: usize) -> &[(usize, usize, Gate)] {
+        &self.events[self.start[g]..self.start[g + 1]]
+    }
+}
+
+/// Writes `ms` into lane blocks, sample `i`'s matrix into lane `i`.
+fn fill_lanes<const N: usize>(
+    blocks: &mut Vec<MatLanes<N>>,
+    batch: usize,
+    ms: impl Iterator<Item = [[C64; N]; N]>,
+) {
+    blocks.resize(lane_blocks(batch), splat(&[[C64::ZERO; N]; N]));
+    for (i, m) in ms.enumerate() {
+        lane_set(blocks, i, &m);
+    }
+}
+
+/// Lane buffers a sweep reuses from gate to gate.
+struct LaneScratch {
+    /// Every lane of every block.
+    all: Vec<LaneMask>,
+    /// Per-sample 2×2s: gate matrices or generators.
+    u2: Vec<Mat2Lanes>,
+    /// Two qubits' pending products, spelled out.
+    a2: Vec<Mat2Lanes>,
+    b2: Vec<Mat2Lanes>,
+    /// Conjugated generators, and the same per sample and seed.
+    m2: Vec<Mat2Lanes>,
+    x2: Vec<Mat2Lanes>,
+    /// A two-qubit gate's matrices, the lanes that need a fold, and the
+    /// folds.
+    u4: Vec<Mat4Lanes>,
+    need4: Vec<LaneMask>,
+    m4: Vec<Mat4Lanes>,
+    /// Contractions, one lane per sample and seed.
+    re: Vec<Lane>,
+}
+
+impl LaneScratch {
+    fn new(batch: usize) -> LaneScratch {
+        let blocks = lane_blocks(batch);
+        LaneScratch {
+            all: vec![LaneMask::MAX; blocks],
+            u2: Vec::new(),
+            a2: Vec::new(),
+            b2: Vec::new(),
+            m2: Vec::new(),
+            x2: Vec::new(),
+            u4: Vec::new(),
+            need4: vec![0; blocks],
+            m4: Vec::new(),
+            re: Vec::new(),
+        }
+    }
+}
+
 /// The pending single-qubit products of one qubit across a batch: one
 /// product the samples share, and a sample's own product once a gate
 /// only it runs — an error event, or a gate whose parameters differ
 /// between samples — has touched the qubit since the last two-qubit gate
-/// on it.
+/// on it. Own products live in sample lanes (see the module docs); a
+/// sample's lane is read only while its bit in `own` is set.
 struct Pending {
     shared: Option<Mat2>,
-    own: Vec<Option<Option<Mat2>>>,
+    lanes: Vec<Mat2Lanes>,
+    /// Per lane block, the samples that have their own product.
+    own: Vec<LaneMask>,
     n_own: usize,
+    batch: usize,
 }
 
 impl Pending {
     fn new(batch: usize) -> Pending {
+        let blocks = lane_blocks(batch);
         Pending {
             shared: None,
-            own: vec![None; batch],
+            lanes: vec![splat(&I2); blocks],
+            own: vec![0; blocks],
             n_own: 0,
+            batch,
         }
     }
 
     /// Sample `i`'s product (`None` is the identity).
     fn get(&self, i: usize) -> Option<Mat2> {
-        self.own[i].unwrap_or(self.shared)
+        if self.is_shared(i) {
+            self.shared
+        } else {
+            Some(lane_get(&self.lanes, i))
+        }
     }
 
     /// `true` while sample `i` uses the shared product.
     fn is_shared(&self, i: usize) -> bool {
-        self.own[i].is_none()
+        self.own[i / LANES] >> (i % LANES) & 1 == 0
     }
 
     /// Gives sample `i` its own product `U·P_i`.
     fn premul_one(&mut self, i: usize, u: &Mat2) {
         let p = premul(u, self.get(i));
-        if self.own[i].is_none() {
+        lane_set(&mut self.lanes, i, &p);
+        if self.is_shared(i) {
+            self.own[i / LANES] |= 1 << (i % LANES);
             self.n_own += 1;
         }
-        self.own[i] = Some(Some(p));
     }
 
     /// `U·P` for every sample.
     fn premul_all(&mut self, u: &Mat2) {
         self.shared = Some(premul(u, self.shared));
         if self.n_own > 0 {
-            for p in self.own.iter_mut().flatten() {
-                *p = Some(premul(u, *p));
+            premul_lanes(&[splat(u)], &mut self.lanes, &self.own);
+        }
+    }
+
+    /// Gives every sample `i` its own product `U_i·P_i`, with `U_i` in
+    /// lane `i` of `u`. A sample whose product is the identity takes
+    /// `U_i` itself.
+    fn premul_each(&mut self, u: &[Mat2Lanes], all: &[LaneMask]) {
+        match self.shared {
+            None if self.n_own == 0 => self.lanes.copy_from_slice(u),
+            None => {
+                premul_lanes(u, &mut self.lanes, &self.own);
+                for ((p, u), &own) in self.lanes.iter_mut().zip(u).zip(&self.own) {
+                    select(p, u, !own);
+                }
+            }
+            Some(s) => {
+                let s = splat(&s);
+                for (p, &own) in self.lanes.iter_mut().zip(&self.own) {
+                    select(p, &s, !own);
+                }
+                premul_lanes(u, &mut self.lanes, all);
+            }
+        }
+        self.own.copy_from_slice(all);
+        self.n_own = self.batch;
+    }
+
+    /// Writes block `k` of every sample's product into `out[k]` for each
+    /// block `need` marks: the lanes of samples without their own
+    /// product hold the shared one, or the identity spelled out.
+    fn spell(&self, need: &[LaneMask], out: &mut [Mat2Lanes]) {
+        let fill = splat(&self.shared.unwrap_or(I2));
+        for (k, (out, &need)) in out.iter_mut().zip(need).enumerate() {
+            if need != 0 {
+                *out = self.lanes[k];
+                select(out, &fill, !self.own[k]);
             }
         }
     }
@@ -290,57 +440,114 @@ impl Pending {
     fn clear(&mut self) {
         self.shared = None;
         if self.n_own > 0 {
-            self.own.fill(None);
+            self.own.fill(0);
             self.n_own = 0;
         }
     }
 }
 
-/// Sample `i`'s 4×4 for a two-qubit gate, `f(i, P_a⊗P_b)` from the
-/// kron of the two qubits' pending products. When the gate is one
-/// matrix for the whole batch (`one_gate`), `f` runs once for all the
-/// samples that share both products.
-fn per_sample4<'p>(
-    one_gate: bool,
-    pa: &'p Pending,
-    pb: &'p Pending,
-    f: impl Fn(usize, Option<Mat4>) -> Mat4 + 'p,
-) -> impl Fn(usize) -> Mat4 + 'p {
-    let shared = one_gate.then(|| f(0, kron_pending(pa.shared, pb.shared)));
-    move |i| match shared {
-        Some(m) if pa.is_shared(i) && pb.is_shared(i) => m,
-        _ => f(i, kron_pending(pa.get(i), pb.get(i))),
-    }
-}
-
-/// Applies a two-qubit gate to every sample's row of `buf` (`width`
-/// amplitudes each): sample `i`'s 4×4 from [`per_sample4`], on `(a, b)`.
-/// Each contiguous run of samples that share the matrix is one kernel
-/// call.
+/// Applies a two-qubit gate on `(a, b)` to every sample's row of `buf`
+/// (`width` amplitudes each). `us` holds the gate's matrix, one for the
+/// whole batch or one per sample. Sample `i` gets `U_i·(P_a⊗P_b)` from
+/// the two qubits' pending products, or `U_i` itself when both are the
+/// identity: once for the samples that share the gate and both products,
+/// in sample lanes for the rest. Each contiguous run of samples that
+/// share the matrix is one kernel call, and the samples with a fold of
+/// their own are one more.
 #[allow(clippy::too_many_arguments)]
 fn apply_two_qubit(
     buf: &mut [C64],
     width: usize,
     a: usize,
     b: usize,
-    one_gate: bool,
     pa: &Pending,
     pb: &Pending,
-    f: impl Fn(usize, Option<Mat4>) -> Mat4,
+    us: &[Mat4],
+    lanes: &mut LaneScratch,
 ) {
-    let m = per_sample4(one_gate, pa, pb, f);
-    let shares = |i: usize| one_gate && pa.is_shared(i) && pb.is_shared(i);
     let batch = buf.len() / width;
+    let one_gate = us.len() == 1;
+    let shared = one_gate.then(|| fold4(&us[0], kron_pending(pa.shared, pb.shared)));
+    let bare = pa.shared.is_none() && pb.shared.is_none();
+    // The samples that need a fold of their own: those with an own
+    // product, and every sample when the gate differs between samples
+    // and a shared product is not the identity.
+    let mut need_any = 0;
+    for (k, need) in lanes.need4.iter_mut().enumerate() {
+        *need = if one_gate || bare {
+            pa.own[k] | pb.own[k]
+        } else {
+            LaneMask::MAX
+        };
+        need_any |= *need;
+    }
+    if need_any != 0 {
+        lanes.u4.clear();
+        if one_gate {
+            lanes.u4.push(splat(&us[0]));
+        } else {
+            fill_lanes(&mut lanes.u4, batch, us.iter().copied());
+        }
+        let blocks = lanes.need4.len();
+        lanes.a2.resize(blocks, splat(&I2));
+        lanes.b2.resize(blocks, splat(&I2));
+        lanes.m4.resize(blocks, splat(&[[C64::ZERO; 4]; 4]));
+        pa.spell(&lanes.need4, &mut lanes.a2);
+        pb.spell(&lanes.need4, &mut lanes.b2);
+        fold4_lanes(&lanes.u4, &lanes.a2, &lanes.b2, &mut lanes.m4, &lanes.need4);
+    }
+    // The rest take the shared fold, in contiguous runs, or their own
+    // gate matrix alone.
+    let needs = |i: usize| lanes.need4[i / LANES] >> (i % LANES) & 1 != 0;
     let mut start = 0;
     while start < batch {
+        if needs(start) {
+            start += 1;
+            continue;
+        }
+        let m = shared.unwrap_or_else(|| us[start]);
         let mut end = start + 1;
-        if shares(start) {
-            while end < batch && shares(end) {
+        if one_gate {
+            while end < batch && !needs(end) {
                 end += 1;
             }
         }
-        apply_mat4_rows(&mut buf[start * width..end * width], a, b, &m(start));
+        apply_mat4_rows(&mut buf[start * width..end * width], a, b, &m);
         start = end;
+    }
+    if need_any != 0 {
+        apply_mat4_lanes(buf, width, a, b, &lanes.m4, &lanes.need4);
+    }
+}
+
+/// `Re Σ_ab A_i[a][b]·C_j[a][b]` into lane `j` of `re` for every lane
+/// `j = i·n_seeds + s` of `cs`, with sample `i`'s `A_i` in lane `i` of
+/// `a`.
+fn contract_per_sample(
+    a: &[Mat2Lanes],
+    cs: &[Mat2Lanes],
+    batch: usize,
+    n_seeds: usize,
+    x2: &mut Vec<Mat2Lanes>,
+    re: &mut [Lane],
+) {
+    if n_seeds == 1 {
+        re_contract_lanes(a, cs, re);
+    } else {
+        let pairs = batch * n_seeds;
+        fill_lanes(x2, pairs, (0..pairs).map(|j| lane_get(a, j / n_seeds)));
+        re_contract_lanes(x2, cs, re);
+    }
+}
+
+/// One two-qubit gate's matrix for the batch (`us` holds one) or per
+/// sample.
+fn gate_matrices2(us: &mut Vec<Mat4>, one_gate: bool, batch: usize, at: impl Fn(usize) -> Gate) {
+    us.clear();
+    if one_gate {
+        us.push(at(0).matrix2());
+    } else {
+        us.extend((0..batch).map(|i| at(i).matrix2()));
     }
 }
 
@@ -368,7 +575,9 @@ pub fn batch_forward(template: &Circuit, samples: &[BatchSample<'_>], states: &m
         return;
     }
     let mut pending: Vec<Pending> = (0..n).map(|_| Pending::new(batch)).collect();
-    let mut next_event = vec![0usize; batch];
+    let events = EventIndex::new(template.len(), samples);
+    let mut lanes = LaneScratch::new(batch);
+    let mut us = Vec::new();
     let mut flat = 0;
     for (gi, g) in template.gates().iter().enumerate() {
         let slots = flat..flat + g.kind.param_count();
@@ -380,31 +589,18 @@ pub fn batch_forward(template: &Circuit, samples: &[BatchSample<'_>], states: &m
             if one_gate {
                 p.premul_all(&at(0).matrix1());
             } else {
-                for i in 0..batch {
-                    p.premul_one(i, &at(i).matrix1());
-                }
+                fill_lanes(&mut lanes.u2, batch, (0..batch).map(|i| at(i).matrix1()));
+                p.premul_each(&lanes.u2, &lanes.all);
             }
         } else {
             let [a, b] = g.qubits;
-            let u0 = one_gate.then(|| at(0).matrix2());
-            apply_two_qubit(
-                states,
-                dim,
-                a,
-                b,
-                one_gate,
-                &pending[a],
-                &pending[b],
-                |i, p| fold4(&u0.unwrap_or_else(|| at(i).matrix2()), p),
-            );
+            gate_matrices2(&mut us, one_gate, batch, at);
+            apply_two_qubit(states, dim, a, b, &pending[a], &pending[b], &us, &mut lanes);
             pending[a].clear();
             pending[b].clear();
         }
-        for (i, s) in samples.iter().enumerate() {
-            while let Some(&(_, e)) = s.events.get(next_event[i]).filter(|(at, _)| *at == gi) {
-                pending[e.qubits[0]].premul_one(i, &e.matrix1());
-                next_event[i] += 1;
-            }
+        for &(_, i, e) in events.at(gi) {
+            pending[e.qubits[0]].premul_one(i, &e.matrix1());
         }
     }
     for (q, p) in pending.iter().enumerate() {
@@ -485,12 +681,19 @@ pub fn batch_vjp(
 
     // Undone single-qubit gates not yet applied to the buffer, per qubit.
     let mut pending: Vec<Pending> = (0..n).map(|_| Pending::new(batch)).collect();
-    // `cross[(q·batch + i)·n_seeds + s]` = C_s of sample i on qubit q,
-    // valid while `cross_valid[q]`.
-    let mut cross = vec![I2; n * batch * n_seeds];
+    let blocks = lane_blocks(batch);
+    // The cross matrices run in one lane per sample and seed: lane
+    // `i·n_seeds + s` holds C_s of sample i, the row of `grads` it
+    // contracts into. `cross[q·seed_blocks ..][..seed_blocks]` is qubit
+    // q's, valid while `cross_valid[q]`.
+    let seed_blocks = lane_blocks(batch * n_seeds);
+    let mut cross = vec![splat(&I2); n * seed_blocks];
     let mut cross_valid = vec![false; n];
-    let mut events_left: Vec<usize> = samples.iter().map(|s| s.events.len()).collect();
+    let events = EventIndex::new(template.len(), samples);
     let mut own1: Vec<Mat2> = Vec::new();
+    let mut lanes = LaneScratch::new(batch);
+    lanes.re.resize(seed_blocks, [0.0; LANES]);
+    let mut us = Vec::new();
     let mut scratch = vec![C64::ZERO; dim];
     let grad_at = |i: usize, s: usize, k: usize| (i * n_seeds + s) * n_params + k;
     // Walk gates from last to first; `flat_end` is the exclusive end of
@@ -503,12 +706,8 @@ pub fn batch_vjp(
         }
         // Undo the error events that ran right after this gate, latest
         // first; each belongs to its own sample.
-        for (i, s) in samples.iter().enumerate() {
-            while events_left[i] > 0 && s.events[events_left[i] - 1].0 == gi {
-                events_left[i] -= 1;
-                let e = s.events[events_left[i]].1;
-                pending[e.qubits[0]].premul_one(i, &mat2_dagger(&e.matrix1()));
-            }
+        for &(_, i, e) in events.at(gi).iter().rev() {
+            pending[e.qubits[0]].premul_one(i, &mat2_dagger(&e.matrix1()));
         }
         let np = g.kind.param_count();
         let slots = flat_end - np..flat_end;
@@ -523,29 +722,57 @@ pub fn batch_vjp(
                 own1.extend((0..batch).map(|i| at(i).matrix1()));
             }
             if np > 0 {
-                let cs = &mut cross[q * batch * n_seeds..(q + 1) * batch * n_seeds];
+                let cs = &mut cross[q * seed_blocks..(q + 1) * seed_blocks];
                 if !cross_valid[q] {
-                    for (row, cs) in buf.chunks_exact(width).zip(cs.chunks_exact_mut(n_seeds)) {
-                        let (psi, lambdas) = row.split_at(dim);
-                        for (c, lambda) in cs.iter_mut().zip(lambdas.chunks_exact(dim)) {
-                            *c = cross_mat2(psi, lambda, q);
-                        }
-                    }
+                    cross_mat2_lanes(&buf, width, dim, q, cs);
                     cross_valid[q] = true;
                 }
                 let p = &pending[q];
-                let conj = |gen: Mat2, pq: Option<Mat2>| pq.map_or(gen, |pq| conjugate2(&gen, &pq));
                 for slot in 0..np {
-                    let shared_a = one_gate.then(|| conj(generator1(&g0, slot, &u0), p.shared));
-                    for (i, cs) in cs.chunks_exact(n_seeds).enumerate() {
-                        let a = match shared_a {
-                            Some(a) if p.is_shared(i) => a,
-                            Some(_) => conj(generator1(&g0, slot, &u0), p.get(i)),
-                            None => conj(generator1(&at(i), slot, &own1[i]), p.get(i)),
-                        };
-                        for (s, c) in cs.iter().enumerate() {
-                            grads[grad_at(i, s, slots.start + slot)] = 2.0 * re_contract(&a, c);
+                    // A_i = P_i†·G_i·P_i, or G_i itself while P_i is the
+                    // identity: one A for the batch while every sample
+                    // shares P and G (RZ's generator does not depend on
+                    // its angle), otherwise A_i in lane i of `lanes.m2`.
+                    let one_gen = one_gate || g.kind == GateKind::Rz;
+                    let one_a = if one_gen {
+                        let gen = generator1(&g0, slot, &u0);
+                        let a = p.shared.map_or(gen, |pq| conjugate2(&gen, &pq));
+                        if p.n_own > 0 {
+                            let a = splat(&a);
+                            lanes.m2.clear();
+                            lanes.m2.resize(blocks, a);
+                            conjugate2_lanes(&[splat(&gen)], &p.lanes, &mut lanes.m2, &p.own);
+                            for (m, &own) in lanes.m2.iter_mut().zip(&p.own) {
+                                select(m, &a, !own);
+                            }
                         }
+                        (p.n_own == 0).then_some(a)
+                    } else {
+                        let gens = (0..batch).map(|i| generator1(&at(i), slot, &own1[i]));
+                        fill_lanes(&mut lanes.u2, batch, gens);
+                        lanes.m2.resize(blocks, splat(&I2));
+                        if p.shared.is_some() {
+                            lanes.a2.resize(blocks, splat(&I2));
+                            p.spell(&lanes.all, &mut lanes.a2);
+                            conjugate2_lanes(&lanes.u2, &lanes.a2, &mut lanes.m2, &lanes.all);
+                        } else {
+                            conjugate2_lanes(&lanes.u2, &p.lanes, &mut lanes.m2, &p.own);
+                            for ((m, u), &own) in lanes.m2.iter_mut().zip(&lanes.u2).zip(&p.own) {
+                                select(m, u, !own);
+                            }
+                        }
+                        None
+                    };
+                    match one_a {
+                        Some(a) => re_contract_shared_lanes(&a, cs, &mut lanes.re),
+                        None => {
+                            let (m2, x2) = (&lanes.m2, &mut lanes.x2);
+                            contract_per_sample(m2, cs, batch, n_seeds, x2, &mut lanes.re);
+                        }
+                    }
+                    for j in 0..batch * n_seeds {
+                        grads[j * n_params + slots.start + slot] =
+                            2.0 * lanes.re[j / LANES][j % LANES];
                     }
                 }
             }
@@ -553,35 +780,36 @@ pub fn batch_vjp(
             if one_gate {
                 p.premul_all(&mat2_dagger(&u0));
             } else {
-                for (i, u) in own1.iter().enumerate() {
-                    p.premul_one(i, &mat2_dagger(u));
-                }
+                fill_lanes(&mut lanes.u2, batch, own1.iter().map(mat2_dagger));
+                p.premul_each(&lanes.u2, &lanes.all);
             }
         } else {
             let [a, b] = g.qubits;
-            {
-                let (pa, pb) = (&pending[a], &pending[b]);
-                let u0 = one_gate.then(|| at(0).matrix2());
-                let u_of = |i: usize| u0.unwrap_or_else(|| at(i).matrix2());
-                for slot in 0..np {
-                    let d = per_sample4(one_gate, pa, pb, |i, p| {
-                        let gen = generator2(&at(i), slot, &u_of(i));
-                        p.map_or(gen, |p| conjugate4(&gen, &p))
-                    });
-                    for (i, row) in buf.chunks_exact(width).enumerate() {
-                        let (psi, lambdas) = row.split_at(dim);
-                        scratch.copy_from_slice(psi);
-                        apply_mat4(&mut scratch, a, b, &d(i));
-                        for (s, lambda) in lambdas.chunks_exact(dim).enumerate() {
-                            grads[grad_at(i, s, slots.start + slot)] =
-                                2.0 * re_inner(lambda, &scratch);
-                        }
+            gate_matrices2(&mut us, one_gate, batch, at);
+            let (pa, pb) = (&pending[a], &pending[b]);
+            for slot in 0..np {
+                let dgen = |i: usize, p: Option<Mat4>| {
+                    let gen = generator2(&at(i), slot, &us[if one_gate { 0 } else { i }]);
+                    p.map_or(gen, |p| conjugate4(&gen, &p))
+                };
+                let d0 = one_gate.then(|| dgen(0, kron_pending(pa.shared, pb.shared)));
+                for (i, row) in buf.chunks_exact(width).enumerate() {
+                    let d = match d0 {
+                        Some(d) if pa.is_shared(i) && pb.is_shared(i) => d,
+                        _ => dgen(i, kron_pending(pa.get(i), pb.get(i))),
+                    };
+                    let (psi, lambdas) = row.split_at(dim);
+                    scratch.copy_from_slice(psi);
+                    apply_mat4(&mut scratch, a, b, &d);
+                    for (s, lambda) in lambdas.chunks_exact(dim).enumerate() {
+                        grads[grad_at(i, s, slots.start + slot)] = 2.0 * re_inner(lambda, &scratch);
                     }
                 }
-                apply_two_qubit(&mut buf, width, a, b, one_gate, pa, pb, |i, p| {
-                    fold4(&mat4_dagger(&u_of(i)), p)
-                });
             }
+            for u in &mut us {
+                *u = mat4_dagger(u);
+            }
+            apply_two_qubit(&mut buf, width, a, b, pa, pb, &us, &mut lanes);
             pending[a].clear();
             pending[b].clear();
             cross_valid[a] = false;

@@ -62,12 +62,28 @@
 //! [`prob_one_mass`] keeps one loop: it adds its terms into one running
 //! sum, so wider lanes would have to reorder the additions.
 //!
+//! The batch engine's per-sample algebra ([`crate::adjoint`], "Sample
+//! lanes") is compiled the same way: five loops over lane blocks of
+//! eight samples each — `U·P` (`premul_lanes`), `U·(A⊗B)`
+//! (`fold4_lanes`), `P†·G·P` (`conjugate2_lanes`) and the contraction
+//! `Re Σ A·C` (`re_contract_lanes`, and `re_contract_shared_lanes` for
+//! one `A` in every lane). A block holds one `[f64; 8]` per matrix entry
+//! and re/im part, so a lane's arithmetic is one column of independent
+//! operations: AVX-512 runs a block's lanes in one register, AVX2 in
+//! two, SSE2 in four. Two row loops feed and drain the lanes, one call
+//! per gate for the whole batch: `apply_mat4_lanes` applies each marked
+//! row's own 4×4 from its lane, and `cross_mat2_lanes` writes every
+//! row's cross matrices into lanes (row by row, each sum in block
+//! order).
+//!
 //! The copies compute the same bits. Rust never contracts `a*b + c` into
 //! a fused multiply-add (not even where the enabled features include
 //! FMA), and wider registers only run more independent amplitudes side
 //! by side: each amplitude, and each cross-matrix sum, keeps its
-//! operation order. The `oracle` tests pin every copy the host runs to
-//! the nested-chunk loops bit for bit, and `qnat-core`'s `bit_pins`
+//! operation order, as does each lane. The `oracle` tests pin every copy
+//! the host runs to the nested-chunk loops bit for bit, the
+//! `lane_oracle` tests pin every lane to the scalar `mat2_mul`, `kron2`,
+//! `mat4_mul` and contraction, and `qnat-core`'s `bit_pins`
 //! test pins a noisy training run and the emulator's ⟨Z⟩ to hashes
 //! recorded before the copies existed.
 //!
@@ -246,11 +262,51 @@ per_isa! {
     /// then its quad in every block of a tile.
     fn mix_small_quads(amps: &mut [C64], ba: usize, bb: usize, m: Mat4) = mix_small_quads_body;
 
-    /// The loop of [`cross_mat2`] on bit mask `bit`.
-    fn cross_pairs(psi: &[C64], lam: &[C64], bit: usize) -> Mat2 = cross_pairs_body;
-
     /// The loop of [`accumulate`].
     fn add_into(acc: &mut [C64], terms: &[C64]) = add_into_body;
+
+    /// The loop of [`apply_mat4_lanes`].
+    fn mix_quads_lanes(
+        amps: &mut [C64],
+        width: usize,
+        ba: usize,
+        bb: usize,
+        ms: &[Mat4Lanes],
+        mask: &[LaneMask],
+    ) = mix_quads_lanes_body;
+
+    /// The loop of [`cross_mat2_lanes`].
+    fn cross_pairs_lanes(buf: &[C64], width: usize, dim: usize, bit: usize, out: &mut [Mat2Lanes]) =
+        cross_pairs_lanes_body;
+
+    /// The loop of [`premul_lanes`].
+    fn premul_blocks(u: &[Mat2Lanes], p: &mut [Mat2Lanes], mask: &[LaneMask]) =
+        premul_blocks_body;
+
+    /// The loop of [`fold4_lanes`].
+    fn fold4_blocks(
+        u: &[Mat4Lanes],
+        a: &[Mat2Lanes],
+        b: &[Mat2Lanes],
+        out: &mut [Mat4Lanes],
+        mask: &[LaneMask],
+    ) = fold4_blocks_body;
+
+    /// The loop of [`conjugate2_lanes`].
+    fn conjugate2_blocks(
+        g: &[Mat2Lanes],
+        p: &[Mat2Lanes],
+        out: &mut [Mat2Lanes],
+        mask: &[LaneMask],
+    ) = conjugate2_blocks_body;
+
+    /// The loop of [`re_contract_lanes`].
+    fn re_contract_blocks(a: &[Mat2Lanes], c: &[Mat2Lanes], out: &mut [Lane]) =
+        re_contract_blocks_body;
+
+    /// The loop of [`re_contract_shared_lanes`].
+    fn re_contract_shared_blocks(a: Mat2, c: &[Mat2Lanes], out: &mut [Lane]) =
+        re_contract_shared_blocks_body;
 }
 
 /// Validates `q` against an amplitude slice of length `len` holding one
@@ -459,26 +515,54 @@ pub fn prob_one_mass(amps: &[C64], q: usize) -> f64 {
         .sum()
 }
 
-/// Cross matrix of two states on bit `q`:
-/// `C[a][b] = Σ_r conj(lam[r,a])·psi[r,b]`, where `r` runs over the other
-/// bits. `⟨lam|A_q|psi⟩ = Σ_ab A[a][b]·C[a][b]` for any 2×2 `A` on `q`.
+/// Cross matrices on bit `q` of every row of a `[batch, width]` buffer
+/// whose rows hold a state `ψ` (the first `dim` amplitudes) and then
+/// `n_seeds` co-states `λ_s`: lane `i·n_seeds + s` of `out` gets
+/// `C[a][b] = Σ_r conj(λ_{i,s}[r,a])·ψ_i[r,b]`, where `r` runs over the
+/// other bits, so `⟨λ|A_q|ψ⟩ = Σ_ab A[a][b]·C[a][b]` for any 2×2 `A` on
+/// `q`.
 ///
 /// # Panics
 ///
-/// Panics if the slices differ in length, the length is not a power of
-/// two, or `q` is out of range.
-pub(crate) fn cross_mat2(psi: &[C64], lam: &[C64], q: usize) -> Mat2 {
-    cross_mat2_on(Isa::widest(), psi, lam, q)
+/// Panics if `dim` is not a power of two, `q` is out of range for it,
+/// `width` is not a multiple of `dim` that holds a co-state, or `out` is
+/// not the lane blocks of `batch·n_seeds` lanes.
+pub(crate) fn cross_mat2_lanes(
+    buf: &[C64],
+    width: usize,
+    dim: usize,
+    q: usize,
+    out: &mut [Mat2Lanes],
+) {
+    cross_mat2_lanes_on(Isa::widest(), buf, width, dim, q, out);
 }
 
-/// [`cross_mat2`] on the copy compiled for `isa`.
-fn cross_mat2_on(isa: Isa, psi: &[C64], lam: &[C64], q: usize) -> Mat2 {
-    assert_eq!(psi.len(), lam.len(), "cross of states of unequal length");
-    checked_state(psi.len());
-    let bit = checked_bit(psi.len(), q);
-    cross_pairs(isa, psi, lam, bit)
+/// [`cross_mat2_lanes`] on the copy compiled for `isa`.
+fn cross_mat2_lanes_on(
+    isa: Isa,
+    buf: &[C64],
+    width: usize,
+    dim: usize,
+    q: usize,
+    out: &mut [Mat2Lanes],
+) {
+    checked_state(dim);
+    let bit = checked_bit(dim, q);
+    assert!(
+        width > dim && width.is_multiple_of(dim) && buf.len().is_multiple_of(width),
+        "rows of {width} amplitudes do not hold a state of {dim} and its co-states"
+    );
+    let pairs = buf.len() / width * (width / dim - 1);
+    assert_eq!(
+        out.len(),
+        lane_blocks(pairs),
+        "one lane per state and co-state"
+    );
+    cross_pairs_lanes(isa, buf, width, dim, bit, out);
 }
 
+/// The cross matrix of two states on bit mask `bit`, added up in block
+/// order.
 #[inline(always)]
 fn cross_pairs_body(psi: &[C64], lam: &[C64], bit: usize) -> Mat2 {
     let (mut c00, mut c01, mut c10, mut c11) = (C64::ZERO, C64::ZERO, C64::ZERO, C64::ZERO);
@@ -494,6 +578,93 @@ fn cross_pairs_body(psi: &[C64], lam: &[C64], bit: usize) -> Mat2 {
         }
     }
     [[c00, c01], [c10, c11]]
+}
+
+#[inline(always)]
+fn cross_pairs_lanes_body(
+    buf: &[C64],
+    width: usize,
+    dim: usize,
+    bit: usize,
+    out: &mut [Mat2Lanes],
+) {
+    let n_seeds = width / dim - 1;
+    for (i, row) in buf.chunks_exact(width).enumerate() {
+        let (psi, lambdas) = row.split_at(dim);
+        for (s, lam) in lambdas.chunks_exact(dim).enumerate() {
+            lane_set(out, i * n_seeds + s, &cross_pairs_body(psi, lam, bit));
+        }
+    }
+}
+
+/// Applies sample `i`'s 4×4 from lane `i` of `ms` to bits `(qa, qb)` of
+/// row `i` of a `[batch, width]` buffer (a row may hold several states
+/// end to end), for every sample `mask` marks: bit for bit what
+/// [`apply_mat4_rows`] does to that row alone with that matrix. Other
+/// rows are left as they are.
+///
+/// # Panics
+///
+/// Panics if `width` is not a multiple of the block either qubit
+/// addresses, `qa == qb`, or `ms` and `mask` are not the lane blocks of
+/// the buffer's rows.
+pub(crate) fn apply_mat4_lanes(
+    amps: &mut [C64],
+    width: usize,
+    qa: usize,
+    qb: usize,
+    ms: &[Mat4Lanes],
+    mask: &[LaneMask],
+) {
+    apply_mat4_lanes_on(Isa::widest(), amps, width, qa, qb, ms, mask);
+}
+
+/// [`apply_mat4_lanes`] on the copy compiled for `isa`.
+fn apply_mat4_lanes_on(
+    isa: Isa,
+    amps: &mut [C64],
+    width: usize,
+    qa: usize,
+    qb: usize,
+    ms: &[Mat4Lanes],
+    mask: &[LaneMask],
+) {
+    let ba = checked_bit(width, qa);
+    let bb = checked_bit(width, qb);
+    assert!(qa != qb, "two-qubit kernel addresses qubit {qa} twice");
+    assert!(
+        width > 0 && amps.len().is_multiple_of(width),
+        "a buffer of {} amplitudes in rows of {width}",
+        amps.len()
+    );
+    let blocks = lane_blocks(amps.len() / width);
+    assert!(
+        ms.len() == blocks && mask.len() == blocks,
+        "one lane per row"
+    );
+    mix_quads_lanes(isa, amps, width, ba, bb, ms, mask);
+}
+
+#[inline(always)]
+fn mix_quads_lanes_body(
+    amps: &mut [C64],
+    width: usize,
+    ba: usize,
+    bb: usize,
+    ms: &[Mat4Lanes],
+    mask: &[LaneMask],
+) {
+    let small = ba.max(bb) << 1 <= SMALL_BLOCK;
+    for (i, row) in amps.chunks_exact_mut(width).enumerate() {
+        if mask[i / LANES] >> (i % LANES) & 1 != 0 {
+            let m = lane_get(ms, i);
+            if small {
+                mix_small_quads_body(row, ba, bb, m);
+            } else {
+                mix_quads_body(row, ba, bb, m);
+            }
+        }
+    }
 }
 
 /// Adds `terms` into `acc` amplitude by amplitude: `acc[i] += terms[i]`.
@@ -514,6 +685,409 @@ pub(crate) fn accumulate(acc: &mut [C64], terms: &[C64]) {
 fn add_into_body(acc: &mut [C64], terms: &[C64]) {
     for (a, t) in acc.iter_mut().zip(terms) {
         *a += *t;
+    }
+}
+
+/// Samples per lane block of the batch engine's per-sample algebra.
+pub(crate) const LANES: usize = 8;
+
+/// One `f64` per sample of a lane block.
+pub(crate) type Lane = [f64; LANES];
+
+/// One bit per sample of a lane block: bit `l` stands for lane `l`.
+pub(crate) type LaneMask = u8;
+
+const _: () = assert!(LANES == LaneMask::BITS as usize);
+
+/// One complex number per sample of a lane block: a lane of real parts
+/// and a lane of imaginary parts. Its arithmetic is [`C64`]'s, lane by
+/// lane, in the same operation order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct CLanes {
+    re: Lane,
+    im: Lane,
+}
+
+/// A matrix per sample of a lane block: entry `[r][c]` holds every
+/// sample's entry `[r][c]`.
+pub(crate) type MatLanes<const N: usize> = [[CLanes; N]; N];
+
+/// A 2×2 matrix per sample of a lane block.
+pub(crate) type Mat2Lanes = MatLanes<2>;
+
+/// A 4×4 matrix per sample of a lane block.
+pub(crate) type Mat4Lanes = MatLanes<4>;
+
+impl CLanes {
+    const ZERO: CLanes = CLanes {
+        re: [0.0; LANES],
+        im: [0.0; LANES],
+    };
+
+    #[inline(always)]
+    fn splat(z: C64) -> CLanes {
+        CLanes {
+            re: [z.re; LANES],
+            im: [z.im; LANES],
+        }
+    }
+
+    #[inline(always)]
+    fn conj(self) -> CLanes {
+        let mut c = self;
+        for v in &mut c.im {
+            *v = -*v;
+        }
+        c
+    }
+}
+
+impl std::ops::Add for CLanes {
+    type Output = CLanes;
+    #[inline(always)]
+    fn add(self, rhs: CLanes) -> CLanes {
+        let mut c = CLanes::ZERO;
+        for l in 0..LANES {
+            c.re[l] = self.re[l] + rhs.re[l];
+            c.im[l] = self.im[l] + rhs.im[l];
+        }
+        c
+    }
+}
+
+impl std::ops::Mul for CLanes {
+    type Output = CLanes;
+    #[inline(always)]
+    fn mul(self, rhs: CLanes) -> CLanes {
+        let mut c = CLanes::ZERO;
+        for l in 0..LANES {
+            c.re[l] = self.re[l] * rhs.re[l] - self.im[l] * rhs.im[l];
+            c.im[l] = self.re[l] * rhs.im[l] + self.im[l] * rhs.re[l];
+        }
+        c
+    }
+}
+
+/// Lane blocks that hold `batch` samples: sample `i` is lane
+/// `i % LANES` of block `i / LANES`. The last block's spare lanes hold
+/// values nobody reads.
+pub(crate) fn lane_blocks(batch: usize) -> usize {
+    batch.div_ceil(LANES)
+}
+
+/// Sample `i`'s matrix.
+pub(crate) fn lane_get<const N: usize>(blocks: &[MatLanes<N>], i: usize) -> [[C64; N]; N] {
+    let (block, l) = (&blocks[i / LANES], i % LANES);
+    let mut m = [[C64::ZERO; N]; N];
+    for (row, lanes) in m.iter_mut().zip(block) {
+        for (v, z) in row.iter_mut().zip(lanes) {
+            *v = C64::new(z.re[l], z.im[l]);
+        }
+    }
+    m
+}
+
+/// Sets sample `i`'s matrix to `m`.
+pub(crate) fn lane_set<const N: usize>(blocks: &mut [MatLanes<N>], i: usize, m: &[[C64; N]; N]) {
+    let (block, l) = (&mut blocks[i / LANES], i % LANES);
+    for (row, lanes) in m.iter().zip(block) {
+        for (v, z) in row.iter().zip(lanes) {
+            z.re[l] = v.re;
+            z.im[l] = v.im;
+        }
+    }
+}
+
+/// One lane block with `m` in every lane.
+#[inline(always)]
+pub(crate) fn splat<const N: usize>(m: &[[C64; N]; N]) -> MatLanes<N> {
+    let mut out = [[CLanes::ZERO; N]; N];
+    for r in 0..N {
+        for c in 0..N {
+            out[r][c] = CLanes::splat(m[r][c]);
+        }
+    }
+    out
+}
+
+/// Copies the lanes of `src` that `mask` selects into `dst`.
+#[inline(always)]
+pub(crate) fn select<const N: usize>(dst: &mut MatLanes<N>, src: &MatLanes<N>, mask: LaneMask) {
+    match mask {
+        0 => return,
+        LaneMask::MAX => {
+            *dst = *src;
+            return;
+        }
+        _ => {}
+    }
+    for (d, s) in dst.iter_mut().flatten().zip(src.iter().flatten()) {
+        for l in 0..LANES {
+            if mask >> l & 1 != 0 {
+                d.re[l] = s.re[l];
+                d.im[l] = s.im[l];
+            }
+        }
+    }
+}
+
+/// [`mat2_mul`](crate::math::mat2_mul) in every lane.
+#[inline(always)]
+fn mat2_mul_l(a: &Mat2Lanes, b: &Mat2Lanes) -> Mat2Lanes {
+    let mut c = [[CLanes::ZERO; 2]; 2];
+    for (i, row) in c.iter_mut().enumerate() {
+        for (j, cell) in row.iter_mut().enumerate() {
+            *cell = a[i][0] * b[0][j] + a[i][1] * b[1][j];
+        }
+    }
+    c
+}
+
+/// [`mat2_dagger`](crate::math::mat2_dagger) in every lane.
+#[inline(always)]
+fn mat2_dagger_l(a: &Mat2Lanes) -> Mat2Lanes {
+    [
+        [a[0][0].conj(), a[1][0].conj()],
+        [a[0][1].conj(), a[1][1].conj()],
+    ]
+}
+
+/// [`kron2`](crate::math::kron2) in every lane.
+#[inline(always)]
+fn kron2_l(a: &Mat2Lanes, b: &Mat2Lanes) -> Mat4Lanes {
+    let mut c = [[CLanes::ZERO; 4]; 4];
+    for i in 0..2 {
+        for j in 0..2 {
+            for k in 0..2 {
+                for l in 0..2 {
+                    c[2 * i + k][2 * j + l] = a[i][j] * b[k][l];
+                }
+            }
+        }
+    }
+    c
+}
+
+/// [`mat4_mul`](crate::math::mat4_mul) in every lane.
+#[inline(always)]
+fn mat4_mul_l(a: &Mat4Lanes, b: &Mat4Lanes) -> Mat4Lanes {
+    let mut c = [[CLanes::ZERO; 4]; 4];
+    for (i, row) in c.iter_mut().enumerate() {
+        for (j, cell) in row.iter_mut().enumerate() {
+            let mut acc = CLanes::ZERO;
+            for (k, &bk) in b.iter().map(|r| &r[j]).enumerate() {
+                acc = acc + a[i][k] * bk;
+            }
+            *cell = acc;
+        }
+    }
+    c
+}
+
+/// Validates an operand of `len` blocks against `blocks` lane blocks:
+/// one block (the same for every block) or one per block.
+#[inline]
+fn checked_operand(len: usize, blocks: usize, what: &str) {
+    assert!(
+        len == 1 || len == blocks,
+        "{what} has {len} lane blocks, not 1 or {blocks}"
+    );
+}
+
+/// The block of an operand that block `k` uses (see [`checked_operand`]).
+#[inline(always)]
+fn operand<T>(x: &[T], k: usize) -> &T {
+    &x[if x.len() == 1 { 0 } else { k }]
+}
+
+/// `P ← U·P` in every lane of each block whose mask is not 0, as
+/// [`mat2_mul`](crate::math::mat2_mul) computes it; blocks whose mask is
+/// 0 keep their values. `u` is one block (applied to every block) or one
+/// per block of `p`.
+///
+/// # Panics
+///
+/// Panics if `mask` and `p` differ in length, or `u` has neither one
+/// block nor as many as `p`.
+pub(crate) fn premul_lanes(u: &[Mat2Lanes], p: &mut [Mat2Lanes], mask: &[LaneMask]) {
+    premul_lanes_on(Isa::widest(), u, p, mask);
+}
+
+/// [`premul_lanes`] on the copy compiled for `isa`.
+fn premul_lanes_on(isa: Isa, u: &[Mat2Lanes], p: &mut [Mat2Lanes], mask: &[LaneMask]) {
+    assert_eq!(p.len(), mask.len(), "one mask per lane block");
+    checked_operand(u.len(), p.len(), "U");
+    premul_blocks(isa, u, p, mask);
+}
+
+#[inline(always)]
+fn premul_blocks_body(u: &[Mat2Lanes], p: &mut [Mat2Lanes], mask: &[LaneMask]) {
+    for (k, (p, &mask)) in p.iter_mut().zip(mask).enumerate() {
+        if mask != 0 {
+            *p = mat2_mul_l(operand(u, k), p);
+        }
+    }
+}
+
+/// `out ← U·(A⊗B)` in every lane of each block whose mask is not 0, as
+/// `mat4_mul(u, &kron2(a, b))` computes it; blocks whose mask is 0 keep
+/// their values. `u` is one block or one per block of `a`.
+///
+/// # Panics
+///
+/// Panics if `a`, `b`, `out` and `mask` differ in length, or `u` has
+/// neither one block nor as many as `a`.
+pub(crate) fn fold4_lanes(
+    u: &[Mat4Lanes],
+    a: &[Mat2Lanes],
+    b: &[Mat2Lanes],
+    out: &mut [Mat4Lanes],
+    mask: &[LaneMask],
+) {
+    fold4_lanes_on(Isa::widest(), u, a, b, out, mask);
+}
+
+/// [`fold4_lanes`] on the copy compiled for `isa`.
+fn fold4_lanes_on(
+    isa: Isa,
+    u: &[Mat4Lanes],
+    a: &[Mat2Lanes],
+    b: &[Mat2Lanes],
+    out: &mut [Mat4Lanes],
+    mask: &[LaneMask],
+) {
+    assert!(
+        a.len() == b.len() && a.len() == out.len() && a.len() == mask.len(),
+        "fold of unequal lane blocks"
+    );
+    checked_operand(u.len(), a.len(), "U");
+    fold4_blocks(isa, u, a, b, out, mask);
+}
+
+#[inline(always)]
+fn fold4_blocks_body(
+    u: &[Mat4Lanes],
+    a: &[Mat2Lanes],
+    b: &[Mat2Lanes],
+    out: &mut [Mat4Lanes],
+    mask: &[LaneMask],
+) {
+    for (k, (((a, b), out), &mask)) in a.iter().zip(b).zip(out).zip(mask).enumerate() {
+        if mask != 0 {
+            *out = mat4_mul_l(operand(u, k), &kron2_l(a, b));
+        }
+    }
+}
+
+/// `out ← P†·G·P` in every lane of each block whose mask is not 0, as
+/// `mat2_mul(&mat2_dagger(p), &mat2_mul(g, p))` computes it; blocks whose
+/// mask is 0 keep their values. `g` is one block or one per block of
+/// `p`.
+///
+/// # Panics
+///
+/// Panics if `p`, `out` and `mask` differ in length, or `g` has neither
+/// one block nor as many as `p`.
+pub(crate) fn conjugate2_lanes(
+    g: &[Mat2Lanes],
+    p: &[Mat2Lanes],
+    out: &mut [Mat2Lanes],
+    mask: &[LaneMask],
+) {
+    conjugate2_lanes_on(Isa::widest(), g, p, out, mask);
+}
+
+/// [`conjugate2_lanes`] on the copy compiled for `isa`.
+fn conjugate2_lanes_on(
+    isa: Isa,
+    g: &[Mat2Lanes],
+    p: &[Mat2Lanes],
+    out: &mut [Mat2Lanes],
+    mask: &[LaneMask],
+) {
+    assert!(
+        p.len() == out.len() && p.len() == mask.len(),
+        "conjugation of unequal lane blocks"
+    );
+    checked_operand(g.len(), p.len(), "G");
+    conjugate2_blocks(isa, g, p, out, mask);
+}
+
+#[inline(always)]
+fn conjugate2_blocks_body(
+    g: &[Mat2Lanes],
+    p: &[Mat2Lanes],
+    out: &mut [Mat2Lanes],
+    mask: &[LaneMask],
+) {
+    for (k, ((p, out), &mask)) in p.iter().zip(out).zip(mask).enumerate() {
+        if mask != 0 {
+            let gp = mat2_mul_l(operand(g, k), p);
+            *out = mat2_mul_l(&mat2_dagger_l(p), &gp);
+        }
+    }
+}
+
+/// `Re Σ_ab A[a][b]·C[a][b]` in every lane, adding the four products to
+/// `0.0` in row-major order. `a` is one block or one per block of `c`.
+///
+/// # Panics
+///
+/// Panics if `c` and `out` differ in length, or `a` has neither one
+/// block nor as many as `c`.
+pub(crate) fn re_contract_lanes(a: &[Mat2Lanes], c: &[Mat2Lanes], out: &mut [Lane]) {
+    re_contract_lanes_on(Isa::widest(), a, c, out);
+}
+
+/// [`re_contract_lanes`] on the copy compiled for `isa`.
+fn re_contract_lanes_on(isa: Isa, a: &[Mat2Lanes], c: &[Mat2Lanes], out: &mut [Lane]) {
+    assert_eq!(c.len(), out.len(), "contraction of unequal lane blocks");
+    checked_operand(a.len(), c.len(), "A");
+    re_contract_blocks(isa, a, c, out);
+}
+
+/// [`re_contract_lanes`] with the same `A` in every lane: the lanes of
+/// `A` are filled inside the loop's copy, not passed in.
+///
+/// # Panics
+///
+/// Panics if `c` and `out` differ in length.
+pub(crate) fn re_contract_shared_lanes(a: &Mat2, c: &[Mat2Lanes], out: &mut [Lane]) {
+    re_contract_shared_lanes_on(Isa::widest(), a, c, out);
+}
+
+/// [`re_contract_shared_lanes`] on the copy compiled for `isa`.
+fn re_contract_shared_lanes_on(isa: Isa, a: &Mat2, c: &[Mat2Lanes], out: &mut [Lane]) {
+    assert_eq!(c.len(), out.len(), "contraction of unequal lane blocks");
+    re_contract_shared_blocks(isa, *a, c, out);
+}
+
+/// `Re Σ_ab A[a][b]·C[a][b]` of one lane block.
+#[inline(always)]
+fn re_contract_l(a: &Mat2Lanes, c: &Mat2Lanes) -> Lane {
+    let mut acc = [0.0; LANES];
+    for (ra, rc) in a.iter().zip(c) {
+        for (x, y) in ra.iter().zip(rc) {
+            for l in 0..LANES {
+                acc[l] += x.re[l] * y.re[l] - x.im[l] * y.im[l];
+            }
+        }
+    }
+    acc
+}
+
+#[inline(always)]
+fn re_contract_blocks_body(a: &[Mat2Lanes], c: &[Mat2Lanes], out: &mut [Lane]) {
+    for (k, (c, out)) in c.iter().zip(out).enumerate() {
+        *out = re_contract_l(operand(a, k), c);
+    }
+}
+
+#[inline(always)]
+fn re_contract_shared_blocks_body(a: Mat2, c: &[Mat2Lanes], out: &mut [Lane]) {
+    let a = splat(&a);
+    for (c, out) in c.iter().zip(out) {
+        *out = re_contract_l(&a, c);
     }
 }
 
@@ -541,6 +1115,9 @@ pub fn conj4(m: &Mat4) -> Mat4 {
 
 #[cfg(test)]
 mod oracle;
+
+#[cfg(test)]
+mod lane_oracle;
 
 #[cfg(test)]
 mod tests {

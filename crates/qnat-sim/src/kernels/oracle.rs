@@ -6,7 +6,10 @@
 //! cross matrix must add its terms in block order whatever loop computes
 //! it.
 
-use super::{add_into, cross_mat2_on, mat2_rows_on, mat4_rows_on, Isa};
+use super::{
+    add_into, apply_mat4_lanes_on, cross_mat2_lanes_on, lane_blocks, lane_get, lane_set,
+    mat2_rows_on, mat4_rows_on, splat, Isa, LaneMask, LANES,
+};
 use crate::math::{Mat2, Mat4, C64};
 
 /// Nested-chunk 2×2 mix on bit mask `bit`.
@@ -148,19 +151,67 @@ fn mix_quads_matches_the_nested_chunk_loop_bitwise() {
     }
 }
 
+/// The cross matrices of every row's state and co-states, each in its
+/// lane: one row of one co-state, and 9 rows of 2 (lanes past one
+/// block), on 1–6 qubits.
 #[test]
 fn cross_mat2_matches_the_nested_chunk_loop_bitwise() {
     for isa in Isa::supported() {
         for n in 1..=6 {
-            let (psi, lam) = (amplitudes(1 << n, 0.25), amplitudes(1 << n, 7.75));
-            for q in 0..n {
-                let got = cross_mat2_on(isa, &psi, &lam, q);
-                let want = reference_cross(&psi, &lam, 1 << q);
-                assert_bits_eq(
-                    got.as_flattened(),
-                    want.as_flattened(),
-                    &format!("{isa:?}, {n} qubits, qubit {q}"),
-                );
+            let dim = 1usize << n;
+            for (rows, n_seeds) in [(1usize, 1usize), (9, 2)] {
+                let width = (1 + n_seeds) * dim;
+                let buf = amplitudes(rows * width, 0.25);
+                for q in 0..n {
+                    let mut got = vec![splat(&[[C64::ZERO; 2]; 2]); lane_blocks(rows * n_seeds)];
+                    cross_mat2_lanes_on(isa, &buf, width, dim, q, &mut got);
+                    for (i, row) in buf.chunks_exact(width).enumerate() {
+                        let (psi, lambdas) = row.split_at(dim);
+                        for (s, lam) in lambdas.chunks_exact(dim).enumerate() {
+                            let want = reference_cross(psi, lam, 1 << q);
+                            assert_bits_eq(
+                                lane_get(&got, i * n_seeds + s).as_flattened(),
+                                want.as_flattened(),
+                                &format!("{isa:?}, {n} qubits, row {i}, seed {s}, qubit {q}"),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Each marked row through its own lane's matrix, the others left as
+/// they are: rows of one 16-amplitude state (the small-block loop) and of
+/// two 32-amplitude states (the nested loop on bit 4), 3 and 49 rows.
+#[test]
+fn mix_quads_lanes_match_the_nested_chunk_loop_bitwise() {
+    for isa in Isa::supported() {
+        for (width, n) in [(16usize, 4usize), (64, 5)] {
+            for rows in [3usize, 49] {
+                let ms: Vec<Mat4> = (0..rows).map(|i| matrix::<4>(i as f64)).collect();
+                let mut lanes = vec![splat(&[[C64::ZERO; 4]; 4]); lane_blocks(rows)];
+                for (i, m) in ms.iter().enumerate() {
+                    lane_set(&mut lanes, i, m);
+                }
+                let mask: Vec<LaneMask> = (0..lane_blocks(rows))
+                    .map(|k| [0b0110_1011, LaneMask::MAX, 0][k % 3])
+                    .collect();
+                for qa in 0..n {
+                    for qb in (0..n).filter(|&qb| qb != qa) {
+                        let mut got = amplitudes(rows * width, (qa * 8 + qb) as f64);
+                        let mut want = got.clone();
+                        apply_mat4_lanes_on(isa, &mut got, width, qa, qb, &lanes, &mask);
+                        for (i, row) in want.chunks_exact_mut(width).enumerate() {
+                            if mask[i / LANES] >> (i % LANES) & 1 != 0 {
+                                reference_quads(row, 1 << qa, 1 << qb, &ms[i]);
+                            }
+                        }
+                        let what = format!("{isa:?}, {rows} rows of {width}, qubits ({qa}, {qb})");
+                        assert_bits_eq(&got, &want, &what);
+                    }
+                }
             }
         }
     }
