@@ -722,6 +722,39 @@ mod tests {
         assert_eq!(z2, z0, "reset to (1, 1) must undo the drift (drifted {z1})");
     }
 
+    /// Every drift rebuilds the emulator's compiled channel table: a
+    /// drifted backend's ⟨Z⟩ is bitwise a fresh emulator's on the drifted
+    /// model, and (1, 1) is bitwise the base again. A table kept from the
+    /// base model (or looked up by anything that omits the scaled
+    /// calibration, such as the device name, which drift keeps) fails the
+    /// gate-drift cases, whose ⟨Z⟩ must also move.
+    #[test]
+    fn drift_rebuilds_the_channel_table_bitwise() {
+        let mut c = Circuit::new(4);
+        for q in 0..4 {
+            c.push(Gate::ry(q, 0.3 + 0.4 * q as f64));
+        }
+        for (a, b) in [(0, 1), (1, 2), (2, 3)] {
+            c.push(Gate::cx(a, b));
+            c.push(Gate::rz(b, 0.7));
+            c.push(Gate::sx(a));
+        }
+        let base = presets::santiago();
+        let bits = |z: &[f64]| z.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let fresh = |m: DeviceModel| bits(&HardwareEmulator::new(m).expect_all_z(&c).unwrap());
+        let z_base = fresh(base.clone());
+        let mut b = EmulatorBackend::new(&base, 0).unwrap();
+        for (g, r) in [(2.5, 1.0), (1.0, 3.0), (4.0, 4.0), (0.5, 2.0)] {
+            b.apply_drift(g, r);
+            let z = bits(&b.execute(&c, None).unwrap().expectations);
+            assert_eq!(z, fresh(base.drifted(g, r)), "drift ({g}, {r})");
+            assert_ne!(z, z_base, "drift ({g}, {r}) must move ⟨Z⟩");
+        }
+        b.apply_drift(1.0, 1.0);
+        let z = bits(&b.execute(&c, None).unwrap().expectations);
+        assert_eq!(z, z_base, "drift (1, 1) restores the base bitwise");
+    }
+
     #[test]
     fn finite_shots_reported_and_noisy() {
         let mut b = SimulatorBackend::new(7);

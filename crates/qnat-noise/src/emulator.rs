@@ -7,68 +7,187 @@
 //! Measurement applies the per-qubit readout confusion and optionally
 //! finite-shot sampling.
 //!
+//! ## Channels compiled once per device
+//!
+//! A gate's noise depends only on its kind and qubits, never its angles,
+//! so an emulator builds every channel it can apply once, when it is
+//! built: a `NoiseTable` holds one entry per qubit (its one-qubit Pauli
+//! channel, and its damping after a one- and after a two-qubit gate) and
+//! one per two-qubit error spec of the device (each coupled pair's, plus
+//! the worst-edge spec an uncoupled pair falls back to). A run looks its
+//! channels up instead of rebuilding them after every gate. A drifted
+//! device is a new model, so [`ModelEngine::build`](crate::backend::ModelEngine::build)
+//! builds a new emulator, and table, for it.
+//!
+//! Each channel is applied in one pass per nonzero Kraus operator (every
+//! operator is a monomial; see [`qnat_sim::channel`]), into one scratch
+//! buffer that lives for the run. The pass gives every nonzero amplitude
+//! the bits the dense Kraus loop gave it; only the sign of an exact zero
+//! can differ, and neither `⟨Z⟩`, the probabilities nor sampled counts
+//! can see it (see [`qnat_sim::density`]).
+//!
 //! All entry points are fallible: an oversized circuit or an invalid
 //! channel spec surfaces as a typed [`BackendError`] instead of a panic, so
-//! the deployment pipeline can report and recover.
+//! the deployment pipeline can report and recover. A channel the model
+//! cannot yield is kept in the table as its error and returned by the
+//! first run whose gate needs it, as if it had been built then.
 
 use crate::backend::BackendError;
 use crate::device::DeviceModel;
-use qnat_sim::channel::Channel1;
+use crate::error_spec::PauliErrorSpec;
+use qnat_sim::channel::{Channel1, InvalidChannelError};
 use qnat_sim::circuit::Circuit;
 use qnat_sim::density::DensityMatrix;
 use qnat_sim::gate::Gate;
 use qnat_sim::measure::sampled_expect_all_z;
 use rand::Rng;
 
-/// Applies the noise that follows gate `g` on `model`, in order: the
-/// Pauli (twirled) channel of each [`DeviceModel::gate_errors`] entry,
-/// then amplitude and phase damping on each of the gate's qubits over
-/// the gate's duration (scaled by `tq_duration_factor` for a two-qubit
-/// gate). Zero-rate channels are skipped. Both emulators place noise
-/// through this one rule; `apply` runs one channel on one qubit.
-///
-/// # Errors
-///
-/// Returns [`BackendError::InvalidChannel`] if the model yields an
-/// invalid channel; the channels before it have been applied.
-pub(crate) fn gate_noise(
-    model: &DeviceModel,
-    g: &Gate,
-    mut apply: impl FnMut(usize, &Channel1),
-) -> Result<(), BackendError> {
-    for (q, spec) in model.gate_errors(g) {
-        if spec.total() > 0.0 {
-            apply(q, &Channel1::pauli(spec.p_x, spec.p_y, spec.p_z)?);
+/// A channel (or list of channels) built from the model, or the reason
+/// the model cannot yield it.
+type Compiled<T> = Result<T, InvalidChannelError>;
+
+/// One qubit's channels.
+#[derive(Debug, Clone)]
+struct QubitNoise {
+    /// The Pauli channel after a non-virtual one-qubit gate.
+    pauli: Compiled<Option<Channel1>>,
+    /// Amplitude then phase damping (zero rates left out) over one
+    /// one-qubit gate (`[0]`) and one two-qubit gate (`[1]`).
+    damping: [Compiled<Vec<Channel1>>; 2],
+}
+
+/// Every noise channel of one device, built once per emulator (see the
+/// module docs). Both emulators place noise through
+/// [`NoiseTable::after`].
+#[derive(Debug, Clone)]
+pub(crate) struct NoiseTable {
+    n_qubits: usize,
+    qubits: Vec<QubitNoise>,
+    /// The Pauli channel of each distinct two-qubit error spec.
+    pairs: Vec<Compiled<Option<Channel1>>>,
+    /// `pair_of[a·n + b]`: the entry of `pairs` a gate on `(a, b)` uses.
+    pair_of: Vec<usize>,
+}
+
+/// The Pauli channel of `spec`, or `None` if its total rate is zero.
+fn pauli(spec: PauliErrorSpec) -> Compiled<Option<Channel1>> {
+    (spec.total() > 0.0)
+        .then(|| Channel1::pauli(spec.p_x, spec.p_y, spec.p_z))
+        .transpose()
+}
+
+/// Amplitude then phase damping on qubit `q` over a gate of `dur`
+/// one-qubit gate durations, each left out at rate zero.
+fn damping(model: &DeviceModel, q: usize, dur: f64) -> Compiled<Vec<Channel1>> {
+    let ad = (model.amp_damping(q) * dur).min(1.0);
+    let pd = (model.phase_damping(q) * dur).min(1.0);
+    let mut out = Vec::new();
+    if ad > 0.0 {
+        out.push(Channel1::amplitude_damping(ad)?);
+    }
+    if pd > 0.0 {
+        out.push(Channel1::phase_damping(pd)?);
+    }
+    Ok(out)
+}
+
+/// The channel, or its build error as a [`BackendError`].
+fn built<T>(c: &Compiled<T>) -> Result<&T, BackendError> {
+    c.as_ref().map_err(|e| e.clone().into())
+}
+
+impl NoiseTable {
+    /// Builds every channel `model` can apply.
+    pub(crate) fn new(model: &DeviceModel) -> NoiseTable {
+        let n = model.n_qubits();
+        let qubits = (0..n)
+            .map(|q| QubitNoise {
+                pauli: pauli(model.single_qubit_error(q)),
+                damping: [
+                    damping(model, q, 1.0),
+                    damping(model, q, model.tq_duration_factor()),
+                ],
+            })
+            .collect();
+        // Pairs that share a spec (every uncoupled pair shares the
+        // worst edge's) share one channel.
+        let mut specs: Vec<PauliErrorSpec> = Vec::new();
+        let mut pair_of = vec![0; n * n];
+        for a in 0..n {
+            for b in (0..n).filter(|&b| b != a) {
+                let spec = model.two_qubit_error(a, b);
+                pair_of[a * n + b] = specs.iter().position(|s| *s == spec).unwrap_or_else(|| {
+                    specs.push(spec);
+                    specs.len() - 1
+                });
+            }
+        }
+        NoiseTable {
+            n_qubits: n,
+            qubits,
+            pairs: specs.into_iter().map(pauli).collect(),
+            pair_of,
         }
     }
-    let dur = if g.arity() == 2 {
-        model.tq_duration_factor()
-    } else {
-        1.0
-    };
-    for &q in &g.qubits[..g.arity()] {
-        let ad = (model.amp_damping(q) * dur).min(1.0);
-        let pd = (model.phase_damping(q) * dur).min(1.0);
-        if ad > 0.0 {
-            apply(q, &Channel1::amplitude_damping(ad)?);
+
+    /// Applies the noise that follows gate `g`, in order: the Pauli
+    /// channel of each [`DeviceModel::gate_errors`] event (none after a
+    /// virtual gate; the edge's spec on both qubits of a two-qubit gate),
+    /// then amplitude and phase damping on each of the gate's qubits over
+    /// the gate's duration (scaled by the model's `tq_duration_factor`
+    /// for a two-qubit gate). `apply` runs one channel on one qubit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BackendError::InvalidChannel`] if the model yields an
+    /// invalid channel for this gate; the channels before it have been
+    /// applied.
+    pub(crate) fn after(
+        &self,
+        g: &Gate,
+        mut apply: impl FnMut(usize, &Channel1),
+    ) -> Result<(), BackendError> {
+        let [a, b] = g.qubits;
+        if g.arity() == 1 {
+            let noise = &self.qubits[a];
+            if !DeviceModel::is_virtual(g.kind) {
+                if let Some(ch) = built(&noise.pauli)? {
+                    apply(a, ch);
+                }
+            }
+            for ch in built(&noise.damping[0])? {
+                apply(a, ch);
+            }
+        } else {
+            if let Some(ch) = built(&self.pairs[self.pair_of[a * self.n_qubits + b]])? {
+                apply(a, ch);
+                apply(b, ch);
+            }
+            for q in [a, b] {
+                for ch in built(&self.qubits[q].damping[1])? {
+                    apply(q, ch);
+                }
+            }
         }
-        if pd > 0.0 {
-            apply(q, &Channel1::phase_damping(pd)?);
-        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// A hardware emulator bound to a device model.
 #[derive(Debug, Clone)]
 pub struct HardwareEmulator {
     model: DeviceModel,
+    noise: NoiseTable,
 }
 
 impl HardwareEmulator {
-    /// Creates an emulator for `model`.
+    /// Creates an emulator for `model`, building every noise channel the
+    /// model can apply.
     pub fn new(model: DeviceModel) -> Self {
-        HardwareEmulator { model }
+        HardwareEmulator {
+            noise: NoiseTable::new(&model),
+            model,
+        }
     }
 
     /// The underlying device model.
@@ -103,9 +222,11 @@ impl HardwareEmulator {
     pub fn run(&self, circuit: &Circuit) -> Result<DensityMatrix, BackendError> {
         self.check_size(circuit)?;
         let mut rho = DensityMatrix::zero_state(circuit.n_qubits());
+        let mut scratch = Vec::new();
         for g in circuit.gates() {
             rho.apply_gate(g);
-            gate_noise(&self.model, g, |q, ch| rho.apply_channel1(q, ch))?;
+            self.noise
+                .after(g, |q, ch| rho.apply_channel1_with(q, ch, &mut scratch))?;
         }
         Ok(rho)
     }

@@ -6,13 +6,14 @@
 //! statevector (2ⁿ), and averaging over trajectories converges to the
 //! density-matrix result. The noise placement is identical to
 //! [`crate::emulator::HardwareEmulator`]: Pauli gate-error channels plus
-//! amplitude/phase damping after every physical gate, readout confusion at
-//! measurement. Like the density-matrix emulator, every entry point
-//! returns typed [`BackendError`]s instead of panicking.
+//! amplitude/phase damping after every physical gate, each channel looked
+//! up in the same per-device table, built with the emulator; readout
+//! confusion at measurement. Like the density-matrix emulator, every entry
+//! point returns typed [`BackendError`]s instead of panicking.
 
 use crate::backend::BackendError;
 use crate::device::DeviceModel;
-use crate::emulator::gate_noise;
+use crate::emulator::NoiseTable;
 use qnat_sim::circuit::Circuit;
 use qnat_sim::statevector::StateVector;
 use rand::Rng;
@@ -21,6 +22,7 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct TrajectoryEmulator {
     model: DeviceModel,
+    noise: NoiseTable,
     /// Trajectories averaged per evaluation.
     pub n_trajectories: usize,
 }
@@ -38,6 +40,7 @@ impl TrajectoryEmulator {
             });
         }
         Ok(TrajectoryEmulator {
+            noise: NoiseTable::new(&model),
             model,
             n_trajectories,
         })
@@ -74,9 +77,8 @@ impl TrajectoryEmulator {
         let mut psi = StateVector::zero_state(circuit.n_qubits());
         for g in circuit.gates() {
             psi.apply(g);
-            gate_noise(&self.model, g, |q, ch| {
-                psi.apply_channel1_sampled(q, ch, rng)
-            })?;
+            self.noise
+                .after(g, |q, ch| psi.apply_channel1_sampled(q, ch, rng))?;
         }
         Ok(psi)
     }

@@ -223,6 +223,51 @@ fn shared(samples: &[BatchSample<'_>], slots: &Range<usize>) -> bool {
     })
 }
 
+/// The most distinct bit patterns [`distinct_matrices1`] keeps.
+/// Quantized inputs take a few (one per level); once this many are met,
+/// every later sample builds its own matrix with no compare, so a batch
+/// of all-distinct values costs at most `DISTINCT²/2` compares per gate.
+const DISTINCT: usize = 8;
+
+/// Every sample's matrix of a single-qubit gate into `own`, `build(i)`
+/// called only for the first sample of each bit pattern of the values
+/// for `slots` (the next samples of that pattern copy its matrix), and
+/// for every sample once [`DISTINCT`] patterns were met before it.
+fn distinct_matrices1(
+    own: &mut Vec<Mat2>,
+    samples: &[BatchSample<'_>],
+    slots: &Range<usize>,
+    mut build: impl FnMut(usize) -> Mat2,
+) {
+    own.clear();
+    let mut seen = [0usize; DISTINCT];
+    let mut n_seen = 0;
+    for (i, s) in samples.iter().enumerate() {
+        let alike = (n_seen < DISTINCT)
+            .then(|| {
+                let v = &s.params[slots.clone()];
+                seen[..n_seen].iter().copied().find(|&j| {
+                    samples[j].params[slots.clone()]
+                        .iter()
+                        .zip(v)
+                        .all(|(a, b)| a.to_bits() == b.to_bits())
+                })
+            })
+            .flatten();
+        let m = match alike {
+            Some(j) => own[j],
+            None => {
+                if n_seen < DISTINCT {
+                    seen[n_seen] = i;
+                    n_seen += 1;
+                }
+                build(i)
+            }
+        };
+        own.push(m);
+    }
+}
+
 /// Validates a batch against its template.
 fn check_batch(template: &Circuit, samples: &[BatchSample<'_>]) {
     let n = template.n_qubits();
@@ -718,8 +763,9 @@ pub fn batch_vjp(
             let g0 = at(0);
             let u0 = g0.matrix1();
             if !one_gate {
-                own1.clear();
-                own1.extend((0..batch).map(|i| at(i).matrix1()));
+                // One matrix per distinct bit pattern: quantized inputs
+                // repeat a few values across the batch.
+                distinct_matrices1(&mut own1, samples, &slots, |i| at(i).matrix1());
             }
             if np > 0 {
                 let cs = &mut cross[q * seed_blocks..(q + 1) * seed_blocks];
@@ -883,6 +929,37 @@ pub fn adjoint_all_z(circuit: &Circuit) -> GradientResult {
 mod tests {
     use super::*;
     use crate::statevector::StateVector;
+
+    #[test]
+    fn distinct_matrices_build_once_per_bit_pattern() {
+        let built = |values: &[f64]| {
+            let rows: Vec<[f64; 2]> = values.iter().map(|&v| [v, 9.0]).collect();
+            let samples: Vec<BatchSample<'_>> = rows
+                .iter()
+                .map(|r| BatchSample {
+                    params: r,
+                    events: &[],
+                })
+                .collect();
+            let (mut own, mut calls) = (Vec::new(), Vec::new());
+            distinct_matrices1(&mut own, &samples, &(0..2), |i| {
+                calls.push(i);
+                Gate::ry(0, values[i]).matrix1()
+            });
+            for (m, &v) in own.iter().zip(values) {
+                assert_eq!(*m, Gate::ry(0, v).matrix1());
+            }
+            calls
+        };
+        // -0.0 and 0.0 differ in their bits, so they build apart.
+        assert_eq!(built(&[0.5, 1.5, 0.5, -0.0, 0.0, 1.5]), [0, 1, 3, 4]);
+        // Once `DISTINCT` patterns are met, every sample builds, even a
+        // repeat.
+        let mut values: Vec<f64> = (0..DISTINCT + 2).map(|i| i as f64).collect();
+        values.extend([1.0, DISTINCT as f64]);
+        let all: Vec<usize> = (0..values.len()).collect();
+        assert_eq!(built(&values), all);
+    }
 
     fn finite_diff(circuit: &Circuit, obs: &[usize]) -> Vec<Vec<f64>> {
         let eps = 1e-6;

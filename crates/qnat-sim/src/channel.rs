@@ -4,6 +4,25 @@
 //! (the twirled approximation QuantumNAT samples error gates from),
 //! depolarizing, amplitude damping (T1 decay) and phase damping (T2
 //! dephasing). Every constructor validates completeness `Σ KᵏᵈKᵏ = I`.
+//!
+//! ## Monomial operators
+//!
+//! Every Kraus operator a channel holds has at most one nonzero entry
+//! per row: `√p·{I, X, Y, Z}`, and the two operators each of amplitude
+//! and phase damping. [`Channel1::from_kraus`] rejects any other
+//! operator and records each nonzero one as a `Monomial`: row `r`'s
+//! entry `k_r` and its column `c(r)`. On `vec(ρ)` such an operator maps
+//! `ρ[r][s]` from the single entry `ρ[c(r)][c(s)]`,
+//!
+//! ```text
+//! (K·ρ·K†)[r][s] = conj(k_s)·(k_r·ρ[c(r)][c(s)]),
+//! ```
+//!
+//! so [`DensityMatrix::apply_channel1`](crate::density::DensityMatrix::apply_channel1)
+//! applies each term in one pass of two complex multiplies and one add
+//! per amplitude, in place of a copy, two dense 2×2 mixes and a sum.
+//! An operator that is all zero (a Pauli term at rate 0) adds nothing
+//! and gets no pass.
 
 use crate::math::{mat2_dagger, mat2_mul, Mat2, C64};
 use std::error::Error;
@@ -25,19 +44,69 @@ impl fmt::Display for InvalidChannelError {
 
 impl Error for InvalidChannelError {}
 
+/// A Kraus operator with at most one nonzero entry per row: row `r`
+/// holds `value[r]` in column `col[r]` and zeros elsewhere. A row with
+/// no nonzero entry keeps its diagonal entry (a zero) and column `r`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Monomial {
+    /// The column of each row's entry.
+    pub(crate) col: [usize; 2],
+    /// Each row's entry `K[r][col[r]]`.
+    pub(crate) value: [C64; 2],
+}
+
+impl Monomial {
+    /// The monomial form of `k`, or `None` if a row of `k` has two
+    /// nonzero entries.
+    fn of(k: &Mat2) -> Option<Monomial> {
+        let mut col = [0, 1];
+        for (r, row) in k.iter().enumerate() {
+            col[r] = match (row[0] != C64::ZERO, row[1] != C64::ZERO) {
+                (true, true) => return None,
+                (true, false) => 0,
+                (false, true) => 1,
+                (false, false) => r,
+            };
+        }
+        Some(Monomial {
+            col,
+            value: [k[0][col[0]], k[1][col[1]]],
+        })
+    }
+
+    /// `true` when every entry of the operator is zero.
+    fn is_zero(&self) -> bool {
+        self.value == [C64::ZERO; 2]
+    }
+}
+
 /// A single-qubit channel described by its Kraus operators.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Channel1 {
     ops: Vec<Mat2>,
+    /// The monomial form of every operator in `ops` that is not all zero,
+    /// in order.
+    terms: Vec<Monomial>,
 }
 
 impl Channel1 {
-    /// Builds a channel from raw Kraus operators, validating completeness.
+    /// Builds a channel from raw Kraus operators, validating completeness
+    /// and recording each operator's monomial form.
     ///
     /// # Errors
     ///
-    /// Returns [`InvalidChannelError`] if `Σ KᵏᵈKᵏ ≠ I` within `1e-9`.
+    /// Returns [`InvalidChannelError`] if `Σ KᵏᵈKᵏ ≠ I` within `1e-9`, or
+    /// if an operator has a row with two nonzero entries.
     pub fn from_kraus(ops: Vec<Mat2>) -> Result<Self, InvalidChannelError> {
+        let mut terms = Vec::with_capacity(ops.len());
+        for (i, k) in ops.iter().enumerate() {
+            let m = Monomial::of(k).ok_or_else(|| InvalidChannelError {
+                reason: format!("Kraus operator {i} has a row with two nonzero entries"),
+            })?;
+            if !m.is_zero() {
+                terms.push(m);
+            }
+        }
         let mut sum = [[C64::ZERO; 2]; 2];
         for k in &ops {
             let kdk = mat2_mul(&mat2_dagger(k), k);
@@ -57,12 +126,18 @@ impl Channel1 {
                 }
             }
         }
-        Ok(Channel1 { ops })
+        Ok(Channel1 { ops, terms })
     }
 
     /// The Kraus operators.
     pub fn kraus(&self) -> &[Mat2] {
         &self.ops
+    }
+
+    /// The monomial form of every Kraus operator that is not all zero, in
+    /// the order of [`kraus`](Self::kraus).
+    pub(crate) fn monomials(&self) -> &[Monomial] {
+        &self.terms
     }
 
     /// Pauli channel: applies X, Y, Z with probabilities `px`, `py`, `pz`
@@ -197,5 +272,30 @@ mod tests {
     fn incomplete_kraus_rejected() {
         let half = [[C64::real(0.5), C64::ZERO], [C64::ZERO, C64::real(0.5)]];
         assert!(Channel1::from_kraus(vec![half]).is_err());
+    }
+
+    #[test]
+    fn monomials_record_every_nonzero_operator() {
+        let ad = Channel1::amplitude_damping(0.3).unwrap();
+        let s = 0.3f64.sqrt();
+        assert_eq!(
+            ad.monomials(),
+            &[
+                Monomial {
+                    col: [0, 1],
+                    value: [C64::ONE, C64::real((1.0 - 0.3f64).sqrt())],
+                },
+                // K1 = [[0, √γ], [0, 0]]: row 1 has no nonzero entry.
+                Monomial {
+                    col: [1, 1],
+                    value: [C64::real(s), C64::ZERO],
+                },
+            ]
+        );
+        let y = Channel1::pauli(0.0, 0.2, 0.0).unwrap();
+        // The X and Z operators are zero at rate 0 and get no term.
+        assert_eq!(y.kraus().len(), 4);
+        assert_eq!(y.monomials().len(), 2);
+        assert_eq!(y.monomials()[1].col, [1, 0]);
     }
 }

@@ -1,15 +1,38 @@
 //! Density-matrix simulator.
 //!
 //! Exact mixed-state simulation used as the "real quantum hardware" stand-in:
-//! unitary gates plus arbitrary Kraus channels. Internally the matrix ρ is
-//! stored as `vec(ρ)` — a length-4ⁿ amplitude vector — so the statevector
-//! kernels are reused: a ket-side operator acts on bit `q + n`, a bra-side
-//! (conjugated) operator on bit `q`.
+//! unitary gates plus single-qubit Kraus channels. Internally the matrix ρ
+//! is stored as `vec(ρ)` — a length-4ⁿ amplitude vector — so the
+//! statevector kernels are reused: a ket-side operator acts on bit `q + n`,
+//! a bra-side (conjugated) operator on bit `q`.
+//!
+//! ## Channels in one pass per Kraus term
+//!
+//! Every Kraus operator is a monomial (see [`crate::channel`]), so
+//! [`DensityMatrix::apply_channel1_with`] writes `Σᵏ KᵏρKᵏᵈ` into a
+//! second buffer with one pass per nonzero operator, each amplitude
+//! getting `conj(k_s)·(k_r·ρ[c(r)][c(s)])`, and then swaps the buffers.
+//! The caller owns that buffer and passes the same one for every channel
+//! of a run, so a run allocates it once; it is not a field, so two
+//! states that hold the same ρ still compare equal.
+//! [`DensityMatrix::apply_channel1`] is the same pass through a fresh
+//! buffer.
+//!
+//! The pass computes the same bits as the dense loop it replaced (copy
+//! ρ, mix the ket bit with `K`, the bra bit with `K*`, add the copy into
+//! a zeroed sum; the reference in the kernel oracle). Every product the
+//! dense loop computes and the pass skips has an exact-zero factor, and
+//! every product the pass keeps is computed from the same operands in
+//! the same order. A signed zero added to a nonzero value leaves it
+//! exact, so every nonzero amplitude keeps its bits; only the sign of an
+//! exact zero can differ. No output can see that sign: `⟨Z⟩` sums
+//! diagonal entries into a `0.0` start, probabilities clamp with
+//! `max(0.0)`, and sampled counts compare zeros as equal.
 
 use crate::channel::Channel1;
 use crate::circuit::Circuit;
 use crate::gate::{Gate, GateMatrix};
-use crate::kernels::{accumulate, apply_mat2, apply_mat4, conj2, conj4};
+use crate::kernels::{apply_mat2, apply_mat4, conj2, conj4, kraus_term};
 use crate::math::C64;
 use crate::statevector::{RegisterMismatchError, StateVector};
 
@@ -161,18 +184,36 @@ impl DensityMatrix {
     }
 
     /// Applies a single-qubit Kraus channel on qubit `q`:
-    /// ρ → Σᵏ KᵏρKᵏᵈ.
+    /// ρ → Σᵏ KᵏρKᵏᵈ, one pass per nonzero Kraus operator (see the module
+    /// docs). A run of channels should call
+    /// [`apply_channel1_with`](Self::apply_channel1_with) with one
+    /// buffer instead; this allocates a fresh one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is out of range.
     pub fn apply_channel1(&mut self, q: usize, ch: &Channel1) {
+        self.apply_channel1_with(q, ch, &mut Vec::new());
+    }
+
+    /// [`apply_channel1`](Self::apply_channel1) through a caller's
+    /// buffer: the sum is written into `scratch`, which is resized to 4ⁿ
+    /// amplitudes if needed and then swapped with ρ. Passing the same
+    /// `scratch` for every channel of a run allocates it once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is out of range.
+    pub fn apply_channel1_with(&mut self, q: usize, ch: &Channel1, scratch: &mut Vec<C64>) {
         let n = self.n_qubits;
-        let mut acc = vec![C64::ZERO; self.data.len()];
-        let mut scratch = vec![C64::ZERO; self.data.len()];
-        for k in ch.kraus() {
-            scratch.copy_from_slice(&self.data);
-            apply_mat2(&mut scratch, q + n, k);
-            apply_mat2(&mut scratch, q, &conj2(k));
-            accumulate(&mut acc, &scratch);
+        assert!(q < n, "qubit {q} out of range for {n} qubits");
+        scratch.resize(self.data.len(), C64::ZERO);
+        for (i, term) in ch.monomials().iter().enumerate() {
+            kraus_term(&self.data, scratch, q + n, q, term, i > 0);
         }
-        self.data = acc;
+        // A complete channel has a nonzero operator, so the first term
+        // has overwritten every amplitude of `scratch`.
+        std::mem::swap(&mut self.data, scratch);
     }
 
     /// Diagonal of ρ: the probability of each computational basis state.

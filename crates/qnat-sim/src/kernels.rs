@@ -51,8 +51,8 @@
 //!
 //! The crate is built for baseline x86-64 (SSE2: two `f64` lanes), but
 //! most hosts run AVX2 (four) or AVX-512 (eight). Each hot loop — the
-//! four mixing loops, the cross matrix, and the sum of Kraus terms in
-//! [`DensityMatrix::apply_channel1`](crate::density::DensityMatrix::apply_channel1)
+//! four mixing loops, the cross matrix, and the monomial Kraus-term pass
+//! of [`DensityMatrix::apply_channel1_with`](crate::density::DensityMatrix::apply_channel1_with)
 //! — is written once, as an `#[inline(always)]` body, and the `per_isa!`
 //! macro compiles that one body three times: inlined into the loop's
 //! `#[inline(never)]` entry (the baseline copy), and into one out-of-line
@@ -82,6 +82,10 @@
 //! by side: each amplitude, and each cross-matrix sum, keeps its
 //! operation order, as does each lane. The `oracle` tests pin every copy
 //! the host runs to the nested-chunk loops bit for bit, the
+//! `channel_oracle` tests pin every copy of the Kraus-term pass to the
+//! dense Kraus loop it replaced (equal amplitudes, equal bits on every
+//! nonzero part; see [`crate::density`] for why only a zero's sign may
+//! differ), the
 //! `lane_oracle` tests pin every lane to the scalar `mat2_mul`, `kron2`,
 //! `mat4_mul` and contraction, and `qnat-core`'s `bit_pins`
 //! test pins a noisy training run and the emulator's ⟨Z⟩ to hashes
@@ -94,6 +98,7 @@
 //! at the dispatch boundary, before the entry, so every copy runs on
 //! validated arguments.
 
+use crate::channel::Monomial;
 use crate::math::{Mat2, Mat4, C64};
 use std::sync::OnceLock;
 
@@ -262,8 +267,16 @@ per_isa! {
     /// then its quad in every block of a tile.
     fn mix_small_quads(amps: &mut [C64], ba: usize, bb: usize, m: Mat4) = mix_small_quads_body;
 
-    /// The loop of [`accumulate`].
-    fn add_into(acc: &mut [C64], terms: &[C64]) = add_into_body;
+    /// The loop of [`kraus_term`], handed the operator by value for the
+    /// same reason as [`mix_pairs`].
+    fn kraus_quads(
+        rho: &[C64],
+        out: &mut [C64],
+        bits: [usize; 2],
+        col: [usize; 2],
+        k: [C64; 2],
+        add: bool,
+    ) = kraus_quads_body;
 
     /// The loop of [`apply_mat4_lanes`].
     fn mix_quads_lanes(
@@ -345,7 +358,7 @@ fn checked_state(len: usize) {
 /// Panics if `amps.len()` is not a power of two or `q` is out of range
 /// (checked once, before the branch-free hot loop).
 // Out of line on purpose: inlined into the density-matrix callers
-// (`DensityMatrix::apply_gate`, `apply_channel1`), this small wrapper
+// (`DensityMatrix::apply_gate`), this small wrapper
 // made the served emulator workload ~10% slower.
 #[inline(never)]
 pub fn apply_mat2(amps: &mut [C64], q: usize, m: &Mat2) {
@@ -667,24 +680,147 @@ fn mix_quads_lanes_body(
     }
 }
 
-/// Adds `terms` into `acc` amplitude by amplitude: `acc[i] += terms[i]`.
+/// One Kraus term of a single-qubit channel on `vec(ρ)`, for an operator
+/// in [`Monomial`] form: row `r` of `K` holds `k_r` in column `c(r)` and
+/// zeros elsewhere (see [`crate::channel`]). With ket bit `ket` and bra
+/// bit `bra`, every amplitude `(r, s)` of those two bits gets
+///
+/// ```text
+/// conj(k_s)·(k_r·ρ[c(r)][c(s)]),
+/// ```
+///
+/// which `out` takes (`add == false`) or adds to itself (`add == true`).
 ///
 /// # Panics
 ///
-/// Panics if the slices differ in length.
-pub(crate) fn accumulate(acc: &mut [C64], terms: &[C64]) {
-    assert_eq!(
-        acc.len(),
-        terms.len(),
-        "accumulating slices of unequal length"
+/// Panics if the slices differ in length, their length is not a power of
+/// two, either bit is out of range, `ket <= bra`, or a column is not 0
+/// or 1.
+pub(crate) fn kraus_term(
+    rho: &[C64],
+    out: &mut [C64],
+    ket: usize,
+    bra: usize,
+    term: &Monomial,
+    add: bool,
+) {
+    kraus_term_on(Isa::widest(), rho, out, ket, bra, term, add);
+}
+
+/// [`kraus_term`] on the copy compiled for `isa`.
+fn kraus_term_on(
+    isa: Isa,
+    rho: &[C64],
+    out: &mut [C64],
+    ket: usize,
+    bra: usize,
+    term: &Monomial,
+    add: bool,
+) {
+    assert_eq!(rho.len(), out.len(), "a Kraus term between unequal slices");
+    checked_state(rho.len());
+    let kb = checked_bit(rho.len(), ket);
+    let bb = checked_bit(rho.len(), bra);
+    assert!(
+        ket > bra,
+        "the ket bit {ket} must lie above the bra bit {bra}"
     );
-    add_into(Isa::widest(), acc, terms);
+    assert!(
+        term.col.iter().all(|&c| c < 2),
+        "a Kraus column must be 0 or 1"
+    );
+    kraus_quads(isa, rho, out, [kb, bb], term.col, term.value, add);
 }
 
 #[inline(always)]
-fn add_into_body(acc: &mut [C64], terms: &[C64]) {
-    for (a, t) in acc.iter_mut().zip(terms) {
-        *a += *t;
+fn kraus_quads_body(
+    rho: &[C64],
+    out: &mut [C64],
+    bits: [usize; 2],
+    col: [usize; 2],
+    k: [C64; 2],
+    add: bool,
+) {
+    if add {
+        monomial_quads(rho, out, bits, col, k, |o, v| *o += v);
+    } else {
+        monomial_quads(rho, out, bits, col, k, |o, v| *o = v);
+    }
+}
+
+/// The loop of [`kraus_term`], with the store (`=` or `+=`) fixed per
+/// copy, and compiled for each pair of columns and for bra blocks of 2,
+/// 4 and 8 amplitudes, so the inner loop of a low bra bit is a fixed
+/// pattern of loads instead of a run of one to four amplitudes. (Every
+/// arm calls [`monomial_rows`] directly, so each is inlined into, and
+/// compiled for, the instruction set of its caller.)
+#[inline(always)]
+fn monomial_quads(
+    rho: &[C64],
+    out: &mut [C64],
+    bits: [usize; 2],
+    col: [usize; 2],
+    k: [C64; 2],
+    put: impl Fn(&mut C64, C64) + Copy,
+) {
+    match (col, bits[1]) {
+        ([0, 1], 1) => monomial_rows::<0, 1, 1>(rho, out, bits, k, put),
+        ([0, 1], 2) => monomial_rows::<0, 1, 2>(rho, out, bits, k, put),
+        ([0, 1], 4) => monomial_rows::<0, 1, 4>(rho, out, bits, k, put),
+        ([0, 1], _) => monomial_rows::<0, 1, 0>(rho, out, bits, k, put),
+        ([1, 0], 1) => monomial_rows::<1, 0, 1>(rho, out, bits, k, put),
+        ([1, 0], 2) => monomial_rows::<1, 0, 2>(rho, out, bits, k, put),
+        ([1, 0], 4) => monomial_rows::<1, 0, 4>(rho, out, bits, k, put),
+        ([1, 0], _) => monomial_rows::<1, 0, 0>(rho, out, bits, k, put),
+        ([1, 1], 1) => monomial_rows::<1, 1, 1>(rho, out, bits, k, put),
+        ([1, 1], 2) => monomial_rows::<1, 1, 2>(rho, out, bits, k, put),
+        ([1, 1], 4) => monomial_rows::<1, 1, 4>(rho, out, bits, k, put),
+        ([1, 1], _) => monomial_rows::<1, 1, 0>(rho, out, bits, k, put),
+        (_, 1) => monomial_rows::<0, 0, 1>(rho, out, bits, k, put),
+        (_, 2) => monomial_rows::<0, 0, 2>(rho, out, bits, k, put),
+        (_, 4) => monomial_rows::<0, 0, 4>(rho, out, bits, k, put),
+        (_, _) => monomial_rows::<0, 0, 0>(rho, out, bits, k, put),
+    }
+}
+
+/// [`monomial_quads`] for source columns `(C0, C1)`, and `BB` the bra
+/// bit when it is known at compile time (0 otherwise): outer blocks of
+/// `2·kb` split on the ket bit, output row `r` reading source row `c(r)`.
+#[inline(always)]
+fn monomial_rows<const C0: usize, const C1: usize, const BB: usize>(
+    rho: &[C64],
+    out: &mut [C64],
+    [kb, bb]: [usize; 2],
+    [k0, k1]: [C64; 2],
+    put: impl Fn(&mut C64, C64) + Copy,
+) {
+    let bb = if BB == 0 { bb } else { BB };
+    let h = [k0.conj(), k1.conj()];
+    for (src, dst) in rho.chunks_exact(kb << 1).zip(out.chunks_exact_mut(kb << 1)) {
+        let (d0, d1) = dst.split_at_mut(kb);
+        monomial_row::<C0, C1>(&src[C0 * kb..][..kb], d0, bb, k0, h, put);
+        monomial_row::<C0, C1>(&src[C1 * kb..][..kb], d1, bb, k1, h, put);
+    }
+}
+
+/// One ket row of [`monomial_rows`]: blocks of `2·bb` split on the bra
+/// bit, output column `s` taking `h[s]·(k·x)` from source column `c(s)`.
+#[inline(always)]
+fn monomial_row<const C0: usize, const C1: usize>(
+    x: &[C64],
+    o: &mut [C64],
+    bb: usize,
+    k: C64,
+    [h0, h1]: [C64; 2],
+    put: impl Fn(&mut C64, C64),
+) {
+    for (xs, os) in x.chunks_exact(bb << 1).zip(o.chunks_exact_mut(bb << 1)) {
+        let (o0, o1) = os.split_at_mut(bb);
+        let (x0, x1) = (&xs[C0 * bb..][..bb], &xs[C1 * bb..][..bb]);
+        for j in 0..bb {
+            put(&mut o0[j], h0 * (k * x0[j]));
+            put(&mut o1[j], h1 * (k * x1[j]));
+        }
     }
 }
 
@@ -1115,6 +1251,9 @@ pub fn conj4(m: &Mat4) -> Mat4 {
 
 #[cfg(test)]
 mod oracle;
+
+#[cfg(test)]
+mod channel_oracle;
 
 #[cfg(test)]
 mod lane_oracle;

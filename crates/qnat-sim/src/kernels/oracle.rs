@@ -7,8 +7,8 @@
 //! it.
 
 use super::{
-    add_into, apply_mat4_lanes_on, cross_mat2_lanes_on, lane_blocks, lane_get, lane_set,
-    mat2_rows_on, mat4_rows_on, splat, Isa, LaneMask, LANES,
+    apply_mat4_lanes_on, cross_mat2_lanes_on, lane_blocks, lane_get, lane_set, mat2_rows_on,
+    mat4_rows_on, splat, Isa, LaneMask, LANES,
 };
 use crate::math::{Mat2, Mat4, C64};
 
@@ -213,22 +213,6 @@ fn mix_quads_lanes_match_the_nested_chunk_loop_bitwise() {
                     }
                 }
             }
-        }
-    }
-}
-
-#[test]
-fn accumulate_matches_the_scalar_sum_bitwise() {
-    for isa in Isa::supported() {
-        for len in [1usize, 3, 16, 255, 1024] {
-            let terms = amplitudes(len, 3.5);
-            let mut got = amplitudes(len, 0.5);
-            let mut want = got.clone();
-            add_into(isa, &mut got, &terms);
-            for (w, t) in want.iter_mut().zip(&terms) {
-                *w += *t;
-            }
-            assert_bits_eq(&got, &want, &format!("{isa:?}, {len} amplitudes"));
         }
     }
 }

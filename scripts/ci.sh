@@ -41,7 +41,12 @@
 #              orders of the 2×2 and 4×4 mixes, and the cross matrix,
 #              equal the nested-chunk loops bit for bit on 1–6-qubit
 #              states and 3/48/80-row batches, in the baseline, AVX2 and
-#              AVX-512 copy the host runs), the lane oracle
+#              AVX-512 copy the host runs), the channel oracle
+#              (kernels::channel_oracle: the monomial Kraus-term pass
+#              equals the dense Kraus loop it replaced on every amplitude,
+#              bit for bit on every nonzero part, for Pauli and damping
+#              channels at rates 0/1e-4/0.3/1 on every qubit of 1–5-qubit
+#              states, in every copy the host runs), the lane oracle
 #              (kernels::lane_oracle: the batch engine's sample-lane
 #              loops equal the scalar mat2_mul/kron2/mat4_mul/contraction
 #              per sample bit for bit, on batches of 1/7/48/49, in every
@@ -142,9 +147,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "== perfbench: build the end-to-end benchmark and run its tests =="
 cargo test --offline --manifest-path perfbench/Cargo.toml
 
-echo "== sim-bench: release-mode kernel bounds regression, kernel copy and lane oracles, bit pins =="
+echo "== sim-bench: release-mode kernel bounds regression, kernel copy, channel and lane oracles, bit pins =="
 cargo test -q --release -p qnat-sim --test kernel_bounds
 cargo test -q --release -p qnat-sim --lib kernels::oracle
+cargo test -q --release -p qnat-sim --lib kernels::channel_oracle
 cargo test -q --release -p qnat-sim --lib kernels::lane_oracle
 cargo test -q --release -p qnat-core --test bit_pins
 
